@@ -77,10 +77,6 @@ def machine_result(res):
     return 1
 
 
-def input_alphabet(kind, spec):
-    return spec.input
-
-
 # -- subcommands ------------------------------------------------------------
 
 def cmd_typecheck(args):
@@ -107,36 +103,36 @@ def cmd_classify(args):
     return 0
 
 
+def compile_walking(spec, target):
+    """A .lt spec compiled to a "twt" or an "iptt"."""
+    from .compiler import TARGET_VARIANT, WalkingCompiler
+    return WalkingCompiler(spec, TARGET_VARIANT[target]).compile()
+
+
 def _lt_backend(spec, machine, fuel):
     """Returns a function Tree -> MachineResult-or-Tree for one backend."""
-    from . import compiler, walking
+    from . import walking
     if machine == "normalize":
         return lambda tau: Output(spec.eval_normalize(tau, fuel), 0)
     if machine == "iam":
-        from .iam import IamMachine, TermInfo, run_iam
+        from .iam import run_iam
         return lambda tau: run_iam(spec.program_ann(tau), "auto", fuel)
-    if machine == "twt":
-        tw = compiler.compile_to_twt(spec)
-        return lambda tau: walking.twt_run(tw, tau, fuel)
-    if machine == "iptt":
-        ip = compiler.compile_to_iptt(spec)
-        return lambda tau: walking.iptt_run(ip, tau, fuel)
+    if machine in ("twt", "iptt"):
+        walker = compile_walking(spec, machine)
+        return lambda tau: walking.run_walking(walker, tau, fuel)
     raise LamtransError(f"unknown machine {machine!r}")
 
 
 def cmd_run(args):
     from . import walking
     kind, spec = load_spec(args.spec)
-    if kind == "lt":
-        tau = read_tree(args.tree, spec.input)
-        return machine_result(_lt_backend(spec, args.machine, args.fuel)(tau))
     tau = read_tree(args.tree, spec.input)
+    if kind == "lt":
+        return machine_result(_lt_backend(spec, args.machine, args.fuel)(tau))
     if kind == "gls":
         print(spec.run(tau, args.fuel).to_str())
         return 0
-    if kind == "twt":
-        return machine_result(walking.twt_run(spec, tau, args.fuel))
-    return machine_result(walking.iptt_run(spec, tau, args.fuel))
+    return machine_result(walking.run_walking(spec, tau, args.fuel))
 
 
 def cmd_normalize(args):
@@ -145,15 +141,11 @@ def cmd_normalize(args):
 
 
 def cmd_compile(args):
-    from . import compiler
     kind, spec = load_spec(args.spec)
     if kind != "lt":
         print("compile expects a .lt spec", file=sys.stderr)
         return 1
-    if args.target == "twt":
-        out = compiler.compile_to_twt(spec).to_str()
-    else:
-        out = compiler.compile_to_iptt(spec).to_str()
+    out = compile_walking(spec, args.target).to_str()
     if args.output:
         with open(args.output, "w") as f:
             f.write(out)
@@ -166,30 +158,17 @@ def cmd_trace(args):
     from . import walking
     kind, spec = load_spec(args.spec)
     tau = read_tree(args.tree, spec.input)
-    if kind == "lt":
-        if args.machine in ("normalize",):
-            print("trace supports the machine backends only",
-                  file=sys.stderr)
-            return 1
-        if args.machine == "twt":
-            from .compiler import compile_to_twt
-            tw = compile_to_twt(spec)
-            m = walking.TwtMachine(tw, tau)
-        elif args.machine == "iptt":
-            from .compiler import compile_to_iptt
-            ip = compile_to_iptt(spec)
-            m = walking.IpttMachine(ip, tau)
-        else:
-            from .iam import IamMachine, TermInfo, pick_variant
-            info = TermInfo(spec.program_ann(tau))
-            m = IamMachine(info, pick_variant(info.tier))
-    elif kind == "twt":
-        m = walking.TwtMachine(spec, tau)
-    elif kind == "iptt":
-        m = walking.IpttMachine(spec, tau)
-    else:
+    if kind == "gls":
         print("trace does not support .gls specs", file=sys.stderr)
         return 1
+    if kind == "lt" and args.machine == "iam":
+        from .iam import IamMachine, TermInfo, pick_variant
+        info = TermInfo(spec.program_ann(tau))
+        m = IamMachine(info, pick_variant(info.tier))
+    else:
+        if kind == "lt":
+            spec = compile_walking(spec, args.machine)
+        m = walking.WalkingMachine(spec, tau)
     for line in treegen.trace_lines(m, m.initial(), args.fuel):
         print(line)
     return 0
@@ -199,8 +178,7 @@ def cmd_reversible(args):
     from . import walking
     kind, spec = load_spec(args.spec)
     if kind == "lt":
-        from .compiler import compile_to_twt
-        spec = compile_to_twt(spec)
+        spec = compile_walking(spec, "twt")
     elif kind != "twt":
         print("reversible expects a .twt or .lt spec", file=sys.stderr)
         return 1

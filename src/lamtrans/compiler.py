@@ -9,25 +9,28 @@ step on a local representative term: the block's rule term applied to
 placeholder constants (one per child), or the output-extraction term
 applied to one placeholder.
 
-For transducers up to the almost-purely-affine tier the result is a
-tree-walking transducer.  For the almost-depth-1 tier the single-stack
-token machine is used instead; its stack of logged positions becomes the
-pebble stack of an invisible-pebble transducer (one pebble per stack
-entry, placed on the node whose block contains the binder; a group that
-was folded into an entry simply stays underneath it, so pushing and
-popping are a single put or remove)."""
+One compiler serves both targets; the token-machine variant picks the
+target.  The almost-purely-affine machine ("apa", tiers up to
+almost-purely-affine) never pushes, and the result is a tree-walking
+transducer.  The single-stack machine ("ss", tiers up to almost-depth-1)
+turns its stack of logged positions into the pebble stack of an
+invisible-pebble transducer (one pebble per stack entry, placed on the node
+whose block contains the binder; a group that was folded into an entry
+simply stays underneath it, so pushing and popping are a single put or
+remove).  A tree-walking transducer is thus the pebble transducer that
+never drops a pebble."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .core import App, Const, Let, LamtransError, term_to_str
-from .iam import (ClassificationTooHigh, Config, IamMachine,
-                  InternalInvariantError, StackEntry, TermInfo, mult_tape)
-from .transducer import LambdaTransducerSpec
+from .iam import (ClassificationTooHigh, Config, IamMachine, StackEntry,
+                  TermInfo, mult_tape)
 from .treegen import FNode
-from .typecheck import typecheck
-from .walking import IpttSpec, TwtSpec
+from .typecheck import TIER_NAMES, typecheck
+from .walking import (ANY, IpttSpec, TwtSpec, WalkConfig, image_leaves,
+                      image_map_leaves)
 
 
 class UnreachableShape(LamtransError):
@@ -41,9 +44,12 @@ def tape_str(tape):
     return mult_tape(tape)
 
 
+# Every state renders given the out-term and whether to show the box-depth
+# flag; only the token states use them.
+
 @dataclass(frozen=True)
 class SimI:
-    def render(self):
+    def render(self, u_term, with_flag):
         return "I"
 
 
@@ -54,8 +60,8 @@ class SimU:
     tape: str
     flag: int = 0
 
-    def render(self, term=None, with_flag=False):
-        body = term_to_str(term, mark=self.pos, direction=self.d)
+    def render(self, u_term, with_flag):
+        body = term_to_str(u_term, mark=self.pos, direction=self.d)
         s = f'U[{self.d},"{body}","{self.tape}"'
         if with_flag:
             s += f",{self.flag}"
@@ -70,7 +76,7 @@ class SimT:
     tape: str
     flag: int = 0
 
-    def render(self, with_flag=False):
+    def render(self, u_term, with_flag):
         body = term_to_str(self.skel, mark=self.pos, direction=self.d)
         s = f'T[{self.d},"{body}","{self.tape}"'
         if with_flag:
@@ -82,7 +88,7 @@ class SimT:
 class SimNabla:
     tape: str
 
-    def render(self):
+    def render(self, u_term, with_flag):
         return f'Nabla["{self.tape}"]'
 
 
@@ -90,7 +96,7 @@ class SimNabla:
 class SimDelta:
     tape: str
 
-    def render(self):
+    def render(self, u_term, with_flag):
         return f'Delta["{self.tape}"]'
 
 
@@ -110,7 +116,6 @@ class LocalBlocks:
 
     def __init__(self, spec, variant):
         self.spec = spec
-        self.variant = variant
         self.u_term = spec.norm_out
         consts = {f"{PH}{i}": spec.memory
                   for i in range(max([r for _, r in spec.input.letters],
@@ -136,9 +141,6 @@ class LocalBlocks:
             heights.append(info.height)
         self.height = max(heights)
 
-    def is_placeholder(self, a, pos):
-        return pos in self.ph_pos[a].values()
-
     def ph_index(self, a, pos):
         for i, p in self.ph_pos[a].items():
             if p == pos:
@@ -147,23 +149,63 @@ class LocalBlocks:
 
 
 # ---------------------------------------------------------------------------
-# TWT compilation
+# Compilation.  In the single-stack machine a stack entry records a jump
+# source (a position inside the block of some node) together with the
+# group of entries folded under it; the pebble for it sits on that node, its
+# color records the local position and the group size, and the group's own
+# pebbles simply remain underneath -- so a stack push is one put and a
+# stack pop is one remove.
 
-class TwtCompiler:
-    def __init__(self, spec):
-        if spec.tier > 1:
+TIER_LIMIT = {"apa": 1, "ss": 2}   # token-machine variant -> highest tier
+TARGET_VARIANT = {"twt": "apa", "iptt": "ss"}
+
+
+def color_name(tag, pos, n):
+    return f"{tag}_{'.'.join(map(str, pos)) or 'e'}x{n}"
+
+
+def sentinels(n):
+    """Stand-ins for the n log entries a local configuration inherits."""
+    return tuple(StackEntry(("sentinel", i), ()) for i in range(n))
+
+
+class WalkingCompiler:
+    """Compiles a lambda-transducer with the given token-machine variant:
+    "apa" builds a TWT, "ss" an IPTT whose state names also carry the box
+    depth."""
+
+    def __init__(self, spec, variant):
+        self.pebbles = variant == "ss"
+        limit = TIER_LIMIT[variant]
+        if spec.tier > limit:
             raise ClassificationTooHigh(
-                f"{spec.name} is {spec.tier_name()}; walking compilation "
-                "needs almost-purely-affine or lower")
+                f"{spec.name} is {spec.tier_name()}; "
+                f"{'pebble' if self.pebbles else 'walking'} compilation "
+                f"needs {TIER_NAMES[limit]} or lower")
         self.spec = spec
-        self.blocks = LocalBlocks(spec, "apa")
+        self.blocks = LocalBlocks(spec, variant)
         self.H = self.blocks.height
+        self.colors = {}   # name -> (tag, pos, n)
+        if self.pebbles:
+            self._collect_colors("u", self.blocks.u_info)
+            for info in self.blocks.info.values():
+                self._collect_colors("b", info)
 
-    # state objects <-> names
+    def _collect_colors(self, tag, info):
+        for pos, kind in info.var_kind.items():
+            if kind != "let":
+                continue
+            binder = info.occ_binder[pos]
+            if info.bound_is_base(binder):
+                continue
+            n = info.depths[pos]
+            self.colors[color_name(tag, pos, n)] = (tag, pos, n)
+
     def name(self, state):
-        if isinstance(state, SimU):
-            return state.render(self.blocks.u_term)
-        return state.render()
+        return state.render(self.blocks.u_term, self.pebbles)
+
+    def _tag_of(self, machine):
+        return "u" if machine is self.blocks.u_machine else "b"
 
     def start_config(self, a, state, prov, is_root):
         """The local machine and configuration a key stands for, or None
@@ -177,189 +219,8 @@ class TwtCompiler:
             if prov != "self" or not is_root:
                 return None
             return b.u_machine, Config(state.d, (0,) + state.pos,
-                                       tuple(state.tape))
-        if isinstance(state, SimNabla):
-            if (prov == "self") != is_root or isinstance(prov, tuple):
-                return None
-            return b.machine[a], Config("down", (), tuple(state.tape))
-        if isinstance(state, SimDelta):
-            if prov == "self":
-                if not is_root:
-                    return None
-                return b.u_machine, Config("up", (1,), tuple(state.tape))
-            if isinstance(prov, tuple):
-                i = prov[1]
-                if i not in b.ph_pos[a]:
-                    return None
-                return b.machine[a], Config("up", b.ph_pos[a][i],
-                                            tuple(state.tape))
-            return None
-        if isinstance(state, SimT):
-            if prov != "self" or state.skel != b.skel[a]:
-                return None
-            return b.machine[a], Config(state.d, state.pos, tuple(state.tape))
-        return None
-
-    def classify(self, machine, res, a, is_root):
-        """Turn a one-step result over a local term into a transition
-        image, or None when the key must stay undefined."""
-        if res is None:
-            return None
-        if isinstance(res, FNode):
-            kids = []
-            for c in res.children:
-                sub = self.classify(machine, c, a, is_root)
-                if sub is None:
-                    return None
-                kids.append(sub)
-            return FNode(res.label, tuple(kids))
-        cfg = res
-        tape = tape_str(cfg.tape)
-        if len(tape) > self.H:
-            return None  # tape overflow: leave the key undefined
-        b = self.blocks
-        if machine is b.u_machine:
-            if cfg.pos == (1,) and cfg.direction == "down":
-                return (SimNabla(tape), "stay")
-            if cfg.pos and cfg.pos[0] == 0:
-                return (SimU(cfg.direction, cfg.pos[1:], tape), "stay")
-            return None
-        # rule-skeleton machine
-        if cfg.pos == ():
-            if cfg.direction != "up":
-                return None
-            return (SimDelta(tape), "stay" if is_root else "to-parent")
-        i = b.ph_index(a, cfg.pos)
-        if i is not None:
-            if cfg.direction != "down":
-                return None
-            return (SimNabla(tape), ("to-child", i))
-        return (SimT(cfg.direction, b.skel[a], cfg.pos, tape), "stay")
-
-    def compile(self):
-        spec = self.blocks.spec
-        delta, delta_root = {}, {}
-        state_of_name = {self.name(SimI()): SimI()}
-        worklist = [SimI()]
-
-        while worklist:
-            state = worklist.pop()
-            for a, k in spec.input.letters:
-                provs = ["self", "from-parent"] + \
-                        [("from-child", i) for i in range(1, k + 1)]
-                for prov in provs:
-                    for is_root in (True, False):
-                        if is_root and prov == "from-parent":
-                            continue
-                        pair = self.start_config(a, state, prov, is_root)
-                        if pair is None:
-                            continue
-                        machine, cfg = pair
-                        img = self.classify(machine, machine.step(cfg), a,
-                                            is_root)
-                        if img is None:
-                            continue
-                        table = delta_root if is_root else delta
-                        table[(a, self.name(state), prov)] = \
-                            image_names(img, self.name)
-                        for obj in image_states(img):
-                            nm = self.name(obj)
-                            if nm not in state_of_name:
-                                state_of_name[nm] = obj
-                                worklist.append(obj)
-        self.state_of_name = state_of_name
-        states = sorted(state_of_name)
-        states.remove("I")
-        return TwtSpec(spec.input, spec.output, ["I"] + states, "I",
-                       delta, delta_root, name=spec.name + "->twt")
-
-
-def image_names(img, name):
-    if isinstance(img, FNode):
-        return FNode(img.label,
-                     tuple(image_names(c, name) for c in img.children))
-    q, move = img
-    return (name(q), move)
-
-
-def image_states(img):
-    if isinstance(img, FNode):
-        out = []
-        for c in img.children:
-            out.extend(image_states(c))
-        return out
-    return [img[0]]
-
-
-def compile_to_twt(spec):
-    return TwtCompiler(spec).compile()
-
-
-# ---------------------------------------------------------------------------
-# IPTT compilation: the single-stack machine's stack entries become
-# pebbles.  A stack entry records a jump source (a position inside the
-# block of some node) together with the group of entries folded under it;
-# the pebble for it sits on that node, its color records the local
-# position and the group size, and the group's own pebbles simply remain
-# underneath -- so a stack push is one put and a stack pop is one remove.
-
-def color_name(tag, pos, n):
-    return f"{tag}_{'.'.join(map(str, pos)) or 'e'}x{n}"
-
-
-class IpttCompiler:
-    def __init__(self, spec):
-        if spec.tier > 2:
-            raise ClassificationTooHigh(
-                f"{spec.name} is {spec.tier_name()}; pebble compilation "
-                "needs almost-depth-1 or lower")
-        self.spec = spec
-        self.blocks = LocalBlocks(spec, "ss")
-        self.H = self.blocks.height
-        self.colors = {}   # name -> (tag, pos, n)
-        self._collect_colors("u", self.blocks.u_info)
-        done = set()
-        for a in self.blocks.info:
-            skel = self.blocks.skel[a]
-            if id(skel) in done:
-                continue
-            done.add(id(skel))
-            self._collect_colors("b", self.blocks.info[a])
-
-    def _collect_colors(self, tag, info):
-        for pos, kind in info.var_kind.items():
-            if kind != "let":
-                continue
-            binder = info.occ_binder[pos]
-            if info.bound_is_base(binder):
-                continue
-            n = info.depths[pos]
-            self.colors[color_name(tag, pos, n)] = (tag, pos, n)
-
-    def name(self, state):
-        if isinstance(state, SimU):
-            return state.render(self.blocks.u_term, with_flag=True)
-        if isinstance(state, SimT):
-            return state.render(with_flag=True)
-        return state.render()
-
-    def _tag_of(self, machine):
-        return "u" if machine is self.blocks.u_machine else "b"
-
-    def start_config(self, a, state, prov, is_root):
-        b = self.blocks
-        sentinels = tuple(StackEntry(("sentinel", i), ())
-                          for i in range(getattr(state, "flag", 0)))
-        if isinstance(state, SimI):
-            if prov != "self" or not is_root:
-                return None
-            return b.u_machine, Config("down", (), ())
-        if isinstance(state, SimU):
-            if prov != "self" or not is_root:
-                return None
-            return b.u_machine, Config(state.d, (0,) + state.pos,
-                                       tuple(state.tape), sentinels,
-                                       state.flag)
+                                       tuple(state.tape),
+                                       sentinels(state.flag), state.flag)
         if isinstance(state, SimNabla):
             if (prov == "self") != is_root or isinstance(prov, tuple):
                 return None
@@ -380,8 +241,8 @@ class IpttCompiler:
             if prov != "self" or state.skel != b.skel[a]:
                 return None
             return b.machine[a], Config(state.d, state.pos,
-                                        tuple(state.tape), sentinels,
-                                        state.flag)
+                                        tuple(state.tape),
+                                        sentinels(state.flag), state.flag)
         return None
 
     def _local_state(self, machine, cfg, a, is_root):
@@ -389,7 +250,7 @@ class IpttCompiler:
         stack; returns (state, move) or None."""
         tape = tape_str(cfg.tape)
         if len(tape) > self.H:
-            return None
+            return None  # tape overflow: leave the key undefined
         b = self.blocks
         if machine is b.u_machine:
             if cfg.pos == (1,) and cfg.direction == "down":
@@ -400,6 +261,7 @@ class IpttCompiler:
                 return (SimU(cfg.direction, cfg.pos[1:], tape, cfg.flag),
                         "stay")
             return None
+        # rule-skeleton machine
         if cfg.pos == ():
             if cfg.direction != "up" or cfg.flag != 0:
                 return None
@@ -412,27 +274,29 @@ class IpttCompiler:
         return (SimT(cfg.direction, b.skel[a], cfg.pos, tape, cfg.flag),
                 "stay")
 
-    def classify(self, machine, res, a, is_root, sentinels):
+    def classify(self, machine, res, a, is_root, log):
+        """Turn a one-step result over a local term, started with the given
+        log, into a transition image, or None when the key must stay
+        undefined."""
         if res is None:
             return None
         if isinstance(res, FNode):
             kids = []
             for c in res.children:
-                sub = self.classify(machine, c, a, is_root, sentinels)
+                sub = self.classify(machine, c, a, is_root, log)
                 if sub is None:
                     return None
                 kids.append(sub)
             return FNode(res.label, tuple(kids))
         cfg = res
-        if cfg.log == sentinels:
+        if cfg.log == log:
             return self._local_state(machine, cfg, a, is_root)
         # a stack push: top entry folds the popped sentinel group
         if (cfg.log and isinstance(cfg.log[0], StackEntry)
                 and cfg.log[0].pos[:1] != ("sentinel",)):
             top = cfg.log[0]
             k = len(top.entries)
-            if (top.entries == sentinels[:k]
-                    and cfg.log[1:] == sentinels[k:]):
+            if top.entries == log[:k] and cfg.log[1:] == log[k:]:
                 loc = self._local_state(machine, cfg, a, is_root)
                 if loc is None or loc[1] != "stay":
                     return None
@@ -452,17 +316,36 @@ class IpttCompiler:
         return isinstance(pt, Let) and role == 0 \
             and not machine.info.bound_is_base(parent)
 
-    def compile(self):
-        spec = self.blocks.spec
-        delta = {}
-        state_of_name = {self.name(SimI()): SimI()}
-        worklist = [SimI()]
-        all_z = [None] + sorted(self.colors)
+    def _returns(self, machine, cfg, a, is_root):
+        """The focus sits on a shared bound term going up: the visible
+        pebble names the occurrence to jump back to (and how many log
+        entries it had folded under it).  Yields (color, image) pairs."""
+        if cfg.flag != 0:
+            return
+        binder = cfg.pos[:-1]
+        want_tag = self._tag_of(machine)
+        for z, (tag, occ, n) in self.colors.items():
+            if tag != want_tag or machine.info.occ_binder.get(occ) != binder:
+                continue
+            back = Config("up", occ, cfg.tape, sentinels(n), n)
+            loc = self._local_state(machine, back, a, is_root)
+            if loc is not None and loc[1] == "stay":
+                yield z, (loc[0], "remove")
 
-        def register(a, state, prov, is_root, z, img):
-            delta[(a, self.name(state), prov, is_root, z)] = \
-                image_names(img, self.name)
-            for obj in image_states(img):
+    def compile(self):
+        """The walking machine: a TwtSpec for "apa", an IpttSpec for "ss".
+        Both come from one table keyed by (letter, state, provenance,
+        is-root, pebble), where a transition that does not look at the
+        visible pebble is stored once under the pebble ANY."""
+        spec = self.spec
+        table = {}
+        state_of_name = {"I": SimI()}
+        worklist = [SimI()]
+
+        def register(key, img):
+            table[key] = image_map_leaves(
+                img, lambda leaf: (self.name(leaf[0]), leaf[1]))
+            for obj, _ in image_leaves(img):
                 nm = self.name(obj)
                 if nm not in state_of_name:
                     state_of_name[nm] = obj
@@ -470,6 +353,7 @@ class IpttCompiler:
 
         while worklist:
             state = worklist.pop()
+            q = self.name(state)
             for a, k in spec.input.letters:
                 provs = ["self", "from-parent"] + \
                         [("from-child", i) for i in range(1, k + 1)]
@@ -481,52 +365,36 @@ class IpttCompiler:
                         if pair is None:
                             continue
                         machine, cfg = pair
-                        if self._is_shared_return(machine, cfg):
-                            self._compile_return(machine, cfg, a, state,
-                                                 prov, is_root, register)
+                        if (self.pebbles
+                                and self._is_shared_return(machine, cfg)):
+                            for z, img in self._returns(machine, cfg, a,
+                                                        is_root):
+                                register((a, q, prov, is_root, z), img)
                             continue
-                        try:
-                            res = machine.step(cfg)
-                        except InternalInvariantError:
-                            continue
-                        img = self.classify(machine, res, a, is_root,
-                                            cfg.log)
-                        if img is None:
-                            continue
-                        for z in all_z:
-                            register(a, state, prov, is_root, z, img)
-        self.state_of_name = state_of_name
+                        img = self.classify(machine, machine.step(cfg), a,
+                                            is_root, cfg.log)
+                        if img is not None:
+                            register((a, q, prov, is_root, ANY), img)
         states = sorted(state_of_name)
         states.remove("I")
-        return IpttSpec(spec.input, spec.output, ["I"] + states, "I",
-                        sorted(self.colors), delta,
-                        name=spec.name + "->iptt")
+        states = ["I"] + states
+        if self.pebbles:
+            return IpttSpec(spec.input, spec.output, states, "I",
+                            sorted(self.colors), table,
+                            name=spec.name + "->iptt")
+        delta, delta_root = {}, {}
+        for (a, q, prov, is_root, _), img in table.items():
+            (delta_root if is_root else delta)[a, q, prov] = img
+        return TwtSpec(spec.input, spec.output, states, "I", delta,
+                       delta_root, name=spec.name + "->twt")
 
-    def _compile_return(self, machine, cfg, a, state, prov, is_root,
-                        register):
-        """The focus sits on a shared bound term going up: the visible
-        pebble names the occurrence to jump back to (and how many log
-        entries it had folded under it)."""
-        if cfg.flag != 0:
-            return
-        binder = cfg.pos[:-1]
-        want_tag = self._tag_of(machine)
-        for z, (tag, occ, n) in self.colors.items():
-            if tag != want_tag:
-                continue
-            if machine.info.occ_binder.get(occ) != binder:
-                continue
-            back = Config("up", occ, cfg.tape,
-                          tuple(StackEntry(("sentinel", i), ())
-                                for i in range(n)), n)
-            loc = self._local_state(machine, back, a, is_root)
-            if loc is None or loc[1] != "stay":
-                continue
-            register(a, state, prov, is_root, z, (loc[0], "remove"))
+
+def compile_to_twt(spec):
+    return WalkingCompiler(spec, "apa").compile()
 
 
 def compile_to_iptt(spec):
-    return IpttCompiler(spec).compile()
+    return WalkingCompiler(spec, "ss").compile()
 
 
 # ---------------------------------------------------------------------------
@@ -546,15 +414,14 @@ class SimMapper:
     def map(self, cfg):
         """The walking configuration (state name, provenance, node) that a
         token configuration stands for."""
-        from .walking import TwtConfig
         c, b = self.c, self.c.blocks
         tape = tape_str(cfg.tape)
         if cfg.pos == ():
             if cfg.direction == "down" and not tape:
-                return TwtConfig("I", "self", ())
+                return WalkConfig("I", "self", ())
             raise UnreachableShape("focus on the whole program going up")
         if cfg.pos[0] == 0:
-            return TwtConfig(
+            return WalkConfig(
                 c.name(SimU(cfg.direction, cfg.pos[1:], tape)), "self", ())
         # find the deepest block containing the focus
         best = None
@@ -570,11 +437,11 @@ class SimMapper:
         if rel == ():
             if cfg.direction == "down":
                 prov = "self" if node == () else "from-parent"
-                return TwtConfig(c.name(SimNabla(tape)), prov, node)
+                return WalkConfig(c.name(SimNabla(tape)), prov, node)
             if node == ():
-                return TwtConfig(c.name(SimDelta(tape)), "self", ())
-            return TwtConfig(c.name(SimDelta(tape)),
-                             ("from-child", node[-1] + 1), node[:-1])
-        return TwtConfig(
+                return WalkConfig(c.name(SimDelta(tape)), "self", ())
+            return WalkConfig(c.name(SimDelta(tape)),
+                              ("from-child", node[-1] + 1), node[:-1])
+        return WalkConfig(
             c.name(SimT(cfg.direction, b.skel[letter], rel, tape)),
             "self", node)

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 from .core import (App, Const, Lam, LamtransError, RankedAlphabet, SyntaxErr,
                    Var, decode_tree, parse_term, term_to_str, Tree)
 from .reduction import normalize
-from .transducer import (LambdaTransducerSpec, SpecError, parse_alphabet_block,
-                         _strip)
+from .transducer import (ALPHABET_LINES, LambdaTransducerSpec, SpecError,
+                         load_file, out_line, parse_directives)
 from .typecheck import (Arrow, O, classify_type, fill_hints, parse_type,
                         type_to_str, typecheck)
 
@@ -91,56 +91,39 @@ class GlsSpec:
         return "\n".join(lines) + "\n"
 
 
+def _state_line(rest, got):
+    q, _, ty = rest.partition(":")
+    return q.strip(), parse_type(ty)
+
+
+def _rule_line(rest, got):
+    head, _, src = rest.partition("=")
+    if not src:
+        raise SyntaxErr("expected 'rule Q A -> Q1 ... QK = TERM'")
+    head, _, childs = head.partition("->")
+    parts = head.split()
+    if len(parts) != 2:
+        raise SyntaxErr("expected 'rule Q A -> ... = TERM'")
+    return (parts[0], parts[1]), (src, childs.split())
+
+
 def parse_gls(text, name="gls"):
-    inp = out_alpha = init = out_term = None
-    state_types = {}
-    rule_srcs = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip(raw)
-        if not line:
-            continue
-        try:
-            key, _, rest = line.partition(" ")
-            if key == "input":
-                inp = parse_alphabet_block(rest, "after 'input'")
-            elif key == "output":
-                out_alpha = parse_alphabet_block(rest, "after 'output'")
-            elif key == "state":
-                q, _, ty = rest.partition(":")
-                state_types[q.strip()] = parse_type(ty)
-            elif key == "init":
-                init = rest.strip()
-            elif key == "rule":
-                head, _, src = rest.partition("=")
-                if not src:
-                    raise SyntaxErr("expected 'rule Q A -> Q1 ... QK = TERM'")
-                head, _, childs = head.partition("->")
-                parts = head.split()
-                if len(parts) != 2:
-                    raise SyntaxErr("expected 'rule Q A -> ... = TERM'")
-                rule_srcs[(parts[0], parts[1])] = (src, childs.split())
-            elif key == "out":
-                src = rest.strip()
-                if src.startswith("="):
-                    src = src[1:]
-                out_term = src
-            else:
-                raise SyntaxErr(f"unknown directive {key!r}")
-        except SyntaxErr as e:
-            raise SpecError(f"{name}:{lineno}: {e}") from e
-    for what, val in [("input", inp), ("output", out_alpha), ("init", init),
-                      ("out", out_term)]:
-        if val is None:
-            raise SpecError(f"{name}: missing '{what}' line")
+    got = parse_directives(
+        text, name,
+        {**ALPHABET_LINES, "state": _state_line,
+         "init": lambda rest, got: rest.strip(), "rule": _rule_line,
+         "out": out_line},
+        required=("input", "output", "init", "out"),
+        repeated=("state", "rule"))
+    out_alpha = got["output"]
     rules = {key: (parse_term(src, out_alpha), qs)
-             for key, (src, qs) in rule_srcs.items()}
-    return GlsSpec(inp, out_alpha, state_types, init, rules,
-                   parse_term(out_term, out_alpha), name=name)
+             for key, (src, qs) in got["rule"]}
+    return GlsSpec(got["input"], out_alpha, dict(got["state"]), got["init"],
+                   rules, parse_term(got["out"], out_alpha), name=name)
 
 
 def load_gls(path):
-    with open(path) as f:
-        return parse_gls(f.read(), name=str(path))
+    return load_file(parse_gls, path)
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +150,12 @@ def dummy_term(A, ell):
     return t
 
 
-def make_type_constant(spec, name=None):
-    """Rebuild a GLS-transducer so every state shares one type: the
-    concatenation of all states' argument segments.  Each rule is wrapped
-    in conversion terms that select the state's own segment and pad the
-    rest with dummy arguments."""
+def conversions(spec):
+    """The shared state type A of a type-constant rebuild -- the
+    concatenation of all states' argument segments, in state order -- and
+    builders for each state's conversions iota(q) : A_q -o A, which selects
+    the state's own segment, and cast(q) : A -o A_q, which pads the rest
+    with dummy arguments."""
     ell = spec.output.nullary()
     if ell is None:
         raise NoNullaryOutputLetter(
@@ -213,6 +197,13 @@ def make_type_constant(spec, name=None):
             body = Lam(names[i], body, segments[q][i])
         return Lam("y_", body, A)
 
+    return A, iota, cast
+
+
+def make_type_constant(spec, name=None):
+    """Rebuild a GLS-transducer so every state shares one type (see
+    conversions).  Each rule is wrapped in the conversion terms."""
+    A, iota, cast = conversions(spec)
     new_rules = {}
     for (q, a), (t, qs) in spec.rules.items():
         body = spec.norm_rules[(q, a)]
@@ -223,45 +214,16 @@ def make_type_constant(spec, name=None):
             body = Lam(f"y{i + 1}_", body, A)
         new_rules[(q, a)] = (body, qs)
     new_out = Lam("y_", App(spec.norm_out, App(cast(spec.init), Var("y_"))), A)
-    return GlsSpec(spec.input, spec.output, {q: A for q in order}, spec.init,
-                   new_rules, new_out,
+    return GlsSpec(spec.input, spec.output, {q: A for q in spec.state_order()},
+                   spec.init, new_rules, new_out,
                    name=name or spec.name + "+const")
 
 
 def conversion_terms(spec, q):
     """The (iota, cast) pair for one state of a spec, for inspection and
     testing.  iota : A_q -o A and cast : A -o A_q."""
-    const = make_type_constant(spec)
-    # rebuild them the same way make_type_constant does
-    ell = spec.output.nullary()
-    order = spec.state_order()
-    segments = {r: arg_types(spec.state_types[r]) for r in order}
-    all_args = [B for r in order for B in segments[r]]
-    offsets = {}
-    s = 0
-    for r in order:
-        offsets[r] = s
-        s += len(segments[r])
-    A = const.state_types[spec.init]
-    names = [f"x{i + 1}_" for i in range(len(all_args))]
-    body = Var("z_")
-    for i in range(offsets[q], offsets[q] + len(segments[q])):
-        body = App(body, Var(names[i]))
-    for i in reversed(range(len(all_args))):
-        body = Lam(names[i], body, all_args[i])
-    iota = Lam("z_", body, spec.state_types[q])
-    k = len(segments[q])
-    body = Var("y_")
-    for i, B in enumerate(all_args):
-        lo, hi = offsets[q], offsets[q] + k
-        if lo <= i < hi:
-            body = App(body, Var(names[i - lo]))
-        else:
-            body = App(body, dummy_term(B, ell))
-    for i in reversed(range(k)):
-        body = Lam(names[i], body, segments[q][i])
-    cast = Lam("y_", body, A)
-    return iota, cast
+    _, iota, cast = conversions(spec)
+    return iota(q), cast(q)
 
 
 def is_linear(ann):

@@ -137,49 +137,76 @@ def parse_alphabet_block(text, where=""):
     return RankedAlphabet(tuple(letters))
 
 
-def parse_transducer(text, name="transducer"):
-    inp = out_alpha = memory = out_term = None
-    rule_srcs = {}
+def parse_directives(text, name, handlers, required=(), repeated=()):
+    """Parse a spec file of `DIRECTIVE REST` lines; '#' starts a comment.
+    handlers[DIRECTIVE](REST, got) parses one line given the values of the
+    lines before it, collected in got: the last value of each directive,
+    or the list of all values for those in `repeated`.  Returns got.  A bad
+    line raises SpecError 'name:lineno: ...', as does a `required`
+    directive that never occurs ('name: missing ...')."""
+    got = {key: [] for key in repeated}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip(raw)
         if not line:
             continue
+        key, _, rest = line.partition(" ")
         try:
-            key, _, rest = line.partition(" ")
-            if key == "input":
-                inp = parse_alphabet_block(rest, "after 'input'")
-            elif key == "output":
-                out_alpha = parse_alphabet_block(rest, "after 'output'")
-            elif key == "memory":
-                memory = parse_type(rest)
-            elif key == "rule":
-                letter, _, term_src = rest.partition("=")
-                letter = letter.strip()
-                if not letter or not term_src:
-                    raise SyntaxErr("expected 'rule LETTER = TERM'")
-                rule_srcs[letter] = term_src
-            elif key == "out":
-                src = rest.strip()
-                if src.startswith("="):
-                    src = src[1:]
-                out_term = src
-            else:
+            if key not in handlers:
                 raise SyntaxErr(f"unknown directive {key!r}")
+            value = handlers[key](rest, got)
         except SyntaxErr as e:
             raise SpecError(f"{name}:{lineno}: {e}") from e
-    for what, val in [("input", inp), ("output", out_alpha),
-                      ("memory", memory), ("out", out_term)]:
-        if val is None:
-            raise SpecError(f"{name}: missing '{what}' line")
-    rules = {letter: parse_term(src, out_alpha)
-             for letter, src in rule_srcs.items()}
-    return LambdaTransducerSpec(inp, out_alpha, memory, rules,
-                                parse_term(out_term, out_alpha), name=name)
+        if key in repeated:
+            got[key].append(value)
+        else:
+            got[key] = value
+    for key in required:
+        if got.get(key) in (None, []):
+            raise SpecError(f"{name}: missing '{key}' line")
+    return got
+
+
+# the alphabet lines every spec file starts with
+ALPHABET_LINES = {
+    "input": lambda rest, got: parse_alphabet_block(rest, "after 'input'"),
+    "output": lambda rest, got: parse_alphabet_block(rest, "after 'output'"),
+}
+
+
+def out_line(rest, got):
+    """`out = TERM`, the '=' optional: the term's source."""
+    src = rest.strip()
+    return src[1:] if src.startswith("=") else src
+
+
+def _rule_line(rest, got):
+    letter, _, term_src = rest.partition("=")
+    letter = letter.strip()
+    if not letter or not term_src:
+        raise SyntaxErr("expected 'rule LETTER = TERM'")
+    return letter, term_src
+
+
+def parse_transducer(text, name="transducer"):
+    got = parse_directives(
+        text, name,
+        {**ALPHABET_LINES, "memory": lambda rest, got: parse_type(rest),
+         "rule": _rule_line, "out": out_line},
+        required=("input", "output", "memory", "out"), repeated=("rule",))
+    out_alpha = got["output"]
+    rules = {letter: parse_term(src, out_alpha) for letter, src in got["rule"]}
+    return LambdaTransducerSpec(got["input"], out_alpha, got["memory"], rules,
+                                parse_term(got["out"], out_alpha), name=name)
+
+
+def load_file(parse, path):
+    """Parse the spec file at path, naming it by its path in errors."""
+    with open(path) as f:
+        return parse(f.read(), name=str(path))
 
 
 def load_transducer(path):
-    with open(path) as f:
-        return parse_transducer(f.read(), name=str(path))
+    return load_file(parse_transducer, path)
 
 
 # ---------------------------------------------------------------------------

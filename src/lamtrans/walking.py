@@ -1,5 +1,5 @@
 """Tree-walking transducers with provenance, their reversibility analysis,
-and invisible-pebble tree transducers.
+and invisible-pebble tree transducers, run by one walking machine.
 
 A walking configuration records the current state, the node of the input
 tree the head sits on, and where the head arrived from (its provenance:
@@ -9,15 +9,19 @@ the parent, the node itself, or the i-th child).  Transitions map
 receives a from-parent key and never emits a to-parent move.
 
 Pebble transducers additionally carry a stack of colored pebbles placed on
-input nodes; only a top pebble lying on the current node is observable.
-Putting and removing pebbles are moves that stay put."""
+input nodes; only a top pebble lying on the current node is observable,
+and a transition may ignore it (pebble ANY).  Putting and removing pebbles
+are moves that stay put.  A tree-walking transducer is the pebble
+transducer that never puts a pebble, so one machine runs both: its
+configurations carry a pebble stack that stays empty for a TWT."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .core import LamtransError, RankedAlphabet, SyntaxErr, Tree
-from .transducer import SpecError, _strip, parse_alphabet_block
+from .core import LamtransError, RankedAlphabet, SyntaxErr
+from .transducer import (ALPHABET_LINES, SpecError, load_file,
+                         parse_directives)
 from .treegen import FNode, Machine, run as treegen_run
 
 
@@ -41,6 +45,15 @@ def move_to_str(m):
     return m
 
 
+def is_pebble_move(m):
+    return m == "remove" or (isinstance(m, tuple) and m[0] == "put")
+
+
+# The pebble of an IPTT transition that applies whatever pebble is visible
+# (or none); a transition for the exact pebble takes precedence.
+ANY = "*"
+
+
 # ---------------------------------------------------------------------------
 # Specs
 
@@ -53,6 +66,7 @@ class TwtSpec:
     delta: dict        # (letter, state, prov) -> FNode | (state, move) leaf
     delta_root: dict   # same keys, prov != "from-parent"
     name: str = "twt"
+    pebbles = False
 
     def __post_init__(self):
         self.validate()
@@ -71,6 +85,9 @@ class TwtSpec:
                 if a not in self.input:
                     raise SpecError(f"{self.name}: unknown letter {a!r}")
                 self._check_image(img)
+                if any(is_pebble_move(m) for _, m in image_leaves(img)):
+                    raise SpecError(f"{self.name}: pebble move in a "
+                                    f"tree-walking transducer: {a} {q}")
 
     def _check_image(self, img):
         if isinstance(img, FNode):
@@ -80,12 +97,10 @@ class TwtSpec:
             for c in img.children:
                 self._check_image(c)
 
-    def lookup(self, label, q, prov, is_root):
+    def lookup(self, label, q, prov, is_root, z):
+        """The image for a key; a TWT puts no pebble, so z is always None."""
         table = self.delta_root if is_root else self.delta
         return table.get((label, q, prov))
-
-    def all_states(self):
-        return self.states
 
     def to_str(self):
         lines = [f"input {self.input.to_str()}",
@@ -108,18 +123,25 @@ class IpttSpec:
     states: list
     initial: str
     colors: list
-    delta: dict    # (letter, state, prov, is_root, color-or-None) -> image
+    # (letter, state, prov, is_root, color | None | ANY) -> image
+    delta: dict
     name: str = "iptt"
+    pebbles = True
 
     def __post_init__(self):
+        if ANY in self.colors:
+            raise SpecError(f"{self.name}: {ANY!r} is not a color name")
         for (a, q, p, is_root, z) in self.delta:
             if p == "from-parent" and is_root:
                 raise SpecError(f"{self.name}: from-parent at the root")
-            if z is not None and z not in self.colors:
+            if z not in (None, ANY) and z not in self.colors:
                 raise SpecError(f"{self.name}: unknown color {z!r}")
 
     def lookup(self, label, q, prov, is_root, z):
-        return self.delta.get((label, q, prov, is_root, z))
+        img = self.delta.get((label, q, prov, is_root, z))
+        if img is None:
+            img = self.delta.get((label, q, prov, is_root, ANY))
+        return img
 
     def to_str(self):
         lines = [f"input {self.input.to_str()}",
@@ -157,14 +179,7 @@ def image_map_leaves(img, f):
 # Running
 
 @dataclass(frozen=True)
-class TwtConfig:
-    state: str
-    prov: object
-    node: tuple
-
-
-@dataclass(frozen=True)
-class IpttConfig:
+class WalkConfig:
     state: str
     prov: object
     node: tuple
@@ -185,75 +200,56 @@ def resolve_move(q, move, node):
     raise SpecError(f"cannot resolve move {move_to_str(move)} here")
 
 
-class TwtMachine(Machine):
+class WalkingMachine(Machine):
+    """Runs a TwtSpec or an IpttSpec on an input tree."""
+
     def __init__(self, spec, tau):
         tau.validate(spec.input)
         self.spec = spec
         self.tau = tau
 
     def initial(self):
-        return TwtConfig(self.spec.initial, "self", ())
+        return WalkConfig(self.spec.initial, "self", ())
 
     def step(self, cfg):
         label = self.tau.at(cfg.node).label
-        img = self.spec.lookup(label, cfg.state, cfg.prov, cfg.node == ())
-        if img is None:
-            return None
-        return image_map_leaves(
-            img, lambda leaf: TwtConfig(*resolve_move(leaf[0], leaf[1],
-                                                      cfg.node)))
-
-    def render(self, cfg):
-        node = ".".join(map(str, cfg.node)) or "e"
-        return f"{cfg.state} {prov_to_str(cfg.prov)} @{node}"
-
-
-class IpttMachine(Machine):
-    def __init__(self, spec, tau):
-        tau.validate(spec.input)
-        self.spec = spec
-        self.tau = tau
-
-    def initial(self):
-        return IpttConfig(self.spec.initial, "self", ())
-
-    def step(self, cfg):
-        label = self.tau.at(cfg.node).label
+        pebbles = cfg.pebbles
         z = None
-        if cfg.pebbles and cfg.pebbles[0][1] == cfg.node:
-            z = cfg.pebbles[0][0]
+        if pebbles and pebbles[0][1] == cfg.node:
+            z = pebbles[0][0]
         img = self.spec.lookup(label, cfg.state, cfg.prov, cfg.node == (), z)
         if img is None:
             return None
 
         def leaf(qm):
             q, move = qm
-            if isinstance(move, tuple) and move[0] == "put":
-                return IpttConfig(q, "self", cfg.node,
-                                  ((move[1], cfg.node),) + cfg.pebbles)
             if move == "remove":
                 if z is None:
                     raise SpecError("remove with no visible pebble")
-                return IpttConfig(q, "self", cfg.node, cfg.pebbles[1:])
-            q2, prov, node = resolve_move(q, move, cfg.node)
-            return IpttConfig(q2, prov, node, cfg.pebbles)
+                return WalkConfig(q, "self", cfg.node, pebbles[1:])
+            if isinstance(move, tuple) and move[0] == "put":
+                return WalkConfig(q, "self", cfg.node,
+                                  ((move[1], cfg.node),) + pebbles)
+            return WalkConfig(*resolve_move(q, move, cfg.node), pebbles)
 
         return image_map_leaves(img, leaf)
 
     def render(self, cfg):
         node = ".".join(map(str, cfg.node)) or "e"
+        out = f"{cfg.state} {prov_to_str(cfg.prov)} @{node}"
+        if not self.spec.pebbles:
+            return out
         peb = " ".join(f"{c}@{'.'.join(map(str, n)) or 'e'}"
                        for c, n in cfg.pebbles)
-        return f"{cfg.state} {prov_to_str(cfg.prov)} @{node} [{peb}]"
+        return f"{out} [{peb}]"
 
 
-def twt_run(spec, tau, fuel=10_000_000):
-    m = TwtMachine(spec, tau)
-    return treegen_run(m, m.initial(), fuel)
+# the names callers use for the machine of each spec kind
+TwtMachine = IpttMachine = WalkingMachine
 
 
-def iptt_run(spec, tau, fuel=10_000_000):
-    m = IpttMachine(spec, tau)
+def run_walking(spec, tau, fuel=10_000_000):
+    m = WalkingMachine(spec, tau)
     return treegen_run(m, m.initial(), fuel)
 
 
@@ -324,7 +320,7 @@ def predecessor(spec, tau, cfg):
         if a != label:
             continue
         if (cfg.state, want) in image_leaves(img):
-            return TwtConfig(q, p, prev_node)
+            return WalkConfig(q, p, prev_node)
     return None
 
 
@@ -453,105 +449,80 @@ def _parse_prov(parser):
     raise SyntaxErr(f"unknown provenance {val!r}")
 
 
+def _state_line(rest, got):
+    """`state NAME [init]`: the name and whether it is initial."""
+    p = _ImageParser(_wtokenize(rest), None)
+    return p.state(), p.peek()[1] == "init"
+
+
+def _transition_key(rest, got):
+    """The parser over a transition line, advanced past its
+    `LETTER STATE PROVENANCE` start, and that start."""
+    if "input" not in got or "output" not in got:
+        raise SyntaxErr("alphabets must come before transitions")
+    p = _ImageParser(_wtokenize(rest), got["output"])
+    return p, p.eat()[1], p.state(), _parse_prov(p)
+
+
+def _twt_delta_line(rest, got):
+    p, a, q, prov = _transition_key(rest, got)
+    p.eat("=")
+    return (a, q, prov), p.image()
+
+
+def _iptt_delta_line(rest, got):
+    p, a, q, prov = _transition_key(rest, got)
+    _, rootness = p.eat("word")
+    if rootness not in ("root", "nonroot"):
+        raise SyntaxErr(f"expected root|nonroot, got {rootness!r}")
+    if p.eat("word")[1] != "pebble":
+        raise SyntaxErr("expected 'pebble'")
+    _, z = p.eat("word")
+    p.eat("=")
+    return (a, q, prov, rootness == "root", None if z == "NONE" else z), \
+        p.image()
+
+
+def _colors_line(rest, got):
+    body = rest.strip()
+    if not (body.startswith("{") and body.endswith("}")):
+        raise SyntaxErr("expected colors { a, b, c }")
+    return [c.strip() for c in body[1:-1].split(",") if c.strip()]
+
+
+def _parse_walking(text, name, handlers, tables):
+    """The directive values, the state list and the initial state of a
+    .twt or .iptt file whose transition directives are `tables`."""
+    got = parse_directives(text, name,
+                           {**ALPHABET_LINES, "state": _state_line,
+                            **handlers},
+                           required=("input", "output", "state"),
+                           repeated=("state",) + tables)
+    initial = [q for q, init in got["state"] if init]
+    if not initial:
+        raise SpecError(f"{name}: missing initial state")
+    return got, [q for q, _ in got["state"]], initial[-1]
+
+
 def parse_twt(text, name="twt"):
-    inp = out_alpha = initial = None
-    states = []
-    delta, delta_root = {}, {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip(raw)
-        if not line:
-            continue
-        try:
-            key, _, rest = line.partition(" ")
-            if key == "input":
-                inp = parse_alphabet_block(rest, "after 'input'")
-            elif key == "output":
-                out_alpha = parse_alphabet_block(rest, "after 'output'")
-            elif key == "state":
-                toks = _wtokenize(rest)
-                p = _ImageParser(toks, out_alpha or RankedAlphabet((("x", 0),)))
-                q = p.state()
-                if p.peek()[1] == "init":
-                    initial = q
-                states.append(q)
-            elif key in ("delta", "delta-root"):
-                if out_alpha is None or inp is None:
-                    raise SyntaxErr("alphabets must come before transitions")
-                p = _ImageParser(_wtokenize(rest), out_alpha)
-                a = p.eat()[1]
-                q = p.state()
-                prov = _parse_prov(p)
-                p.eat("=")
-                img = p.image()
-                table = delta if key == "delta" else delta_root
-                table[(a, q, prov)] = img
-            else:
-                raise SyntaxErr(f"unknown directive {key!r}")
-        except SyntaxErr as e:
-            raise SpecError(f"{name}:{lineno}: {e}") from e
-    if inp is None or out_alpha is None or initial is None:
-        raise SpecError(f"{name}: missing input/output/initial state")
-    return TwtSpec(inp, out_alpha, states, initial, delta, delta_root,
-                   name=name)
+    got, states, initial = _parse_walking(
+        text, name, {"delta": _twt_delta_line, "delta-root": _twt_delta_line},
+        ("delta", "delta-root"))
+    return TwtSpec(got["input"], got["output"], states, initial,
+                   dict(got["delta"]), dict(got["delta-root"]), name=name)
 
 
 def parse_iptt(text, name="iptt"):
-    inp = out_alpha = initial = None
-    colors = []
-    states = []
-    delta = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = _strip(raw)
-        if not line:
-            continue
-        try:
-            key, _, rest = line.partition(" ")
-            if key == "input":
-                inp = parse_alphabet_block(rest, "after 'input'")
-            elif key == "output":
-                out_alpha = parse_alphabet_block(rest, "after 'output'")
-            elif key == "colors":
-                body = rest.strip()
-                if not (body.startswith("{") and body.endswith("}")):
-                    raise SyntaxErr("expected colors { a, b, c }")
-                colors = [c.strip() for c in body[1:-1].split(",") if c.strip()]
-            elif key == "state":
-                p = _ImageParser(_wtokenize(rest),
-                                 out_alpha or RankedAlphabet((("x", 0),)))
-                q = p.state()
-                if p.peek()[1] == "init":
-                    initial = q
-                states.append(q)
-            elif key == "delta":
-                if out_alpha is None or inp is None:
-                    raise SyntaxErr("alphabets must come before transitions")
-                p = _ImageParser(_wtokenize(rest), out_alpha)
-                a = p.eat()[1]
-                q = p.state()
-                prov = _parse_prov(p)
-                _, rootness = p.eat("word")
-                if rootness not in ("root", "nonroot"):
-                    raise SyntaxErr(f"expected root|nonroot, got {rootness!r}")
-                if p.eat("word")[1] != "pebble":
-                    raise SyntaxErr("expected 'pebble'")
-                _, z = p.eat("word")
-                z = None if z == "NONE" else z
-                p.eat("=")
-                delta[(a, q, prov, rootness == "root", z)] = p.image()
-            else:
-                raise SyntaxErr(f"unknown directive {key!r}")
-        except SyntaxErr as e:
-            raise SpecError(f"{name}:{lineno}: {e}") from e
-    if inp is None or out_alpha is None or initial is None:
-        raise SpecError(f"{name}: missing input/output/initial state")
-    return IpttSpec(inp, out_alpha, states, initial, colors, delta, name=name)
+    got, states, initial = _parse_walking(
+        text, name, {"colors": _colors_line, "delta": _iptt_delta_line},
+        ("delta",))
+    return IpttSpec(got["input"], got["output"], states, initial,
+                    got.get("colors", []), dict(got["delta"]), name=name)
 
 
 def load_twt(path):
-    with open(path) as f:
-        return parse_twt(f.read(), name=str(path))
+    return load_file(parse_twt, path)
 
 
 def load_iptt(path):
-    with open(path) as f:
-        return parse_iptt(f.read(), name=str(path))
+    return load_file(parse_iptt, path)

@@ -6,7 +6,7 @@ import random
 import time
 
 from lamtrans.cli import difftest_backends, gen_tree
-from lamtrans.compiler import TwtCompiler, compile_to_iptt, compile_to_twt
+from lamtrans.compiler import compile_to_iptt, compile_to_twt
 from lamtrans.core import (Box, RankedAlphabet, alpha_eq, encode_tree,
                            parse_term, parse_tree)
 from lamtrans.gls import (conversion_terms, make_type_constant,
@@ -16,14 +16,14 @@ from lamtrans.reduction import eta_reduce, normalize
 from lamtrans.transducer import compose, wn_translate
 from lamtrans.treegen import Output
 from lamtrans.typecheck import O, typecheck
-from lamtrans.walking import check_reversible, predecessor, twt_run, iptt_run
+from lamtrans.walking import check_reversible, predecessor, run_walking
 
 from conftest import numeral, unary
 from test_compiler import GOLDEN_TWT_PREFIX, frontiers
 from test_iam import GOLDEN_PREFIX
 from test_walking import forward_configs
 from lamtrans.treegen import frontier_configs, frontier_get
-from lamtrans.walking import TwtMachine
+from lamtrans.walking import WalkingMachine
 from lamtrans.iam import Config, mult_tape
 
 
@@ -41,15 +41,15 @@ def test_criterion_01_example_reproduction(count, seqnat, bin2bin,
     tw = compile_to_twt(count)
     ok &= count.eval_normalize(tau) == want
     ok &= run_iam(count.program_ann(tau), "apa").tree == want
-    ok &= twt_run(tw, tau).tree == want
-    ok &= twt_run(count_twt, tau).tree == want
+    ok &= run_walking(tw, tau).tree == want
+    ok &= run_walking(count_twt, tau).tree == want
     # seq-nat for n <= 6 via three backends
     tw = compile_to_twt(seqnat)
     for n in range(7):
         tau = parse_tree(unary(n), seqnat.input)
         want = seqnat.eval_normalize(tau)
         ok &= run_iam(seqnat.program_ann(tau), "apa").tree == want
-        ok &= twt_run(tw, tau).tree == want
+        ok &= run_walking(tw, tau).tree == want
     # bin2bin on the four-digit input via both stack layouts and the
     # compiled pebble machine
     tau = parse_tree("0(0(1(0(e))))", bin2bin.input)
@@ -58,7 +58,7 @@ def test_criterion_01_example_reproduction(count, seqnat, bin2bin,
     ok &= bin2bin.eval_normalize(tau) == want
     ok &= run_iam(ann, "d1").tree == want
     ok &= run_iam(ann, "ss").tree == want
-    ok &= iptt_run(compile_to_iptt(bin2bin), tau).tree == want
+    ok &= run_walking(compile_to_iptt(bin2bin), tau).tree == want
     report(1, "worked examples reproduced on every backend", ok)
 
 
@@ -70,7 +70,7 @@ def test_criterion_02_golden_traces(count):
         got.append((cfg.direction, cfg.pos, mult_tape(cfg.tape)))
         cfg = m.step(cfg)
     ok = got == GOLDEN_PREFIX
-    tm = TwtMachine(compile_to_twt(count), tau)
+    tm = WalkingMachine(compile_to_twt(count), tau)
     cfg, got = tm.initial(), []
     for _ in GOLDEN_TWT_PREFIX:
         got.append((cfg.state, cfg.prov, cfg.node))

@@ -1,13 +1,15 @@
+import hashlib
+
 import pytest
 
 from lamtrans.core import parse_tree
 from lamtrans.iam import IamMachine, TermInfo, pick_variant, run_iam
 from lamtrans.treegen import (FNode, Output, frontier_configs, frontier_get,
                               frontier_replace)
-from lamtrans.compiler import (SimMapper, TwtCompiler, compile_to_iptt,
+from lamtrans.compiler import (SimMapper, WalkingCompiler, compile_to_iptt,
                                compile_to_twt)
-from lamtrans.walking import (TwtMachine, check_reversible, iptt_run,
-                              parse_iptt, parse_twt, twt_run)
+from lamtrans.walking import (ANY, WalkingMachine, check_reversible,
+                              parse_iptt, parse_twt, run_walking)
 from conftest import numeral, unary
 
 # Hand-derived first eight configurations of the compiled walking machine
@@ -50,7 +52,7 @@ def test_compiled_count_twt(count):
     assert ok
     for s in ["c", "b(c)", "a(b(c),c)", "a(a(c,c),b(b(c)))"]:
         tau = parse_tree(s, count.input)
-        res = twt_run(tw, tau)
+        res = run_walking(tw, tau)
         assert isinstance(res, Output)
         assert res.tree == count.eval_normalize(tau)
 
@@ -58,7 +60,7 @@ def test_compiled_count_twt(count):
 def test_compiled_count_golden_prefix(count):
     tw = compile_to_twt(count)
     tau = parse_tree("a(b(c),c)", count.input)
-    m = TwtMachine(tw, tau)
+    m = WalkingMachine(tw, tau)
     cfg = m.initial()
     got = []
     for _ in GOLDEN_TWT_PREFIX:
@@ -73,19 +75,19 @@ def test_compiled_twt_steps_match_token_machine(count):
     # coincide exactly
     tw = compile_to_twt(count)
     tau = parse_tree("a(b(c),c)", count.input)
-    assert twt_run(tw, tau).steps == run_iam(count.program_ann(tau),
-                                             "pa").steps == 52
+    assert run_walking(tw, tau).steps == run_iam(count.program_ann(tau),
+                                                 "pa").steps == 52
 
 
 def test_simulation_square(count, seqnat):
     for spec, s in [(count, "a(b(c),c)"), (seqnat, unary(3))]:
         tau = parse_tree(s, spec.input)
-        comp = TwtCompiler(spec)
+        comp = WalkingCompiler(spec, "apa")
         tw = comp.compile()
         mapper = SimMapper(comp, tau)
         iam = IamMachine(TermInfo(spec.program_ann(tau)),
                          pick_variant(spec.tier))
-        twm = TwtMachine(tw, tau)
+        twm = WalkingMachine(tw, tau)
         iam_side = [map_leaves(f, mapper.map)
                     for f in frontiers(iam, iam.initial())]
         twt_side = frontiers(twm, twm.initial())
@@ -98,7 +100,7 @@ def test_compiled_seqnat_twt(seqnat):
     assert not ok and witness is not None
     for n in range(7):
         tau = parse_tree(unary(n), seqnat.input)
-        res = twt_run(tw, tau)
+        res = run_walking(tw, tau)
         assert isinstance(res, Output)
         assert res.tree == seqnat.eval_normalize(tau)
 
@@ -113,7 +115,7 @@ def test_compiled_bin2bin_iptt(bin2bin):
     ip = compile_to_iptt(bin2bin)
     for n in range(5):
         tau = parse_tree(numeral(n), bin2bin.input)
-        res = iptt_run(ip, tau)
+        res = run_walking(ip, tau)
         assert isinstance(res, Output)
         assert res.tree == bin2bin.eval_normalize(tau)
         # one pebble operation per stack operation: same step count as the
@@ -125,13 +127,46 @@ def test_compiled_seqnat_iptt(seqnat):
     ip = compile_to_iptt(seqnat)
     for n in range(7):
         tau = parse_tree(unary(n), seqnat.input)
-        assert iptt_run(ip, tau).tree == seqnat.eval_normalize(tau)
+        assert run_walking(ip, tau).tree == seqnat.eval_normalize(tau)
 
 
 def test_compiled_specs_serialize(count, bin2bin):
     tw = parse_twt(compile_to_twt(count).to_str())
     tau = parse_tree("a(b(c),c)", count.input)
-    assert twt_run(tw, tau).tree == count.eval_normalize(tau)
+    assert run_walking(tw, tau).tree == count.eval_normalize(tau)
     ip = parse_iptt(compile_to_iptt(bin2bin).to_str())
     tau = parse_tree(numeral(2), bin2bin.input)
-    assert iptt_run(ip, tau).tree == bin2bin.eval_normalize(tau)
+    assert run_walking(ip, tau).tree == bin2bin.eval_normalize(tau)
+
+
+# sha256 of compile_to_twt(spec).to_str(): the TWT text is pinned byte for
+# byte
+TWT_SHA256 = {
+    "count":
+        "1f202ce7a3e7b44554121b313b7670b72874867503d895fef451903bbf6a42b9",
+    "seqnat":
+        "f36955b5c1a04565a1042e00b50da7099fc2c56fd7ed5b3ab14503c34e46b87e",
+    "listcount":
+        "f134ed61d683197d48f38a50108a4f3b31305625c3a58a781065a18c7e538777",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(TWT_SHA256))
+def test_compiled_twt_text_is_stable(fixture, request):
+    spec = request.getfixturevalue(fixture)
+    text = compile_to_twt(spec).to_str()
+    assert hashlib.sha256(text.encode()).hexdigest() == TWT_SHA256[fixture]
+
+
+def test_compiled_bin2bin_iptt_stores_pebble_independent_keys_once(bin2bin):
+    ip = compile_to_iptt(bin2bin)
+    assert len(ip.delta) == 213
+    # only the returns from a shared bound term look at the visible pebble
+    colored = {key: img for key, img in ip.delta.items() if key[4] != ANY}
+    assert len(colored) == 10
+    assert all(key[4] in ip.colors and img[1] == "remove"
+               for key, img in colored.items())
+    text = ip.to_str()
+    again = parse_iptt(text)
+    assert again.delta == ip.delta
+    assert again.to_str() == text

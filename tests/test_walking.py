@@ -1,16 +1,17 @@
 import pytest
 
 from lamtrans.core import parse_tree
+from lamtrans.transducer import SpecError
 from lamtrans.treegen import FNode, Output, frontier_configs, frontier_get
-from lamtrans.walking import (NotReversible, TwtMachine, check_reversible,
+from lamtrans.walking import (NotReversible, WalkingMachine, check_reversible,
                               image_to_str, parse_iptt, parse_twt,
-                              predecessor, quote_state, twt_run, iptt_run)
+                              predecessor, quote_state, run_walking)
 from conftest import numeral, unary
 
 
 def forward_configs(spec, tau):
     """The configuration sequence of a single-head walking run."""
-    m = TwtMachine(spec, tau)
+    m = WalkingMachine(spec, tau)
     cfg = m.initial()
     out = [cfg]
     while True:
@@ -27,7 +28,7 @@ def forward_configs(spec, tau):
 def test_count_twt_example(count_twt, count):
     for s in ["c", "b(c)", "a(b(c),c)", "a(a(c,c),b(b(c)))"]:
         tau = parse_tree(s, count_twt.input)
-        res = twt_run(count_twt, tau)
+        res = run_walking(count_twt, tau)
         assert isinstance(res, Output)
         assert res.tree == count.eval_normalize(tau)
 
@@ -35,7 +36,7 @@ def test_count_twt_example(count_twt, count):
 def test_seqnat_twt_matches_spec(seqnat_twt, seqnat):
     for n in range(1, 7):
         tau = parse_tree(unary(n), seqnat_twt.input)
-        res = twt_run(seqnat_twt, tau)
+        res = run_walking(seqnat_twt, tau)
         assert isinstance(res, Output)
         assert res.tree == seqnat.eval_normalize(tau)
 
@@ -43,7 +44,7 @@ def test_seqnat_twt_matches_spec(seqnat_twt, seqnat):
 def test_bin2unary_iptt(bin2unary):
     for n in range(9):
         tau = parse_tree(numeral(n), bin2unary.input)
-        res = iptt_run(bin2unary, tau)
+        res = run_walking(bin2unary, tau)
         assert isinstance(res, Output)
         assert res.tree.to_str() == unary(n)
 
@@ -75,7 +76,7 @@ def test_predecessor_walks_backwards(count_twt):
 
 def test_predecessor_requires_reversibility(seqnat_twt):
     tau = parse_tree(unary(2), seqnat_twt.input)
-    m = TwtMachine(seqnat_twt, tau)
+    m = WalkingMachine(seqnat_twt, tau)
     with pytest.raises(NotReversible):
         predecessor(seqnat_twt, tau, m.initial())
 
@@ -83,14 +84,14 @@ def test_predecessor_requires_reversibility(seqnat_twt):
 def test_twt_serialization_roundtrip(count_twt):
     again = parse_twt(count_twt.to_str())
     tau = parse_tree("a(b(c),c)", count_twt.input)
-    assert twt_run(again, tau).tree == twt_run(count_twt, tau).tree
+    assert run_walking(again, tau).tree == run_walking(count_twt, tau).tree
     assert again.to_str() == count_twt.to_str()
 
 
 def test_iptt_serialization_roundtrip(bin2unary):
     again = parse_iptt(bin2unary.to_str())
     tau = parse_tree(numeral(3), bin2unary.input)
-    assert iptt_run(again, tau).tree == iptt_run(bin2unary, tau).tree
+    assert run_walking(again, tau).tree == run_walking(bin2unary, tau).tree
     assert again.to_str() == bin2unary.to_str()
 
 
@@ -105,3 +106,33 @@ def test_image_to_str():
     assert image_to_str(img) == "S((q, to-parent))"
     img = FNode("cons", (("num", "stay"), ("spine", ("to-child", 1))))
     assert image_to_str(img) == "cons((num, stay),(spine, to-child 1))"
+
+
+def test_iptt_exact_pebble_wins_over_any():
+    text = """
+input { e:0 }
+output { S:1, 0:0 }
+colors { a }
+state q init
+state r
+delta e q self root pebble NONE = (r, put a)
+delta e r self root pebble * = 0
+"""
+    tau = parse_tree("e", parse_iptt(text).input)
+    assert run_walking(parse_iptt(text), tau).tree.to_str() == "0"
+    exact = text + "delta e r self root pebble a = S(0)\n"
+    assert run_walking(parse_iptt(exact), tau).tree.to_str() == "S(0)"
+    # pebble * also covers the case of no visible pebble
+    start = text.replace("pebble NONE", "pebble *")
+    assert run_walking(parse_iptt(start), tau).tree.to_str() == "0"
+
+
+def test_twt_rejects_pebble_moves():
+    text = """
+input { e:0 }
+output { 0:0 }
+state q init
+delta-root e q self = (q, put p)
+"""
+    with pytest.raises(SpecError, match="pebble move"):
+        parse_twt(text)
