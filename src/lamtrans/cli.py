@@ -64,16 +64,19 @@ def read_tree(arg, alphabet=None):
     return parse_tree(arg, alphabet)
 
 
+def no_output(res):
+    """One line saying why a Stuck or Diverged run has no output."""
+    if isinstance(res, Stuck):
+        return f"stuck after {res.steps} steps at leaf {list(res.pos)}"
+    assert isinstance(res, Diverged)
+    return f"no output within {res.steps} steps"
+
+
 def machine_result(res):
     if isinstance(res, Output):
         print(res.tree.to_str())
         return 0
-    if isinstance(res, Stuck):
-        print(f"stuck after {res.steps} steps at leaf {list(res.pos)}",
-              file=sys.stderr)
-        return 1
-    assert isinstance(res, Diverged)
-    print(f"no output within {res.steps} steps", file=sys.stderr)
+    print(no_output(res), file=sys.stderr)
     return 1
 
 
@@ -236,18 +239,23 @@ def cmd_difftest(args):
             tau = gen_tree(rng, spec.input, args.size)
             results = []
             for bname, run in backends:
-                res = run(tau)
-                results.append((bname, res.tree if isinstance(res, Output)
-                                else res))
+                # a Tree, or one line saying why there is none
+                try:
+                    res = run(tau)
+                except LamtransError as e:
+                    res = f"error: {e}"
+                else:
+                    res = (res.tree if isinstance(res, Output)
+                           else no_output(res))
+                results.append((bname, res))
             baseline = results[0][1]
-            bad = [(n, r) for n, r in results
+            bad = [(n, r) for n, r in results[1:]
                    if not isinstance(r, Tree) or r != baseline]
-            if bad:
+            if bad or not isinstance(baseline, Tree):
                 status = 1
                 print(f"{path}: case {i} ({tau.to_str()}) disagrees:")
-                print(f"  {results[0][0]}: {baseline.to_str()}")
-                for n, r in bad:
-                    shown = r.to_str() if isinstance(r, Tree) else repr(r)
+                for n, r in results[:1] + bad:
+                    shown = r.to_str() if isinstance(r, Tree) else r
                     print(f"  {n}: {shown}")
             else:
                 agree += 1

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from .core import (App, Box, Const, Lam, LamtransError, Let, Var, children,
                    term_to_str)
+from . import treegen
 from .treegen import FNode, Machine
 from .typecheck import (Arrow, Bang, O, classify_term, navigate, type_height)
 
@@ -348,7 +349,6 @@ def pick_variant(tier):
 
 def run_iam(ann, variant="auto", fuel=10_000_000, check=False):
     """Run a token machine on a typed closed term of base type."""
-    from . import treegen
     info = ann if isinstance(ann, TermInfo) else TermInfo(ann)
     if variant == "auto":
         variant = pick_variant(info.tier)
@@ -359,8 +359,6 @@ def run_iam(ann, variant="auto", fuel=10_000_000, check=False):
 
 
 def _run_checked(machine, fuel):
-    from . import treegen
-
     class Checked(Machine):
         def step(self, cfg):
             machine.check_invariants(cfg)

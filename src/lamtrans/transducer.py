@@ -15,6 +15,7 @@ from .core import (App, Box, Const, Lam, LamtransError, Let, RankedAlphabet,
                    SyntaxErr, Var, children, decode_tree, instantiate,
                    parse_term, term_to_str, with_children)
 from .reduction import normalize
+from .treegen import Output
 from .typecheck import (Arrow, Bang, O, Annotated, TIER_NAMES, TypingError,
                         classify_term, classify_type, fill_hints, parse_type,
                         subst_base, type_to_str, typecheck)
@@ -96,7 +97,6 @@ class LambdaTransducerSpec:
 
     def eval_iam(self, tau, variant="auto", fuel=10_000_000, check=False):
         from .iam import run_iam
-        from .treegen import Output
         res = run_iam(self.program_ann(tau), variant, fuel, check)
         if not isinstance(res, Output):
             raise LamtransError(

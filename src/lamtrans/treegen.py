@@ -6,7 +6,13 @@ again be configurations.  A run starts from a single configuration and
 repeatedly replaces one configuration leaf of the frontier by the result of
 stepping it; it produces an output once no configuration leaves remain.
 The step functions used here are orthogonal, so the result does not depend
-on which leaf is picked; the leftmost policy is the canonical one."""
+on which leaf is picked; the leftmost policy is the canonical one.
+
+`run` keeps the frontier as mutable nodes with a stack of pending
+configuration slots, leaf to fire next on top, so the work it does around
+each machine step does not depend on the size of the frontier.  `trace`
+renders the whole frontier at every step, through the immutable `FNode`
+helpers."""
 
 from __future__ import annotations
 
@@ -94,21 +100,89 @@ class Machine:
         return str(config)
 
 
+class _Node:
+    """A mutable output node of a running frontier."""
+    __slots__ = ("label", "kids")
+
+    def __init__(self, label, kids):
+        self.label = label
+        self.kids = kids
+
+
+def _graft(res, kids, i, pending, rightmost):
+    """Put `res` into slot `kids[i]`, copying its FNodes into _Nodes, and
+    push the slots of its configuration leaves so that the leaf to fire
+    first ends on top of `pending`."""
+    slots = []
+    todo = [(res, kids, i)]
+    while todo:
+        f, kids, i = todo.pop()
+        if isinstance(f, FNode):
+            cs = list(f.children)
+            kids[i] = _Node(f.label, cs)
+            todo.extend([(cs[j], cs, j) for j in range(len(cs) - 1, -1, -1)])
+        else:
+            kids[i] = f
+            slots.append((kids, i))
+    if not rightmost:
+        slots.reverse()
+    pending.extend(slots)
+
+
+def _freeze(top, make, slot=(None, None)):
+    """Copy the frontier held in `top[0]` bottom-up, building each node with
+    make(label, children) and keeping configuration leaves as they are.
+    Returns the copy and the position of the pending slot `slot`."""
+    kids, i = slot
+    if not isinstance(top[0], _Node):
+        return top[0], ()
+    pos = None
+    frames = [(top[0], [])]         # a node, and its children copied so far
+    while True:
+        node, done = frames[-1]
+        if not done and node.kids is kids:
+            pos = tuple(len(d) for _, d in frames[:-1]) + (i,)
+        if len(done) < len(node.kids):
+            c = node.kids[len(done)]
+            if isinstance(c, _Node):
+                frames.append((c, []))
+            else:
+                done.append(c)
+            continue
+        frames.pop()
+        built = make(node.label, tuple(done))
+        if not frames:
+            return built, pos
+        frames[-1][1].append(built)
+
+
 def run(machine, initial, fuel=10_000_000, order="leftmost"):
-    frontier = initial
-    for n in range(fuel):
-        leaves = frontier_configs(frontier)
-        if not leaves:
-            return Output(frontier_to_tree(frontier), n)
-        pos = leaves[0] if order == "leftmost" else leaves[-1]
-        res = machine.step(frontier_get(frontier, pos))
-        if res is None:
-            return Stuck(frontier, pos, n)
-        frontier = frontier_replace(frontier, pos, res)
-    leaves = frontier_configs(frontier)
-    if not leaves:
-        return Output(frontier_to_tree(frontier), fuel)
-    return Diverged(frontier, fuel)
+    """Run from the frontier `initial` for at most `fuel` successful steps,
+    always firing the leftmost (or, with any other `order`, the rightmost)
+    configuration leaf."""
+    step = machine.step
+    rightmost = order != "leftmost"
+    top = [None]                    # the slot holding the whole frontier
+    pending = []
+    _graft(initial, top, 0, pending, rightmost)
+    n = 0
+    while pending:
+        kids, i = pending.pop()
+        cfg = kids[i]
+        while n < fuel:
+            res = step(cfg)
+            if res is None:
+                kids[i] = cfg
+                return Stuck(*_freeze(top, FNode, (kids, i)), n)
+            n += 1
+            if isinstance(res, FNode):
+                break
+            cfg = res
+        else:
+            kids[i] = cfg
+            return Diverged(_freeze(top, FNode)[0], n)
+        _graft(res, kids, i, pending, rightmost)
+    return Output(_freeze(top, Tree)[0], n)
 
 
 def trace(machine, initial, fuel=10_000_000, order="leftmost"):

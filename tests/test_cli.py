@@ -1,8 +1,12 @@
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import lamtrans
 from lamtrans import corpus_path
 from lamtrans.cli import NoNullaryLetter, gen_tree, main
 from lamtrans.core import RankedAlphabet
@@ -126,6 +130,29 @@ def test_difftest(capsys):
                            "--cases", "100", SEQNAT)
     assert code == 0
     assert "100/100 agree" in out
+
+
+def test_difftest_reports_failing_backends(capsys):
+    # with 5 steps of fuel normalization raises and the machines diverge
+    code, out, err = run_cli(capsys, "--fuel", "5", "difftest",
+                             "--cases", "3", COUNT)
+    assert code == 1
+    for i in range(3):
+        assert f"case {i} (" in out
+    assert "normalize: error: no normal form within 5 steps" in out
+    assert "iam: no output within 5 steps" in out
+    assert "0/3 agree" in out
+    assert "Traceback" not in out + err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(lamtrans.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "lamtrans", "--help"],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: lamtrans")
 
 
 def test_reversible_exit_codes(capsys):

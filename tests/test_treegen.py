@@ -1,4 +1,7 @@
 import json
+import random
+
+import pytest
 
 from lamtrans.treegen import (Diverged, FNode, Machine, Output, Stuck,
                               frontier_configs, frontier_get, frontier_replace,
@@ -65,10 +68,100 @@ def test_run_order_independent():
 
 
 def test_frontier_to_tree_requires_no_configs():
-    import pytest
     from lamtrans.core import LamtransError
     with pytest.raises(LamtransError):
         frontier_to_tree(FNode("a", (1, FNode("c"))))
+
+
+def test_run_deep_output_has_no_recursion_limit():
+    res = run(Countdown(), 5000)
+    assert isinstance(res, Output)
+    assert res.steps == 5001
+    depth, t = 1, res.tree
+    while t.children:
+        assert t.label == "S" and len(t.children) == 1
+        depth, t = depth + 1, t.children[0]
+    assert depth == 5001 and t.label == "0"
+
+
+def test_run_deep_stuck_position():
+    class StuckAtZero(Countdown):
+        def step(self, n):
+            return None if n == 0 else super().step(n)
+    res = run(StuckAtZero(), 5000)
+    assert isinstance(res, Stuck)
+    assert res.steps == 5000
+    assert len(res.pos) == 5000 and set(res.pos) == {0}
+
+
+def reference_run(machine, initial, fuel, order):
+    """The rescan-and-rebuild run loop: each step finds the leaf to fire with
+    frontier_configs and rebuilds the path to it with frontier_replace."""
+    frontier = initial
+    for n in range(fuel):
+        leaves = frontier_configs(frontier)
+        if not leaves:
+            return Output(frontier_to_tree(frontier), n)
+        pos = leaves[0] if order == "leftmost" else leaves[-1]
+        res = machine.step(frontier_get(frontier, pos))
+        if res is None:
+            return Stuck(frontier, pos, n)
+        frontier = frontier_replace(frontier, pos, res)
+    if not frontier_configs(frontier):
+        return Output(frontier_to_tree(frontier), fuel)
+    return Diverged(frontier, fuel)
+
+
+class RandomMachine(Machine):
+    """Seeded toy machine.  A configuration (budget, tag) steps to None, to
+    a bare configuration, or to an FNode tree with FNodes nested up to three
+    deep and configuration leaves at every depth, all chosen from (seed,
+    budget, tag).  Every configuration passed to step is recorded."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.calls = []
+
+    def step(self, cfg):
+        self.calls.append(cfg)
+        budget, tag = cfg
+        rng = random.Random(f"{self.seed}:{budget}:{tag}")
+        roll = rng.random()
+        if roll < 0.04:
+            return None
+        if budget == 0:
+            return FNode("c")
+        if roll < 0.4:
+            return (budget - 1, rng.randrange(1000))
+        return self.tree(rng, budget - 1, 0)
+
+    @staticmethod
+    def tree(rng, budget, depth):
+        kids = []
+        for _ in range(rng.randrange(4)):
+            if depth < 3 and rng.random() < 0.4:
+                kids.append(RandomMachine.tree(rng, budget, depth + 1))
+            else:
+                kids.append((budget, rng.randrange(1000)))
+        return FNode(f"n{len(kids)}", tuple(kids))
+
+
+@pytest.mark.parametrize("order", ["leftmost", "rightmost"])
+def test_run_matches_reference_run(order):
+    kinds = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        initial = ((4, seed) if seed % 2 else
+                   RandomMachine.tree(rng, 4, 0))
+        fuel = rng.randrange(60)
+        ours, ref = RandomMachine(seed), RandomMachine(seed)
+        got = run(ours, initial, fuel, order)
+        want = reference_run(ref, initial, fuel, order)
+        assert ours.calls == ref.calls, seed
+        assert type(got) is type(want), seed
+        assert got == want, seed
+        kinds.add(type(got))
+    assert kinds == {Output, Stuck, Diverged}
 
 
 def test_trace_records():
