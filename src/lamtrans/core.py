@@ -74,21 +74,49 @@ class Tree:
     label: str
     children: tuple = ()
 
+    # size, to_str and validate walk the tree with an explicit stack, so
+    # trees of any depth work
+
     def size(self):
-        return 1 + sum(c.size() for c in self.children)
+        n = 0
+        todo = [self]
+        while todo:
+            n += 1
+            todo.extend(todo.pop().children)
+        return n
 
     def to_str(self):
         if not self.children:
             return self.label
-        return self.label + "(" + ",".join(c.to_str() for c in self.children) + ")"
+        out = []
+        todo = [self]
+        while todo:
+            t = todo.pop()
+            if type(t) is str:
+                out.append(t)
+            elif t.children:
+                cs = t.children
+                out.append(t.label + "(")
+                todo.append(")")
+                for i in range(len(cs) - 1, 0, -1):
+                    todo.append(cs[i])
+                    todo.append(",")
+                todo.append(cs[0])
+            else:
+                out.append(t.label)
+        return "".join(out)
 
     def validate(self, alphabet):
-        if len(self.children) != alphabet.rank(self.label):
-            raise LamtransError(
-                f"letter {self.label} has rank {alphabet.rank(self.label)}, "
-                f"got {len(self.children)} children")
-        for c in self.children:
-            c.validate(alphabet)
+        todo = [self]
+        while todo:
+            t = todo.pop()
+            cs = t.children
+            if len(cs) != alphabet.rank(t.label):
+                raise LamtransError(
+                    f"letter {t.label} has rank {alphabet.rank(t.label)}, "
+                    f"got {len(cs)} children")
+            if cs:
+                todo.extend(cs[::-1])
 
     def node_positions(self):
         """All node positions in preorder."""
@@ -106,34 +134,39 @@ class Tree:
 
 def parse_tree(text, alphabet=None):
     toks = _tokenize(text)
-    tree, rest = _parse_tree(toks)
-    if rest:
-        raise SyntaxErr(f"trailing input after tree: {rest[0][0]!r}",
-                        rest[0][1], rest[0][2])
+    n = len(toks)
+    i = 0
+    open_nodes = []     # (label, children so far) of each unclosed node
+    tree = None
+    while tree is None:
+        if i >= n or not _is_ident(toks[i][0]):
+            raise SyntaxErr("expected a tree label")
+        label = toks[i][0]
+        i += 1
+        if i < n and toks[i][0] == "(":
+            i += 1
+            open_nodes.append((label, []))
+            continue
+        node = Tree(label)
+        # hand the finished node to its parent, closing parents as we go
+        while open_nodes:
+            open_nodes[-1][1].append(node)
+            if i < n and toks[i][0] == ",":
+                i += 1
+                break
+            if i >= n or toks[i][0] != ")":
+                raise SyntaxErr("expected ')' in tree")
+            i += 1
+            label, children = open_nodes.pop()
+            node = Tree(label, tuple(children))
+        else:
+            tree = node
+    if i < n:
+        raise SyntaxErr(f"trailing input after tree: {toks[i][0]!r}",
+                        toks[i][1], toks[i][2])
     if alphabet is not None:
         tree.validate(alphabet)
     return tree
-
-
-def _parse_tree(toks):
-    if not toks or not _is_ident(toks[0][0]):
-        raise SyntaxErr("expected a tree label")
-    label = toks[0][0]
-    toks = toks[1:]
-    children = []
-    if toks and toks[0][0] == "(":
-        toks = toks[1:]
-        while True:
-            child, toks = _parse_tree(toks)
-            children.append(child)
-            if toks and toks[0][0] == ",":
-                toks = toks[1:]
-                continue
-            break
-        if not toks or toks[0][0] != ")":
-            raise SyntaxErr("expected ')' in tree")
-        toks = toks[1:]
-    return Tree(label, tuple(children)), toks
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +275,17 @@ def term_size(t):
     return 1 + sum(term_size(c) for c in children(t))
 
 
+def term_depth(t):
+    """Nodes on the longest root-to-leaf path of t."""
+    depth = 0
+    todo = [(t, 1)]
+    while todo:
+        t, d = todo.pop()
+        depth = max(depth, d)
+        todo.extend((c, d + 1) for c in children(t))
+    return depth
+
+
 # One-hole contexts: represented as (whole term, hole position).  split_at
 # and plug make the pair behave like the syntactic object.
 
@@ -272,6 +316,18 @@ def free_vars(t, bound=None):
     return out
 
 
+def var_names(t):
+    """Every variable name in t, bound or free."""
+    names = set()
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, (Var, Lam, Let)):
+            names.add(t.name if isinstance(t, Var) else t.var)
+        todo.extend(children(t))
+    return names
+
+
 def fresh_name(base, avoid):
     if base not in avoid:
         return base
@@ -282,7 +338,7 @@ def fresh_name(base, avoid):
 
 
 def rename_free(t, old, new):
-    """Rename the free variable old to new (new assumed not captured)."""
+    """Rename the free variable old to new; new must not be bound in t."""
     if isinstance(t, Var):
         return Var(new) if t.name == old else t
     if isinstance(t, Lam):
@@ -307,7 +363,7 @@ def substitute(t, x, s):
             if t.var == x:
                 return t
             if t.var in fv_s and x in free_vars(t.body, shadowed | {t.var}):
-                nv = fresh_name(t.var, fv_s | free_vars(t.body) | {x})
+                nv = fresh_name(t.var, fv_s | var_names(t.body) | {x})
                 return Lam(nv, go(rename_free(t.body, t.var, nv), shadowed), t.hint)
             return Lam(t.var, go(t.body, shadowed), t.hint)
         if isinstance(t, Let):
@@ -315,7 +371,7 @@ def substitute(t, x, s):
             if t.var == x:
                 return Let(t.var, bound, t.body)
             if t.var in fv_s and x in free_vars(t.body, shadowed | {t.var}):
-                nv = fresh_name(t.var, fv_s | free_vars(t.body) | {x})
+                nv = fresh_name(t.var, fv_s | var_names(t.body) | {x})
                 return Let(nv, bound, go(rename_free(t.body, t.var, nv), shadowed))
             return Let(t.var, bound, go(t.body, shadowed))
         return with_children(t, [go(c, shadowed) for c in children(t)])
@@ -564,33 +620,68 @@ def parse_term(text, alphabet=None, extra_consts=()):
 # ---------------------------------------------------------------------------
 # Tree encodings
 
+def _apply_tree(tau, head):
+    """The term head(a) t_1 ... t_k for each node a(c_1, ..., c_k) of tau,
+    where t_i is the term of c_i; head is called in preorder."""
+    out = []
+    todo = [tau]
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:     # (head term, rank): children are done
+            t, k = node
+            if k == 1:
+                out[-1] = App(t, out[-1])
+                continue
+            cut = len(out) - k
+            for c in out[cut:]:
+                t = App(t, c)
+            del out[cut:]
+            out.append(t)
+        elif node.children:
+            todo.append((head(node.label), len(node.children)))
+            todo.extend(reversed(node.children))
+        else:
+            out.append(head(node.label))
+    return out[0]
+
+
 def encode_tree(tau):
     """The applicative encoding of a tree as a closed normal term of type o."""
-    t = Const(tau.label)
-    for c in tau.children:
-        t = App(t, encode_tree(c))
-    return t
+    return _apply_tree(tau, Const)
 
 
 def decode_tree(t):
     """Inverse of encode_tree; raises NotAnEncoding on anything else."""
-    args = []
-    while isinstance(t, App):
-        args.append(t.arg)
-        t = t.fn
-    if not isinstance(t, Const):
-        raise NotAnEncoding(f"not an applicative constant term: {term_to_str(t)}")
-    return Tree(t.name, tuple(decode_tree(a) for a in reversed(args)))
+    out = []
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:        # (label, rank): children are done
+            label, k = t
+            cut = len(out) - k
+            children = tuple(out[cut:])
+            del out[cut:]
+            out.append(Tree(label, children))
+            continue
+        args = []
+        while isinstance(t, App):
+            args.append(t.arg)
+            t = t.fn
+        if not isinstance(t, Const):
+            raise NotAnEncoding(
+                f"not an applicative constant term: {term_to_str(t)}")
+        todo.append((t.name, len(args)))
+        todo.extend(args)           # the last argument first
+    return out[0]
 
 
 def instantiate(tau, family):
     """Replace each constant of encode_tree(tau) by its family term."""
-    if tau.label not in family:
-        raise LamtransError(f"no family entry for letter {tau.label!r}")
-    t = family[tau.label]
-    for c in tau.children:
-        t = App(t, instantiate(c, family))
-    return t
+    try:
+        return _apply_tree(tau, family.__getitem__)
+    except KeyError as e:
+        raise LamtransError(
+            f"no family entry for letter {e.args[0]!r}") from None
 
 
 def instantiate_with_blocks(tau, family):

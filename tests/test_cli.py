@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -123,6 +124,33 @@ def test_compose(capsys, tmp_path):
     # six non-cons nodes
     code, out, _ = run_cli(capsys, "run", str(out_file), "S(S(0))")
     assert code == 0 and out.strip() == "S(S(S(S(S(S(0))))))"
+
+
+def test_compose_output_is_stable(capsys):
+    # the printed rules are normal forms, binder names included
+    code, out, _ = run_cli(capsys, "compose", SEQNAT, LISTCOUNT)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f12517cce54a59703632fecc7bc4b36062b0cdf27e2a56414bd32f8d7cf27a3c")
+
+
+def test_run_prints_deep_output(capsys):
+    # the balanced 4,095-node tree has 2,048 c-leaves: the output is
+    # 2,048 deep
+    tree = "c"
+    for _ in range(11):
+        tree = f"a({tree},{tree})"
+    code, out, _ = run_cli(capsys, "run", "--machine", "iam", COUNT, tree)
+    assert code == 0
+    assert out.strip() == "S(" * 2048 + "0" + ")" * 2048
+
+
+def test_run_normalize_on_deep_input(capsys):
+    chain = "b(" * 999 + "c" + ")" * 999
+    code, out, err = run_cli(capsys, "run", "--machine", "normalize",
+                             COUNT, chain)
+    assert code == 0, err
+    assert out.strip() == "S(" * 1000 + "0" + ")" * 1000
 
 
 def test_difftest(capsys):

@@ -51,6 +51,38 @@ def test_tree_roundtrip_property(t):
     assert parse_tree(t.to_str(), SIGMA) == t
 
 
+@pytest.mark.parametrize("text,msg", [
+    ("", "expected a tree label"),
+    ("a(b,)", "expected a tree label"),
+    ("a(b c)", "expected ')' in tree"),
+    ("a(b(c)", "expected ')' in tree"),
+    ("a b", "trailing input after tree: 'b' (line 1, column 3)"),
+    ("a(b),c", "trailing input after tree: ',' (line 1, column 5)"),
+])
+def test_tree_parse_errors(text, msg):
+    with pytest.raises(SyntaxErr) as e:
+        parse_tree(text)
+    assert str(e.value) == msg
+
+
+def test_deep_tree_parses_prints_and_encodes():
+    # 10,000 deep: parsing, printing, size, validation and the encoding
+    # round trip all walk the tree without recursion
+    n = 10_000
+    text = "S(" * n + "0" + ")" * n
+    unary = RankedAlphabet.of({"S": 1, "0": 0})
+    t = parse_tree(text, unary)
+    assert t.size() == n + 1
+    assert t.to_str() == text
+    t.validate(unary)
+    assert decode_tree(encode_tree(t)).to_str() == text
+    term = instantiate(t, {"S": Var("f"), "0": Const("z")})
+    for _ in range(n):
+        assert term.fn == Var("f")
+        term = term.arg
+    assert term == Const("z")
+
+
 # -- terms ------------------------------------------------------------------
 
 def test_term_parse_print_roundtrip():
