@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import App, Const, Let, LamtransError, term_to_str
-from .iam import (ClassificationTooHigh, Config, IamMachine, StackEntry,
-                  TermInfo, mult_tape)
+from .core import App, Const, LamtransError, term_to_str
+from .iam import (LET, ClassificationTooHigh, Config, IamMachine,
+                  StackEntry, TermInfo, mult_tape)
 from .treegen import FNode
 from .typecheck import TIER_NAMES, typecheck
 from .walking import (ANY, IpttSpec, TwtSpec, WalkConfig, image_leaves,
@@ -311,9 +311,8 @@ class WalkingCompiler:
         whose behavior depends on the visible pebble)?"""
         if cfg.direction != "up" or not cfg.pos:
             return False
-        parent, role = cfg.pos[:-1], cfg.pos[-1]
-        pt = machine.info.nodes[parent]
-        return isinstance(pt, Let) and role == 0 \
+        ptag, role, parent, _ = machine.info.up[cfg.pos]
+        return ptag == LET and role == 0 \
             and not machine.info.bound_is_base(parent)
 
     def _returns(self, machine, cfg, a, is_root):

@@ -3,6 +3,7 @@ one-hole contexts, tree encodings, and concrete-syntax parsing/printing."""
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 
@@ -21,6 +22,18 @@ class SyntaxErr(LamtransError):
 
 class NotAnEncoding(LamtransError):
     pass
+
+
+class TooDeep(LamtransError):
+    """A term nests too deeply for a pass that recurses on it."""
+
+
+def too_deep(t, doing):
+    """The TooDeep error for a pass (`doing`, a verb) that ran out of
+    Python's recursion limit on t."""
+    return TooDeep(f"term of depth {term_depth(t)} nests too deeply to "
+                   f"{doing} within Python's recursion limit of "
+                   f"{sys.getrecursionlimit()}")
 
 
 # ---------------------------------------------------------------------------
@@ -69,13 +82,62 @@ class RankedAlphabet:
         return "{ " + ", ".join(f"{n}:{r}" for n, r in self.letters) + " }"
 
 
-@dataclass(frozen=True)
+class _Hash:
+    """Stands in for an object whose hash is already known, so that
+    hashing a tuple of them combines the known hashes."""
+    __slots__ = ("h",)
+
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+
+@dataclass(slots=True, eq=False)
 class Tree:
     label: str
     children: tuple = ()
 
-    # size, to_str and validate walk the tree with an explicit stack, so
-    # trees of any depth work
+    # ==, hash, size, to_str and validate walk the tree with an explicit
+    # stack, so trees of any depth work.  == and hash give what a frozen
+    # dataclass would: Trees compare and hash as (label, children).
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        todo = [(self, other)]
+        while todo:
+            a, b = todo.pop()
+            if a.label != b.label or len(a.children) != len(b.children):
+                return False
+            for x, y in zip(a.children, b.children):
+                if x is y:
+                    continue
+                if x.__class__ is Tree and y.__class__ is Tree:
+                    todo.append((x, y))
+                elif not x == y:
+                    return False
+        return True
+
+    def __hash__(self):
+        known = {}      # id of a node below self -> _Hash of it
+        todo = [self]
+        while todo:
+            t = todo[-1]
+            if id(t) in known:
+                todo.pop()
+                continue
+            missing = [c for c in t.children
+                       if c.__class__ is Tree and id(c) not in known]
+            if missing:
+                todo.extend(missing)
+                continue
+            todo.pop()
+            known[id(t)] = _Hash(hash((t.label, tuple(
+                known[id(c)] if c.__class__ is Tree else c
+                for c in t.children))))
+        return known[id(self)].h
 
     def size(self):
         n = 0

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (App, Box, Const, Lam, LamtransError, Let, Var, children,
+from .core import (App, Box, Const, Lam, LamtransError, Let, Var,
                    term_to_str)
 from . import treegen
 from .treegen import FNode, Machine
@@ -40,7 +40,7 @@ class InvariantViolation(LamtransError):
 VARIANT_MAX_TIER = {"pa": 0, "apa": 1, "d1": 2, "ss": 2}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LogEntry:
     """A logged position: where a jump came from, together with the log
     that was current there."""
@@ -48,7 +48,7 @@ class LogEntry:
     log: tuple  # tuple of LogEntry
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StackEntry:
     """Flat-stack form of a logged position: the source position and the
     group of entries that were sitting above it."""
@@ -56,7 +56,7 @@ class StackEntry:
     entries: tuple  # tuple of StackEntry
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Config:
     direction: str  # "down" | "up"
     pos: tuple
@@ -70,27 +70,88 @@ def mult_tape(tape):
     return "".join(e for e in tape if e in ("p", "o"))
 
 
+# What a position holds, as the machine's rules tell positions apart.
+(APP, LAM, LAM_VAR, LET_VAR, FREE_VAR, BASE_BOX, BOX, LET,
+ CONST) = range(9)
+
+
 class TermInfo:
     """Per-position facts about the program term, precomputed from a
-    typing derivation."""
+    typing derivation.
+
+    One walk builds two dispatch records for every position, one for each
+    direction the focus can move in:
+
+      * `down[pos] = (tag, children, arg)`: the position's tag above, its
+        child positions, and by tag: for LAM the occurrence of the bound
+        variable (None if unused), for LAM_VAR its binder, for LET_VAR
+        (bound term, whether it has type !o, box depth of the occurrence,
+        box depth of the binder), for CONST (name, the tape prefix ("p",)
+        * rank it consumes, the tape prefixes of its rank children);
+      * `up[pos] = (parent tag, role, parent, sibling)`, where role is
+        the position's index among its parent's children and sibling the
+        parent's other child; None at the root.
+
+    Every position in the records is the very tuple that keys them, so a
+    lookup of a position the machine built compares keys by identity."""
 
     def __init__(self, ann):
         self.ann = ann
         self.term = ann.term
-        self.nodes = {}
-
-        def walk(t, pos):
-            self.nodes[pos] = t
-            for i, c in enumerate(children(t)):
-                walk(c, pos + (i,))
-
-        walk(ann.term, ())
-        self.types = ann.types
-        self.depths = ann.depths
-        self.occ_binder = ann.occ_binder
+        self.types = types = ann.types
+        self.depths = depths = ann.depths
+        self.occ_binder = occ_binder = ann.occ_binder
         self.lam_occ = ann.lam_occ
-        self.var_kind = ann.var_kind
-        self.height = max(type_height(A) for A in ann.types.values())
+        self.var_kind = var_kind = ann.var_kind
+        self.nodes = nodes = {}
+        self.down = down = {}
+        self.up = up = {}
+        occurrences = []
+        todo = [(ann.term, (), None)]
+        while todo:
+            t, pos, up[pos] = todo.pop()
+            nodes[pos] = t
+            cls = t.__class__
+            if cls is App or cls is Let:
+                kids = (pos + (0,), pos + (1,))
+                tag = APP if cls is App else LET
+                first, second = (t.fn, t.arg) if cls is App else \
+                    (t.bound, t.body)
+                todo.append((second, kids[1], (tag, 1, pos, kids[0])))
+                todo.append((first, kids[0], (tag, 0, pos, kids[1])))
+                down[pos] = (tag, kids, None)
+            elif cls is Lam or cls is Box:
+                kids = (pos + (0,),)
+                if cls is Lam:
+                    tag = LAM
+                else:
+                    tag = BASE_BOX if types[pos].inner == O else BOX
+                todo.append((t.body, kids[0], (tag, 0, pos, None)))
+                down[pos] = (tag, kids, None)   # LAM's occurrence: below
+            elif cls is Var:
+                occurrences.append(pos)
+            elif cls is Const:
+                k = self.rank(pos)
+                down[pos] = (CONST, (), (t.name, ("p",) * k, tuple(
+                    ("p",) * i + ("o",) for i in range(k))))
+        # a variable's record names its binder as interned: the binder's
+        # first child is interned in its record, and that child's up
+        # record holds the binder
+        for pos in occurrences:
+            kind = var_kind[pos]
+            if kind == "theta":
+                down[pos] = (FREE_VAR, (), None)
+                continue
+            bound = down[occ_binder[pos]][1][0]
+            binder = up[bound][2]
+            if kind == "lam":
+                down[pos] = (LAM_VAR, (), binder)
+                down[binder] = (LAM, (bound,), pos)
+            else:
+                down[pos] = (LET_VAR, (), (bound, self.bound_is_base(binder),
+                                           depths[pos], depths[binder]))
+        self.height = max(type_height(A) for A in
+                          {id(A): A for A in types.values()}.values())
         self.tier = classify_term(ann)
 
     def rank(self, pos):
@@ -129,169 +190,146 @@ class IamMachine(Machine):
         return self._up(cfg)
 
     def _down(self, cfg):
-        info, v = self.info, self.variant
         pos, tape = cfg.pos, cfg.tape
-        t = info.nodes[pos]
-
-        if isinstance(t, App):
-            return self._cfg(cfg, "down", pos + (0,), ("p",) + tape)
-
-        if isinstance(t, Lam):
+        tag, kids, arg = self.info.down[pos]
+        if tag == APP:
+            return Config("down", kids[0], ("p",) + tape, cfg.log, cfg.flag)
+        if tag == LAM:
             if not tape:
                 return None
-            top, rest = tape[0], tape[1:]
+            top = tape[0]
             if top == "p":
-                return self._cfg(cfg, "down", pos + (0,), rest)
+                return Config("down", kids[0], tape[1:], cfg.log, cfg.flag)
             if top == "o":
-                occ = info.lam_occ.get(pos)
-                if occ is None:
+                if arg is None:
                     return None  # bound variable never used: dead branch
-                return self._cfg(cfg, "up", occ, rest)
+                return Config("up", arg, tape[1:], cfg.log, cfg.flag)
             return None
-
-        if isinstance(t, Var):
-            kind = info.var_kind[pos]
-            if kind == "lam":
-                return self._cfg(cfg, "up", info.occ_binder[pos],
-                                 ("o",) + tape)
-            if kind == "let":
-                return self._down_let_var(cfg, pos, tape)
-            return None  # free unrestricted variable: no rule
-
-        if isinstance(t, Box):
-            base = info.types[pos].inner == O
-            if v == "apa" or base:
-                return self._cfg(cfg, "down", pos + (0,), tape)
-            if v == "d1":
-                if cfg.log:
-                    raise InternalInvariantError("entering a box with a "
-                                                 "nonempty log")
-                if not tape or not isinstance(tape[0], LogEntry):
-                    return None
-                return self._cfg(cfg, "down", pos + (0,), tape[1:],
-                                 log=(tape[0],))
-            # ss: mark that the top stack entry now plays the log role
-            if cfg.flag != 0:
-                raise InternalInvariantError("entering a box with nonzero "
-                                             "nesting counter")
-            return self._cfg(cfg, "down", pos + (0,), tape, flag=1)
-
-        if isinstance(t, Let):
-            return self._cfg(cfg, "down", pos + (1,), tape)
-
-        if isinstance(t, Const):
-            k = info.rank(pos)
-            if len(tape) < k or any(e != "p" for e in tape[:k]):
+        if tag == LAM_VAR:
+            return Config("up", arg, ("o",) + tape, cfg.log, cfg.flag)
+        if tag == CONST:
+            name, args, outs = arg
+            k = len(args)
+            if tape[:k] != args:
                 return None
-            rest = tape[k:]
-            kids = tuple(
-                self._cfg(cfg, "up", pos, ("p",) * i + ("o",) + rest)
-                for i in range(k))
-            return FNode(t.name, kids)
+            rest, log, flag = tape[k:], cfg.log, cfg.flag
+            return FNode(name, tuple([Config("up", pos, o + rest, log, flag)
+                                      for o in outs]))
+        if tag == LET:
+            return Config("down", kids[1], tape, cfg.log, cfg.flag)
+        if tag == LET_VAR:
+            return self._down_let_var(cfg, arg)
+        if tag == BASE_BOX or tag == BOX and self.variant == "apa":
+            return Config("down", kids[0], tape, cfg.log, cfg.flag)
+        if tag == BOX:
+            return self._down_box(cfg, kids[0])
+        return None  # free unrestricted variable: no rule
 
-        return None
+    def _down_box(self, cfg, body):
+        tape = cfg.tape
+        if self.variant == "d1":
+            if cfg.log:
+                raise InternalInvariantError("entering a box with a "
+                                             "nonempty log")
+            if not tape or not isinstance(tape[0], LogEntry):
+                return None
+            return Config("down", body, tape[1:], (tape[0],), cfg.flag)
+        # ss: mark that the top stack entry now plays the log role
+        if cfg.flag != 0:
+            raise InternalInvariantError("entering a box with nonzero "
+                                         "nesting counter")
+        return Config("down", body, tape, cfg.log, 1)
 
-    def _down_let_var(self, cfg, pos, tape):
-        info, v = self.info, self.variant
-        binder = info.occ_binder[pos]
-        bound_pos = binder + (0,)
-        base = info.bound_is_base(binder)
+    def _down_let_var(self, cfg, arg):
+        v = self.variant
+        bound_pos, base, n, m = arg
+        pos, tape, log, flag = cfg.pos, cfg.tape, cfg.log, cfg.flag
         if v == "pa":
             raise InternalInvariantError("let rules in the plain machine")
         if v == "apa":
-            return self._cfg(cfg, "down", bound_pos, tape)
-        n, m = info.depths[pos], info.depths[binder]
+            return Config("down", bound_pos, tape, log, flag)
         if v == "d1":
             if base:
                 # forget the log entries for the boxes being exited
-                return self._cfg(cfg, "down", bound_pos, tape,
-                                 log=cfg.log[n - m:])
+                return Config("down", bound_pos, tape, log[n - m:], flag)
             if m != 0:
                 raise InternalInvariantError("non-base let binder under a box")
-            entry = LogEntry(pos, cfg.log)
-            return self._cfg(cfg, "down", bound_pos, (entry,) + tape, log=())
+            return Config("down", bound_pos, (LogEntry(pos, log),) + tape,
+                          (), flag)
         # ss
         if base:
-            if cfg.flag != n:
+            if flag != n:
                 raise InternalInvariantError("nesting counter out of sync")
-            return self._cfg(cfg, "down", bound_pos, tape,
-                             log=cfg.log[n - m:], flag=m)
+            return Config("down", bound_pos, tape, log[n - m:], m)
         if m != 0:
             raise InternalInvariantError("non-base let binder under a box")
-        k = cfg.flag
-        entry = StackEntry(pos, cfg.log[:k])
-        return self._cfg(cfg, "down", bound_pos, tape,
-                         log=(entry,) + cfg.log[k:], flag=0)
+        entry = StackEntry(pos, log[:flag])
+        return Config("down", bound_pos, tape, (entry,) + log[flag:], 0)
 
     def _up(self, cfg):
-        info, v = self.info, self.variant
-        pos, tape = cfg.pos, cfg.tape
-        if not pos:
+        up = self.info.up[cfg.pos]
+        if up is None:
             return None
-        parent, role = pos[:-1], pos[-1]
-        pt = info.nodes[parent]
-
-        if isinstance(pt, App) and role == 0:
+        ptag, role, parent, sibling = up
+        tape = cfg.tape
+        if ptag == APP:
+            if role == 1:
+                return Config("down", sibling, ("o",) + tape, cfg.log,
+                              cfg.flag)
             if not tape:
                 return None
-            top, rest = tape[0], tape[1:]
+            top = tape[0]
             if top == "p":
-                return self._cfg(cfg, "up", parent, rest)
+                return Config("up", parent, tape[1:], cfg.log, cfg.flag)
             if top == "o":
-                return self._cfg(cfg, "down", parent + (1,), rest)
+                return Config("down", sibling, tape[1:], cfg.log, cfg.flag)
             return None
-        if isinstance(pt, App) and role == 1:
-            return self._cfg(cfg, "down", parent + (0,), ("o",) + tape)
-        if isinstance(pt, Lam):
-            return self._cfg(cfg, "up", parent, ("p",) + tape)
-        if isinstance(pt, Let) and role == 1:
-            return self._cfg(cfg, "up", parent, tape)
+        if ptag == LAM:
+            return Config("up", parent, ("p",) + tape, cfg.log, cfg.flag)
+        if ptag == LET:
+            if role == 1:
+                return Config("up", parent, tape, cfg.log, cfg.flag)
+            return self._up_bound(cfg)
+        return self._up_box(cfg, ptag, parent)
 
-        if isinstance(pt, Let) and role == 0:
-            # coming back out of a shared resource: jump to the occurrence
-            # that requested it
-            if v in ("pa", "apa"):
-                raise InternalInvariantError("focus on a let-bound term "
-                                             "going up")
-            if v == "d1":
-                if cfg.log:
-                    raise InternalInvariantError("leaving a bound term with "
-                                                 "a nonempty log")
-                if not tape or not isinstance(tape[0], LogEntry):
-                    raise InternalInvariantError("no logged position to "
-                                                 "return to")
-                entry, rest = tape[0], tape[1:]
-                return self._cfg(cfg, "up", entry.pos, rest, log=entry.log)
-            if cfg.flag != 0 or not cfg.log:
-                raise InternalInvariantError("no logged position to return to")
-            entry, rest = cfg.log[0], cfg.log[1:]
-            if not isinstance(entry, StackEntry):
-                raise InternalInvariantError("malformed stack")
-            return self._cfg(cfg, "up", entry.pos, tape,
-                             log=entry.entries + rest,
-                             flag=len(entry.entries))
+    def _up_bound(self, cfg):
+        """Coming back out of a shared resource: jump to the occurrence
+        that requested it."""
+        v, tape = self.variant, cfg.tape
+        if v in ("pa", "apa"):
+            raise InternalInvariantError("focus on a let-bound term "
+                                         "going up")
+        if v == "d1":
+            if cfg.log:
+                raise InternalInvariantError("leaving a bound term with "
+                                             "a nonempty log")
+            if not tape or not isinstance(tape[0], LogEntry):
+                raise InternalInvariantError("no logged position to "
+                                             "return to")
+            entry = tape[0]
+            return Config("up", entry.pos, tape[1:], entry.log, cfg.flag)
+        if cfg.flag != 0 or not cfg.log:
+            raise InternalInvariantError("no logged position to return to")
+        entry, rest = cfg.log[0], cfg.log[1:]
+        if not isinstance(entry, StackEntry):
+            raise InternalInvariantError("malformed stack")
+        return Config("up", entry.pos, tape, entry.entries + rest,
+                      len(entry.entries))
 
-        if isinstance(pt, Box):
-            base = info.types[parent].inner == O
-            if v in ("pa", "apa") or base:
-                raise InternalInvariantError("box contents exited upward")
-            if v == "d1":
-                if len(cfg.log) != 1:
-                    raise InternalInvariantError("exiting a box with a log "
-                                                 "of length != 1")
-                return self._cfg(cfg, "up", parent, (cfg.log[0],) + tape,
-                                 log=())
-            if cfg.flag != 1:
-                raise InternalInvariantError("exiting a box with nesting "
-                                             "counter != 1")
-            return self._cfg(cfg, "up", parent, tape, flag=0)
-
-        return None
-
-    def _cfg(self, old, direction, pos, tape, log=None, flag=None):
-        return Config(direction, pos, tape,
-                      old.log if log is None else log,
-                      old.flag if flag is None else flag)
+    def _up_box(self, cfg, ptag, parent):
+        v = self.variant
+        if v in ("pa", "apa") or ptag == BASE_BOX:
+            raise InternalInvariantError("box contents exited upward")
+        if v == "d1":
+            if len(cfg.log) != 1:
+                raise InternalInvariantError("exiting a box with a log "
+                                             "of length != 1")
+            return Config("up", parent, (cfg.log[0],) + cfg.tape, (),
+                          cfg.flag)
+        if cfg.flag != 1:
+            raise InternalInvariantError("exiting a box with nesting "
+                                         "counter != 1")
+        return Config("up", parent, cfg.tape, cfg.log, 0)
 
     # -- rendering and invariants -----------------------------------------
 

@@ -48,20 +48,15 @@ tests check the two normalizers against each other."""
 
 from __future__ import annotations
 
-import sys
-
 from .core import (App, Box, Const, Lam, LamtransError, Let, Var, children,
                    free_vars, fresh_name, rename_free, replace_at,
-                   substitute, subterm_at, term_depth, var_names,
+                   substitute, subterm_at, too_deep, var_names,
                    with_children)
+from .core import TooDeep  # noqa: F401  (normalize raises it)
 
 
 class OutOfFuel(LamtransError):
     pass
-
-
-class TooDeep(LamtransError):
-    """The term nests too deeply for the evaluator's Python recursion."""
 
 
 def _peel_lets(t):
@@ -396,10 +391,7 @@ def normalize(t, fuel=10_000_000):
     try:
         return readback(ev(t, {}, []))
     except RecursionError:
-        raise TooDeep(
-            f"term of depth {term_depth(t)} nests too deeply to normalize "
-            f"within Python's recursion limit of {sys.getrecursionlimit()}"
-        ) from None
+        raise too_deep(t, "normalize") from None
 
 
 def _occurs(key, t, bound):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .core import LamtransError, Tree
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FNode:
     """An output-alphabet node of a frontier; children may be FNodes or
     machine configurations."""

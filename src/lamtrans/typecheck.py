@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (App, Box, Const, Lam, LamtransError, Let, SyntaxErr, Var,
-                   _tokenize, term_to_str)
+                   _tokenize, children, term_to_str, too_deep)
 
 
 class TypingError(LamtransError):
@@ -333,14 +333,19 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
                 f"{term_to_str(t)}")
         return u
 
-    if ty is None:
-        A, _ = synth(term, (), env0)
-        ann.type = A
-    else:
-        check(term, ty, (), env0)
-        ann.type = ty
+    # synth and check recurse on the term; past Python's recursion limit
+    # the term is reported as too deep (core.TooDeep)
+    try:
+        if ty is None:
+            A, _ = synth(term, (), env0)
+            ann.type = A
+        else:
+            check(term, ty, (), env0)
+            ann.type = ty
+    except RecursionError:
+        raise too_deep(term, "typecheck") from None
 
-    _fill_depths(ann, term, (), 0)
+    _fill_depths(ann)
     return ann
 
 
@@ -357,17 +362,18 @@ def _unbind(env, name, saved):
         env[name] = saved
 
 
-def _fill_depths(ann, t, pos, depth):
+def _fill_depths(ann):
     """Depth of a position = number of enclosing boxes whose contents are
     not of base type."""
-    ann.depths[pos] = depth
-    from .core import children
-    cs = children(t)
-    for i, c in enumerate(cs):
-        d = depth
-        if isinstance(t, Box) and ann.types.get(pos + (0,)) != O:
-            d = depth + 1
-        _fill_depths(ann, c, pos + (i,), d)
+    depths, types = ann.depths, ann.types
+    todo = [(ann.term, (), 0)]
+    while todo:
+        t, pos, depth = todo.pop()
+        depths[pos] = depth
+        if isinstance(t, Box) and types.get(pos + (0,)) != O:
+            depth += 1
+        for i, c in enumerate(children(t)):
+            todo.append((c, pos + (i,), depth))
 
 
 def fill_hints(ann):
@@ -375,7 +381,7 @@ def fill_hints(ann):
     the typing derivation, so the result synthesizes without a target."""
 
     def go(t, pos):
-        from .core import children, with_children
+        from .core import with_children
         cs = [go(c, pos + (i,)) for i, c in enumerate(children(t))]
         t = with_children(t, cs)
         if isinstance(t, Lam):
@@ -393,18 +399,22 @@ def classify_term(ann):
     box-nesting level, the types appearing there must sit one tier lower
     per surrounding box.  Global part: the unrestricted variables must all
     be base-typed (tier <= 1) or all of tier <= 1 types (tier <= 2)."""
-
-    def struct(t, pos):
-        worst = classify_type(ann.types[pos])
+    types = ann.types
+    tiers = {id(A): A for A in types.values()}
+    for key, A in tiers.items():
+        tiers[key] = classify_type(A)
+    tier = max(tiers.values(), default=0)
+    # a position inside b boxes counts the tier of its type raised by b,
+    # at most 3
+    todo = [(ann.term, (), 0)]
+    while todo:
+        t, pos, boxes = todo.pop()
+        if boxes:
+            tier = max(tier, min(3, tiers[id(types[pos])] + boxes))
         if isinstance(t, Box):
-            worst = max(worst, min(3, 1 + struct(t.body, pos + (0,))))
-        else:
-            from .core import children
-            for i, c in enumerate(children(t)):
-                worst = max(worst, struct(c, pos + (i,)))
-        return worst
-
-    tier = struct(ann.term, ())
+            boxes += 1
+        for i, c in enumerate(children(t)):
+            todo.append((c, pos + (i,), boxes))
     if ann.theta_types:
         if all(A == O for A in ann.theta_types):
             tier = max(tier, 1)

@@ -18,6 +18,7 @@ configurations carry a pebble stack that stays empty for a TWT."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import LamtransError, RankedAlphabet, SyntaxErr
 from .transducer import (ALPHABET_LINES, SpecError, load_file,
@@ -102,6 +103,18 @@ class TwtSpec:
         table = self.delta_root if is_root else self.delta
         return table.get((label, q, prov))
 
+    @cached_property
+    def plans(self):
+        """The transitions compiled for WalkingMachine, built on first use
+        (so the tables must not change after a machine has run): for each
+        (letter, is-root), a map from (state, provenance) to the plan of
+        the image (see plan_image)."""
+        out = {}
+        for is_root, table in ((False, self.delta), (True, self.delta_root)):
+            for (a, q, p), img in table.items():
+                out.setdefault((a, is_root), {})[q, p] = plan_image(img)
+        return out
+
     def to_str(self):
         lines = [f"input {self.input.to_str()}",
                  f"output {self.output.to_str()}"]
@@ -138,10 +151,24 @@ class IpttSpec:
                 raise SpecError(f"{self.name}: unknown color {z!r}")
 
     def lookup(self, label, q, prov, is_root, z):
+        """The image for a key: the transition for the exact pebble z,
+        else the one for ANY.  WalkingMachine.step applies the same rule
+        to the plans; the tests check the two against each other."""
         img = self.delta.get((label, q, prov, is_root, z))
         if img is None:
             img = self.delta.get((label, q, prov, is_root, ANY))
         return img
+
+    @cached_property
+    def plans(self):
+        """As TwtSpec.plans, except that each (state, provenance) maps to
+        a dict from the pebble (a color, None, or ANY) to its plan; the
+        machine then picks the plan as lookup does."""
+        out = {}
+        for (a, q, p, is_root, z), img in self.delta.items():
+            out.setdefault((a, is_root), {}).setdefault((q, p), {})[z] = \
+                plan_image(img)
+        return out
 
     def to_str(self):
         lines = [f"input {self.input.to_str()}",
@@ -178,7 +205,7 @@ def image_map_leaves(img, f):
 # ---------------------------------------------------------------------------
 # Running
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WalkConfig:
     state: str
     prov: object
@@ -186,53 +213,136 @@ class WalkConfig:
     pebbles: tuple = ()   # (color, node) pairs, top first
 
 
-def resolve_move(q, move, node):
-    """Where a (state, move) leaf sends the head, and the provenance it
-    arrives with."""
+# The kinds of move a plan record makes.
+STAY, TO_PARENT, TO_CHILD, PUT, REMOVE, UNKNOWN = range(6)
+
+
+def _leaf_plan(leaf):
+    q, move = leaf
     if move == "stay":
-        return q, "self", node
+        return q, STAY, None
     if move == "to-parent":
-        if not node:
-            raise SpecError("to-parent at the root")
-        return q, ("from-child", node[-1] + 1), node[:-1]
+        return q, TO_PARENT, None
+    if move == "remove":
+        return q, REMOVE, None
     if isinstance(move, tuple) and move[0] == "to-child":
-        return q, "from-parent", node + (move[1] - 1,)
-    raise SpecError(f"cannot resolve move {move_to_str(move)} here")
+        return q, TO_CHILD, move[1] - 1
+    if isinstance(move, tuple) and move[0] == "put":
+        return q, PUT, move[1]
+    return q, UNKNOWN, move
+
+
+def plan_image(img):
+    """An image as the machine runs it: a (state, move) leaf becomes a
+    (state, move kind, argument) record, where the argument is the
+    0-based child of TO_CHILD and the color of PUT; an FNode becomes its
+    skeleton with such records at the leaves."""
+    return image_map_leaves(img, _leaf_plan)
 
 
 class WalkingMachine(Machine):
-    """Runs a TwtSpec or an IpttSpec on an input tree."""
+    """Runs a TwtSpec or an IpttSpec on an input tree.
+
+    The input is indexed once, in preorder: `nodes[i]` is (the spec's
+    plans for node i's letter and rootness, the parent's number, the
+    first child's number, the number of children, the provenance of
+    arriving at the parent from node i); the root is node 0 and the
+    children of a node are numbered consecutively.  The index holds no
+    positions.  Each configuration the machine makes is remembered, by
+    identity, with its node's number until it is stepped, so a step finds
+    its node without walking the input, and only the positions of
+    configurations still to be stepped are alive.  A configuration made
+    elsewhere is located by walking down from the root."""
 
     def __init__(self, spec, tau):
         tau.validate(spec.input)
         self.spec = spec
-        self.tau = tau
+        plans, none = spec.plans, {}
+        self.nodes = nodes = [None]
+        todo = [(tau, 0, None, None)]
+        while todo:
+            t, i, parent, back = todo.pop()
+            first, arity = len(nodes), len(t.children)
+            nodes[i] = (plans.get((t.label, parent is None), none), parent,
+                        first, arity, back)
+            nodes.extend([None] * arity)
+            todo.extend([(c, first + k, i, ("from-child", k + 1))
+                         for k, c in enumerate(t.children)])
+        self.tracked = {}   # id(configuration) -> (node number, it)
 
     def initial(self):
-        return WalkConfig(self.spec.initial, "self", ())
+        cfg = WalkConfig(self.spec.initial, "self", ())
+        self.tracked[id(cfg)] = (0, cfg)
+        return cfg
+
+    def _locate(self, node):
+        i = 0
+        for k in node:
+            _, _, first, arity, _ = self.nodes[i]
+            if not 0 <= k < arity:
+                raise SpecError(f"no node {node} in the input")
+            i = first + k
+        return i
 
     def step(self, cfg):
-        label = self.tau.at(cfg.node).label
-        pebbles = cfg.pebbles
-        z = None
-        if pebbles and pebbles[0][1] == cfg.node:
-            z = pebbles[0][0]
-        img = self.spec.lookup(label, cfg.state, cfg.prov, cfg.node == (), z)
-        if img is None:
+        tracked = self.tracked.pop(id(cfg), None)
+        i = self._locate(cfg.node) if tracked is None else tracked[0]
+        entry = self.nodes[i]
+        plan = entry[0].get((cfg.state, cfg.prov))
+        if plan.__class__ is dict:      # an IPTT's: by the visible pebble
+            node, pebbles = cfg.node, cfg.pebbles
+            z = pebbles[0][0] if pebbles and pebbles[0][1] == node else None
+            plan = plan.get(z, plan.get(ANY))
+        if plan is None:
             return None
+        if plan.__class__ is tuple:
+            return self._move(plan, cfg, i, entry)
+        # an FNode skeleton: copy it, resolving its records left to right
+        stack = [(plan, [])]
+        while True:
+            skel, done = stack[-1]
+            if len(done) < len(skel.children):
+                c = skel.children[len(done)]
+                if c.__class__ is FNode:
+                    stack.append((c, []))
+                else:
+                    done.append(self._move(c, cfg, i, entry))
+                continue
+            stack.pop()
+            built = FNode(skel.label, tuple(done))
+            if not stack:
+                return built
+            stack[-1][1].append(built)
 
-        def leaf(qm):
-            q, move = qm
-            if move == "remove":
-                if z is None:
-                    raise SpecError("remove with no visible pebble")
-                return WalkConfig(q, "self", cfg.node, pebbles[1:])
-            if isinstance(move, tuple) and move[0] == "put":
-                return WalkConfig(q, "self", cfg.node,
-                                  ((move[1], cfg.node),) + pebbles)
-            return WalkConfig(*resolve_move(q, move, cfg.node), pebbles)
-
-        return image_map_leaves(img, leaf)
+    def _move(self, record, cfg, i, entry):
+        """The configuration a plan record sends the head to from node i,
+        whose index entry is `entry`."""
+        q, kind, arg = record
+        node, pebbles = cfg.node, cfg.pebbles
+        if kind == STAY:
+            new = WalkConfig(q, "self", node, pebbles)
+        elif kind == TO_CHILD:
+            _, _, first, arity, _ = entry
+            if not 0 <= arg < arity:
+                raise SpecError(f"cannot resolve move to-child {arg + 1} "
+                                "here")
+            new = WalkConfig(q, "from-parent", node + (arg,), pebbles)
+            i = first + arg
+        elif kind == TO_PARENT:
+            _, parent, _, _, back = entry
+            if parent is None:
+                raise SpecError("to-parent at the root")
+            new, i = WalkConfig(q, back, node[:-1], pebbles), parent
+        elif kind == PUT:
+            new = WalkConfig(q, "self", node, ((arg, node),) + pebbles)
+        elif kind == REMOVE:
+            if not (pebbles and pebbles[0][1] == node):
+                raise SpecError("remove with no visible pebble")
+            new = WalkConfig(q, "self", node, pebbles[1:])
+        else:
+            raise SpecError(f"cannot resolve move {move_to_str(arg)} here")
+        self.tracked[id(new)] = (i, new)
+        return new
 
     def render(self, cfg):
         node = ".".join(map(str, cfg.node)) or "e"

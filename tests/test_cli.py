@@ -8,9 +8,9 @@ import sys
 import pytest
 
 import lamtrans
-from lamtrans import corpus_path
+from lamtrans import cli, corpus_path
 from lamtrans.cli import NoNullaryLetter, gen_tree, main
-from lamtrans.core import RankedAlphabet
+from lamtrans.core import RankedAlphabet, parse_tree
 
 COUNT = corpus_path("count.lt")
 SEQNAT = corpus_path("seq-nat.lt")
@@ -151,6 +151,34 @@ def test_run_normalize_on_deep_input(capsys):
                              COUNT, chain)
     assert code == 0, err
     assert out.strip() == "S(" * 1000 + "0" + ")" * 1000
+
+
+def test_run_iam_on_too_deep_input_is_an_error(capsys):
+    # typecheck recurses on the program; past the recursion limit it
+    # reports the term's depth instead of a RecursionError traceback
+    chain = "b(" * 999 + "c" + ")" * 999
+    code, out, err = run_cli(capsys, "run", "--machine", "iam", COUNT, chain)
+    assert code == 1 and out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: term of depth ")
+    assert "too deeply to typecheck" in lines[0]
+    assert "Traceback" not in err
+
+
+def test_difftest_compares_deep_outputs(capsys, monkeypatch):
+    # one case, S^3000(0) deep: the walking machines' outputs are compared
+    # with the normal form's, and the iam backend fails cleanly
+    tree = parse_tree("b(" * 2999 + "c" + ")" * 2999)
+    monkeypatch.setattr(cli, "gen_tree", lambda rng, alphabet, size: tree)
+    code, out, err = run_cli(capsys, "difftest", "--cases", "1", COUNT)
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0].startswith(f"{COUNT}: case 0 (b(b(")
+    assert lines[1] == "  normalize: " + "S(" * 3000 + "0" + ")" * 3000
+    assert lines[2].startswith("  iam: error: term of depth ")
+    assert lines[3] == f"{COUNT}: 0/1 agree (normalize, iam, twt, iptt)"
+    assert lines[4].startswith("total ")
+    assert "Traceback" not in out + err
 
 
 def test_difftest(capsys):

@@ -1,3 +1,6 @@
+import random
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -81,6 +84,56 @@ def test_deep_tree_parses_prints_and_encodes():
         assert term.fn == Var("f")
         term = term.arg
     assert term == Const("z")
+
+
+def test_deep_trees_compare_and_hash():
+    # == and hash walk the tree without recursion; the dataclass-generated
+    # methods raised RecursionError at this depth
+    n = 3_000
+    unary = RankedAlphabet.of({"S": 1, "0": 0, "1": 0})
+    t = parse_tree("S(" * n + "0" + ")" * n, unary)
+    u = parse_tree("S(" * n + "0" + ")" * n, unary)
+    v = parse_tree("S(" * n + "1" + ")" * n, unary)
+    w = parse_tree("S(" * (n - 1) + "0" + ")" * (n - 1), unary)
+    assert t is not u and t == u and not t != u
+    assert t != v and not t == v
+    assert t != w and w != t
+    assert hash(t) == hash(u) == hash((t.label, t.children))
+    assert hash(t) != hash(v)
+    assert len({t, u, v, w}) == 3
+
+
+@dataclass(frozen=True)
+class FrozenTree:
+    """The Tree class as a frozen dataclass, for reference."""
+    label: str
+    children: tuple = ()
+
+
+def test_tree_eq_and_hash_match_frozen_dataclass():
+    rng = random.Random(0)
+
+    def pair(size):
+        # the same random tree as a Tree and as a FrozenTree
+        if size == 1 or rng.random() < 0.2:
+            label = rng.choice("cd")
+            return Tree(label), FrozenTree(label)
+        k = rng.randint(1, 3)
+        kids = [pair(max(1, size // k)) for _ in range(k)]
+        label = rng.choice("ab")
+        return (Tree(label, tuple(a for a, _ in kids)),
+                FrozenTree(label, tuple(b for _, b in kids)))
+
+    trees = [pair(rng.randint(1, 30)) for _ in range(200)]
+    shared = Tree("a", (trees[0][0], trees[0][0]))
+    trees.append((shared, FrozenTree("a", (trees[0][1], trees[0][1]))))
+    for t, f in trees:
+        assert hash(t) == hash(f)
+        assert t.to_str() == parse_tree(t.to_str()).to_str()
+    for (t1, f1), (t2, f2) in zip(trees, trees[1:] + trees[:1]):
+        assert (t1 == t2) == (f1 == f2)
+        assert (t1 == parse_tree(t1.to_str())) is True
+    assert Tree("c") != FrozenTree("c") and Tree("c") != "c"
 
 
 # -- terms ------------------------------------------------------------------

@@ -1,0 +1,181 @@
+"""Pinned machine behaviour: exact step counts and outputs, byte-exact
+`trace` and `compile` output, and the value-class forms of configurations.
+A change to how a machine step is computed must not move any of these."""
+
+import hashlib
+import random
+
+import pytest
+
+from lamtrans import corpus_path
+from lamtrans.cli import main
+from lamtrans.compiler import compile_to_iptt, compile_to_twt
+from lamtrans.core import Tree, parse_tree
+from lamtrans.iam import Config, LogEntry, StackEntry, run_iam
+from lamtrans.treegen import FNode
+from lamtrans.walking import WalkConfig, run_walking
+
+from conftest import numeral, unary
+
+COUNT = corpus_path("count.lt")
+SEQNAT = corpus_path("seq-nat.lt")
+BIN2BIN = corpus_path("bin2bin.lt")
+
+
+def random_tree(rng, n):
+    """A seeded tree over {a:2, b:1, c:0} with exactly n nodes."""
+    if n == 1:
+        return "c"
+    if n == 2 or rng.random() < 1 / 3:
+        return f"b({random_tree(rng, n - 1)})"
+    k = rng.randint(1, n - 2)
+    return f"a({random_tree(rng, k)},{random_tree(rng, n - 1 - k)})"
+
+
+def full(depth):
+    """The complete binary a/c tree of the given depth."""
+    t = "c"
+    for _ in range(depth):
+        t = f"a({t},{t})"
+    return t
+
+
+def naturals(n):
+    """cons(S(0),cons(S(S(0)),...cons(S^n(0),nil)))"""
+    return "".join(f"cons({unary(i)}," for i in range(1, n + 1)) \
+        + "nil" + ")" * n
+
+
+CHAIN = "b(" * 150 + "c" + ")" * 150
+TREE200 = random_tree(random.Random(1), 200)
+
+# (spec, backend, input, steps, output)
+RUNS = [
+    ("bin2bin", "ss", numeral(5), 4468, full(5)),
+    ("bin2bin", "d1", numeral(5), 4468, full(5)),
+    ("bin2bin", "iptt", numeral(5), 4468, full(5)),
+    ("bin2bin", "ss", numeral(6), 8058, full(6)),
+    ("bin2bin", "d1", numeral(6), 8058, full(6)),
+    ("bin2bin", "iptt", numeral(6), 8058, full(6)),
+    ("bin2bin", "ss", numeral(7), 16088, full(7)),
+    ("bin2bin", "d1", numeral(7), 16088, full(7)),
+    ("bin2bin", "iptt", numeral(7), 16088, full(7)),
+    ("count", "pa", CHAIN, 2260, unary(151)),
+    ("count", "twt", CHAIN, 2260, unary(151)),
+    ("count", "iptt", CHAIN, 2260, unary(151)),
+    ("count", "pa", TREE200, 2779, unary(128)),
+    ("count", "twt", TREE200, 2779, unary(128)),
+    ("count", "iptt", TREE200, 2779, unary(128)),
+    ("seq-nat", "apa", unary(22), 3098, naturals(22)),
+    ("seq-nat", "twt", unary(22), 3098, naturals(22)),
+    ("seq-nat", "iptt", unary(22), 3098, naturals(22)),
+]
+
+
+@pytest.fixture(scope="module")
+def specs(count, seqnat, bin2bin):
+    return {"count": count, "seq-nat": seqnat, "bin2bin": bin2bin}
+
+
+@pytest.mark.parametrize(
+    "name,backend,text,steps,output", RUNS,
+    ids=[f"{r[0]}-{r[1]}-{i}" for i, r in enumerate(RUNS)])
+def test_steps_and_output_are_pinned(specs, name, backend, text, steps,
+                                     output):
+    spec = specs[name]
+    tau = parse_tree(text, spec.input)
+    if backend in ("twt", "iptt"):
+        compiled = (compile_to_twt if backend == "twt"
+                    else compile_to_iptt)(spec)
+        res = run_walking(compiled, tau)
+    else:
+        res = run_iam(spec.program_ann(tau), backend)
+    assert res.steps == steps
+    assert res.tree.to_str() == output
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    return out.out
+
+
+TRACES = [
+    ("iam", COUNT, "a(b(c),c)",
+     "9a5e173b4feb90dbdf06189e2d6e19cb5b14dcb8f3ba5ab019f645be40e13116"),
+    ("twt", COUNT, "a(b(c),c)",
+     "8b3ae3a213631bc7b217f2a5caa3b56a34fd3c3292bc0bb6b57cb71d11cd4992"),
+    ("iptt", COUNT, "a(b(c),c)",
+     "b738e31be808a02b889db650a508d7873aabbf71f4e2efee3a426a7e9026a0be"),
+    ("iptt", BIN2BIN, "0(1(e))",
+     "26dde3436c39f213bdcb08d4e6d15b502a1edf42c329470e1b30c9fdebfb554e"),
+    ("iam", BIN2BIN, "0(1(1(e)))",
+     "f1ad29cccc47fbe34a22b5c9c66a016eeb06e1423025fc9791cc2dec0da8317e"),
+    ("iptt", SEQNAT, "S(S(0))",
+     "60faa17857a3e6a8cf769b93b84347bf29c4130fce18ff0072026779b4c5b2bf"),
+]
+
+
+@pytest.mark.parametrize("machine,spec,tree,digest", TRACES,
+                         ids=[f"{t[0]}-{i}" for i, t in enumerate(TRACES)])
+def test_trace_output_is_pinned(capsys, machine, spec, tree, digest):
+    out = run_cli(capsys, "trace", "--machine", machine, spec, tree)
+    assert sha256(out) == digest
+
+
+@pytest.mark.parametrize("spec,digest", [
+    (BIN2BIN,
+     "a9d7e516b9019c394fc88f86e864c88535d57502984421e2c24c568f585daff4"),
+    (SEQNAT,
+     "d26e7d8fc19c5740c4a2545570808070b591b69ec03363c6cac5719dc4467938"),
+], ids=["bin2bin", "seqnat"])
+def test_compiled_iptt_text_is_pinned(capsys, spec, digest):
+    out = run_cli(capsys, "compile", "--target", "iptt", spec)
+    assert sha256(out) == digest
+
+
+# each value with its repr and its fields, as a frozen dataclass shows and
+# hashes them
+LOG = LogEntry((1, 0), ())
+STACK = StackEntry((0,), (StackEntry(("sentinel", 0), ()),))
+VALUES = [
+    (Config("down", (), ()),
+     "Config(direction='down', pos=(), tape=(), log=(), flag=0)"),
+    (Config("up", (0, 1), ("p", LOG), (LOG,), 2),
+     "Config(direction='up', pos=(0, 1), tape=('p', LogEntry(pos=(1, 0), "
+     "log=())), log=(LogEntry(pos=(1, 0), log=()),), flag=2)"),
+    (LOG, "LogEntry(pos=(1, 0), log=())"),
+    (STACK, "StackEntry(pos=(0,), entries=(StackEntry(pos=('sentinel', 0), "
+            "entries=()),))"),
+    (WalkConfig("q", "self", ()),
+     "WalkConfig(state='q', prov='self', node=(), pebbles=())"),
+    (WalkConfig("q", ("from-child", 2), (0,), (("z", (0,)),)),
+     "WalkConfig(state='q', prov=('from-child', 2), node=(0,), "
+     "pebbles=(('z', (0,)),))"),
+    (FNode("a"), "FNode(label='a', children=())"),
+    (FNode("S", (Config("up", (1,), ("o",)),)),
+     "FNode(label='S', children=(Config(direction='up', pos=(1,), "
+     "tape=('o',), log=(), flag=0),))"),
+    (Tree("c"), "Tree(label='c', children=())"),
+    (Tree("a", (Tree("b", (Tree("c"),)), Tree("c"))),
+     "Tree(label='a', children=(Tree(label='b', children=(Tree(label='c', "
+     "children=()),)), Tree(label='c', children=())))"),
+]
+
+
+@pytest.mark.parametrize("value,text", VALUES,
+                         ids=[type(v).__name__ for v, _ in VALUES])
+def test_value_classes_keep_their_frozen_dataclass_forms(value, text):
+    fields = tuple(getattr(value, f) for f in value.__dataclass_fields__)
+    assert repr(value) == text
+    assert hash(value) == hash(fields)
+    copy = type(value)(*fields)
+    assert copy == value and not copy != value and hash(copy) == hash(value)
+    assert value != fields and value != object()
+    if fields[-1] == ():
+        assert value != type(value)(*fields[:-1], ("x",))

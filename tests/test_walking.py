@@ -1,11 +1,14 @@
 import pytest
 
-from lamtrans.core import parse_tree
+from lamtrans.compiler import compile_to_iptt, compile_to_twt
+from lamtrans.core import RankedAlphabet, parse_tree
 from lamtrans.transducer import SpecError
-from lamtrans.treegen import FNode, Output, frontier_configs, frontier_get
-from lamtrans.walking import (NotReversible, WalkingMachine, check_reversible,
-                              image_to_str, parse_iptt, parse_twt,
-                              predecessor, quote_state, run_walking)
+from lamtrans.treegen import (FNode, Output, frontier_configs, frontier_get,
+                              run as treegen_run)
+from lamtrans.walking import (ANY, IpttSpec, NotReversible, WalkConfig,
+                              WalkingMachine, check_reversible, image_to_str, parse_iptt,
+                              parse_twt, plan_image, predecessor, quote_state,
+                              run_walking)
 from conftest import numeral, unary
 
 
@@ -136,3 +139,76 @@ delta-root e q self = (q, put p)
 """
     with pytest.raises(SpecError, match="pebble move"):
         parse_twt(text)
+
+
+def test_plans_pick_the_image_lookup_does(count, bin2bin, count_twt,
+                                          bin2unary):
+    specs = [compile_to_twt(count), compile_to_iptt(count),
+             compile_to_iptt(bin2bin), count_twt, bin2unary]
+    for spec in specs:
+        if spec.pebbles:
+            keys = {(a, q, p, r) for a, q, p, r, _ in spec.delta}
+            pebbles = [None, *spec.colors, "undeclared"]
+        else:
+            keys = {k + (r,) for r, table in ((False, spec.delta),
+                                              (True, spec.delta_root))
+                    for k in table}
+            pebbles = [None]
+        for a, q, p, is_root in keys:
+            plan = spec.plans[a, is_root][q, p]
+            for z in pebbles:
+                picked = plan.get(z, plan.get(ANY)) \
+                    if isinstance(plan, dict) else plan
+                img = spec.lookup(a, q, p, is_root, z)
+                assert picked == (None if img is None else plan_image(img))
+
+
+def one_state_iptt(image):
+    return IpttSpec(RankedAlphabet.of({"b": 1, "e": 0}),
+                    RankedAlphabet.of({"0": 0}), ["q"], "q", ["z"],
+                    {("b", "q", "self", True, ANY): image})
+
+
+@pytest.mark.parametrize("move,message", [
+    ("to-parent", "to-parent at the root"),
+    ("remove", "remove with no visible pebble"),
+    ("hop", "cannot resolve move hop here"),
+    (("to-child", 2), "cannot resolve move to-child 2 here"),
+])
+def test_walking_step_errors(move, message):
+    # the step that would make the move raises, also from inside an image
+    for image in [("q", move), FNode("0", (("q", "stay"), ("q", move)))]:
+        m = WalkingMachine(one_state_iptt(image), parse_tree("b(e)"))
+        with pytest.raises(SpecError) as e:
+            m.step(m.initial())
+        assert str(e.value) == message
+
+
+def test_step_locates_configurations_it_did_not_make(count):
+    # a copy the machine did not make steps as the original does, and a
+    # finished run leaves no configuration remembered
+    spec = compile_to_iptt(count)
+    tau = parse_tree("a(b(c),a(c,b(b(c))))", count.input)
+    m, other = WalkingMachine(spec, tau), WalkingMachine(spec, tau)
+    cfg, steps = m.initial(), 0
+    while True:
+        res = m.step(cfg)
+        copy = WalkConfig(cfg.state, cfg.prov, cfg.node, cfg.pebbles)
+        assert other.step(copy) == res
+        steps += 1
+        leaves = frontier_configs(res)
+        if not leaves:
+            break
+        cfg = frontier_get(res, leaves[0])
+    assert steps > 50 and not m.tracked
+    with pytest.raises(SpecError, match=r"no node \(0, 1\) in the input"):
+        m.step(WalkConfig(spec.initial, "from-parent", (0, 1)))
+
+
+def test_run_remembers_no_stepped_configuration(bin2bin):
+    # many heads at once: every configuration is stepped exactly once
+    tau = parse_tree("1(0(1(e)))", bin2bin.input)
+    m = WalkingMachine(compile_to_iptt(bin2bin), tau)
+    res = treegen_run(m, m.initial())
+    assert isinstance(res, Output) and res.tree == bin2bin.eval_normalize(tau)
+    assert not m.tracked
