@@ -22,7 +22,7 @@ from .core import (App, Box, Const, Lam, LamtransError, Let, Var,
                    term_to_str)
 from . import treegen
 from .treegen import FNode, Machine
-from .typecheck import (Arrow, Bang, O, classify_term, navigate, type_height)
+from .typecheck import Arrow, Bang, O, navigate, term_tier, type_height
 
 
 class ClassificationTooHigh(LamtransError):
@@ -93,40 +93,55 @@ class TermInfo:
         parent's other child; None at the root.
 
     Every position in the records is the very tuple that keys them, so a
-    lookup of a position the machine built compares keys by identity."""
+    lookup of a position the machine built compares keys by identity.
+
+    The same walk fills `depths[pos]`, the box depth of each position (the
+    number of enclosing boxes whose contents are not of base type), and
+    finds the term's restriction `tier` (typecheck.term_tier) and `height`,
+    the largest type height at any position."""
 
     def __init__(self, ann):
         self.ann = ann
         self.term = ann.term
         self.types = types = ann.types
-        self.depths = depths = ann.depths
         self.occ_binder = occ_binder = ann.occ_binder
         self.lam_occ = ann.lam_occ
         self.var_kind = var_kind = ann.var_kind
-        self.nodes = nodes = {}
+        self.depths = depths = {}
         self.down = down = {}
         self.up = up = {}
         occurrences = []
-        todo = [(ann.term, (), None)]
+        boxed = []      # (type, enclosing boxes) of the positions in a box
+        # the walk carries the box depth of a position (the enclosing boxes
+        # whose contents are not of base type) and its count of all
+        # enclosing boxes
+        todo = [(ann.term, (), None, 0, 0)]
         while todo:
-            t, pos, up[pos] = todo.pop()
-            nodes[pos] = t
+            t, pos, up[pos], depth, boxes = todo.pop()
+            depths[pos] = depth
+            if boxes:
+                boxed.append((types[pos], boxes))
             cls = t.__class__
             if cls is App or cls is Let:
                 kids = (pos + (0,), pos + (1,))
                 tag = APP if cls is App else LET
                 first, second = (t.fn, t.arg) if cls is App else \
                     (t.bound, t.body)
-                todo.append((second, kids[1], (tag, 1, pos, kids[0])))
-                todo.append((first, kids[0], (tag, 0, pos, kids[1])))
+                todo.append((second, kids[1], (tag, 1, pos, kids[0]), depth,
+                             boxes))
+                todo.append((first, kids[0], (tag, 0, pos, kids[1]), depth,
+                             boxes))
                 down[pos] = (tag, kids, None)
             elif cls is Lam or cls is Box:
                 kids = (pos + (0,),)
                 if cls is Lam:
                     tag = LAM
+                elif types[pos].inner == O:
+                    tag = BASE_BOX
                 else:
-                    tag = BASE_BOX if types[pos].inner == O else BOX
-                todo.append((t.body, kids[0], (tag, 0, pos, None)))
+                    tag, depth = BOX, depth + 1
+                todo.append((t.body, kids[0], (tag, 0, pos, None), depth,
+                             boxes + (cls is Box)))
                 down[pos] = (tag, kids, None)   # LAM's occurrence: below
             elif cls is Var:
                 occurrences.append(pos)
@@ -150,9 +165,9 @@ class TermInfo:
             else:
                 down[pos] = (LET_VAR, (), (bound, self.bound_is_base(binder),
                                            depths[pos], depths[binder]))
-        self.height = max(type_height(A) for A in
-                          {id(A): A for A in types.values()}.values())
-        self.tier = classify_term(ann)
+        distinct = {id(A): A for A in types.values()}.values()
+        self.height = max(map(type_height, distinct))
+        self.tier = term_tier(distinct, boxed, ann.theta_types)
 
     def rank(self, pos):
         A = self.types[pos]

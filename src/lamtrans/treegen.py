@@ -32,12 +32,16 @@ class FNode:
 
 def frontier_configs(f, pos=()):
     """Positions of configuration leaves, left to right."""
-    if isinstance(f, FNode):
-        out = []
-        for i, c in enumerate(f.children):
-            out.extend(frontier_configs(c, pos + (i,)))
-        return out
-    return [pos]
+    out = []
+    todo = [(f, pos)]
+    while todo:
+        f, pos = todo.pop()
+        if isinstance(f, FNode):
+            todo.extend([(f.children[i], pos + (i,))
+                         for i in range(len(f.children) - 1, -1, -1)])
+        else:
+            out.append(pos)
+    return out
 
 
 def frontier_get(f, pos):
@@ -47,27 +51,55 @@ def frontier_get(f, pos):
 
 
 def frontier_replace(f, pos, sub):
-    if not pos:
-        return sub
-    cs = list(f.children)
-    cs[pos[0]] = frontier_replace(cs[pos[0]], pos[1:], sub)
-    return FNode(f.label, tuple(cs))
+    path = []
+    for i in pos:
+        path.append(f)
+        f = f.children[i]
+    for f, i in zip(reversed(path), reversed(pos)):
+        cs = list(f.children)
+        cs[i] = sub
+        sub = FNode(f.label, tuple(cs))
+    return sub
 
 
 def frontier_to_tree(f):
     if not isinstance(f, FNode):
         raise LamtransError("frontier still contains configurations")
-    return Tree(f.label, tuple(frontier_to_tree(c) for c in f.children))
+    frames = [(f, [])]          # a node, and its children built so far
+    while True:
+        f, done = frames[-1]
+        if len(done) < len(f.children):
+            c = f.children[len(done)]
+            if not isinstance(c, FNode):
+                raise LamtransError("frontier still contains configurations")
+            frames.append((c, []))
+            continue
+        frames.pop()
+        built = Tree(f.label, tuple(done))
+        if not frames:
+            return built
+        frames[-1][1].append(built)
 
 
 def frontier_to_str(f, render):
-    if isinstance(f, FNode):
-        if not f.children:
-            return f.label
-        return (f.label + "("
-                + ",".join(frontier_to_str(c, render) for c in f.children)
-                + ")")
-    return "[" + render(f) + "]"
+    out = []
+    todo = [(False, f)]         # (True, text) or (False, frontier)
+    while todo:
+        is_text, f = todo.pop()
+        if is_text:
+            out.append(f)
+        elif not isinstance(f, FNode):
+            out.append("[" + render(f) + "]")
+        elif not f.children:
+            out.append(f.label)
+        else:
+            out.append(f.label + "(")
+            todo.append((True, ")"))
+            for i in range(len(f.children) - 1, -1, -1):
+                todo.append((False, f.children[i]))
+                if i:
+                    todo.append((True, ","))
+    return "".join(out)
 
 
 @dataclass

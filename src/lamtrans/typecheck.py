@@ -4,6 +4,7 @@ classification of types and terms into restriction tiers."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .core import (App, Box, Const, Lam, LamtransError, Let, SyntaxErr, Var,
                    _tokenize, children, term_to_str, too_deep)
@@ -94,13 +95,7 @@ def subst_base(A, B):
 
 
 def type_height(A):
-    if isinstance(A, Base):
-        return 0
-    if isinstance(A, Arrow):
-        return 1 + max(type_height(A.left), type_height(A.right))
-    if isinstance(A, Bang):
-        return type_height(A.inner)
-    raise LamtransError(f"not a type: {A!r}")
+    return _type_facts(A)[1]
 
 
 def navigate(A, tape):
@@ -117,7 +112,10 @@ def navigate(A, tape):
     return None
 
 
+@cache
 def const_type(rank):
+    """o -o ... -o o with `rank` arrows; one object per rank, so that its
+    facts (_type_facts) are found once."""
     A = O
     for _ in range(rank):
         A = Arrow(O, A)
@@ -134,18 +132,33 @@ TIER_NAMES = ["purely-affine", "almost-purely-affine", "almost-depth-1",
 def classify_type(A):
     """Tier of a type: 0 if it has no !, 1 if every ! sits on the base
     type, 2 if every ! sits on a tier-<=1 type, 3 otherwise."""
+    return _type_facts(A)[0]
+
+
+def _type_facts(A):
+    """(classify_type, type_height) of a type.  They are kept in the type
+    object once found: the types of a program share most of their parts,
+    and the token machine's set-up asks for them at every position."""
+    facts = getattr(A, "_facts", None)
+    if facts is not None:
+        return facts
     if isinstance(A, Base):
-        return 0
-    if isinstance(A, Arrow):
-        return max(classify_type(A.left), classify_type(A.right))
-    if isinstance(A, Bang):
-        inner = classify_type(A.inner)
+        facts = (0, 0)
+    elif isinstance(A, Arrow):
+        (ltier, lheight), (rtier, rheight) = (_type_facts(A.left),
+                                              _type_facts(A.right))
+        facts = (max(ltier, rtier), 1 + max(lheight, rheight))
+    elif isinstance(A, Bang):
+        tier, height = _type_facts(A.inner)
         if isinstance(A.inner, Base):
-            return 1
-        if inner <= 1:
-            return 2
-        return 3
-    raise LamtransError(f"not a type: {A!r}")
+            tier = 1
+        else:
+            tier = 2 if tier <= 1 else 3
+        facts = (tier, height)
+    else:
+        raise LamtransError(f"not a type: {A!r}")
+    object.__setattr__(A, "_facts", facts)
+    return facts
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +171,6 @@ class Annotated:
     term: object
     type: object
     types: dict = field(default_factory=dict)        # pos -> Type
-    depths: dict = field(default_factory=dict)       # pos -> box depth
     occ_binder: dict = field(default_factory=dict)   # var occ pos -> binder pos
     lam_occ: dict = field(default_factory=dict)      # Lam pos -> occ pos | None
     let_occs: dict = field(default_factory=dict)     # Let pos -> [occ pos]
@@ -172,6 +184,9 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
     letter : o -o ... -o o) or from an explicit consts map.  theta maps
     free unrestricted variable names to types."""
     ann = Annotated(term, None)
+    types, occ_binder, lam_occ = ann.types, ann.occ_binder, ann.lam_occ
+    let_occs, var_kind = ann.let_occs, ann.var_kind
+    theta_types = ann.theta_types
     ctypes = dict(consts or {})
     if alphabet is not None:
         for name, rank in alphabet.letters:
@@ -181,10 +196,7 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
     env0 = {}
     for name, A in (theta or {}).items():
         env0[name] = ("theta", A, None)
-        ann.theta_types.append(A)
-
-    def record(pos, A):
-        ann.types[pos] = A
+        theta_types.append(A)
 
     def lookup_const(name):
         if name not in ctypes:
@@ -192,164 +204,148 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
         return ctypes[name]
 
     def synth(t, pos, env):
-        """Returns (type, used) where used is the set of affine binder
-        positions consumed."""
         if isinstance(t, Const):
-            A = lookup_const(t.name)
-            record(pos, A)
-            return A, set()
+            A = types[pos] = lookup_const(t.name)
+            return A
         if isinstance(t, Var):
             if t.name not in env:
                 raise TypingError(f"unbound variable {t.name!r}")
             kind, A, bpos = env[t.name]
-            record(pos, A)
-            ann.var_kind[pos] = kind
+            # checked before anything is written: rollback takes every
+            # occurrence in occ_binder to have written its binder's entry
+            if kind == "lam" and lam_occ.get(bpos) is not None:
+                raise TypingError(f"affine variable {t.name!r} used twice")
+            types[pos] = A
+            var_kind[pos] = kind
             if bpos is not None:
-                ann.occ_binder[pos] = bpos
+                occ_binder[pos] = bpos
                 if kind == "lam":
-                    if ann.lam_occ.get(bpos) is not None:
-                        raise TypingError(
-                            f"affine variable {t.name!r} used twice")
-                    ann.lam_occ[bpos] = pos
+                    lam_occ[bpos] = pos
                 else:
-                    ann.let_occs[bpos].append(pos)
-            if kind == "lam":
-                return A, {bpos}
-            return A, set()
+                    let_occs[bpos].append(pos)
+            return A
         if isinstance(t, App):
-            fA, fu = synth(t.fn, pos + (0,), env)
+            fA = synth(t.fn, pos + (0,), env)
             if not isinstance(fA, Arrow):
                 raise TypingError(
                     f"applied term has non-arrow type {type_to_str(fA)}: "
                     f"{term_to_str(t.fn)}")
-            au = check(t.arg, fA.left, pos + (1,), env)
-            if fu & au:
-                raise TypingError("affine variable used in both sides of an "
-                                  f"application: {term_to_str(t)}")
-            record(pos, fA.right)
-            return fA.right, fu | au
+            check(t.arg, fA.left, pos + (1,), env)
+            types[pos] = fA.right
+            return fA.right
         if isinstance(t, Lam):
             if t.hint is None:
                 raise TypingError(
                     f"cannot synthesize the type of {term_to_str(t)}")
-            bpos = pos
-            saved = _bind(ann, env, t.var, ("lam", t.hint, bpos))
-            ann.lam_occ.setdefault(bpos, None)
-            B, u = synth(t.body, pos + (0,), env)
+            saved = _bind(env, t.var, ("lam", t.hint, pos))
+            lam_occ.setdefault(pos, None)
+            B = synth(t.body, pos + (0,), env)
             _unbind(env, t.var, saved)
-            u.discard(bpos)
-            A = Arrow(t.hint, B)
-            record(pos, A)
-            return A, u
+            A = types[pos] = Arrow(t.hint, B)
+            return A
         if isinstance(t, Box):
-            inner_env = {k: v for k, v in env.items() if v[0] != "lam"}
-            A, u = synth(t.body, pos + (0,), inner_env)
-            record(pos, Bang(A))
-            return Bang(A), u
+            A = types[pos] = Bang(synth(t.body, pos + (0,), _boxed(env)))
+            return A
         if isinstance(t, Let):
-            bA, bu = _synth_or_check_bang(t, pos, env)
-            bpos = pos
-            ann.let_occs.setdefault(bpos, [])
-            ann.theta_types.append(bA.inner)
-            saved = _bind(ann, env, t.var, ("let", bA.inner, bpos))
-            B, tu = synth(t.body, pos + (1,), env)
+            saved = bind_let(t, pos, env)
+            B = types[pos] = synth(t.body, pos + (1,), env)
             _unbind(env, t.var, saved)
-            if bu & tu:
-                raise TypingError("affine variable used in both parts of a "
-                                  f"let: {term_to_str(t)}")
-            record(pos, B)
-            return B, bu | tu
+            return B
         raise TypingError(f"not a term: {t!r}")
 
-    def _synth_or_check_bang(t, pos, env):
-        A, u = synth(t.bound, pos + (0,), env)
+    def bind_let(t, pos, env):
+        """Type the bound term of a let and bind its variable; returns the
+        binding this one shadows."""
+        A = synth(t.bound, pos + (0,), env)
         if not isinstance(A, Bang):
             raise TypingError(
                 f"let-bound term has non-! type {type_to_str(A)}: "
                 f"{term_to_str(t.bound)}")
-        return A, u
+        let_occs.setdefault(pos, [])
+        theta_types.append(A.inner)
+        return _bind(env, t.var, ("let", A.inner, pos))
 
     def check(t, A, pos, env):
         if isinstance(t, Lam):
             if not isinstance(A, Arrow):
                 raise TypingError(
                     f"lambda cannot have type {type_to_str(A)}")
-            bpos = pos
-            saved = _bind(ann, env, t.var, ("lam", A.left, bpos))
-            ann.lam_occ.setdefault(bpos, None)
-            u = check(t.body, A.right, pos + (0,), env)
+            saved = _bind(env, t.var, ("lam", A.left, pos))
+            lam_occ.setdefault(pos, None)
+            check(t.body, A.right, pos + (0,), env)
             _unbind(env, t.var, saved)
-            u.discard(bpos)
-            record(pos, A)
-            return u
+            types[pos] = A
+            return
         if isinstance(t, Box):
             if not isinstance(A, Bang):
                 raise TypingError(f"box cannot have type {type_to_str(A)}")
-            inner_env = {k: v for k, v in env.items() if v[0] != "lam"}
-            u = check(t.body, A.inner, pos + (0,), inner_env)
-            record(pos, A)
-            return u
+            check(t.body, A.inner, pos + (0,), _boxed(env))
+            types[pos] = A
+            return
         if isinstance(t, Let):
-            bA, bu = _synth_or_check_bang(t, pos, env)
-            bpos = pos
-            ann.let_occs.setdefault(bpos, [])
-            ann.theta_types.append(bA.inner)
-            saved = _bind(ann, env, t.var, ("let", bA.inner, bpos))
-            tu = check(t.body, A, pos + (1,), env)
+            saved = bind_let(t, pos, env)
+            check(t.body, A, pos + (1,), env)
             _unbind(env, t.var, saved)
-            if bu & tu:
-                raise TypingError("affine variable used in both parts of a "
-                                  f"let: {term_to_str(t)}")
-            record(pos, A)
-            return bu | tu
+            types[pos] = A
+            return
         if isinstance(t, App):
             # prefer synthesizing the function; fall back to synthesizing
             # the argument when the function is an unannotated redex
-            snap = (dict(ann.types), dict(ann.occ_binder), dict(ann.lam_occ),
-                    {k: list(v) for k, v in ann.let_occs.items()},
-                    dict(ann.var_kind), list(ann.theta_types))
+            mark = (len(types), len(occ_binder), len(lam_occ), len(let_occs),
+                    len(var_kind), len(theta_types))
             try:
-                B, u = synth(t, pos, env)
+                B = synth(t, pos, env)
             except TypingError:
-                (ann.types, ann.occ_binder, ann.lam_occ, ann.let_occs,
-                 ann.var_kind, ann.theta_types) = snap
-                aA, au = synth(t.arg, pos + (1,), env)
-                fu = check(t.fn, Arrow(aA, A), pos + (0,), env)
-                if fu & au:
-                    raise TypingError(
-                        "affine variable used in both sides of an "
-                        f"application: {term_to_str(t)}")
-                record(pos, A)
-                return fu | au
-            if B != A:
-                raise TypingError(
-                    f"expected {type_to_str(A)}, got {type_to_str(B)}: "
-                    f"{term_to_str(t)}")
-            return u
-        B, u = synth(t, pos, env)
+                rollback(mark)
+                aA = synth(t.arg, pos + (1,), env)
+                check(t.fn, Arrow(aA, A), pos + (0,), env)
+                types[pos] = A
+                return
+        else:
+            B = synth(t, pos, env)
         if B != A:
             raise TypingError(
                 f"expected {type_to_str(A)}, got {type_to_str(B)}: "
                 f"{term_to_str(t)}")
-        return u
+
+    def rollback(mark):
+        """Undo what a failed trial wrote since `mark`, the sizes of the
+        tables before it.  The entries it added are the last ones of their
+        tables.  An older entry it changed is the binder of an occurrence it
+        added (a lam_occ entry set, or a let_occs list appended to), so the
+        trial's part of occ_binder is its undo log."""
+        n_types, n_occs, n_lams, n_lets, n_kinds, n_thetas = mark
+        while len(occ_binder) > n_occs:
+            occ, bpos = occ_binder.popitem()
+            if var_kind[occ] == "lam":
+                lam_occ[bpos] = None
+            else:
+                let_occs[bpos].pop()
+        for table, n in ((types, n_types), (lam_occ, n_lams),
+                         (let_occs, n_lets), (var_kind, n_kinds)):
+            while len(table) > n:
+                table.popitem()
+        del theta_types[n_thetas:]
 
     # synth and check recurse on the term; past Python's recursion limit
     # the term is reported as too deep (core.TooDeep)
     try:
         if ty is None:
-            A, _ = synth(term, (), env0)
-            ann.type = A
+            ann.type = synth(term, (), env0)
         else:
             check(term, ty, (), env0)
             ann.type = ty
     except RecursionError:
         raise too_deep(term, "typecheck") from None
-
-    _fill_depths(ann)
     return ann
 
 
-def _bind(ann, env, name, entry):
+def _boxed(env):
+    """The environment inside a box: affine variables are not in scope."""
+    return {k: v for k, v in env.items() if v[0] != "lam"}
+
+
+def _bind(env, name, entry):
     saved = env.get(name)
     env[name] = entry
     return saved
@@ -360,20 +356,6 @@ def _unbind(env, name, saved):
         env.pop(name, None)
     else:
         env[name] = saved
-
-
-def _fill_depths(ann):
-    """Depth of a position = number of enclosing boxes whose contents are
-    not of base type."""
-    depths, types = ann.depths, ann.types
-    todo = [(ann.term, (), 0)]
-    while todo:
-        t, pos, depth = todo.pop()
-        depths[pos] = depth
-        if isinstance(t, Box) and types.get(pos + (0,)) != O:
-            depth += 1
-        for i, c in enumerate(children(t)):
-            todo.append((c, pos + (i,), depth))
 
 
 def fill_hints(ann):
@@ -395,30 +377,36 @@ def fill_hints(ann):
 # Term classification
 
 def classify_term(ann):
-    """Restriction tier of a typed term.  Structural part: at each
-    box-nesting level, the types appearing there must sit one tier lower
-    per surrounding box.  Global part: the unrestricted variables must all
-    be base-typed (tier <= 1) or all of tier <= 1 types (tier <= 2)."""
-    types = ann.types
-    tiers = {id(A): A for A in types.values()}
-    for key, A in tiers.items():
-        tiers[key] = classify_type(A)
-    tier = max(tiers.values(), default=0)
-    # a position inside b boxes counts the tier of its type raised by b,
-    # at most 3
+    """Restriction tier of a typed term (see term_tier)."""
+    types, boxed = ann.types, []
     todo = [(ann.term, (), 0)]
     while todo:
         t, pos, boxes = todo.pop()
         if boxes:
-            tier = max(tier, min(3, tiers[id(types[pos])] + boxes))
+            boxed.append((types[pos], boxes))
         if isinstance(t, Box):
             boxes += 1
         for i, c in enumerate(children(t)):
             todo.append((c, pos + (i,), boxes))
-    if ann.theta_types:
-        if all(A == O for A in ann.theta_types):
+    return term_tier(types.values(), boxed, ann.theta_types)
+
+
+def term_tier(types, boxed, theta_types):
+    """Restriction tier of a typed term, given the types at its positions,
+    the (type, number of enclosing boxes) of each position inside a box,
+    and the types of its unrestricted variables.  Structural part: at each
+    box-nesting level, the types appearing there must sit one tier lower
+    per surrounding box.  Global part: the unrestricted variables must all
+    be base-typed (tier <= 1) or all of tier <= 1 types (tier <= 2)."""
+    tier = max(map(classify_type, types), default=0)
+    # a position inside b boxes counts the tier of its type raised by b,
+    # at most 3
+    for A, boxes in boxed:
+        tier = max(tier, min(3, classify_type(A) + boxes))
+    if theta_types:
+        if all(A == O for A in theta_types):
             tier = max(tier, 1)
-        elif all(classify_type(A) <= 1 for A in ann.theta_types):
+        elif all(classify_type(A) <= 1 for A in theta_types):
             tier = max(tier, 2)
         else:
             tier = 3

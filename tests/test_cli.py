@@ -201,6 +201,28 @@ def test_difftest_reports_failing_backends(capsys):
     assert "Traceback" not in out + err
 
 
+def test_trace_of_an_output_deeper_than_the_recursion_limit(capsys):
+    # the recursion limit is lowered so that the trace stays small
+    n = 160
+    chain = "b(" * n + "c" + ")" * n
+    script = ("import sys; sys.setrecursionlimit(150); "
+              "from lamtrans.cli import main; sys.exit(main(sys.argv[1:]))")
+    src = os.path.dirname(os.path.dirname(lamtrans.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, "trace",
+                           "--machine", "twt", COUNT, chain],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    code, out, _ = run_cli(capsys, "run", "--machine", "twt", COUNT, chain)
+    assert code == 0
+    assert last["fired"] is None
+    assert last["frontier"] == out.strip() == \
+        "S(" * (n + 1) + "0" + ")" * (n + 1)
+
+
 def test_python_dash_m_runs_the_cli():
     src = os.path.dirname(os.path.dirname(lamtrans.__file__))
     env = dict(os.environ, PYTHONPATH=src)

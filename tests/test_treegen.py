@@ -32,6 +32,23 @@ def test_frontier_helpers():
     assert frontier_to_str(g, str) == "a(c,b([7]))"
 
 
+def test_frontier_helpers_on_a_deep_frontier():
+    n = 3000
+    f = 7
+    for i in range(n):
+        f = FNode("a", (FNode("c"), f)) if i % 2 else FNode("b", (f,))
+    pos = frontier_configs(f)[0]
+    assert len(frontier_configs(f)) == 1
+    assert pos == (1, 0) * (n // 2)
+    assert frontier_get(f, pos) == 7
+    text = frontier_to_str(f, str)
+    assert text == "a(c,b(" * (n // 2) + "[7]" + "))" * (n // 2)
+    g = frontier_replace(f, pos, FNode("c"))
+    assert frontier_configs(g) == []
+    assert frontier_to_str(g, str) == text.replace("[7]", "c")
+    assert frontier_to_tree(g).to_str() == text.replace("[7]", "c")
+
+
 def test_run_produces_output():
     res = run(Countdown(), 3)
     assert isinstance(res, Output)

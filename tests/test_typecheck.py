@@ -1,6 +1,8 @@
+import tracemalloc
+
 import pytest
 
-from lamtrans.core import RankedAlphabet, parse_term
+from lamtrans.core import RankedAlphabet, parse_term, parse_tree
 from lamtrans.typecheck import (Arrow, Bang, O, TIER_NAMES, TypingError,
                                 classify_term, classify_type, const_type,
                                 fill_hints, navigate, parse_type, subst_base,
@@ -84,6 +86,30 @@ def test_affine_variables_used_at_most_once():
     with pytest.raises(TypingError):
         typecheck(parse_term(r"\x. a x x", OUT),
                   ty=parse_type("o -o o"), alphabet=OUT)
+
+
+def test_second_use_of_an_affine_variable_is_named():
+    with pytest.raises(TypingError) as e:
+        typecheck(parse_term(r"\x. a x x", OUT),
+                  ty=parse_type("o -o o"), alphabet=OUT)
+    assert str(e.value) == "affine variable 'x' used twice"
+
+
+def test_program_check_memory_is_linear(count):
+    # count on the balanced 4,095-node tree: a checker that copies its
+    # tables before each trial holds about twice what it returns at peak
+    tree = "c"
+    for _ in range(11):
+        tree = f"a({tree},{tree})"
+    term = count.program_term(parse_tree(tree, count.input))
+    tracemalloc.start()
+    try:
+        ann = typecheck(term, ty=O, alphabet=count.output)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ann.type == O
+    assert peak <= 1.3 * held
 
 
 def test_let_bound_variables_may_repeat():
