@@ -40,10 +40,6 @@ class UnreachableShape(LamtransError):
 # ---------------------------------------------------------------------------
 # Compiled-state naming
 
-def tape_str(tape):
-    return mult_tape(tape)
-
-
 # Every state renders given the out-term and whether to show the box-depth
 # flag; only the token states use them.
 
@@ -248,7 +244,7 @@ class WalkingCompiler:
     def _local_state(self, machine, cfg, a, is_root):
         """Classify a stepped configuration's position, ignoring the
         stack; returns (state, move) or None."""
-        tape = tape_str(cfg.tape)
+        tape = mult_tape(cfg.tape)
         if len(tape) > self.H:
             return None  # tape overflow: leave the key undefined
         b = self.blocks
@@ -414,7 +410,7 @@ class SimMapper:
         """The walking configuration (state name, provenance, node) that a
         token configuration stands for."""
         c, b = self.c, self.c.blocks
-        tape = tape_str(cfg.tape)
+        tape = mult_tape(cfg.tape)
         if cfg.pos == ():
             if cfg.direction == "down" and not tape:
                 return WalkConfig("I", "self", ())

@@ -348,22 +348,6 @@ def term_depth(t):
     return depth
 
 
-# One-hole contexts: represented as (whole term, hole position).  split_at
-# and plug make the pair behave like the syntactic object.
-
-@dataclass(frozen=True)
-class OneHoleContext:
-    term: object
-    hole: tuple
-
-    def plug(self, sub):
-        return replace_at(self.term, self.hole, sub)
-
-
-def split_at(t, pos):
-    return OneHoleContext(t, tuple(pos)), subterm_at(t, pos)
-
-
 def free_vars(t, bound=None):
     bound = bound or frozenset()
     if isinstance(t, Var):

@@ -408,16 +408,10 @@ def run_iam(ann, variant="auto", fuel=10_000_000, check=False):
     machine = IamMachine(info, variant)
     if not check:
         return treegen.run(machine, machine.initial(), fuel)
-    return _run_checked(machine, fuel)
-
-
-def _run_checked(machine, fuel):
-    class Checked(Machine):
-        def step(self, cfg):
-            machine.check_invariants(cfg)
-            return machine.step(cfg)
-
-        def render(self, cfg):
-            return machine.render(cfg)
-
-    return treegen.run(Checked(), machine.initial(), fuel)
+    paused = treegen.drive(machine, machine.initial(), fuel, "leftmost", True)
+    try:
+        while True:
+            _, kids, i, _ = next(paused)
+            machine.check_invariants(kids[i])
+    except StopIteration as stop:
+        return stop.value

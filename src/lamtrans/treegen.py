@@ -8,18 +8,21 @@ stepping it; it produces an output once no configuration leaves remain.
 The step functions used here are orthogonal, so the result does not depend
 on which leaf is picked; the leftmost policy is the canonical one.
 
-`run` keeps the frontier as mutable nodes with a stack of pending
-configuration slots, leaf to fire next on top, so the work it does around
-each machine step does not depend on the size of the frontier.  `trace`
-renders the whole frontier at every step, through the immutable `FNode`
-helpers."""
+`drive` is the one run loop.  It keeps the frontier as mutable nodes with
+a stack of pending configuration slots, leaf to fire next on top, so the
+work it does around each machine step does not depend on the size of the
+frontier.  `run` drives a machine to its result.  `trace` and the
+invariant-checked token machine run (`iam.run_iam(check=True)`) are the
+same run, paused before each step: `trace` renders the whole frontier
+there with `frontier_to_str`, and the checked run checks the
+configuration about to be stepped."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 
-from .core import LamtransError, Tree
+from .core import Tree
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -28,57 +31,6 @@ class FNode:
     machine configurations."""
     label: str
     children: tuple = ()
-
-
-def frontier_configs(f, pos=()):
-    """Positions of configuration leaves, left to right."""
-    out = []
-    todo = [(f, pos)]
-    while todo:
-        f, pos = todo.pop()
-        if isinstance(f, FNode):
-            todo.extend([(f.children[i], pos + (i,))
-                         for i in range(len(f.children) - 1, -1, -1)])
-        else:
-            out.append(pos)
-    return out
-
-
-def frontier_get(f, pos):
-    for i in pos:
-        f = f.children[i]
-    return f
-
-
-def frontier_replace(f, pos, sub):
-    path = []
-    for i in pos:
-        path.append(f)
-        f = f.children[i]
-    for f, i in zip(reversed(path), reversed(pos)):
-        cs = list(f.children)
-        cs[i] = sub
-        sub = FNode(f.label, tuple(cs))
-    return sub
-
-
-def frontier_to_tree(f):
-    if not isinstance(f, FNode):
-        raise LamtransError("frontier still contains configurations")
-    frames = [(f, [])]          # a node, and its children built so far
-    while True:
-        f, done = frames[-1]
-        if len(done) < len(f.children):
-            c = f.children[len(done)]
-            if not isinstance(c, FNode):
-                raise LamtransError("frontier still contains configurations")
-            frames.append((c, []))
-            continue
-        frames.pop()
-        built = Tree(f.label, tuple(done))
-        if not frames:
-            return built
-        frames[-1][1].append(built)
 
 
 def frontier_to_str(f, render):
@@ -188,10 +140,13 @@ def _freeze(top, make, slot=(None, None)):
         frames[-1][1].append(built)
 
 
-def run(machine, initial, fuel=10_000_000, order="leftmost"):
-    """Run from the frontier `initial` for at most `fuel` successful steps,
-    always firing the leftmost (or, with any other `order`, the rightmost)
-    configuration leaf."""
+def drive(machine, initial, fuel, order, watch):
+    """The run loop, as a generator that returns the run's Output, Stuck
+    or Diverged.  Fires the leftmost (or, with any other `order`, the
+    rightmost) configuration leaf, for at most `fuel` successful steps.
+    With `watch`, it pauses before each step with (top, kids, i, n): the
+    configuration about to be stepped is in slot kids[i], the frontier in
+    top[0], and n steps have been taken.  Without it, it never pauses."""
     step = machine.step
     rightmost = order != "leftmost"
     top = [None]                    # the slot holding the whole frontier
@@ -202,6 +157,9 @@ def run(machine, initial, fuel=10_000_000, order="leftmost"):
         kids, i = pending.pop()
         cfg = kids[i]
         while n < fuel:
+            if watch:
+                kids[i] = cfg
+                yield top, kids, i, n
             res = step(cfg)
             if res is None:
                 kids[i] = cfg
@@ -217,29 +175,39 @@ def run(machine, initial, fuel=10_000_000, order="leftmost"):
     return Output(_freeze(top, Tree)[0], n)
 
 
+def run(machine, initial, fuel=10_000_000, order="leftmost"):
+    """Run from the frontier `initial` for at most `fuel` successful steps,
+    always firing the leftmost (or, with any other `order`, the rightmost)
+    configuration leaf."""
+    try:
+        next(drive(machine, initial, fuel, order, False))
+    except StopIteration as stop:
+        return stop.value
+
+
 def trace(machine, initial, fuel=10_000_000, order="leftmost"):
     """Yield one JSON-serializable record per frontier, including the
     initial one.  'fired' is the leaf position about to be rewritten (null
     on the final record)."""
-    frontier = initial
-    for n in range(fuel + 1):
-        leaves = frontier_configs(frontier)
-        if not leaves or n == fuel:
-            yield {"step": n,
-                   "frontier": frontier_to_str(frontier, machine.render),
-                   "fired": None}
-            return
-        pos = leaves[0] if order == "leftmost" else leaves[-1]
-        yield {"step": n,
-               "frontier": frontier_to_str(frontier, machine.render),
+    render = machine.render
+    paused = drive(machine, initial, fuel, order, True)
+    while True:
+        try:
+            top, kids, i, n = next(paused)
+        except StopIteration as stop:
+            res = stop.value
+            break
+        frontier, pos = _freeze(top, FNode, (kids, i))
+        yield {"step": n, "frontier": frontier_to_str(frontier, render),
                "fired": list(pos)}
-        res = machine.step(frontier_get(frontier, pos))
-        if res is None:
-            yield {"step": n + 1,
-                   "frontier": frontier_to_str(frontier, machine.render),
-                   "fired": None}
-            return
-        frontier = frontier_replace(frontier, pos, res)
+    if isinstance(res, Output):
+        yield {"step": res.steps, "frontier": res.tree.to_str(),
+               "fired": None}
+    else:
+        # a stuck run's last frontier is the one whose step failed
+        yield {"step": res.steps + isinstance(res, Stuck),
+               "frontier": frontier_to_str(res.frontier, render),
+               "fired": None}
 
 
 def trace_lines(machine, initial, fuel=10_000_000, order="leftmost"):

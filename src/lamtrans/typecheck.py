@@ -239,8 +239,10 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
                     f"cannot synthesize the type of {term_to_str(t)}")
             saved = _bind(env, t.var, ("lam", t.hint, pos))
             lam_occ.setdefault(pos, None)
-            B = synth(t.body, pos + (0,), env)
-            _unbind(env, t.var, saved)
+            try:
+                B = synth(t.body, pos + (0,), env)
+            finally:
+                _unbind(env, t.var, saved)
             A = types[pos] = Arrow(t.hint, B)
             return A
         if isinstance(t, Box):
@@ -248,8 +250,10 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
             return A
         if isinstance(t, Let):
             saved = bind_let(t, pos, env)
-            B = types[pos] = synth(t.body, pos + (1,), env)
-            _unbind(env, t.var, saved)
+            try:
+                B = types[pos] = synth(t.body, pos + (1,), env)
+            finally:
+                _unbind(env, t.var, saved)
             return B
         raise TypingError(f"not a term: {t!r}")
 
@@ -272,8 +276,10 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
                     f"lambda cannot have type {type_to_str(A)}")
             saved = _bind(env, t.var, ("lam", A.left, pos))
             lam_occ.setdefault(pos, None)
-            check(t.body, A.right, pos + (0,), env)
-            _unbind(env, t.var, saved)
+            try:
+                check(t.body, A.right, pos + (0,), env)
+            finally:
+                _unbind(env, t.var, saved)
             types[pos] = A
             return
         if isinstance(t, Box):
@@ -284,8 +290,10 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
             return
         if isinstance(t, Let):
             saved = bind_let(t, pos, env)
-            check(t.body, A, pos + (1,), env)
-            _unbind(env, t.var, saved)
+            try:
+                check(t.body, A, pos + (1,), env)
+            finally:
+                _unbind(env, t.var, saved)
             types[pos] = A
             return
         if isinstance(t, App):

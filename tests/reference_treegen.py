@@ -1,0 +1,87 @@
+"""Test-only references for `lamtrans.treegen`: the immutable frontier
+helpers and the rescan-and-rebuild `trace` loop that `run`'s driver
+replaced.  Each step of `reference_trace` finds the leaf to fire with
+`frontier_configs` and rebuilds the path to it with `frontier_replace`.
+The code is kept as it was in `lamtrans.treegen`; only its imports
+changed."""
+
+from __future__ import annotations
+
+from lamtrans.core import LamtransError, Tree
+from lamtrans.treegen import FNode, frontier_to_str
+
+
+def frontier_configs(f, pos=()):
+    """Positions of configuration leaves, left to right."""
+    out = []
+    todo = [(f, pos)]
+    while todo:
+        f, pos = todo.pop()
+        if isinstance(f, FNode):
+            todo.extend([(f.children[i], pos + (i,))
+                         for i in range(len(f.children) - 1, -1, -1)])
+        else:
+            out.append(pos)
+    return out
+
+
+def frontier_get(f, pos):
+    for i in pos:
+        f = f.children[i]
+    return f
+
+
+def frontier_replace(f, pos, sub):
+    path = []
+    for i in pos:
+        path.append(f)
+        f = f.children[i]
+    for f, i in zip(reversed(path), reversed(pos)):
+        cs = list(f.children)
+        cs[i] = sub
+        sub = FNode(f.label, tuple(cs))
+    return sub
+
+
+def frontier_to_tree(f):
+    if not isinstance(f, FNode):
+        raise LamtransError("frontier still contains configurations")
+    frames = [(f, [])]          # a node, and its children built so far
+    while True:
+        f, done = frames[-1]
+        if len(done) < len(f.children):
+            c = f.children[len(done)]
+            if not isinstance(c, FNode):
+                raise LamtransError("frontier still contains configurations")
+            frames.append((c, []))
+            continue
+        frames.pop()
+        built = Tree(f.label, tuple(done))
+        if not frames:
+            return built
+        frames[-1][1].append(built)
+
+
+def reference_trace(machine, initial, fuel=10_000_000, order="leftmost"):
+    """Yield one JSON-serializable record per frontier, including the
+    initial one.  'fired' is the leaf position about to be rewritten (null
+    on the final record)."""
+    frontier = initial
+    for n in range(fuel + 1):
+        leaves = frontier_configs(frontier)
+        if not leaves or n == fuel:
+            yield {"step": n,
+                   "frontier": frontier_to_str(frontier, machine.render),
+                   "fired": None}
+            return
+        pos = leaves[0] if order == "leftmost" else leaves[-1]
+        yield {"step": n,
+               "frontier": frontier_to_str(frontier, machine.render),
+               "fired": list(pos)}
+        res = machine.step(frontier_get(frontier, pos))
+        if res is None:
+            yield {"step": n + 1,
+                   "frontier": frontier_to_str(frontier, machine.render),
+                   "fired": None}
+            return
+        frontier = frontier_replace(frontier, pos, res)

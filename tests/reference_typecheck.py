@@ -105,8 +105,10 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
             bpos = pos
             saved = _bind(ann, env, t.var, ("lam", t.hint, bpos))
             ann.lam_occ.setdefault(bpos, None)
-            B, u = synth(t.body, pos + (0,), env)
-            _unbind(env, t.var, saved)
+            try:
+                B, u = synth(t.body, pos + (0,), env)
+            finally:
+                _unbind(env, t.var, saved)
             u.discard(bpos)
             A = Arrow(t.hint, B)
             record(pos, A)
@@ -122,8 +124,10 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
             ann.let_occs.setdefault(bpos, [])
             ann.theta_types.append(bA.inner)
             saved = _bind(ann, env, t.var, ("let", bA.inner, bpos))
-            B, tu = synth(t.body, pos + (1,), env)
-            _unbind(env, t.var, saved)
+            try:
+                B, tu = synth(t.body, pos + (1,), env)
+            finally:
+                _unbind(env, t.var, saved)
             if bu & tu:
                 raise TypingError("affine variable used in both parts of a "
                                   f"let: {term_to_str(t)}")
@@ -147,8 +151,10 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
             bpos = pos
             saved = _bind(ann, env, t.var, ("lam", A.left, bpos))
             ann.lam_occ.setdefault(bpos, None)
-            u = check(t.body, A.right, pos + (0,), env)
-            _unbind(env, t.var, saved)
+            try:
+                u = check(t.body, A.right, pos + (0,), env)
+            finally:
+                _unbind(env, t.var, saved)
             u.discard(bpos)
             record(pos, A)
             return u
@@ -165,8 +171,10 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
             ann.let_occs.setdefault(bpos, [])
             ann.theta_types.append(bA.inner)
             saved = _bind(ann, env, t.var, ("let", bA.inner, bpos))
-            tu = check(t.body, A, pos + (1,), env)
-            _unbind(env, t.var, saved)
+            try:
+                tu = check(t.body, A, pos + (1,), env)
+            finally:
+                _unbind(env, t.var, saved)
             if bu & tu:
                 raise TypingError("affine variable used in both parts of a "
                                   f"let: {term_to_str(t)}")

@@ -22,7 +22,7 @@ from conftest import numeral, unary
 from test_compiler import GOLDEN_TWT_PREFIX, frontiers
 from test_iam import GOLDEN_PREFIX
 from test_walking import forward_configs
-from lamtrans.treegen import frontier_configs, frontier_get
+from reference_treegen import frontier_configs, frontier_get
 from lamtrans.walking import WalkingMachine
 from lamtrans.iam import Config, mult_tape
 

@@ -4,13 +4,13 @@ import pytest
 
 from lamtrans.core import parse_tree
 from lamtrans.iam import IamMachine, TermInfo, pick_variant, run_iam
-from lamtrans.treegen import (FNode, Output, frontier_configs, frontier_get,
-                              frontier_replace)
+from lamtrans.treegen import FNode, Output
 from lamtrans.compiler import (SimMapper, WalkingCompiler, compile_to_iptt,
                                compile_to_twt)
 from lamtrans.walking import (ANY, WalkingMachine, check_reversible,
                               parse_iptt, parse_twt, run_walking)
 from conftest import numeral, unary
+from reference_treegen import frontier_configs, frontier_get, frontier_replace
 
 # Hand-derived first eight configurations of the compiled walking machine
 # for count on a(b(c),c); state names render the underlying local token

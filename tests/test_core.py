@@ -9,8 +9,7 @@ from lamtrans.core import (App, Box, Const, Lam, Let, NotAnEncoding,
                            canonical_rename, decode_tree, encode_tree,
                            free_vars, instantiate, instantiate_with_blocks,
                            parse_term, parse_tree, positions, replace_at,
-                           split_at, substitute, subterm_at, term_size,
-                           term_to_str)
+                           substitute, subterm_at, term_size, term_to_str)
 
 SIGMA = RankedAlphabet.of({"a": 2, "b": 1, "c": 0})
 
@@ -180,9 +179,6 @@ def test_positions_subterm_replace():
     assert term_size(t) == 4
     assert replace_at(t, (1,), Const("d")) == App(Lam("x", Var("x")),
                                                   Const("d"))
-    ctx, sub = split_at(t, (1,))
-    assert sub == Const("c")
-    assert ctx.plug(Const("d")) == replace_at(t, (1,), Const("d"))
     assert set(positions(t)) == {(), (0,), (0, 0), (1,)}
 
 

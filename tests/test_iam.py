@@ -119,3 +119,32 @@ def test_render_mentions_tape(count):
     m = IamMachine(TermInfo(ann), "pa")
     s = m.render(m.initial())
     assert '"' in s and ">" in s
+
+
+@pytest.mark.parametrize("variant", ["d1", "ss"])
+def test_checked_run_checks_each_stepped_configuration(bin2bin, monkeypatch,
+                                                       variant):
+    # the checks must see exactly the configurations that are stepped, in
+    # order, the later links of a chain of bare-configuration results too
+    ann = bin2bin.program_ann(parse_tree(numeral(3), bin2bin.input))
+    want = run_iam(ann, variant)
+    checked, stepped, results = [], [], []
+    step, check = IamMachine.step, IamMachine.check_invariants
+
+    def spy_step(self, cfg):
+        stepped.append(cfg)
+        results.append(step(self, cfg))
+        return results[-1]
+
+    def spy_check(self, cfg):
+        checked.append(cfg)
+        check(self, cfg)
+
+    monkeypatch.setattr(IamMachine, "step", spy_step)
+    monkeypatch.setattr(IamMachine, "check_invariants", spy_check)
+    got = run_iam(ann, variant, check=True)
+    assert got == want
+    assert len(checked) == len(stepped) == got.steps
+    assert all(c is s for c, s in zip(checked, stepped))
+    assert any(isinstance(r, Config) for r in results)
+    assert sum(isinstance(r, FNode) for r in results) > 1

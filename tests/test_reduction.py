@@ -11,12 +11,12 @@ from lamtrans.core import (App, Box, Const, Lam, Let, RankedAlphabet, Var,
                            parse_tree, term_size)
 from lamtrans.gls import (load_gls, make_type_constant, sample_normal_term,
                           split_state_relabeling)
-from lamtrans.reduction import (OutOfFuel, TooDeep, beta_step, eta_reduce,
-                                find_redex, is_normal, normalize,
-                                normalize_by_steps)
+from lamtrans.reduction import OutOfFuel, TooDeep, eta_reduce, normalize
 from lamtrans.transducer import compose, load_transducer
 from lamtrans.typecheck import Arrow, O, typecheck
 from conftest import numeral, unary
+from reference_reduction import (beta_step, find_redex, is_normal,
+                                 normalize_by_steps)
 
 OUT = RankedAlphabet.of({"a": 2, "b": 1, "c": 0, "S": 1, "0": 0})
 

@@ -1,12 +1,14 @@
+import itertools
 import json
 import random
 
 import pytest
 
 from lamtrans.treegen import (Diverged, FNode, Machine, Output, Stuck,
-                              frontier_configs, frontier_get, frontier_replace,
-                              frontier_to_str, frontier_to_tree, run, trace,
-                              trace_lines)
+                              frontier_to_str, run, trace, trace_lines)
+from reference_treegen import (frontier_configs, frontier_get,
+                               frontier_replace, frontier_to_tree,
+                               reference_trace)
 
 
 class Countdown(Machine):
@@ -194,3 +196,33 @@ def test_trace_lines_are_json():
     for line in trace_lines(Countdown(), 2):
         rec = json.loads(line)
         assert set(rec) == {"step", "frontier", "fired"}
+
+
+@pytest.mark.parametrize("order", ["leftmost", "rightmost"])
+def test_trace_matches_reference_trace(order):
+    endings, initials = set(), set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        initial = ((4, seed) if seed % 2 else
+                   RandomMachine.tree(rng, 4, 0))
+        fuel = rng.randrange(60)
+        ours, ref = RandomMachine(seed), RandomMachine(seed)
+        got = list(trace(ours, initial, fuel, order))
+        want = list(reference_trace(ref, initial, fuel, order))
+        assert ours.calls == ref.calls, seed
+        assert got == want, seed
+        endings.add(type(run(RandomMachine(seed), initial, fuel, order)))
+        initials.add("bare" if not isinstance(initial, FNode) else
+                     "config-free" if not frontier_configs(initial) else
+                     "tree")
+    assert endings == {Output, Stuck, Diverged}
+    assert initials == {"bare", "config-free", "tree"}
+
+
+def test_trace_streams():
+    class Loop(Machine):
+        def step(self, n):
+            return n + 1
+    recs = list(itertools.islice(trace(Loop(), 0), 3))
+    assert recs == [{"step": n, "frontier": f"[{n}]", "fired": []}
+                    for n in range(3)]

@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from lamtrans.core import RankedAlphabet, parse_term, parse_tree
+from lamtrans.core import App, Lam, RankedAlphabet, parse_term, parse_tree
 from lamtrans.typecheck import (Arrow, Bang, O, TIER_NAMES, TypingError,
                                 classify_term, classify_type, const_type,
                                 fill_hints, navigate, parse_type, subst_base,
@@ -93,6 +93,25 @@ def test_second_use_of_an_affine_variable_is_named():
         typecheck(parse_term(r"\x. a x x", OUT),
                   ty=parse_type("o -o o"), alphabet=OUT)
     assert str(e.value) == "affine variable 'x' used twice"
+
+
+def test_failed_trial_under_a_let_unbinds_its_variable():
+    # the trial synthesis of the function fails inside the let's body;
+    # the fallback must not see x
+    t = parse_term(r"(let !x = !c in \z. z) x", extra_consts=("c",))
+    with pytest.raises(TypingError) as e:
+        typecheck(t, ty=O, consts={"c": O})
+    assert str(e.value) == "unbound variable 'x'"
+
+
+def test_failed_trial_under_a_lambda_unbinds_its_variable():
+    # the trial binds the outer y as affine and fails on the unhinted inner
+    # lambda; the box in the fallback must see theta's unrestricted y again
+    t = parse_term(r"(\y. \y. c) y !y", extra_consts=("c",))
+    outer = t.fn.fn
+    t = App(App(Lam(outer.var, outer.body, O), t.fn.arg), t.arg)
+    ann = typecheck(t, ty=O, theta={"y": O}, consts={"c": O})
+    assert ann.type == O
 
 
 def test_program_check_memory_is_linear(count):

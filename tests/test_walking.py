@@ -3,13 +3,13 @@ import pytest
 from lamtrans.compiler import compile_to_iptt, compile_to_twt
 from lamtrans.core import RankedAlphabet, parse_tree
 from lamtrans.transducer import SpecError
-from lamtrans.treegen import (FNode, Output, frontier_configs, frontier_get,
-                              run as treegen_run)
+from lamtrans.treegen import FNode, Output, run as treegen_run
 from lamtrans.walking import (ANY, IpttSpec, NotReversible, WalkConfig,
                               WalkingMachine, check_reversible, image_to_str, parse_iptt,
                               parse_twt, plan_image, predecessor, quote_state,
                               run_walking)
 from conftest import numeral, unary
+from reference_treegen import frontier_configs, frontier_get
 
 
 def forward_configs(spec, tau):
