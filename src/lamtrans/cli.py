@@ -13,7 +13,7 @@ import random
 import sys
 import time
 
-from .core import LamtransError, RankedAlphabet, Tree, parse_tree
+from .core import LamtransError, Tree, parse_tree
 from .treegen import Diverged, Output, Stuck
 from . import treegen
 
@@ -72,6 +72,15 @@ def no_output(res):
     return f"no output within {res.steps} steps"
 
 
+def write_output(text, path):
+    """Write text to the file at path, or to stdout when path is None."""
+    if path:
+        with open(path, "w") as f:
+            f.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def machine_result(res):
     if isinstance(res, Output):
         print(res.tree.to_str())
@@ -106,36 +115,38 @@ def cmd_classify(args):
     return 0
 
 
-def compile_walking(spec, target):
-    """A .lt spec compiled to a "twt" or an "iptt"."""
-    from .compiler import TARGET_VARIANT, WalkingCompiler
-    return WalkingCompiler(spec, TARGET_VARIANT[target]).compile()
+def machine_for(kind, spec, machine):
+    """A function from an input tree to the machine that runs the spec on
+    it; `machine` ("iam", "twt" or "iptt") picks it for a .lt spec only."""
+    if kind == "lt" and machine == "iam":
+        from .iam import iam_machine
+        return lambda tau: iam_machine(spec.program_ann(tau))
+    from .walking import WalkingMachine
+    if kind == "lt":
+        from .compiler import compile_walking
+        spec = compile_walking(spec, machine)
+    return lambda tau: WalkingMachine(spec, tau)
 
 
-def _lt_backend(spec, machine, fuel):
-    """Returns a function Tree -> MachineResult-or-Tree for one backend."""
-    from . import walking
-    if machine == "normalize":
+def backend(kind, spec, machine, fuel):
+    """A function from an input tree to its result on one backend."""
+    if kind == "lt" and machine == "normalize":
         return lambda tau: Output(spec.eval_normalize(tau, fuel), 0)
-    if machine == "iam":
-        from .iam import run_iam
-        return lambda tau: run_iam(spec.program_ann(tau), "auto", fuel)
-    if machine in ("twt", "iptt"):
-        walker = compile_walking(spec, machine)
-        return lambda tau: walking.run_walking(walker, tau, fuel)
-    raise LamtransError(f"unknown machine {machine!r}")
+    make = machine_for(kind, spec, machine)
+
+    def run(tau):
+        m = make(tau)
+        return treegen.run(m, m.initial(), fuel)
+    return run
 
 
 def cmd_run(args):
-    from . import walking
     kind, spec = load_spec(args.spec)
     tau = read_tree(args.tree, spec.input)
-    if kind == "lt":
-        return machine_result(_lt_backend(spec, args.machine, args.fuel)(tau))
     if kind == "gls":
         print(spec.run(tau, args.fuel).to_str())
         return 0
-    return machine_result(walking.run_walking(spec, tau, args.fuel))
+    return machine_result(backend(kind, spec, args.machine, args.fuel)(tau))
 
 
 def cmd_normalize(args):
@@ -148,30 +159,18 @@ def cmd_compile(args):
     if kind != "lt":
         print("compile expects a .lt spec", file=sys.stderr)
         return 1
-    out = compile_walking(spec, args.target).to_str()
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(out)
-    else:
-        sys.stdout.write(out)
+    from .compiler import compile_walking
+    write_output(compile_walking(spec, args.target).to_str(), args.output)
     return 0
 
 
 def cmd_trace(args):
-    from . import walking
     kind, spec = load_spec(args.spec)
     tau = read_tree(args.tree, spec.input)
     if kind == "gls":
         print("trace does not support .gls specs", file=sys.stderr)
         return 1
-    if kind == "lt" and args.machine == "iam":
-        from .iam import IamMachine, TermInfo, pick_variant
-        info = TermInfo(spec.program_ann(tau))
-        m = IamMachine(info, pick_variant(info.tier))
-    else:
-        if kind == "lt":
-            spec = compile_walking(spec, args.machine)
-        m = walking.WalkingMachine(spec, tau)
+    m = machine_for(kind, spec, args.machine)(tau)
     for line in treegen.trace_lines(m, m.initial(), args.fuel):
         print(line)
     return 0
@@ -179,6 +178,7 @@ def cmd_trace(args):
 
 def cmd_reversible(args):
     from . import walking
+    from .compiler import compile_walking
     kind, spec = load_spec(args.spec)
     if kind == "lt":
         spec = compile_walking(spec, "twt")
@@ -197,23 +197,18 @@ def cmd_compose(args):
     from .transducer import compose, load_transducer
     f = load_transducer(args.first)
     g = load_transducer(args.second)
-    out = compose(f, g).to_str()
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    write_output(compose(f, g).to_str(), args.output)
     return 0
 
 
 def difftest_backends(kind, spec, fuel):
     if kind == "lt":
-        names = ["normalize", "iam"]
-        if spec.tier <= 1:
-            names.append("twt")
-        if spec.tier <= 2:
-            names.append("iptt")
-        return [(n, _lt_backend(spec, n, fuel)) for n in names]
+        from .compiler import TARGET_VARIANT
+        from .iam import VARIANT_MAX_TIER
+        names = ["normalize", "iam"] + [
+            target for target, variant in TARGET_VARIANT.items()
+            if spec.tier <= VARIANT_MAX_TIER[variant]]
+        return [(n, backend(kind, spec, n, fuel)) for n in names]
     if kind == "gls":
         from .gls import make_type_constant, split_state_relabeling
         const = make_type_constant(spec)

@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import App, Const, LamtransError, term_to_str
-from .iam import (LET, ClassificationTooHigh, Config, IamMachine,
-                  StackEntry, TermInfo, mult_tape)
+from .iam import (LET, VARIANT_MAX_TIER, ClassificationTooHigh, Config,
+                  IamMachine, StackEntry, TermInfo, mult_tape)
 from .treegen import FNode
 from .typecheck import TIER_NAMES, typecheck
 from .walking import (ANY, IpttSpec, TwtSpec, WalkConfig, image_leaves,
@@ -152,8 +152,7 @@ class LocalBlocks:
 # pebbles simply remain underneath -- so a stack push is one put and a
 # stack pop is one remove.
 
-TIER_LIMIT = {"apa": 1, "ss": 2}   # token-machine variant -> highest tier
-TARGET_VARIANT = {"twt": "apa", "iptt": "ss"}
+TARGET_VARIANT = {"twt": "apa", "iptt": "ss"}   # target -> token machine
 
 
 def color_name(tag, pos, n):
@@ -172,7 +171,7 @@ class WalkingCompiler:
 
     def __init__(self, spec, variant):
         self.pebbles = variant == "ss"
-        limit = TIER_LIMIT[variant]
+        limit = VARIANT_MAX_TIER[variant]
         if spec.tier > limit:
             raise ClassificationTooHigh(
                 f"{spec.name} is {spec.tier_name()}; "
@@ -384,12 +383,17 @@ class WalkingCompiler:
                        delta_root, name=spec.name + "->twt")
 
 
+def compile_walking(spec, target):
+    """A .lt spec compiled to a "twt" or an "iptt"."""
+    return WalkingCompiler(spec, TARGET_VARIANT[target]).compile()
+
+
 def compile_to_twt(spec):
-    return WalkingCompiler(spec, "apa").compile()
+    return compile_walking(spec, "twt")
 
 
 def compile_to_iptt(spec):
-    return WalkingCompiler(spec, "ss").compile()
+    return compile_walking(spec, "iptt")
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +402,18 @@ def compile_to_iptt(spec):
 
 class SimMapper:
     def __init__(self, compiler, tau):
-        from .core import instantiate_with_blocks
         self.c = compiler
-        spec = compiler.blocks.spec
-        _, blocks = instantiate_with_blocks(tau, spec.norm_rules)
-        # block term positions carry the (1,) prefix of out-applied-to-input
-        self.blocks = {(1,) + tpos: node for node, tpos in blocks.items()}
         self.tau = tau
+        # each input node's block position in out applied to the input:
+        # (1,) for the root, child i of a rank-k node's + (0,)*(k-1-i) + (1,)
+        self.blocks = {}
+        todo = [(tau, (), (1,))]
+        while todo:
+            t, node, tpos = todo.pop()
+            self.blocks[tpos] = node
+            k = len(t.children)
+            todo.extend((c, node + (i,), tpos + (0,) * (k - 1 - i) + (1,))
+                        for i, c in enumerate(t.children))
 
     def map(self, cfg):
         """The walking configuration (state name, provenance, node) that a

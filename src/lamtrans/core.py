@@ -1,5 +1,5 @@
-"""Ranked alphabets, trees, affine lambda-term syntax, positions and
-one-hole contexts, tree encodings, and concrete-syntax parsing/printing."""
+"""Ranked alphabets, trees and their printer, affine lambda-term syntax and
+positions, tree encodings, and concrete-syntax parsing/printing."""
 
 from __future__ import annotations
 
@@ -67,9 +67,6 @@ class RankedAlphabet:
 
     def __contains__(self, name):
         return any(n == name for n, _ in self.letters)
-
-    def names(self):
-        return [n for n, _ in self.letters]
 
     def nullary(self):
         """First rank-0 letter, or None."""
@@ -148,25 +145,7 @@ class Tree:
         return n
 
     def to_str(self):
-        if not self.children:
-            return self.label
-        out = []
-        todo = [self]
-        while todo:
-            t = todo.pop()
-            if type(t) is str:
-                out.append(t)
-            elif t.children:
-                cs = t.children
-                out.append(t.label + "(")
-                todo.append(")")
-                for i in range(len(cs) - 1, 0, -1):
-                    todo.append(cs[i])
-                    todo.append(",")
-                todo.append(cs[0])
-            else:
-                out.append(t.label)
-        return "".join(out)
+        return tree_to_str(self, Tree, str)
 
     def validate(self, alphabet):
         todo = [self]
@@ -180,18 +159,36 @@ class Tree:
             if cs:
                 todo.extend(cs[::-1])
 
-    def node_positions(self):
-        """All node positions in preorder."""
-        out = [()]
-        for i, c in enumerate(self.children):
-            out.extend((i,) + p for p in c.node_positions())
-        return out
-
     def at(self, pos):
         t = self
         for i in pos:
             t = t.children[i]
         return t
+
+
+_COMMA, _CLOSE = object(), object()    # stand for "," and ")" on the stack
+
+
+def tree_to_str(t, node, leaf):
+    """The text label(child,...) of a tree whose inner nodes are objects
+    of class `node` (with a label and a children tuple).  Any other object
+    in it is a leaf, written as leaf(it).  Works on trees of any depth."""
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is not node:
+            out.append("," if t is _COMMA else ")" if t is _CLOSE else leaf(t))
+        elif t.children:
+            cs = t.children
+            out.append(t.label + "(")
+            todo.append(_CLOSE)
+            for i in range(len(cs) - 1, 0, -1):
+                todo.append(cs[i])
+                todo.append(_COMMA)
+            todo.append(cs[0])
+        else:
+            out.append(t.label)
+    return "".join(out)
 
 
 def parse_tree(text, alphabet=None):
@@ -303,28 +300,6 @@ def with_children(t, cs):
     return t
 
 
-def subterm_at(t, pos):
-    for i in pos:
-        cs = children(t)
-        if i >= len(cs):
-            raise LamtransError(f"invalid position {pos}")
-        t = cs[i]
-    return t
-
-
-def replace_at(t, pos, new):
-    """Return t with the subterm at pos replaced by new."""
-    if not pos:
-        return new
-    cs = children(t)
-    i = pos[0]
-    if i >= len(cs):
-        raise LamtransError(f"invalid position {pos}")
-    cs = list(cs)
-    cs[i] = replace_at(cs[i], pos[1:], new)
-    return with_children(t, cs)
-
-
 def positions(t):
     """All subterm positions in preorder."""
     out = [()]
@@ -362,18 +337,6 @@ def free_vars(t, bound=None):
     return out
 
 
-def var_names(t):
-    """Every variable name in t, bound or free."""
-    names = set()
-    todo = [t]
-    while todo:
-        t = todo.pop()
-        if isinstance(t, (Var, Lam, Let)):
-            names.add(t.name if isinstance(t, Var) else t.var)
-        todo.extend(children(t))
-    return names
-
-
 def fresh_name(base, avoid):
     if base not in avoid:
         return base
@@ -381,48 +344,6 @@ def fresh_name(base, avoid):
     while f"{base}_{i}" in avoid:
         i += 1
     return f"{base}_{i}"
-
-
-def rename_free(t, old, new):
-    """Rename the free variable old to new; new must not be bound in t."""
-    if isinstance(t, Var):
-        return Var(new) if t.name == old else t
-    if isinstance(t, Lam):
-        if t.var == old:
-            return t
-        return Lam(t.var, rename_free(t.body, old, new), t.hint)
-    if isinstance(t, Let):
-        bound = rename_free(t.bound, old, new)
-        body = t.body if t.var == old else rename_free(t.body, old, new)
-        return Let(t.var, bound, body)
-    return with_children(t, [rename_free(c, old, new) for c in children(t)])
-
-
-def substitute(t, x, s):
-    """Capture-avoiding substitution t{x := s}."""
-    fv_s = free_vars(s)
-
-    def go(t, shadowed):
-        if isinstance(t, Var):
-            return s if t.name == x and x not in shadowed else t
-        if isinstance(t, Lam):
-            if t.var == x:
-                return t
-            if t.var in fv_s and x in free_vars(t.body, shadowed | {t.var}):
-                nv = fresh_name(t.var, fv_s | var_names(t.body) | {x})
-                return Lam(nv, go(rename_free(t.body, t.var, nv), shadowed), t.hint)
-            return Lam(t.var, go(t.body, shadowed), t.hint)
-        if isinstance(t, Let):
-            bound = go(t.bound, shadowed)
-            if t.var == x:
-                return Let(t.var, bound, t.body)
-            if t.var in fv_s and x in free_vars(t.body, shadowed | {t.var}):
-                nv = fresh_name(t.var, fv_s | var_names(t.body) | {x})
-                return Let(nv, bound, go(rename_free(t.body, t.var, nv), shadowed))
-            return Let(t.var, bound, go(t.body, shadowed))
-        return with_children(t, [go(c, shadowed) for c in children(t)])
-
-    return go(t, frozenset())
 
 
 def alpha_eq(t, u):
@@ -453,34 +374,8 @@ def alpha_eq(t, u):
     return go(t, u, {}, {}, 0)
 
 
-def canonical_rename(t):
-    """Deterministically rename bound variables to x1, x2, ... in
-    traversal order.  alpha_eq(t, u) iff canonical_rename(t) == canonical_rename(u)."""
-    counter = [0]
-
-    def go(t, env):
-        if isinstance(t, Var):
-            return Var(env.get(t.name, t.name))
-        if isinstance(t, Lam):
-            counter[0] += 1
-            nv = f"x{counter[0]}"
-            return Lam(nv, go(t.body, {**env, t.var: nv}), t.hint)
-        if isinstance(t, Let):
-            bound = go(t.bound, env)
-            counter[0] += 1
-            nv = f"x{counter[0]}"
-            return Let(nv, bound, go(t.body, {**env, t.var: nv}))
-        return with_children(t, [go(c, env) for c in children(t)])
-
-    return go(t, {})
-
-
 # ---------------------------------------------------------------------------
 # Printing
-
-def _needs_parens_as_atom(t):
-    return isinstance(t, (App, Lam, Let))
-
 
 def term_to_str(t, mark=None, direction=None):
     """Render a term.  When mark (a position) is given, the subterm there is
@@ -666,7 +561,7 @@ def parse_term(text, alphabet=None, extra_consts=()):
 # ---------------------------------------------------------------------------
 # Tree encodings
 
-def _apply_tree(tau, head):
+def apply_tree(tau, head):
     """The term head(a) t_1 ... t_k for each node a(c_1, ..., c_k) of tau,
     where t_i is the term of c_i; head is called in preorder."""
     out = []
@@ -693,7 +588,7 @@ def _apply_tree(tau, head):
 
 def encode_tree(tau):
     """The applicative encoding of a tree as a closed normal term of type o."""
-    return _apply_tree(tau, Const)
+    return apply_tree(tau, Const)
 
 
 def decode_tree(t):
@@ -724,28 +619,7 @@ def decode_tree(t):
 def instantiate(tau, family):
     """Replace each constant of encode_tree(tau) by its family term."""
     try:
-        return _apply_tree(tau, family.__getitem__)
+        return apply_tree(tau, family.__getitem__)
     except KeyError as e:
         raise LamtransError(
             f"no family entry for letter {e.args[0]!r}") from None
-
-
-def instantiate_with_blocks(tau, family):
-    """Like instantiate, but also return a map from tree-node position to
-    the term position of that node's block (the t_a-application subterm)."""
-    blocks = {}
-
-    def go(node, tree_pos, term_pos):
-        blocks[tree_pos] = term_pos
-        k = len(node.children)
-        if node.label not in family:
-            raise LamtransError(f"no family entry for letter {node.label!r}")
-        t = family[node.label]
-        for i, c in enumerate(node.children):
-            # child i (0-based) sits at term_pos + (0,)*(k-1-i) + (1,)
-            sub = go(c, tree_pos + (i,), term_pos + (0,) * (k - 1 - i) + (1,))
-            t = App(t, sub)
-        return t
-
-    term = go(tau, (), ())
-    return term, blocks

@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass, field
 
 from .core import (App, Const, Lam, LamtransError, RankedAlphabet, SyntaxErr,
-                   Var, decode_tree, parse_term, term_to_str, Tree)
+                   Var, apply_tree, decode_tree, parse_term, term_to_str, Tree)
 from .reduction import normalize
 from .transducer import (ALPHABET_LINES, LambdaTransducerSpec, SpecError,
                          load_file, out_line, parse_directives)
@@ -60,16 +60,19 @@ class GlsSpec:
     # -- running -----------------------------------------------------------
 
     def build(self, tau, q=None):
-        """The term tau-arrow-down : A_q, built top-down."""
-        q = q or self.init
-        key = (q, tau.label)
-        if key not in self.norm_rules:
-            raise SpecError(f"{self.name}: no rule for state {q!r} at "
-                            f"letter {tau.label!r}")
-        t, qs = self.norm_rules[key], self.rules[key][1]
-        for qc, child in zip(qs, tau.children):
-            t = App(t, self.build(child, qc))
-        return t
+        """The term tau-arrow-down : A_q.  apply_tree visits the nodes in
+        preorder, so the states still to visit are a stack."""
+        states = [q or self.init]
+
+        def head(a):
+            key = (states.pop(), a)
+            if key not in self.norm_rules:
+                raise SpecError(f"{self.name}: no rule for state {key[0]!r} "
+                                f"at letter {a!r}")
+            states.extend(reversed(self.rules[key][1]))
+            return self.norm_rules[key]
+
+        return apply_tree(tau, head)
 
     def run(self, tau, fuel=10_000_000):
         tau.validate(self.input)
@@ -219,13 +222,6 @@ def make_type_constant(spec, name=None):
                    name=name or spec.name + "+const")
 
 
-def conversion_terms(spec, q):
-    """The (iota, cast) pair for one state of a spec, for inspection and
-    testing.  iota : A_q -o A and cast : A -o A_q."""
-    _, iota, cast = conversions(spec)
-    return iota(q), cast(q)
-
-
 def is_linear(ann):
     """True when every lambda-bound variable is used exactly once."""
     return all(occ is not None for occ in ann.lam_occ.values())
@@ -250,15 +246,19 @@ def split_state_relabeling(spec):
                             "apply make_type_constant first")
 
     def relabel(tau, q=None):
-        q = q or spec.init
-        key = (q, tau.label)
-        if key not in spec.rules:
-            raise SpecError(f"{spec.name}: no rule for state {q!r} at "
-                            f"letter {tau.label!r}")
-        qs = spec.rules[key][1]
-        return Tree(relabel_letter(tau.label, q),
-                    tuple(relabel(c, qc)
-                          for qc, c in zip(qs, tau.children)))
+        out = Tree(None)
+        todo = [(tau, q or spec.init, out)]
+        while todo:     # each new node is filled in before its children
+            node, q, new = todo.pop()
+            key = (q, node.label)
+            if key not in spec.rules:
+                raise SpecError(f"{spec.name}: no rule for state {q!r} at "
+                                f"letter {node.label!r}")
+            new.label = relabel_letter(node.label, q)
+            new.children = kids = tuple([Tree(None) for _ in node.children])
+            todo.extend(reversed(list(zip(node.children, spec.rules[key][1],
+                                          kids))))
+        return out
 
     letters = []
     rules = {}

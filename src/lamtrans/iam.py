@@ -37,7 +37,7 @@ class InvariantViolation(LamtransError):
     pass
 
 
-VARIANT_MAX_TIER = {"pa": 0, "apa": 1, "d1": 2, "ss": 2}
+VARIANT_MAX_TIER = {"pa": 0, "apa": 1, "d1": 2, "ss": 2}   # highest tier run
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -183,10 +183,10 @@ class TermInfo:
 
 
 class IamMachine(Machine):
-    def __init__(self, ann, variant="pa"):
+    def __init__(self, info, variant="pa"):
         if variant not in VARIANT_MAX_TIER:
             raise LamtransError(f"unknown machine variant {variant!r}")
-        self.info = ann if isinstance(ann, TermInfo) else TermInfo(ann)
+        self.info = info
         if self.info.tier > VARIANT_MAX_TIER[variant]:
             from .typecheck import TIER_NAMES
             raise ClassificationTooHigh(
@@ -390,22 +390,26 @@ def render_tape(tape):
 
 
 def pick_variant(tier):
-    if tier <= 0:
-        return "pa"
-    if tier == 1:
-        return "apa"
-    if tier == 2:
-        return "ss"
+    """The first of pa, apa and ss whose tier limit covers `tier`."""
+    for variant in ("pa", "apa", "ss"):
+        if tier <= VARIANT_MAX_TIER[variant]:
+            return variant
     raise ClassificationTooHigh(
         "no token machine supports unrestricted terms")
 
 
-def run_iam(ann, variant="auto", fuel=10_000_000, check=False):
-    """Run a token machine on a typed closed term of base type."""
-    info = ann if isinstance(ann, TermInfo) else TermInfo(ann)
+def iam_machine(ann, variant="auto"):
+    """The token machine for a typed closed term of base type; "auto"
+    picks the variant from the term's tier."""
+    info = TermInfo(ann)
     if variant == "auto":
         variant = pick_variant(info.tier)
-    machine = IamMachine(info, variant)
+    return IamMachine(info, variant)
+
+
+def run_iam(ann, variant="auto", fuel=10_000_000, check=False):
+    """Run a token machine on a typed closed term of base type."""
+    machine = iam_machine(ann, variant)
     if not check:
         return treegen.run(machine, machine.initial(), fuel)
     paused = treegen.drive(machine, machine.initial(), fuel, "leftmost", True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import Tree
+from .core import Tree, tree_to_str
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -34,24 +34,7 @@ class FNode:
 
 
 def frontier_to_str(f, render):
-    out = []
-    todo = [(False, f)]         # (True, text) or (False, frontier)
-    while todo:
-        is_text, f = todo.pop()
-        if is_text:
-            out.append(f)
-        elif not isinstance(f, FNode):
-            out.append("[" + render(f) + "]")
-        elif not f.children:
-            out.append(f.label)
-        else:
-            out.append(f.label + "(")
-            todo.append((True, ")"))
-            for i in range(len(f.children) - 1, -1, -1):
-                todo.append((False, f.children[i]))
-                if i:
-                    todo.append((True, ","))
-    return "".join(out)
+    return tree_to_str(f, FNode, lambda c: "[" + render(c) + "]")
 
 
 @dataclass

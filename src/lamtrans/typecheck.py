@@ -173,7 +173,6 @@ class Annotated:
     types: dict = field(default_factory=dict)        # pos -> Type
     occ_binder: dict = field(default_factory=dict)   # var occ pos -> binder pos
     lam_occ: dict = field(default_factory=dict)      # Lam pos -> occ pos | None
-    let_occs: dict = field(default_factory=dict)     # Let pos -> [occ pos]
     var_kind: dict = field(default_factory=dict)     # var occ pos -> "lam"|"let"|"theta"
     theta_types: list = field(default_factory=list)  # types of unrestricted vars
 
@@ -185,8 +184,7 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
     free unrestricted variable names to types."""
     ann = Annotated(term, None)
     types, occ_binder, lam_occ = ann.types, ann.occ_binder, ann.lam_occ
-    let_occs, var_kind = ann.let_occs, ann.var_kind
-    theta_types = ann.theta_types
+    var_kind, theta_types = ann.var_kind, ann.theta_types
     ctypes = dict(consts or {})
     if alphabet is not None:
         for name, rank in alphabet.letters:
@@ -221,8 +219,6 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
                 occ_binder[pos] = bpos
                 if kind == "lam":
                     lam_occ[bpos] = pos
-                else:
-                    let_occs[bpos].append(pos)
             return A
         if isinstance(t, App):
             fA = synth(t.fn, pos + (0,), env)
@@ -265,7 +261,6 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
             raise TypingError(
                 f"let-bound term has non-! type {type_to_str(A)}: "
                 f"{term_to_str(t.bound)}")
-        let_occs.setdefault(pos, [])
         theta_types.append(A.inner)
         return _bind(env, t.var, ("let", A.inner, pos))
 
@@ -299,8 +294,8 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
         if isinstance(t, App):
             # prefer synthesizing the function; fall back to synthesizing
             # the argument when the function is an unannotated redex
-            mark = (len(types), len(occ_binder), len(lam_occ), len(let_occs),
-                    len(var_kind), len(theta_types))
+            mark = (len(types), len(occ_binder), len(lam_occ), len(var_kind),
+                    len(theta_types))
             try:
                 B = synth(t, pos, env)
             except TypingError:
@@ -319,18 +314,16 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
     def rollback(mark):
         """Undo what a failed trial wrote since `mark`, the sizes of the
         tables before it.  The entries it added are the last ones of their
-        tables.  An older entry it changed is the binder of an occurrence it
-        added (a lam_occ entry set, or a let_occs list appended to), so the
-        trial's part of occ_binder is its undo log."""
-        n_types, n_occs, n_lams, n_lets, n_kinds, n_thetas = mark
+        tables.  An older entry it changed is the lam_occ entry of the
+        binder of an occurrence it added, so the trial's part of occ_binder
+        is its undo log."""
+        n_types, n_occs, n_lams, n_kinds, n_thetas = mark
         while len(occ_binder) > n_occs:
             occ, bpos = occ_binder.popitem()
             if var_kind[occ] == "lam":
                 lam_occ[bpos] = None
-            else:
-                let_occs[bpos].pop()
         for table, n in ((types, n_types), (lam_occ, n_lams),
-                         (let_occs, n_lets), (var_kind, n_kinds)):
+                         (var_kind, n_kinds)):
             while len(table) > n:
                 table.popitem()
         del theta_types[n_thetas:]

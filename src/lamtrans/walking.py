@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import LamtransError, RankedAlphabet, SyntaxErr
+from .core import LamtransError, RankedAlphabet, SyntaxErr, tree_to_str
 from .transducer import (ALPHABET_LINES, SpecError, load_file,
                          parse_directives)
 from .treegen import FNode, Machine, run as treegen_run
@@ -58,8 +58,62 @@ ANY = "*"
 # ---------------------------------------------------------------------------
 # Specs
 
+class WalkingSpec:
+    """The validation and plans of both spec classes, over transitions():
+    (key, is_root, pebble, image) for each transition, where a key starts
+    with (letter, state, provenance).  A subclass says whether it has
+    `pebbles` and which `colors` it declares."""
+
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self):
+        """Checks every transition in one pass over its image."""
+        if ANY in self.colors:
+            raise SpecError(f"{self.name}: {ANY!r} is not a color name")
+        for key, is_root, z, img in self.transitions():
+            a, q, p = key[:3]
+            if a not in self.input:
+                raise SpecError(f"{self.name}: unknown letter {a!r}")
+            if is_root and p == "from-parent":
+                raise SpecError(f"{self.name}: root map keyed by "
+                                f"from-parent: {key}")
+            if z not in (None, ANY) and z not in self.colors:
+                raise SpecError(f"{self.name}: unknown color {z!r}")
+            todo = [img]
+            while todo:
+                t = todo.pop()
+                if t.__class__ is FNode:
+                    if len(t.children) != self.output.rank(t.label):
+                        raise SpecError(f"{self.name}: arity mismatch at "
+                                        f"{t.label!r}")
+                    todo.extend(t.children)
+                elif is_root and t[1] == "to-parent":
+                    raise SpecError(f"{self.name}: root image moves "
+                                    f"to-parent: {key}")
+                elif not self.pebbles and is_pebble_move(t[1]):
+                    raise SpecError(f"{self.name}: pebble move in a "
+                                    f"tree-walking transducer: {a} {q}")
+
+    @cached_property
+    def plans(self):
+        """The transitions compiled for WalkingMachine, built on first use
+        (so the tables must not change after a machine has run): for each
+        (letter, is-root), a map from (state, provenance) to the plan of
+        the image (see plan_image), or in a pebble transducer to a dict
+        from the pebble (a color, None, or ANY) to its plan."""
+        out = {}
+        for (a, q, p, *_), is_root, z, img in self.transitions():
+            by_state = out.setdefault((a, is_root), {})
+            if self.pebbles:
+                by_state.setdefault((q, p), {})[z] = plan_image(img)
+            else:
+                by_state[q, p] = plan_image(img)
+        return out
+
+
 @dataclass
-class TwtSpec:
+class TwtSpec(WalkingSpec):
     input: RankedAlphabet
     output: RankedAlphabet
     states: list
@@ -68,52 +122,17 @@ class TwtSpec:
     delta_root: dict   # same keys, prov != "from-parent"
     name: str = "twt"
     pebbles = False
+    colors = ()
 
-    def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        for key in self.delta_root:
-            if key[2] == "from-parent":
-                raise SpecError(f"{self.name}: root map keyed by "
-                                f"from-parent: {key}")
-            for q, m in image_leaves(self.delta_root[key]):
-                if m == "to-parent":
-                    raise SpecError(f"{self.name}: root image moves "
-                                    f"to-parent: {key}")
-        for table in (self.delta, self.delta_root):
-            for (a, q, p), img in table.items():
-                if a not in self.input:
-                    raise SpecError(f"{self.name}: unknown letter {a!r}")
-                self._check_image(img)
-                if any(is_pebble_move(m) for _, m in image_leaves(img)):
-                    raise SpecError(f"{self.name}: pebble move in a "
-                                    f"tree-walking transducer: {a} {q}")
-
-    def _check_image(self, img):
-        if isinstance(img, FNode):
-            if len(img.children) != self.output.rank(img.label):
-                raise SpecError(f"{self.name}: arity mismatch at "
-                                f"{img.label!r}")
-            for c in img.children:
-                self._check_image(c)
+    def transitions(self):
+        for is_root, table in ((False, self.delta), (True, self.delta_root)):
+            for key, img in table.items():
+                yield key, is_root, ANY, img
 
     def lookup(self, label, q, prov, is_root, z):
         """The image for a key; a TWT puts no pebble, so z is always None."""
         table = self.delta_root if is_root else self.delta
         return table.get((label, q, prov))
-
-    @cached_property
-    def plans(self):
-        """The transitions compiled for WalkingMachine, built on first use
-        (so the tables must not change after a machine has run): for each
-        (letter, is-root), a map from (state, provenance) to the plan of
-        the image (see plan_image)."""
-        out = {}
-        for is_root, table in ((False, self.delta), (True, self.delta_root)):
-            for (a, q, p), img in table.items():
-                out.setdefault((a, is_root), {})[q, p] = plan_image(img)
-        return out
 
     def to_str(self):
         lines = [f"input {self.input.to_str()}",
@@ -130,7 +149,7 @@ class TwtSpec:
 
 
 @dataclass
-class IpttSpec:
+class IpttSpec(WalkingSpec):
     input: RankedAlphabet
     output: RankedAlphabet
     states: list
@@ -141,14 +160,9 @@ class IpttSpec:
     name: str = "iptt"
     pebbles = True
 
-    def __post_init__(self):
-        if ANY in self.colors:
-            raise SpecError(f"{self.name}: {ANY!r} is not a color name")
-        for (a, q, p, is_root, z) in self.delta:
-            if p == "from-parent" and is_root:
-                raise SpecError(f"{self.name}: from-parent at the root")
-            if z not in (None, ANY) and z not in self.colors:
-                raise SpecError(f"{self.name}: unknown color {z!r}")
+    def transitions(self):
+        for key, img in self.delta.items():
+            yield key, key[3], key[4], img
 
     def lookup(self, label, q, prov, is_root, z):
         """The image for a key: the transition for the exact pebble z,
@@ -158,17 +172,6 @@ class IpttSpec:
         if img is None:
             img = self.delta.get((label, q, prov, is_root, ANY))
         return img
-
-    @cached_property
-    def plans(self):
-        """As TwtSpec.plans, except that each (state, provenance) maps to
-        a dict from the pebble (a color, None, or ANY) to its plan; the
-        machine then picks the plan as lookup does."""
-        out = {}
-        for (a, q, p, is_root, z), img in self.delta.items():
-            out.setdefault((a, is_root), {}).setdefault((q, p), {})[z] = \
-                plan_image(img)
-        return out
 
     def to_str(self):
         lines = [f"input {self.input.to_str()}",
@@ -541,13 +544,8 @@ class _ImageParser:
 
 
 def image_to_str(img):
-    if isinstance(img, FNode):
-        if not img.children:
-            return img.label
-        return (img.label + "("
-                + ",".join(image_to_str(c) for c in img.children) + ")")
-    q, m = img
-    return f"({quote_state(q)}, {move_to_str(m)})"
+    return tree_to_str(img, FNode, lambda leaf: f"({quote_state(leaf[0])}, "
+                                                f"{move_to_str(leaf[1])})")
 
 
 def _parse_prov(parser):

@@ -3,15 +3,90 @@
 
 `normalize_by_steps` finds the next redex from the root (`find_redex`),
 contracts it, at a distance through a prefix of let-binders (`beta_step`),
-and repeats.  The code is kept as it was in `lamtrans.reduction`; only its
-imports changed."""
+and repeats.  The code is kept as it was in `lamtrans.reduction` and,
+for the term helpers, `lamtrans.core`; only its imports changed."""
 
 from __future__ import annotations
 
-from lamtrans.core import (App, Box, Lam, Let, children, free_vars,
-                           fresh_name, rename_free, replace_at, substitute,
-                           subterm_at, var_names)
+from lamtrans.core import (App, Box, Lam, LamtransError, Let, Var, children,
+                           free_vars, fresh_name, with_children)
 from lamtrans.reduction import OutOfFuel
+
+
+def subterm_at(t, pos):
+    for i in pos:
+        cs = children(t)
+        if i >= len(cs):
+            raise LamtransError(f"invalid position {pos}")
+        t = cs[i]
+    return t
+
+
+def replace_at(t, pos, new):
+    """Return t with the subterm at pos replaced by new."""
+    if not pos:
+        return new
+    cs = children(t)
+    i = pos[0]
+    if i >= len(cs):
+        raise LamtransError(f"invalid position {pos}")
+    cs = list(cs)
+    cs[i] = replace_at(cs[i], pos[1:], new)
+    return with_children(t, cs)
+
+
+def var_names(t):
+    """Every variable name in t, bound or free."""
+    names = set()
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if isinstance(t, (Var, Lam, Let)):
+            names.add(t.name if isinstance(t, Var) else t.var)
+        todo.extend(children(t))
+    return names
+
+
+def rename_free(t, old, new):
+    """Rename the free variable old to new; new must not be bound in t."""
+    if isinstance(t, Var):
+        return Var(new) if t.name == old else t
+    if isinstance(t, Lam):
+        if t.var == old:
+            return t
+        return Lam(t.var, rename_free(t.body, old, new), t.hint)
+    if isinstance(t, Let):
+        bound = rename_free(t.bound, old, new)
+        body = t.body if t.var == old else rename_free(t.body, old, new)
+        return Let(t.var, bound, body)
+    return with_children(t, [rename_free(c, old, new) for c in children(t)])
+
+
+def substitute(t, x, s):
+    """Capture-avoiding substitution t{x := s}."""
+    fv_s = free_vars(s)
+
+    def go(t, shadowed):
+        if isinstance(t, Var):
+            return s if t.name == x and x not in shadowed else t
+        if isinstance(t, Lam):
+            if t.var == x:
+                return t
+            if t.var in fv_s and x in free_vars(t.body, shadowed | {t.var}):
+                nv = fresh_name(t.var, fv_s | var_names(t.body) | {x})
+                return Lam(nv, go(rename_free(t.body, t.var, nv), shadowed), t.hint)
+            return Lam(t.var, go(t.body, shadowed), t.hint)
+        if isinstance(t, Let):
+            bound = go(t.bound, shadowed)
+            if t.var == x:
+                return Let(t.var, bound, t.body)
+            if t.var in fv_s and x in free_vars(t.body, shadowed | {t.var}):
+                nv = fresh_name(t.var, fv_s | var_names(t.body) | {x})
+                return Let(nv, bound, go(rename_free(t.body, t.var, nv), shadowed))
+            return Let(t.var, bound, go(t.body, shadowed))
+        return with_children(t, [go(c, shadowed) for c in children(t)])
+
+    return go(t, frozenset())
 
 
 def _peel_lets(t):

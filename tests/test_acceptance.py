@@ -9,7 +9,7 @@ from lamtrans.cli import difftest_backends, gen_tree
 from lamtrans.compiler import compile_to_iptt, compile_to_twt
 from lamtrans.core import (Box, RankedAlphabet, alpha_eq, encode_tree,
                            parse_term, parse_tree)
-from lamtrans.gls import (conversion_terms, make_type_constant,
+from lamtrans.gls import (conversions, make_type_constant,
                           sample_normal_term, split_state_relabeling)
 from lamtrans.iam import IamMachine, TermInfo, run_iam
 from lamtrans.reduction import eta_reduce, normalize
@@ -153,8 +153,9 @@ def test_criterion_08_state_conversions(mirror):
     from lamtrans.core import App, Tree
     rng = random.Random(8)
     ok = True
+    _, iota_of, cast_of = conversions(mirror)
     for q in mirror.state_order():
-        iota, cast = conversion_terms(mirror, q)
+        iota, cast = iota_of(q), cast_of(q)
         for _ in range(10):
             t = sample_normal_term(mirror.state_types[q], mirror.output, rng)
             back = normalize(App(cast, App(iota, t)))

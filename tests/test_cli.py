@@ -260,6 +260,25 @@ def test_bad_tree_is_exit_1(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("letter,image,message", [
+    ("b", "S", "arity mismatch at 'S'"),
+    ("b", "S(0, 0)", "arity mismatch at 'S'"),
+    ("x", "0", "unknown letter 'x'"),
+    ("b", "(q, to-parent)", "root image moves to-parent: {}"),
+])
+def test_malformed_iptt_is_exit_1_as_in_a_twt(capsys, tmp_path, letter,
+                                              image, message):
+    head = "input { b:1, e:0 }\noutput { S:1, 0:0 }\nstate q init\n"
+    for ext, line, key in [
+            ("twt", f"delta-root {letter} q self", (letter, "q", "self")),
+            ("iptt", f"delta {letter} q self root pebble NONE",
+             (letter, "q", "self", True, None))]:
+        path = tmp_path / f"bad.{ext}"
+        path.write_text(f"{head}{line} = {image}\n")
+        assert run_cli(capsys, "run", str(path), "b(e)") == (
+            1, "", f"error: {path}: {message.format(key)}\n")
+
+
 # -- random input generation ------------------------------------------------
 
 def test_gen_tree_seeded_and_bounded():

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from lamtrans import corpus_path
+from lamtrans.cli import main
 from lamtrans.core import Tree, alpha_eq, parse_term, parse_tree
-from lamtrans.gls import (conversion_terms, dummy_term, is_linear,
+from lamtrans.gls import (conversions, dummy_term, is_linear,
                           make_type_constant, parse_gls, relabel_letter,
                           sample_normal_term, split_state_relabeling)
 from lamtrans.reduction import eta_reduce, normalize
@@ -97,8 +99,9 @@ def test_cast_after_iota_is_identity(mirror):
     # cast_q (iota_q t) normalizes back to t (up to eta) for normal t
     rng = random.Random(4)
     from lamtrans.core import App
+    _, iota_of, cast_of = conversions(mirror)
     for q in mirror.state_order():
-        iota, cast = conversion_terms(mirror, q)
+        iota, cast = iota_of(q), cast_of(q)
         A = mirror.state_types[q]
         for _ in range(10):
             t = sample_normal_term(A, mirror.output, rng)
@@ -108,7 +111,7 @@ def test_cast_after_iota_is_identity(mirror):
 
 def test_iota_is_affine_but_not_linear(mirror):
     q = mirror.init
-    iota, _ = conversion_terms(mirror, q)
+    iota = conversions(mirror)[1](q)
     ann = typecheck(iota, alphabet=mirror.output)
     assert not is_linear(ann)
     ident = typecheck(parse_term(r"\x. x"), ty=parse_type("o -o o"))
@@ -117,3 +120,21 @@ def test_iota_is_affine_but_not_linear(mirror):
 
 def test_relabel_letter():
     assert relabel_letter("a", "qe") == "a@qe"
+
+
+def test_gls_runs_on_a_comb_deeper_than_the_recursion_limit(
+        mirror, capsys, tmp_path):
+    # mirror.gls swaps the children of a-nodes at even depth
+    tau = want = Tree("c")
+    for depth in reversed(range(3000)):
+        tau = Tree("a", (Tree("c"), tau))
+        want = Tree("a", (want, Tree("c")) if depth % 2 == 0
+                    else (Tree("c"), want))
+    relabel, trans = split_state_relabeling(make_type_constant(mirror))
+    assert mirror.run(tau) == want
+    assert make_type_constant(mirror).run(tau) == want
+    assert trans.eval_normalize(relabel(tau)) == want
+    path = tmp_path / "comb"
+    path.write_text(tau.to_str())
+    assert main(["run", corpus_path("mirror.gls"), f"@{path}"]) == 0
+    assert capsys.readouterr().out == want.to_str() + "\n"

@@ -51,6 +51,40 @@ def test_frontier_helpers_on_a_deep_frontier():
     assert frontier_to_tree(g).to_str() == text.replace("[7]", "c")
 
 
+def reference_frontier_to_str(f, render):
+    """The oracle: frontier_to_str before core.tree_to_str."""
+    out = []
+    todo = [(False, f)]         # (True, text) or (False, frontier)
+    while todo:
+        is_text, f = todo.pop()
+        if is_text:
+            out.append(f)
+        elif not isinstance(f, FNode):
+            out.append("[" + render(f) + "]")
+        elif not f.children:
+            out.append(f.label)
+        else:
+            out.append(f.label + "(")
+            todo.append((True, ")"))
+            for i in range(len(f.children) - 1, -1, -1):
+                todo.append((False, f.children[i]))
+                if i:
+                    todo.append((True, ","))
+    return "".join(out)
+
+
+def test_frontier_printer_renders_every_configuration():
+    # string and tuple configurations are leaves like any other
+    seen = []
+    configs = [7, ",", ")", "", ("q", "to-parent"), (), ("a", ("b",))]
+    f = FNode("a", (configs[0], FNode("b", tuple(configs[1:4])), FNode("c"),
+                    FNode("d", tuple(configs[4:]))))
+    text = frontier_to_str(f, lambda c: seen.append(c) or repr(c))
+    assert seen == configs and text == reference_frontier_to_str(f, repr)
+    assert text == ("a([7],b([','],[')'],['']),c,"
+                    "d([('q', 'to-parent')],[()],[('a', ('b',))]))")
+
+
 def test_run_produces_output():
     res = run(Countdown(), 3)
     assert isinstance(res, Output)

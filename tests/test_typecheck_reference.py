@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 import reference_typecheck as ref
-from lamtrans import compiler, corpus_path, gls, transducer
+from lamtrans import compiler, corpus_path, gls, iam, transducer
 from lamtrans.cli import gen_tree
 from lamtrans.compiler import LocalBlocks
 from lamtrans.core import App, Box, Const, Lam, Let, RankedAlphabet, Var
@@ -19,7 +19,7 @@ from lamtrans.transducer import compose, load_transducer
 from lamtrans.typecheck import (O, Arrow, Bang, classify_term, type_height,
                                 typecheck)
 
-TABLES = ("types", "occ_binder", "lam_occ", "let_occs", "var_kind")
+TABLES = ("types", "occ_binder", "lam_occ", "var_kind")
 
 
 def outcome(check, args, kwargs):
@@ -70,7 +70,7 @@ def recorded(monkeypatch):
 def test_corpus_programs_and_blocks(recorded, name):
     spec = load_transducer(corpus_path(name))
     for variant in ("apa", "ss"):
-        if spec.tier <= compiler.TIER_LIMIT[variant]:
+        if spec.tier <= iam.VARIANT_MAX_TIER[variant]:
             LocalBlocks(spec, variant)
     rng = random.Random(name)
     for size in (1, 2, 3, 5, 8, 12, 20, 40):

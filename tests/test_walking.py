@@ -165,23 +165,30 @@ def test_plans_pick_the_image_lookup_does(count, bin2bin, count_twt,
 
 def one_state_iptt(image):
     return IpttSpec(RankedAlphabet.of({"b": 1, "e": 0}),
-                    RankedAlphabet.of({"0": 0}), ["q"], "q", ["z"],
+                    RankedAlphabet.of({"0": 0, "p": 2}), ["q"], "q", ["z"],
                     {("b", "q", "self", True, ANY): image})
 
 
 @pytest.mark.parametrize("move,message", [
-    ("to-parent", "to-parent at the root"),
     ("remove", "remove with no visible pebble"),
     ("hop", "cannot resolve move hop here"),
     (("to-child", 2), "cannot resolve move to-child 2 here"),
 ])
 def test_walking_step_errors(move, message):
     # the step that would make the move raises, also from inside an image
-    for image in [("q", move), FNode("0", (("q", "stay"), ("q", move)))]:
+    for image in [("q", move), FNode("p", (("q", "stay"), ("q", move)))]:
         m = WalkingMachine(one_state_iptt(image), parse_tree("b(e)"))
         with pytest.raises(SpecError) as e:
             m.step(m.initial())
         assert str(e.value) == message
+
+
+def test_root_image_to_parent_is_rejected_when_built(bin2unary, listcount):
+    for image in [("q", "to-parent"),
+                  FNode("p", (("q", "stay"), ("q", "to-parent")))]:
+        with pytest.raises(SpecError, match="root image moves to-parent"):
+            one_state_iptt(image)
+    assert bin2unary.delta and compile_to_iptt(listcount).delta
 
 
 def test_step_locates_configurations_it_did_not_make(count):
