@@ -300,18 +300,6 @@ def with_children(t, cs):
     return t
 
 
-def positions(t):
-    """All subterm positions in preorder."""
-    out = [()]
-    for i, c in enumerate(children(t)):
-        out.extend((i,) + p for p in positions(c))
-    return out
-
-
-def term_size(t):
-    return 1 + sum(term_size(c) for c in children(t))
-
-
 def term_depth(t):
     """Nodes on the longest root-to-leaf path of t."""
     depth = 0
@@ -344,34 +332,6 @@ def fresh_name(base, avoid):
     while f"{base}_{i}" in avoid:
         i += 1
     return f"{base}_{i}"
-
-
-def alpha_eq(t, u):
-    """Equality up to renaming of bound variables."""
-
-    def go(t, u, env_t, env_u, depth):
-        if type(t) is not type(u):
-            return False
-        if isinstance(t, Const):
-            return t.name == u.name
-        if isinstance(t, Var):
-            return env_t.get(t.name, t.name) == env_u.get(u.name, u.name)
-        if isinstance(t, Lam):
-            return go(t.body, u.body,
-                      {**env_t, t.var: depth}, {**env_u, u.var: depth}, depth + 1)
-        if isinstance(t, App):
-            return (go(t.fn, u.fn, env_t, env_u, depth)
-                    and go(t.arg, u.arg, env_t, env_u, depth))
-        if isinstance(t, Box):
-            return go(t.body, u.body, env_t, env_u, depth)
-        if isinstance(t, Let):
-            return (go(t.bound, u.bound, env_t, env_u, depth)
-                    and go(t.body, u.body,
-                           {**env_t, t.var: depth}, {**env_u, u.var: depth},
-                           depth + 1))
-        return False
-
-    return go(t, u, {}, {}, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ the input followed by a stateless lambda-transducer."""
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 
 from .core import (App, Const, Lam, LamtransError, RankedAlphabet, SyntaxErr,
@@ -222,11 +221,6 @@ def make_type_constant(spec, name=None):
                    name=name or spec.name + "+const")
 
 
-def is_linear(ann):
-    """True when every lambda-bound variable is used exactly once."""
-    return all(occ is not None for occ in ann.lam_occ.values())
-
-
 # ---------------------------------------------------------------------------
 # Splitting the state off as a relabeling
 
@@ -269,47 +263,3 @@ def split_state_relabeling(spec):
         RankedAlphabet(tuple(letters)), spec.output, A0, rules,
         spec.norm_out, name=spec.name + "+split")
     return relabel, trans
-
-
-# ---------------------------------------------------------------------------
-# Random closed normal inhabitants of purely affine types
-
-def sample_normal_term(A, alphabet, rng, size=8):
-    """A random closed normal term of purely affine type A over the given
-    output alphabet.  Variables are used at most once."""
-    ell = alphabet.nullary()
-    if ell is None:
-        raise NoNullaryOutputLetter("need a rank-0 letter to sample terms")
-
-    def go(A, env, budget):
-        # env: list of (name, arg-type-list) still available
-        if isinstance(A, Arrow):
-            x = f"v{len(env)}_"
-            body, env2 = go(A.right, env + [(x, arg_types(A.left))], budget)
-            return Lam(x, body, A.left), [e for e in env2 if e[0] != x]
-        # A == o: emit a constant or call an available variable
-        choices = ["const"]
-        if env and budget > 0:
-            choices += ["var"] * 2
-        if rng.choice(choices) == "var":
-            i = rng.randrange(len(env))
-            x, args = env[i]
-            env = env[:i] + env[i + 1:]
-            t = Var(x)
-            for B in args:
-                sub, env = go(B, env, budget - 1)
-                t = App(t, sub)
-            return t, env
-        if budget <= 0:
-            return Const(ell), env
-        name, rank = alphabet.letters[rng.randrange(len(alphabet.letters))]
-        if budget <= 1 and rank > 0:
-            name, rank = ell, 0
-        t = Const(name)
-        for _ in range(rank):
-            sub, env = go(O, env, budget - 1 - rank)
-            t = App(t, sub)
-        return t, env
-
-    t, _ = go(A, [], size)
-    return t

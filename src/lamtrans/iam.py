@@ -197,154 +197,142 @@ class IamMachine(Machine):
     def initial(self):
         return Config("down", (), ())
 
-    # -- dispatch ----------------------------------------------------------
+    # -- the rules ----------------------------------------------------------
 
-    def step(self, cfg):
-        if cfg.direction == "down":
-            return self._down(cfg)
-        return self._up(cfg)
-
-    def _down(self, cfg):
-        pos, tape = cfg.pos, cfg.tape
-        tag, kids, arg = self.info.down[pos]
-        if tag == APP:
-            return Config("down", kids[0], ("p",) + tape, cfg.log, cfg.flag)
-        if tag == LAM:
-            if not tape:
-                return None
-            top = tape[0]
-            if top == "p":
-                return Config("down", kids[0], tape[1:], cfg.log, cfg.flag)
-            if top == "o":
-                if arg is None:
-                    return None  # bound variable never used: dead branch
-                return Config("up", arg, tape[1:], cfg.log, cfg.flag)
-            return None
-        if tag == LAM_VAR:
-            return Config("up", arg, ("o",) + tape, cfg.log, cfg.flag)
-        if tag == CONST:
-            name, args, outs = arg
-            k = len(args)
-            if tape[:k] != args:
-                return None
-            rest, log, flag = tape[k:], cfg.log, cfg.flag
-            return FNode(name, tuple([Config("up", pos, o + rest, log, flag)
-                                      for o in outs]))
-        if tag == LET:
-            return Config("down", kids[1], tape, cfg.log, cfg.flag)
-        if tag == LET_VAR:
-            return self._down_let_var(cfg, arg)
-        if tag == BASE_BOX or tag == BOX and self.variant == "apa":
-            return Config("down", kids[0], tape, cfg.log, cfg.flag)
-        if tag == BOX:
-            return self._down_box(cfg, kids[0])
-        return None  # free unrestricted variable: no rule
-
-    def _down_box(self, cfg, body):
-        tape = cfg.tape
-        if self.variant == "d1":
-            if cfg.log:
-                raise InternalInvariantError("entering a box with a "
-                                             "nonempty log")
-            if not tape or not isinstance(tape[0], LogEntry):
-                return None
-            return Config("down", body, tape[1:], (tape[0],), cfg.flag)
-        # ss: mark that the top stack entry now plays the log role
-        if cfg.flag != 0:
-            raise InternalInvariantError("entering a box with nonzero "
-                                         "nesting counter")
-        return Config("down", body, tape, cfg.log, 1)
-
-    def _down_let_var(self, cfg, arg):
-        v = self.variant
-        bound_pos, base, n, m = arg
+    def advance(self, cfg, budget):
+        """The machine's rules, as one loop over the fields of the current
+        configuration held in local variables (treegen.Machine.advance).
+        A Config is built only for the children of an output node and where
+        the loop stops; `step` is this loop run for one step."""
+        info_down, info_up, v = self.info.down, self.info.up, self.variant
+        down = cfg.direction == "down"
         pos, tape, log, flag = cfg.pos, cfg.tape, cfg.log, cfg.flag
-        if v == "pa":
-            raise InternalInvariantError("let rules in the plain machine")
-        if v == "apa":
-            return Config("down", bound_pos, tape, log, flag)
-        if v == "d1":
-            if base:
-                # forget the log entries for the boxes being exited
-                return Config("down", bound_pos, tape, log[n - m:], flag)
-            if m != 0:
-                raise InternalInvariantError("non-base let binder under a box")
-            return Config("down", bound_pos, (LogEntry(pos, log),) + tape,
-                          (), flag)
-        # ss
-        if base:
-            if flag != n:
-                raise InternalInvariantError("nesting counter out of sync")
-            return Config("down", bound_pos, tape, log[n - m:], m)
-        if m != 0:
-            raise InternalInvariantError("non-base let binder under a box")
-        entry = StackEntry(pos, log[:flag])
-        return Config("down", bound_pos, tape, (entry,) + log[flag:], 0)
-
-    def _up(self, cfg):
-        up = self.info.up[cfg.pos]
-        if up is None:
-            return None
-        ptag, role, parent, sibling = up
-        tape = cfg.tape
-        if ptag == APP:
-            if role == 1:
-                return Config("down", sibling, ("o",) + tape, cfg.log,
-                              cfg.flag)
-            if not tape:
-                return None
-            top = tape[0]
-            if top == "p":
-                return Config("up", parent, tape[1:], cfg.log, cfg.flag)
-            if top == "o":
-                return Config("down", sibling, tape[1:], cfg.log, cfg.flag)
-            return None
-        if ptag == LAM:
-            return Config("up", parent, ("p",) + tape, cfg.log, cfg.flag)
-        if ptag == LET:
-            if role == 1:
-                return Config("up", parent, tape, cfg.log, cfg.flag)
-            return self._up_bound(cfg)
-        return self._up_box(cfg, ptag, parent)
-
-    def _up_bound(self, cfg):
-        """Coming back out of a shared resource: jump to the occurrence
-        that requested it."""
-        v, tape = self.variant, cfg.tape
-        if v in ("pa", "apa"):
-            raise InternalInvariantError("focus on a let-bound term "
-                                         "going up")
-        if v == "d1":
-            if cfg.log:
-                raise InternalInvariantError("leaving a bound term with "
-                                             "a nonempty log")
-            if not tape or not isinstance(tape[0], LogEntry):
-                raise InternalInvariantError("no logged position to "
-                                             "return to")
-            entry = tape[0]
-            return Config("up", entry.pos, tape[1:], entry.log, cfg.flag)
-        if cfg.flag != 0 or not cfg.log:
-            raise InternalInvariantError("no logged position to return to")
-        entry, rest = cfg.log[0], cfg.log[1:]
-        if not isinstance(entry, StackEntry):
-            raise InternalInvariantError("malformed stack")
-        return Config("up", entry.pos, tape, entry.entries + rest,
-                      len(entry.entries))
-
-    def _up_box(self, cfg, ptag, parent):
-        v = self.variant
-        if v in ("pa", "apa") or ptag == BASE_BOX:
-            raise InternalInvariantError("box contents exited upward")
-        if v == "d1":
-            if len(cfg.log) != 1:
-                raise InternalInvariantError("exiting a box with a log "
-                                             "of length != 1")
-            return Config("up", parent, (cfg.log[0],) + cfg.tape, (),
-                          cfg.flag)
-        if cfg.flag != 1:
-            raise InternalInvariantError("exiting a box with nesting "
-                                         "counter != 1")
-        return Config("up", parent, cfg.tape, cfg.log, 0)
+        n = 0
+        while n < budget:
+            if down:
+                tag, kids, arg = info_down[pos]
+                if tag == APP:
+                    pos, tape = kids[0], ("p",) + tape
+                elif tag == LAM:
+                    top = tape[0] if tape else None
+                    if top == "p":
+                        pos, tape = kids[0], tape[1:]
+                    elif top == "o" and arg is not None:
+                        down, pos, tape = False, arg, tape[1:]
+                    else:
+                        break   # with "o": the bound variable is never used
+                elif tag == LAM_VAR:
+                    down, pos, tape = False, arg, ("o",) + tape
+                elif tag == CONST:
+                    name, args, outs = arg
+                    k = len(args)
+                    if tape[:k] != args:
+                        break
+                    rest = tape[k:]
+                    return FNode(name, tuple([
+                        Config("up", pos, o + rest, log, flag) for o in outs
+                    ])), Config("down", pos, tape, log, flag), n + 1
+                elif tag == LET:
+                    pos = kids[1]
+                elif tag == LET_VAR:
+                    bound, base, bn, bm = arg
+                    if v == "pa":
+                        raise InternalInvariantError("let rules in the plain "
+                                                     "machine")
+                    if v == "apa":
+                        pos = bound
+                    elif base:
+                        if v == "ss" and flag != bn:
+                            raise InternalInvariantError("nesting counter "
+                                                         "out of sync")
+                        # forget the log entries for the boxes being exited
+                        pos, log = bound, log[bn - bm:]
+                        if v == "ss":
+                            flag = bm
+                    elif bm != 0:
+                        raise InternalInvariantError("non-base let binder "
+                                                     "under a box")
+                    elif v == "d1":
+                        tape = (LogEntry(pos, log),) + tape
+                        pos, log = bound, ()
+                    else:
+                        log = (StackEntry(pos, log[:flag]),) + log[flag:]
+                        pos, flag = bound, 0
+                elif tag == BASE_BOX or tag == BOX and v == "apa":
+                    pos = kids[0]
+                elif tag == BOX:
+                    if v == "d1":
+                        if log:
+                            raise InternalInvariantError("entering a box with "
+                                                         "a nonempty log")
+                        if not tape or not isinstance(tape[0], LogEntry):
+                            break
+                        pos, tape, log = kids[0], tape[1:], (tape[0],)
+                    # ss: mark that the top stack entry now plays the log role
+                    elif flag != 0:
+                        raise InternalInvariantError("entering a box with "
+                                                     "nonzero nesting counter")
+                    else:
+                        pos, flag = kids[0], 1
+                else:
+                    break       # free unrestricted variable: no rule
+            else:
+                up = info_up[pos]
+                if up is None:
+                    break
+                ptag, role, parent, sibling = up
+                if ptag == APP and role == 1:
+                    down, pos, tape = True, sibling, ("o",) + tape
+                elif ptag == APP:
+                    top = tape[0] if tape else None
+                    if top == "p":
+                        pos, tape = parent, tape[1:]
+                    elif top == "o":
+                        down, pos, tape = True, sibling, tape[1:]
+                    else:
+                        break
+                elif ptag == LAM:
+                    pos, tape = parent, ("p",) + tape
+                elif ptag == LET and role == 1:
+                    pos = parent
+                # coming back out of a shared resource: jump to the
+                # occurrence that requested it
+                elif ptag == LET and (v == "pa" or v == "apa"):
+                    raise InternalInvariantError("focus on a let-bound term "
+                                                 "going up")
+                elif ptag == LET and v == "d1":
+                    if log:
+                        raise InternalInvariantError("leaving a bound term "
+                                                     "with a nonempty log")
+                    if not tape or not isinstance(tape[0], LogEntry):
+                        raise InternalInvariantError("no logged position to "
+                                                     "return to")
+                    entry = tape[0]
+                    pos, tape, log = entry.pos, tape[1:], entry.log
+                elif ptag == LET:
+                    if flag != 0 or not log:
+                        raise InternalInvariantError("no logged position to "
+                                                     "return to")
+                    entry = log[0]
+                    if not isinstance(entry, StackEntry):
+                        raise InternalInvariantError("malformed stack")
+                    pos, log, flag = (entry.pos, entry.entries + log[1:],
+                                      len(entry.entries))
+                # leaving a box
+                elif v == "pa" or v == "apa" or ptag == BASE_BOX:
+                    raise InternalInvariantError("box contents exited upward")
+                elif v == "d1":
+                    if len(log) != 1:
+                        raise InternalInvariantError("exiting a box with a "
+                                                     "log of length != 1")
+                    pos, tape, log = parent, (log[0],) + tape, ()
+                elif flag != 1:
+                    raise InternalInvariantError("exiting a box with nesting "
+                                                 "counter != 1")
+                else:
+                    pos, flag = parent, 0
+            n += 1
+        return None, Config("down" if down else "up", pos, tape, log, flag), n
 
     # -- rendering and invariants -----------------------------------------
 

@@ -8,14 +8,23 @@ stepping it; it produces an output once no configuration leaves remain.
 The step functions used here are orthogonal, so the result does not depend
 on which leaf is picked; the leftmost policy is the canonical one.
 
+A machine needs only `step`.  It may also define `advance(cfg, budget)`,
+which takes up to `budget` steps from `cfg` and stops at the first step
+that returns an FNode, at a configuration it is stuck on, or when the
+budget is used up; it returns (the FNode or None, the configuration it
+stopped at, the steps taken).  The base class builds each from the other,
+so a machine that chains steps in local variables states its rules once,
+in `advance`, and gets `step` as a one-step `advance`.
+
 `drive` is the one run loop.  It keeps the frontier as mutable nodes with
 a stack of pending configuration slots, leaf to fire next on top, so the
 work it does around each machine step does not depend on the size of the
-frontier.  `run` drives a machine to its result.  `trace` and the
+frontier.  It gives each pending slot the fuel left in one `advance`
+call.  `run` drives a machine to its result.  `trace` and the
 invariant-checked token machine run (`iam.run_iam(check=True)`) are the
-same run, paused before each step: `trace` renders the whole frontier
-there with `frontier_to_str`, and the checked run checks the
-configuration about to be stepped."""
+same run, paused before each step, and call `step` once per pause:
+`trace` renders the whole frontier there with `frontier_to_str`, and the
+checked run checks the configuration about to be stepped."""
 
 from __future__ import annotations
 
@@ -57,11 +66,33 @@ class Diverged:
 
 
 class Machine:
-    """Base class; subclasses provide step() and usually render()."""
+    """Base class; subclasses provide step() or advance(), and usually
+    render()."""
 
     def step(self, config):
-        """Return an FNode/configuration, or None when stuck."""
-        raise NotImplementedError
+        """Return an FNode/configuration, or None when stuck.  A machine
+        that defines only advance() steps by a one-step advance."""
+        if type(self).advance is Machine.advance:
+            raise NotImplementedError
+        res, config, n = self.advance(config, 1)
+        return config if n and res is None else res
+
+    def advance(self, config, budget):
+        """Step from `config` until a step returns an FNode, the machine is
+        stuck, or `budget` steps are taken.  Returns (the FNode or None, the
+        configuration it stopped at, steps taken): with None, the machine
+        is stuck there when fewer than `budget` steps were taken."""
+        step = self.step
+        n = 0
+        while n < budget:
+            res = step(config)
+            if res is None:
+                break
+            n += 1
+            if isinstance(res, FNode):
+                return res, config, n
+            config = res
+        return None, config, n
 
     def render(self, config):
         return str(config)
@@ -129,8 +160,10 @@ def drive(machine, initial, fuel, order, watch):
     rightmost) configuration leaf, for at most `fuel` successful steps.
     With `watch`, it pauses before each step with (top, kids, i, n): the
     configuration about to be stepped is in slot kids[i], the frontier in
-    top[0], and n steps have been taken.  Without it, it never pauses."""
-    step = machine.step
+    top[0], and n steps have been taken; it then takes that one step with
+    `step`.  Without it, it never pauses and hands each slot's chain of
+    steps to `advance`."""
+    step, advance = machine.step, machine.advance
     rightmost = order != "leftmost"
     top = [None]                    # the slot holding the whole frontier
     pending = []
@@ -139,20 +172,25 @@ def drive(machine, initial, fuel, order, watch):
     while pending:
         kids, i = pending.pop()
         cfg = kids[i]
-        while n < fuel:
-            if watch:
+        if watch:
+            res = None
+            while n < fuel:
                 kids[i] = cfg
                 yield top, kids, i, n
-            res = step(cfg)
-            if res is None:
-                kids[i] = cfg
-                return Stuck(*_freeze(top, FNode, (kids, i)), n)
-            n += 1
-            if isinstance(res, FNode):
-                break
-            cfg = res
+                res = step(cfg)
+                if res is None:
+                    break
+                n += 1
+                if isinstance(res, FNode):
+                    break
+                cfg, res = res, None
         else:
+            res, cfg, k = advance(cfg, fuel - n)
+            n += k
+        if res is None:
             kids[i] = cfg
+            if n < fuel:
+                return Stuck(*_freeze(top, FNode, (kids, i)), n)
             return Diverged(_freeze(top, FNode)[0], n)
         _graft(res, kids, i, pending, rightmost)
     return Output(_freeze(top, Tree)[0], n)

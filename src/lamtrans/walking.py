@@ -94,6 +94,22 @@ class WalkingSpec:
                 elif not self.pebbles and is_pebble_move(t[1]):
                     raise SpecError(f"{self.name}: pebble move in a "
                                     f"tree-walking transducer: {a} {q}")
+                else:
+                    self._check_move(t[1], a)
+
+    def _check_move(self, m, a):
+        """Refuses a move that is none of the known ones, or a to-child
+        move to a child that a node labelled `a` does not have."""
+        if m in ("to-parent", "stay", "remove") or \
+                isinstance(m, tuple) and len(m) == 2 and m[0] == "put":
+            return
+        if not (isinstance(m, tuple) and len(m) == 2 and m[0] == "to-child"
+                and isinstance(m[1], int)):
+            raise SpecError(f"{self.name}: unknown move {m!r}")
+        rank = self.input.rank(a)
+        if not 1 <= m[1] <= rank:
+            raise SpecError(f"{self.name}: move to-child {m[1]} at letter "
+                            f"{a!r} of rank {rank}")
 
     @cached_property
     def plans(self):
@@ -217,10 +233,11 @@ class WalkConfig:
 
 
 # The kinds of move a plan record makes.
-STAY, TO_PARENT, TO_CHILD, PUT, REMOVE, UNKNOWN = range(6)
+STAY, TO_PARENT, TO_CHILD, PUT, REMOVE = range(5)
 
 
 def _leaf_plan(leaf):
+    """The record of a (state, move) leaf whose move validate accepted."""
     q, move = leaf
     if move == "stay":
         return q, STAY, None
@@ -228,11 +245,9 @@ def _leaf_plan(leaf):
         return q, TO_PARENT, None
     if move == "remove":
         return q, REMOVE, None
-    if isinstance(move, tuple) and move[0] == "to-child":
+    if move[0] == "to-child":
         return q, TO_CHILD, move[1] - 1
-    if isinstance(move, tuple) and move[0] == "put":
-        return q, PUT, move[1]
-    return q, UNKNOWN, move
+    return q, PUT, move[1]
 
 
 def plan_image(img):
@@ -251,11 +266,14 @@ class WalkingMachine(Machine):
     first child's number, the number of children, the provenance of
     arriving at the parent from node i); the root is node 0 and the
     children of a node are numbered consecutively.  The index holds no
-    positions.  Each configuration the machine makes is remembered, by
-    identity, with its node's number until it is stepped, so a step finds
-    its node without walking the input, and only the positions of
-    configurations still to be stepped are alive.  A configuration made
-    elsewhere is located by walking down from the root."""
+    positions.  `advance` keeps the current node's number in a local
+    variable while it chains steps.  The configurations it hands out -- the
+    children of an output node, and the one it stops at when its budget
+    runs out -- are remembered, by identity, with their node's number until
+    they are stepped, so a step finds its node without walking the input,
+    and only the positions of configurations still to be stepped are
+    alive.  A configuration made elsewhere is located by walking down from
+    the root."""
 
     def __init__(self, spec, tau):
         tau.validate(spec.input)
@@ -287,20 +305,61 @@ class WalkingMachine(Machine):
             i = first + k
         return i
 
-    def step(self, cfg):
+    def advance(self, cfg, budget):
+        """treegen.Machine.advance; `step` is its one-step run."""
         tracked = self.tracked.pop(id(cfg), None)
         i = self._locate(cfg.node) if tracked is None else tracked[0]
-        entry = self.nodes[i]
-        plan = entry[0].get((cfg.state, cfg.prov))
-        if plan.__class__ is dict:      # an IPTT's: by the visible pebble
-            node, pebbles = cfg.node, cfg.pebbles
-            z = pebbles[0][0] if pebbles and pebbles[0][1] == node else None
-            plan = plan.get(z, plan.get(ANY))
-        if plan is None:
-            return None
-        if plan.__class__ is tuple:
-            return self._move(plan, cfg, i, entry)
-        # an FNode skeleton: copy it, resolving its records left to right
+        return self._walk(None, cfg.state, cfg.prov, cfg.node, cfg.pebbles,
+                          i, budget)
+
+    def _walk(self, record, state, prov, node, pebbles, i, budget):
+        """The machine's rules, as one loop over the fields of the current
+        configuration, at node i, held in local variables.  It first makes
+        the move of the plan record `record`, if one is given, and then
+        takes up to `budget` steps as `advance` does.  With budget 0 it only
+        makes the move, and hands out the configuration that reaches."""
+        nodes = self.nodes
+        entry = nodes[i]
+        n = 0
+        while True:
+            if record is not None:
+                q, kind, arg = record
+                if kind == STAY:
+                    state, prov = q, "self"
+                elif kind == TO_CHILD:
+                    state, prov, node, i = (q, "from-parent", node + (arg,),
+                                            entry[2] + arg)
+                elif kind == TO_PARENT:
+                    if entry[1] is None:
+                        raise SpecError("to-parent at the root")
+                    state, prov, node, i = q, entry[4], node[:-1], entry[1]
+                elif kind == PUT:
+                    state, prov, pebbles = q, "self", ((arg, node),) + pebbles
+                elif pebbles and pebbles[0][1] == node:     # REMOVE
+                    state, prov, pebbles = q, "self", pebbles[1:]
+                else:
+                    raise SpecError("remove with no visible pebble")
+                entry = nodes[i]
+            if n == budget:
+                cfg = WalkConfig(state, prov, node, pebbles)
+                self.tracked[id(cfg)] = (i, cfg)
+                return None, cfg, n
+            plan = entry[0].get((state, prov))
+            if plan.__class__ is dict:      # an IPTT's: by the visible pebble
+                z = pebbles[0][0] if pebbles and pebbles[0][1] == node \
+                    else None
+                plan = plan.get(z, plan.get(ANY))
+            if plan is None:
+                return None, WalkConfig(state, prov, node, pebbles), n
+            n += 1
+            if plan.__class__ is not tuple:
+                return (self._image(plan, node, pebbles, i),
+                        WalkConfig(state, prov, node, pebbles), n)
+            record = plan
+
+    def _image(self, plan, node, pebbles, i):
+        """The FNode skeleton `plan` copied, resolving its records left to
+        right to the configurations their moves from node i reach."""
         stack = [(plan, [])]
         while True:
             skel, done = stack[-1]
@@ -309,43 +368,14 @@ class WalkingMachine(Machine):
                 if c.__class__ is FNode:
                     stack.append((c, []))
                 else:
-                    done.append(self._move(c, cfg, i, entry))
+                    done.append(self._walk(c, None, None, node, pebbles, i,
+                                           0)[1])
                 continue
             stack.pop()
             built = FNode(skel.label, tuple(done))
             if not stack:
                 return built
             stack[-1][1].append(built)
-
-    def _move(self, record, cfg, i, entry):
-        """The configuration a plan record sends the head to from node i,
-        whose index entry is `entry`."""
-        q, kind, arg = record
-        node, pebbles = cfg.node, cfg.pebbles
-        if kind == STAY:
-            new = WalkConfig(q, "self", node, pebbles)
-        elif kind == TO_CHILD:
-            _, _, first, arity, _ = entry
-            if not 0 <= arg < arity:
-                raise SpecError(f"cannot resolve move to-child {arg + 1} "
-                                "here")
-            new = WalkConfig(q, "from-parent", node + (arg,), pebbles)
-            i = first + arg
-        elif kind == TO_PARENT:
-            _, parent, _, _, back = entry
-            if parent is None:
-                raise SpecError("to-parent at the root")
-            new, i = WalkConfig(q, back, node[:-1], pebbles), parent
-        elif kind == PUT:
-            new = WalkConfig(q, "self", node, ((arg, node),) + pebbles)
-        elif kind == REMOVE:
-            if not (pebbles and pebbles[0][1] == node):
-                raise SpecError("remove with no visible pebble")
-            new = WalkConfig(q, "self", node, pebbles[1:])
-        else:
-            raise SpecError(f"cannot resolve move {move_to_str(arg)} here")
-        self.tracked[id(new)] = (i, new)
-        return new
 
     def render(self, cfg):
         node = ".".join(map(str, cfg.node)) or "e"

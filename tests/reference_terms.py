@@ -1,0 +1,96 @@
+"""Term helpers that only the tests use: alpha-equivalence, positions and
+size of a term, linearity of a typed term, and random closed normal terms
+of purely affine types.  The code is kept as it was in `lamtrans.core` and
+`lamtrans.gls`; only its imports changed."""
+
+from __future__ import annotations
+
+from lamtrans.core import App, Box, Const, Lam, Let, Var, children
+from lamtrans.gls import NoNullaryOutputLetter, arg_types
+from lamtrans.typecheck import Arrow, O
+
+
+def positions(t):
+    """All subterm positions in preorder."""
+    out = [()]
+    for i, c in enumerate(children(t)):
+        out.extend((i,) + p for p in positions(c))
+    return out
+
+
+def term_size(t):
+    return 1 + sum(term_size(c) for c in children(t))
+
+
+def alpha_eq(t, u):
+    """Equality up to renaming of bound variables."""
+
+    def go(t, u, env_t, env_u, depth):
+        if type(t) is not type(u):
+            return False
+        if isinstance(t, Const):
+            return t.name == u.name
+        if isinstance(t, Var):
+            return env_t.get(t.name, t.name) == env_u.get(u.name, u.name)
+        if isinstance(t, Lam):
+            return go(t.body, u.body,
+                      {**env_t, t.var: depth}, {**env_u, u.var: depth}, depth + 1)
+        if isinstance(t, App):
+            return (go(t.fn, u.fn, env_t, env_u, depth)
+                    and go(t.arg, u.arg, env_t, env_u, depth))
+        if isinstance(t, Box):
+            return go(t.body, u.body, env_t, env_u, depth)
+        if isinstance(t, Let):
+            return (go(t.bound, u.bound, env_t, env_u, depth)
+                    and go(t.body, u.body,
+                           {**env_t, t.var: depth}, {**env_u, u.var: depth},
+                           depth + 1))
+        return False
+
+    return go(t, u, {}, {}, 0)
+
+
+def is_linear(ann):
+    """True when every lambda-bound variable is used exactly once."""
+    return all(occ is not None for occ in ann.lam_occ.values())
+
+
+def sample_normal_term(A, alphabet, rng, size=8):
+    """A random closed normal term of purely affine type A over the given
+    output alphabet.  Variables are used at most once."""
+    ell = alphabet.nullary()
+    if ell is None:
+        raise NoNullaryOutputLetter("need a rank-0 letter to sample terms")
+
+    def go(A, env, budget):
+        # env: list of (name, arg-type-list) still available
+        if isinstance(A, Arrow):
+            x = f"v{len(env)}_"
+            body, env2 = go(A.right, env + [(x, arg_types(A.left))], budget)
+            return Lam(x, body, A.left), [e for e in env2 if e[0] != x]
+        # A == o: emit a constant or call an available variable
+        choices = ["const"]
+        if env and budget > 0:
+            choices += ["var"] * 2
+        if rng.choice(choices) == "var":
+            i = rng.randrange(len(env))
+            x, args = env[i]
+            env = env[:i] + env[i + 1:]
+            t = Var(x)
+            for B in args:
+                sub, env = go(B, env, budget - 1)
+                t = App(t, sub)
+            return t, env
+        if budget <= 0:
+            return Const(ell), env
+        name, rank = alphabet.letters[rng.randrange(len(alphabet.letters))]
+        if budget <= 1 and rank > 0:
+            name, rank = ell, 0
+        t = Const(name)
+        for _ in range(rank):
+            sub, env = go(O, env, budget - 1 - rank)
+            t = App(t, sub)
+        return t, env
+
+    t, _ = go(A, [], size)
+    return t

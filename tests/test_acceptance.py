@@ -7,10 +7,10 @@ import time
 
 from lamtrans.cli import difftest_backends, gen_tree
 from lamtrans.compiler import compile_to_iptt, compile_to_twt
-from lamtrans.core import (Box, RankedAlphabet, alpha_eq, encode_tree,
-                           parse_term, parse_tree)
+from lamtrans.core import (Box, RankedAlphabet, encode_tree, parse_term,
+                           parse_tree)
 from lamtrans.gls import (conversions, make_type_constant,
-                          sample_normal_term, split_state_relabeling)
+                          split_state_relabeling)
 from lamtrans.iam import IamMachine, TermInfo, run_iam
 from lamtrans.reduction import eta_reduce, normalize
 from lamtrans.transducer import compose, wn_translate
@@ -22,6 +22,7 @@ from conftest import numeral, unary
 from test_compiler import GOLDEN_TWT_PREFIX, frontiers
 from test_iam import GOLDEN_PREFIX
 from test_walking import forward_configs
+from reference_terms import alpha_eq, sample_normal_term
 from reference_treegen import frontier_configs, frontier_get
 from lamtrans.walking import WalkingMachine
 from lamtrans.iam import Config, mult_tape

@@ -1,0 +1,187 @@
+"""Chained runs against step-at-a-time runs.
+
+`treegen.run` hands each pending slot to the machine's `advance`, which the
+token and walking machines implement as one loop over local variables.
+`StepOnly` exposes only a machine's `step`, so its runs go through the
+base-class `advance`, one `step` call at a time.  On the corpus and on
+seeded random inputs, and for fuels around and below the full step count,
+the two runs must return the same Output, Stuck or Diverged: the same
+output or frontier, stuck position and step count."""
+
+import random
+
+import pytest
+
+from lamtrans.cli import gen_tree
+from lamtrans.compiler import compile_to_iptt, compile_to_twt
+from lamtrans.core import LamtransError
+from lamtrans.iam import Config, IamMachine, TermInfo
+from lamtrans.treegen import Diverged, FNode, Machine, Output, Stuck, run
+from lamtrans.walking import IpttSpec, TwtSpec, WalkingMachine
+
+from reference_treegen import frontier_configs, frontier_get
+
+
+class StepOnly(Machine):
+    """A machine that has only the wrapped machine's step."""
+
+    def __init__(self, machine):
+        self.machine = machine
+
+    def step(self, cfg):
+        return self.machine.step(cfg)
+
+
+def outcome(machine, initial, fuel):
+    """The run's result, or the type and message of the error it raised."""
+    try:
+        return run(machine, initial, fuel)
+    except LamtransError as e:
+        return type(e), str(e)
+
+
+def fuels(rng, steps):
+    return sorted({steps - 1, steps, steps + 1,
+                   *(rng.randrange(steps + 1) for _ in range(3))} - {-1})
+
+
+def full_run(make):
+    m = make()
+    return run(m, m.initial())
+
+
+def agree(make, initial, fuel):
+    """Run fresh machines from make() chained and step by step; return the
+    chained run's result and machine."""
+    chained, stepped = make(), make()
+    got = outcome(chained, initial(chained), fuel)
+    want = outcome(StepOnly(stepped), initial(stepped), fuel)
+    assert type(got) is type(want)
+    assert got == want
+    if isinstance(got, Stuck):
+        assert frontier_get(got.frontier, got.pos) == \
+            frontier_get(want.frontier, want.pos)
+    return got, chained
+
+
+SIZES = {"count": 14, "seq-nat": 9, "bin2bin": 3}
+# the token machine variants each corpus spec's tier allows
+VARIANTS = {"count": ("pa", "apa", "d1", "ss"), "seq-nat": ("apa", "d1", "ss"),
+            "bin2bin": ("d1", "ss")}
+
+
+@pytest.fixture(scope="module")
+def specs(count, seqnat, bin2bin):
+    return {"count": count, "seq-nat": seqnat, "bin2bin": bin2bin}
+
+
+def inputs(spec, name, rng, n=12):
+    return [gen_tree(rng, spec.input, 1 + rng.randrange(SIZES[name]))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("name", list(VARIANTS))
+def test_token_machines_chain_as_they_step(specs, name):
+    spec, rng = specs[name], random.Random(f"iam-{name}")
+    kinds = set()
+    for tau in inputs(spec, name, rng):
+        info = TermInfo(spec.program_ann(tau))
+        for variant in VARIANTS[name]:
+            def make():
+                return IamMachine(info, variant)
+
+            def initial(m):
+                return m.initial()
+            steps = full_run(make).steps
+            for fuel in fuels(rng, steps):
+                got, _ = agree(make, initial, fuel)
+                kinds.add(type(got))
+            # stuck runs, and the errors a run can raise, from arbitrary
+            # configurations
+            positions = sorted(info.down)
+            for _ in range(8):
+                cfg = Config(rng.choice(("down", "up")),
+                             rng.choice(positions),
+                             tuple(rng.choice("po")
+                                   for _ in range(rng.randrange(4))))
+                got, _ = agree(make, lambda m: cfg, rng.randrange(200))
+                kinds.add(type(got))
+    assert {Output, Stuck, Diverged} <= kinds
+
+
+def pruned(spec, rng):
+    """The spec without about one transition in twelve, so that runs of it
+    get stuck."""
+    if isinstance(spec, IpttSpec):
+        delta = {k: v for k, v in spec.delta.items() if rng.random() > 1 / 12}
+        return IpttSpec(spec.input, spec.output, spec.states, spec.initial,
+                        spec.colors, delta, name=spec.name)
+    delta, root = ({k: v for k, v in table.items() if rng.random() > 1 / 12}
+                   for table in (spec.delta, spec.delta_root))
+    return TwtSpec(spec.input, spec.output, spec.states, spec.initial, delta,
+                   root, name=spec.name)
+
+
+def pending(frontier, but=None):
+    """The identities of a frontier's configuration leaves, except the one
+    at position `but`."""
+    return {id(frontier_get(frontier, pos)) for pos in
+            frontier_configs(frontier) if pos != but}
+
+
+@pytest.mark.parametrize("name,target", [
+    ("count", "twt"), ("seq-nat", "twt"), ("count", "iptt"),
+    ("seq-nat", "iptt"), ("bin2bin", "iptt")])
+def test_walking_machines_chain_as_they_step(specs, name, target):
+    spec, rng = specs[name], random.Random(f"{target}-{name}")
+    compiled = (compile_to_twt if target == "twt" else compile_to_iptt)(spec)
+    kinds = set()
+    for tau in inputs(spec, name, rng):
+        for walker in (compiled, pruned(compiled, rng)):
+            def make():
+                return WalkingMachine(walker, tau)
+
+            def initial(m):
+                return m.initial()
+            steps = full_run(make).steps
+            for fuel in fuels(rng, steps):
+                got, m = agree(make, initial, fuel)
+                kinds.add(type(got))
+                # only configurations still to be stepped are remembered
+                if isinstance(got, Output):
+                    assert not m.tracked
+                elif isinstance(got, Stuck):
+                    assert set(m.tracked) == pending(got.frontier, got.pos)
+                else:
+                    assert set(m.tracked) == pending(got.frontier)
+    assert {Output, Stuck, Diverged} <= kinds
+
+
+def test_a_single_head_stuck_run_remembers_nothing(count):
+    # a TWT has one head, so its stuck configuration is the only leaf
+    spec = compile_to_twt(count)
+    tau = gen_tree(random.Random(3), count.input, 12)
+    steps = full_run(lambda: WalkingMachine(spec, tau)).steps
+    stuck = 0
+    for key in sorted(spec.delta, key=str):
+        delta = {kk: v for kk, v in spec.delta.items() if kk != key}
+        m = WalkingMachine(TwtSpec(spec.input, spec.output, spec.states,
+                                   spec.initial, delta, spec.delta_root), tau)
+        res = run(m, m.initial(), steps + 1)
+        if isinstance(res, Stuck):
+            stuck += 1
+            assert frontier_configs(res.frontier) == [res.pos]
+            assert not m.tracked
+    assert stuck > 0
+
+
+def test_advance_stops_at_an_output_node_and_at_the_budget(count):
+    info = TermInfo(count.program_ann(gen_tree(random.Random(1),
+                                               count.input, 5)))
+    m = IamMachine(info, "pa")
+    res, cfg, n = m.advance(m.initial(), 10_000)
+    assert isinstance(res, FNode) and n > 1
+    # the configuration it stopped at is the one whose step built the node
+    assert m.step(cfg) == res
+    assert m.advance(m.initial(), n - 1) == (None, cfg, n - 1)
+    assert m.advance(m.initial(), 0) == (None, m.initial(), 0)

@@ -8,11 +8,11 @@ import random
 import pytest
 
 from lamtrans import corpus_path
-from lamtrans.cli import main
+from lamtrans.cli import load_spec, machine_for, main
 from lamtrans.compiler import compile_to_iptt, compile_to_twt
 from lamtrans.core import Tree, parse_tree
 from lamtrans.iam import Config, LogEntry, StackEntry, run_iam
-from lamtrans.treegen import FNode
+from lamtrans.treegen import Diverged, FNode, frontier_to_str, run
 from lamtrans.walking import WalkConfig, run_walking
 
 from conftest import numeral, unary
@@ -179,3 +179,69 @@ def test_value_classes_keep_their_frozen_dataclass_forms(value, text):
     assert value != fields and value != object()
     if fields[-1] == ():
         assert value != type(value)(*fields[:-1], ("x",))
+
+
+# The fuel edges of `lamtrans run --fuel K`: one step short of the full run
+# prints the short Diverged form, the full count prints the output.
+FUEL_EDGES = [
+    (COUNT, "a(b(c),a(c,b(c)))", 94, "S(S(S(S(S(0)))))"),
+    (BIN2BIN, "1(1(e))", 841, "a(a(a(c,c),a(c,c)),a(a(c,c),a(c,c)))"),
+]
+FUEL_RUNS = [(spec, machine, tree, steps, output)
+             for spec, tree, steps, output in FUEL_EDGES
+             for machine in ("iam", "twt", "iptt")
+             if (spec, machine) != (BIN2BIN, "twt")]   # tier too high
+
+
+@pytest.mark.parametrize("spec,machine,tree,steps,output", FUEL_RUNS,
+                         ids=[f"{r[1]}-{i}" for i, r in enumerate(FUEL_RUNS)])
+def test_run_at_the_fuel_edge_is_pinned(capsys, spec, machine, tree, steps,
+                                        output):
+    for fuel in (steps - 2, steps - 1):
+        code = main(["--fuel", str(fuel), "run", "--machine", machine, spec,
+                     tree])
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == \
+            (1, "", f"no output within {fuel} steps\n")
+    for fuel in (steps, steps + 1):
+        out = run_cli(capsys, "--fuel", str(fuel), "run", "--machine",
+                      machine, spec, tree)
+        assert out == output + "\n"
+
+
+# (spec, machine, fuel, sha256 of the frontier a run leaves when its fuel
+# runs out, rendered as `trace` renders it)
+DIVERGED = [
+    (COUNT, "iam", 47,
+     "a1c89afb14aabaf920352f16145e790965ce7630893f71e9705f81f5b3748550"),
+    (COUNT, "iam", 93,
+     "dd3ac9cb561978de3f6fd8747bbc0bda5d51f470e9e7a98f9147c020d74f62ba"),
+    (COUNT, "twt", 47,
+     "e72bf042464336f9d1c6cdebc413e7c939c51184d7842d1405c8a92728539715"),
+    (COUNT, "twt", 93,
+     "be453287e88e2257f0e23927fb0471810007ceae6c5010a0f20174989abc6fca"),
+    (COUNT, "iptt", 47,
+     "2aed5e8a811236da651333a89a7045968f275acdc663d8f9f43d6a5d69db4bed"),
+    (COUNT, "iptt", 93,
+     "8a10f8b1cb754998b437392b413b665fb0ee0efabbb09bda52ddc8d26c7df9bf"),
+    (BIN2BIN, "iam", 420,
+     "cbae3173026a233db3ff22f39b271e2bae35b4311dde1c02ef5807cf40383c27"),
+    (BIN2BIN, "iam", 840,
+     "bc5474d134a0eff61149255ca7b041671480f64a36e6708c3e5403927ee33067"),
+    (BIN2BIN, "iptt", 420,
+     "13b8cd422a1fac1605e394e9c6615b42cf9c0777b95382663f3d8c2835434e82"),
+    (BIN2BIN, "iptt", 840,
+     "51ecf37b40399ca78e586e57ed715435bfea0d7c5ef77d2964c7e2c32842d0f4"),
+]
+
+
+@pytest.mark.parametrize("spec,machine,fuel,digest", DIVERGED,
+                         ids=[f"{d[1]}-{i}" for i, d in enumerate(DIVERGED)])
+def test_frontier_left_when_fuel_runs_out_is_pinned(spec, machine, fuel,
+                                                    digest):
+    kind, loaded = load_spec(spec)
+    tree = dict((s, t) for s, t, _, _ in FUEL_EDGES)[spec]
+    m = machine_for(kind, loaded, machine)(parse_tree(tree, loaded.input))
+    res = run(m, m.initial(), fuel)
+    assert isinstance(res, Diverged) and res.steps == fuel
+    assert sha256(frontier_to_str(res.frontier, m.render)) == digest

@@ -171,8 +171,6 @@ def one_state_iptt(image):
 
 @pytest.mark.parametrize("move,message", [
     ("remove", "remove with no visible pebble"),
-    ("hop", "cannot resolve move hop here"),
-    (("to-child", 2), "cannot resolve move to-child 2 here"),
 ])
 def test_walking_step_errors(move, message):
     # the step that would make the move raises, also from inside an image
@@ -180,6 +178,21 @@ def test_walking_step_errors(move, message):
         m = WalkingMachine(one_state_iptt(image), parse_tree("b(e)"))
         with pytest.raises(SpecError) as e:
             m.step(m.initial())
+        assert str(e.value) == message
+
+
+@pytest.mark.parametrize("move,message", [
+    ("hop", "iptt: unknown move 'hop'"),
+    (("hop", 1), "iptt: unknown move ('hop', 1)"),
+    (("to-child", 2), "iptt: move to-child 2 at letter 'b' of rank 1"),
+    (("to-child", 0), "iptt: move to-child 0 at letter 'b' of rank 1"),
+])
+def test_unknown_and_out_of_range_moves_are_refused_at_load(move, message):
+    # a move no node can make is refused when the spec is built, also from
+    # inside an image
+    for image in [("q", move), FNode("p", (("q", "stay"), ("q", move)))]:
+        with pytest.raises(SpecError) as e:
+            one_state_iptt(image)
         assert str(e.value) == message
 
 
