@@ -91,17 +91,17 @@ class _Hash:
         return self.h
 
 
-@dataclass(slots=True, eq=False)
-class Tree:
-    label: str
-    children: tuple = ()
-
-    # ==, hash, size, to_str and validate walk the tree with an explicit
-    # stack, so trees of any depth work.  == and hash give what a frozen
-    # dataclass would: Trees compare and hash as (label, children).
+class Node:
+    """The == and hash of the tree classes (Tree, treegen.FNode): what a
+    frozen dataclass of (label, children) gives, computed with an explicit
+    stack, so trees of any depth work.  Both recurse into the children of
+    the receiver's own class; any other child is compared and hashed as
+    it is."""
+    __slots__ = ()
 
     def __eq__(self, other):
-        if other.__class__ is not self.__class__:
+        cls = self.__class__
+        if other.__class__ is not cls:
             return NotImplemented
         todo = [(self, other)]
         while todo:
@@ -111,13 +111,14 @@ class Tree:
             for x, y in zip(a.children, b.children):
                 if x is y:
                     continue
-                if x.__class__ is Tree and y.__class__ is Tree:
+                if x.__class__ is cls and y.__class__ is cls:
                     todo.append((x, y))
                 elif not x == y:
                     return False
         return True
 
     def __hash__(self):
+        cls = self.__class__
         known = {}      # id of a node below self -> _Hash of it
         todo = [self]
         while todo:
@@ -126,15 +127,24 @@ class Tree:
                 todo.pop()
                 continue
             missing = [c for c in t.children
-                       if c.__class__ is Tree and id(c) not in known]
+                       if c.__class__ is cls and id(c) not in known]
             if missing:
                 todo.extend(missing)
                 continue
             todo.pop()
             known[id(t)] = _Hash(hash((t.label, tuple(
-                known[id(c)] if c.__class__ is Tree else c
+                known[id(c)] if c.__class__ is cls else c
                 for c in t.children))))
         return known[id(self)].h
+
+
+@dataclass(slots=True, eq=False)
+class Tree(Node):
+    label: str
+    children: tuple = ()
+
+    # == and hash come from Node; size, to_str and validate also walk the
+    # tree with an explicit stack.
 
     def size(self):
         n = 0

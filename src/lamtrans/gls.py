@@ -29,8 +29,8 @@ class GlsSpec:
     rules: dict                       # (state, letter) -> (Term, [child states])
     out: object                       # Term : A_init -o o
     name: str = "gls"
-    norm_rules: dict = field(default_factory=dict)
-    norm_out: object = None
+    norm_rules: dict = field(init=False, default_factory=dict)
+    norm_out: object = field(init=False, default=None)
 
     def __post_init__(self):
         if self.init not in self.state_types:
@@ -58,10 +58,10 @@ class GlsSpec:
 
     # -- running -----------------------------------------------------------
 
-    def build(self, tau, q=None):
-        """The term tau-arrow-down : A_q.  apply_tree visits the nodes in
+    def build(self, tau):
+        """The term tau-arrow-down : A_init.  apply_tree visits the nodes in
         preorder, so the states still to visit are a stack."""
-        states = [q or self.init]
+        states = [self.init]
 
         def head(a):
             key = (states.pop(), a)
@@ -239,9 +239,9 @@ def split_state_relabeling(spec):
             raise SpecError(f"{spec.name}: state types are not all equal; "
                             "apply make_type_constant first")
 
-    def relabel(tau, q=None):
+    def relabel(tau):
         out = Tree(None)
-        todo = [(tau, q or spec.init, out)]
+        todo = [(tau, spec.init, out)]
         while todo:     # each new node is filled in before its children
             node, q, new = todo.pop()
             key = (q, node.label)

@@ -105,7 +105,6 @@ class TermInfo:
         self.term = ann.term
         self.types = types = ann.types
         self.occ_binder = occ_binder = ann.occ_binder
-        self.lam_occ = ann.lam_occ
         self.var_kind = var_kind = ann.var_kind
         self.depths = depths = {}
         self.down = down = {}

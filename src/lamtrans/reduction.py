@@ -49,8 +49,8 @@ each other."""
 
 from __future__ import annotations
 
-from .core import (App, Box, Const, Lam, LamtransError, Let, Var, children,
-                   free_vars, fresh_name, too_deep, with_children)
+from .core import (App, Box, Const, Lam, LamtransError, Let, Var,
+                   fresh_name, too_deep)
 from .core import TooDeep  # noqa: F401  (normalize raises it)
 
 
@@ -376,13 +376,3 @@ def _name_binders(t, binders, bound, free):
         else:
             out.append(t)
     return out[0]
-
-
-def eta_reduce(t):
-    """Exhaustively eta-reduce: \\x. f x -> f when x not free in f."""
-    t = with_children(t, [eta_reduce(c) for c in children(t)])
-    if (isinstance(t, Lam) and isinstance(t.body, App)
-            and isinstance(t.body.arg, Var) and t.body.arg.name == t.var
-            and t.var not in free_vars(t.body.fn)):
-        return eta_reduce(t.body.fn)
-    return t

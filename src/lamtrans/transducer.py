@@ -16,7 +16,7 @@ from .core import (App, Box, Const, Lam, LamtransError, Let, RankedAlphabet,
                    parse_term, term_to_str, with_children)
 from .reduction import normalize
 from .treegen import Output
-from .typecheck import (Arrow, Bang, O, Annotated, TIER_NAMES, TypingError,
+from .typecheck import (Arrow, Bang, O, TIER_NAMES, TypingError,
                         classify_term, classify_type, fill_hints, parse_type,
                         subst_base, type_to_str, typecheck)
 
@@ -45,9 +45,9 @@ class LambdaTransducerSpec:
     out: object                         # source Term
     name: str = "transducer"
     # filled by _elaborate: normalized, hint-carrying forms and their tiers
-    norm_rules: dict = field(default_factory=dict)
-    norm_out: object = None
-    tier: int = 0
+    norm_rules: dict = field(init=False, default_factory=dict)
+    norm_out: object = field(init=False, default=None)
+    tier: int = field(init=False, default=0)
 
     def __post_init__(self):
         self._elaborate()
@@ -241,20 +241,6 @@ def compose(f, g, name=None):
     spec.rules = dict(spec.norm_rules)
     spec.out = spec.norm_out
     return spec
-
-
-def identity_transducer(alphabet, name="identity"):
-    rules = {}
-    for letter, rank in alphabet.letters:
-        t = Const(letter)
-        args = [f"y{i}_" for i in range(rank)]
-        for a in args:
-            t = App(t, Var(a))
-        for a in reversed(args):
-            t = Lam(a, t)
-        rules[letter] = t
-    return LambdaTransducerSpec(alphabet, alphabet, O, rules,
-                                Lam("x0_", Var("x0_")), name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import Tree, tree_to_str
+from .core import Node, Tree, tree_to_str
 
 
-@dataclass(slots=True, unsafe_hash=True)
-class FNode:
+@dataclass(slots=True, eq=False)
+class FNode(Node):
     """An output-alphabet node of a frontier; children may be FNodes or
     machine configurations."""
     label: str

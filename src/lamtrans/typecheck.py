@@ -170,11 +170,16 @@ class Annotated:
     checker."""
     term: object
     type: object
-    types: dict = field(default_factory=dict)        # pos -> Type
-    occ_binder: dict = field(default_factory=dict)   # var occ pos -> binder pos
-    lam_occ: dict = field(default_factory=dict)      # Lam pos -> occ pos | None
-    var_kind: dict = field(default_factory=dict)     # var occ pos -> "lam"|"let"|"theta"
-    theta_types: list = field(default_factory=list)  # types of unrestricted vars
+    # pos -> Type
+    types: dict = field(init=False, default_factory=dict)
+    # var occ pos -> binder pos
+    occ_binder: dict = field(init=False, default_factory=dict)
+    # Lam pos -> occ pos | None
+    lam_occ: dict = field(init=False, default_factory=dict)
+    # var occ pos -> "lam"|"let"|"theta"
+    var_kind: dict = field(init=False, default_factory=dict)
+    # types of unrestricted vars
+    theta_types: list = field(init=False, default_factory=list)
 
 
 def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):

@@ -59,10 +59,11 @@ ANY = "*"
 # Specs
 
 class WalkingSpec:
-    """The validation and plans of both spec classes, over transitions():
-    (key, is_root, pebble, image) for each transition, where a key starts
-    with (letter, state, provenance).  A subclass says whether it has
-    `pebbles` and which `colors` it declares."""
+    """The validation, plans and writer of both spec classes, over
+    transitions(): (key, is_root, pebble, image) for each transition, where
+    a key starts with (letter, state, provenance) and a TWT's pebble is
+    ANY.  A subclass stores the transitions, writes its own delta_lines(),
+    and says whether it has `pebbles` and which `colors` it declares."""
 
     def __post_init__(self):
         self.validate()
@@ -115,17 +116,32 @@ class WalkingSpec:
     def plans(self):
         """The transitions compiled for WalkingMachine, built on first use
         (so the tables must not change after a machine has run): for each
-        (letter, is-root), a map from (state, provenance) to the plan of
-        the image (see plan_image), or in a pebble transducer to a dict
-        from the pebble (a color, None, or ANY) to its plan."""
+        (letter, is-root), a map from (state, provenance) to a dict from
+        the pebble (a color, None, or ANY) to the plan of the image (see
+        plan_image).  A dict whose only pebble is ANY -- every one in a
+        TWT -- is replaced by its plan."""
         out = {}
         for (a, q, p, *_), is_root, z, img in self.transitions():
-            by_state = out.setdefault((a, is_root), {})
-            if self.pebbles:
-                by_state.setdefault((q, p), {})[z] = plan_image(img)
-            else:
-                by_state[q, p] = plan_image(img)
+            out.setdefault((a, is_root), {}).setdefault((q, p), {})[z] = \
+                plan_image(img)
+        for by_state in out.values():
+            for key, by_pebble in by_state.items():
+                if by_pebble.keys() == {ANY}:
+                    by_state[key] = by_pebble[ANY]
         return out
+
+    def to_str(self):
+        """The spec in its file format; a subclass writes its delta
+        lines."""
+        lines = [f"input {self.input.to_str()}",
+                 f"output {self.output.to_str()}"]
+        if self.pebbles:
+            lines.append("colors { " + ", ".join(self.colors) + " }")
+        for q in self.states:
+            suffix = " init" if q == self.initial else ""
+            lines.append(f"state {quote_state(q)}{suffix}")
+        lines.extend(self.delta_lines())
+        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -145,23 +161,12 @@ class TwtSpec(WalkingSpec):
             for key, img in table.items():
                 yield key, is_root, ANY, img
 
-    def lookup(self, label, q, prov, is_root, z):
-        """The image for a key; a TWT puts no pebble, so z is always None."""
-        table = self.delta_root if is_root else self.delta
-        return table.get((label, q, prov))
-
-    def to_str(self):
-        lines = [f"input {self.input.to_str()}",
-                 f"output {self.output.to_str()}"]
-        for q in self.states:
-            suffix = " init" if q == self.initial else ""
-            lines.append(f"state {quote_state(q)}{suffix}")
+    def delta_lines(self):
         for kind, table in [("delta", self.delta),
                             ("delta-root", self.delta_root)]:
             for (a, q, p), img in sorted(table.items(), key=str):
-                lines.append(f"{kind} {a} {quote_state(q)} {prov_to_str(p)}"
-                             f" = {image_to_str(img)}")
-        return "\n".join(lines) + "\n"
+                yield (f"{kind} {a} {quote_state(q)} {prov_to_str(p)}"
+                       f" = {image_to_str(img)}")
 
 
 @dataclass
@@ -180,29 +185,12 @@ class IpttSpec(WalkingSpec):
         for key, img in self.delta.items():
             yield key, key[3], key[4], img
 
-    def lookup(self, label, q, prov, is_root, z):
-        """The image for a key: the transition for the exact pebble z,
-        else the one for ANY.  WalkingMachine.step applies the same rule
-        to the plans; the tests check the two against each other."""
-        img = self.delta.get((label, q, prov, is_root, z))
-        if img is None:
-            img = self.delta.get((label, q, prov, is_root, ANY))
-        return img
-
-    def to_str(self):
-        lines = [f"input {self.input.to_str()}",
-                 f"output {self.output.to_str()}",
-                 "colors { " + ", ".join(self.colors) + " }"]
-        for q in self.states:
-            suffix = " init" if q == self.initial else ""
-            lines.append(f"state {quote_state(q)}{suffix}")
+    def delta_lines(self):
         for (a, q, p, is_root, z), img in sorted(self.delta.items(), key=str):
-            lines.append(
-                f"delta {a} {quote_state(q)} {prov_to_str(p)} "
-                f"{'root' if is_root else 'nonroot'} "
-                f"pebble {z if z is not None else 'NONE'}"
-                f" = {image_to_str(img)}")
-        return "\n".join(lines) + "\n"
+            yield (f"delta {a} {quote_state(q)} {prov_to_str(p)} "
+                   f"{'root' if is_root else 'nonroot'} "
+                   f"pebble {z if z is not None else 'NONE'}"
+                   f" = {image_to_str(img)}")
 
 
 def image_leaves(img):
@@ -418,23 +406,21 @@ def check_reversible(spec):
     """A spec is reversible when, letter by letter, every (state, move)
     leaf occurs at most once across the map's images -- and then as the
     only leaf of its image.  Returns (True, None) or (False, witness)."""
+    by_map = {}
+    for key, is_root, _, img in spec.transitions():
+        map_name = f"{'delta-root' if is_root else 'delta'}[{key[0]}]"
+        by_map.setdefault(map_name, []).append((key, img))
     duplicated = multi = None
-    for map_name, table in [("delta", spec.delta),
-                            ("delta-root", spec.delta_root)]:
-        by_letter = {}
-        for key, img in table.items():
-            by_letter.setdefault(key[0], []).append((key, img))
-        for a, entries in by_letter.items():
-            seen = {}
-            for key, img in sorted(entries, key=str):
-                leaves = image_leaves(img)
-                for leaf in leaves:
-                    if leaf in seen and duplicated is None:
-                        duplicated = Witness(f"{map_name}[{a}]",
-                                             seen[leaf], key, leaf)
-                    if len(leaves) > 1 and multi is None:
-                        multi = Witness(f"{map_name}[{a}]", key, key, leaf)
-                    seen.setdefault(leaf, key)
+    for map_name, entries in by_map.items():
+        seen = {}
+        for key, img in sorted(entries, key=str):
+            leaves = image_leaves(img)
+            for leaf in leaves:
+                if leaf in seen and duplicated is None:
+                    duplicated = Witness(map_name, seen[leaf], key, leaf)
+                if len(leaves) > 1 and multi is None:
+                    multi = Witness(map_name, key, key, leaf)
+                seen.setdefault(leaf, key)
     if duplicated is not None:
         return False, duplicated
     if multi is not None:
@@ -458,11 +444,9 @@ def predecessor(spec, tau, cfg):
         prev_node = cfg.node + (cfg.prov[1] - 1,)
         want = "to-parent"
     label = tau.at(prev_node).label
-    table = spec.delta_root if prev_node == () else spec.delta
-    for (a, q, p), img in table.items():
-        if a != label:
-            continue
-        if (cfg.state, want) in image_leaves(img):
+    for (a, q, p, *_), is_root, _, img in spec.transitions():
+        if a == label and is_root == (prev_node == ()) and \
+                (cfg.state, want) in image_leaves(img):
             return WalkConfig(q, p, prev_node)
     return None
 

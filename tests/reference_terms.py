@@ -1,12 +1,15 @@
 """Term helpers that only the tests use: alpha-equivalence, positions and
-size of a term, linearity of a typed term, and random closed normal terms
-of purely affine types.  The code is kept as it was in `lamtrans.core` and
-`lamtrans.gls`; only its imports changed."""
+size of a term, linearity of a typed term, random closed normal terms of
+purely affine types, the identity transducer and eta-reduction.  The code
+is kept as it was in `lamtrans.core`, `lamtrans.gls`, `lamtrans.transducer`
+and `lamtrans.reduction`; only its imports changed."""
 
 from __future__ import annotations
 
-from lamtrans.core import App, Box, Const, Lam, Let, Var, children
+from lamtrans.core import (App, Box, Const, Lam, Let, Var, children,
+                           free_vars, with_children)
 from lamtrans.gls import NoNullaryOutputLetter, arg_types
+from lamtrans.transducer import LambdaTransducerSpec
 from lamtrans.typecheck import Arrow, O
 
 
@@ -93,4 +96,28 @@ def sample_normal_term(A, alphabet, rng, size=8):
         return t, env
 
     t, _ = go(A, [], size)
+    return t
+
+
+def identity_transducer(alphabet, name="identity"):
+    rules = {}
+    for letter, rank in alphabet.letters:
+        t = Const(letter)
+        args = [f"y{i}_" for i in range(rank)]
+        for a in args:
+            t = App(t, Var(a))
+        for a in reversed(args):
+            t = Lam(a, t)
+        rules[letter] = t
+    return LambdaTransducerSpec(alphabet, alphabet, O, rules,
+                                Lam("x0_", Var("x0_")), name=name)
+
+
+def eta_reduce(t):
+    """Exhaustively eta-reduce: \\x. f x -> f when x not free in f."""
+    t = with_children(t, [eta_reduce(c) for c in children(t)])
+    if (isinstance(t, Lam) and isinstance(t.body, App)
+            and isinstance(t.body.arg, Var) and t.body.arg.name == t.var
+            and t.var not in free_vars(t.body.fn)):
+        return eta_reduce(t.body.fn)
     return t

@@ -12,7 +12,7 @@ from lamtrans.core import (Box, RankedAlphabet, encode_tree, parse_term,
 from lamtrans.gls import (conversions, make_type_constant,
                           split_state_relabeling)
 from lamtrans.iam import IamMachine, TermInfo, run_iam
-from lamtrans.reduction import eta_reduce, normalize
+from lamtrans.reduction import normalize
 from lamtrans.transducer import compose, wn_translate
 from lamtrans.treegen import Output
 from lamtrans.typecheck import O, typecheck
@@ -22,7 +22,7 @@ from conftest import numeral, unary
 from test_compiler import GOLDEN_TWT_PREFIX, frontiers
 from test_iam import GOLDEN_PREFIX
 from test_walking import forward_configs
-from reference_terms import alpha_eq, sample_normal_term
+from reference_terms import alpha_eq, eta_reduce, sample_normal_term
 from reference_treegen import frontier_configs, frontier_get
 from lamtrans.walking import WalkingMachine
 from lamtrans.iam import Config, mult_tape

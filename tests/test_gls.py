@@ -7,9 +7,10 @@ from lamtrans.cli import main
 from lamtrans.core import Tree, parse_term, parse_tree
 from lamtrans.gls import (conversions, dummy_term, make_type_constant,
                           parse_gls, relabel_letter, split_state_relabeling)
-from lamtrans.reduction import eta_reduce, normalize
+from lamtrans.reduction import normalize
 from lamtrans.typecheck import O, parse_type, typecheck
-from reference_terms import alpha_eq, is_linear, sample_normal_term
+from reference_terms import (alpha_eq, eta_reduce, is_linear,
+                             sample_normal_term)
 
 
 def random_ac_tree(rng, depth=4):

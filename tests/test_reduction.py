@@ -9,11 +9,12 @@ from lamtrans.cli import gen_tree
 from lamtrans.core import (App, Box, Const, Lam, Let, RankedAlphabet, Var,
                            children, decode_tree, parse_term, parse_tree)
 from lamtrans.gls import load_gls, make_type_constant, split_state_relabeling
-from lamtrans.reduction import OutOfFuel, TooDeep, eta_reduce, normalize
+from lamtrans.reduction import OutOfFuel, TooDeep, normalize
 from lamtrans.transducer import compose, load_transducer
 from lamtrans.typecheck import Arrow, O, typecheck
 from conftest import numeral, unary
-from reference_terms import alpha_eq, sample_normal_term, term_size
+from reference_terms import (alpha_eq, eta_reduce, sample_normal_term,
+                             term_size)
 from reference_reduction import (beta_step, find_redex, is_normal,
                                  normalize_by_steps)
 

@@ -3,11 +3,11 @@ import pytest
 from lamtrans.core import Box, encode_tree, parse_term, parse_tree
 from lamtrans.reduction import normalize
 from lamtrans.transducer import (NotAlmostAffine, SpecError, compose,
-                                 identity_transducer, infer_simple_types,
-                                 parse_transducer, wn_translate)
+                                 infer_simple_types, parse_transducer,
+                                 wn_translate)
 from lamtrans.typecheck import O, parse_type, type_to_str
 from conftest import numeral, unary
-from reference_terms import alpha_eq
+from reference_terms import alpha_eq, identity_transducer
 
 
 def test_corpus_tiers(count, seqnat, bin2bin, listcount):

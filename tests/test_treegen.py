@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from lamtrans.iam import Config
 from lamtrans.treegen import (Diverged, FNode, Machine, Output, Stuck,
                               frontier_to_str, run, trace, trace_lines)
 from reference_treegen import (frontier_configs, frontier_get,
@@ -49,6 +50,27 @@ def test_frontier_helpers_on_a_deep_frontier():
     assert frontier_configs(g) == []
     assert frontier_to_str(g, str) == text.replace("[7]", "c")
     assert frontier_to_tree(g).to_str() == text.replace("[7]", "c")
+
+
+def test_deep_frontiers_compare_and_hash():
+    # FNode shares Tree's == and hash, which walk without recursion; the
+    # dataclass-generated methods raised RecursionError at this depth
+    def chain(n, leaf):
+        f = FNode("S", (leaf, Config("up", (1,), ("o",))))
+        for _ in range(n - 1):
+            f = FNode("S", (f, Config("down", (), ())))
+        return f
+
+    n = 3_000
+    t, u = chain(n, Config("up", (0,), ())), chain(n, Config("up", (0,), ()))
+    v = chain(n, Config("up", (0,), ("p",)))
+    w = chain(n - 1, Config("up", (0,), ()))
+    assert t is not u and t == u and not t != u
+    assert t != v and not t == v
+    assert t != w and w != t
+    assert hash(t) == hash(u) == hash((t.label, t.children))
+    assert hash(t) != hash(v)
+    assert len({t, u, v, w}) == 3
 
 
 def reference_frontier_to_str(f, render):

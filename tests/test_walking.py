@@ -146,20 +146,17 @@ def test_plans_pick_the_image_lookup_does(count, bin2bin, count_twt,
     specs = [compile_to_twt(count), compile_to_iptt(count),
              compile_to_iptt(bin2bin), count_twt, bin2unary]
     for spec in specs:
-        if spec.pebbles:
-            keys = {(a, q, p, r) for a, q, p, r, _ in spec.delta}
-            pebbles = [None, *spec.colors, "undeclared"]
-        else:
-            keys = {k + (r,) for r, table in ((False, spec.delta),
-                                              (True, spec.delta_root))
-                    for k in table}
-            pebbles = [None]
-        for a, q, p, is_root in keys:
+        # the reference rule: the transition for the exact pebble, else
+        # the one for ANY
+        table = {(a, q, p, r, z): img
+                 for (a, q, p, *_), r, z, img in spec.transitions()}
+        for a, q, p, is_root in {key[:4] for key in table}:
             plan = spec.plans[a, is_root][q, p]
-            for z in pebbles:
+            for z in [None, *spec.colors, "undeclared"]:
                 picked = plan.get(z, plan.get(ANY)) \
                     if isinstance(plan, dict) else plan
-                img = spec.lookup(a, q, p, is_root, z)
+                img = table.get((a, q, p, is_root, z),
+                                table.get((a, q, p, is_root, ANY)))
                 assert picked == (None if img is None else plan_image(img))
 
 
@@ -179,6 +176,24 @@ def test_walking_step_errors(move, message):
         with pytest.raises(SpecError) as e:
             m.step(m.initial())
         assert str(e.value) == message
+
+
+def test_remove_needs_the_top_pebble_on_this_node():
+    # a pebble put at the root is not visible at its child, so there is
+    # nothing to remove
+    spec = parse_iptt("""
+input { b:1, e:0 }
+output { 0:0 }
+colors { z }
+state q init
+delta b q self root pebble NONE = (r, put z)
+delta b r self root pebble z = (s, to-child 1)
+delta e s from-parent nonroot pebble NONE = (t, remove)
+delta e t self nonroot pebble * = 0
+""")
+    with pytest.raises(SpecError) as e:
+        run_walking(spec, parse_tree("b(e)"))
+    assert str(e.value) == "remove with no visible pebble"
 
 
 @pytest.mark.parametrize("move,message", [
