@@ -401,32 +401,30 @@ def compile_to_iptt(spec):
 # mapped onto walking configurations over the input tree
 
 class SimMapper:
-    def __init__(self, compiler, tau):
+    def __init__(self, compiler, machine):
         self.c = compiler
-        self.tau = tau
+        self.nodes = nodes = machine.nodes
         # each input node's block position in out applied to the input:
-        # (1,) for the root, child i of a rank-k node's + (0,)*(k-1-i) + (1,)
-        self.blocks = {}
-        todo = [(tau, (), (1,))]
-        while todo:
-            t, node, tpos = todo.pop()
-            self.blocks[tpos] = node
-            k = len(t.children)
-            todo.extend((c, node + (i,), tpos + (0,) * (k - 1 - i) + (1,))
-                        for i, c in enumerate(t.children))
+        # (1,) for the root, child i of a rank-k node's + (0,)*(k-1-i) + (1,);
+        # a parent's number is below its children's
+        rank, tpos = machine.spec.input.rank, [(1,)]
+        for _, parent, _, back, _ in nodes[1:]:
+            k = rank(nodes[parent][4])
+            tpos.append(tpos[parent] + (0,) * (k - back[1]) + (1,))
+        self.blocks = {t: i for i, t in enumerate(tpos)}
 
     def map(self, cfg):
-        """The walking configuration (state name, provenance, node) that a
-        token configuration stands for."""
+        """The configuration of the walking machine that a token
+        configuration stands for."""
         c, b = self.c, self.c.blocks
         tape = mult_tape(cfg.tape)
         if cfg.pos == ():
             if cfg.direction == "down" and not tape:
-                return WalkConfig("I", "self", ())
+                return WalkConfig("I", "self", 0)
             raise UnreachableShape("focus on the whole program going up")
         if cfg.pos[0] == 0:
             return WalkConfig(
-                c.name(SimU(cfg.direction, cfg.pos[1:], tape)), "self", ())
+                c.name(SimU(cfg.direction, cfg.pos[1:], tape)), "self", 0)
         # find the deepest block containing the focus
         best = None
         for tpos, node in self.blocks.items():
@@ -437,15 +435,14 @@ class SimMapper:
             raise UnreachableShape(f"no block contains {cfg.pos}")
         tpos, node = best
         rel = cfg.pos[len(tpos):]
-        letter = self.tau.at(node).label
+        _, parent, _, back, letter = self.nodes[node]
         if rel == ():
             if cfg.direction == "down":
-                prov = "self" if node == () else "from-parent"
+                prov = "self" if node == 0 else "from-parent"
                 return WalkConfig(c.name(SimNabla(tape)), prov, node)
-            if node == ():
-                return WalkConfig(c.name(SimDelta(tape)), "self", ())
-            return WalkConfig(c.name(SimDelta(tape)),
-                              ("from-child", node[-1] + 1), node[:-1])
+            if node == 0:
+                return WalkConfig(c.name(SimDelta(tape)), "self", 0)
+            return WalkConfig(c.name(SimDelta(tape)), back, parent)
         return WalkConfig(
             c.name(SimT(cfg.direction, b.skel[letter], rel, tape)),
             "self", node)

@@ -169,12 +169,6 @@ class Tree(Node):
             if cs:
                 todo.extend(cs[::-1])
 
-    def at(self, pos):
-        t = self
-        for i in pos:
-            t = t.children[i]
-        return t
-
 
 _COMMA, _CLOSE = object(), object()    # stand for "," and ")" on the stack
 

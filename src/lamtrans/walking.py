@@ -130,6 +130,33 @@ class WalkingSpec:
                     by_state[key] = by_pebble[ANY]
         return out
 
+    @cached_property
+    def inverse(self):
+        """The reversibility analysis, built on first use like `plans`.  A
+        spec is reversible when, letter by letter, every (state, move) leaf
+        occurs at most once across the map's images -- and then as the
+        only leaf of its image.  If it is not, this is a Witness: the first
+        duplicated leaf, else the first image with two leaves.  If it is,
+        this maps (letter, is-root) to a dict from each leaf to the key of
+        the transition whose image holds it."""
+        by_map = {}
+        for key, is_root, _, img in self.transitions():
+            by_map.setdefault((key[0], is_root), []).append((key, img))
+        duplicated = multi = None
+        out = {}
+        for (a, is_root), entries in by_map.items():
+            map_name = f"{'delta-root' if is_root else 'delta'}[{a}]"
+            seen = out[a, is_root] = {}
+            for key, img in sorted(entries, key=key_text):
+                leaves = image_leaves(img)
+                for leaf in leaves:
+                    if leaf in seen and duplicated is None:
+                        duplicated = Witness(map_name, seen[leaf], key, leaf)
+                    if len(leaves) > 1 and multi is None:
+                        multi = Witness(map_name, key, key, leaf)
+                    seen.setdefault(leaf, key)
+        return duplicated or multi or out
+
     def to_str(self):
         """The spec in its file format; a subclass writes its delta
         lines."""
@@ -164,7 +191,7 @@ class TwtSpec(WalkingSpec):
     def delta_lines(self):
         for kind, table in [("delta", self.delta),
                             ("delta-root", self.delta_root)]:
-            for (a, q, p), img in sorted(table.items(), key=str):
+            for (a, q, p), img in sorted(table.items(), key=key_text):
                 yield (f"{kind} {a} {quote_state(q)} {prov_to_str(p)}"
                        f" = {image_to_str(img)}")
 
@@ -186,27 +213,53 @@ class IpttSpec(WalkingSpec):
             yield key, key[3], key[4], img
 
     def delta_lines(self):
-        for (a, q, p, is_root, z), img in sorted(self.delta.items(), key=str):
+        for (a, q, p, is_root, z), img in sorted(self.delta.items(),
+                                                 key=key_text):
             yield (f"delta {a} {quote_state(q)} {prov_to_str(p)} "
                    f"{'root' if is_root else 'nonroot'} "
                    f"pebble {z if z is not None else 'NONE'}"
                    f" = {image_to_str(img)}")
 
 
+def key_text(entry):
+    """The sort key of a (transition key, image) pair: the key's text.  No
+    key's text is a prefix of another's, so this is the order of the
+    pairs' own text, without writing out images of any depth."""
+    return str(entry[0])
+
+
 def image_leaves(img):
-    if isinstance(img, FNode):
-        out = []
-        for c in img.children:
-            out.extend(image_leaves(c))
-        return out
-    return [img]
+    """The (state, move) leaves of an image, left to right."""
+    out, todo = [], [img]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is FNode:
+            todo.extend(reversed(t.children))
+        else:
+            out.append(t)
+    return out
 
 
 def image_map_leaves(img, f):
-    if isinstance(img, FNode):
-        return FNode(img.label,
-                     tuple(image_map_leaves(c, f) for c in img.children))
-    return f(img)
+    """The image with each leaf replaced by f(leaf), called left to
+    right."""
+    if img.__class__ is not FNode:
+        return f(img)
+    stack = [(img, [])]
+    while True:
+        t, done = stack[-1]
+        if len(done) < len(t.children):
+            c = t.children[len(done)]
+            if c.__class__ is FNode:
+                stack.append((c, []))
+            else:
+                done.append(f(c))
+            continue
+        stack.pop()
+        built = FNode(t.label, tuple(done))
+        if not stack:
+            return built
+        stack[-1][1].append(built)
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +269,8 @@ def image_map_leaves(img, f):
 class WalkConfig:
     state: str
     prov: object
-    node: tuple
-    pebbles: tuple = ()   # (color, node) pairs, top first
+    node: int             # the node's number in WalkingMachine.nodes
+    pebbles: tuple = ()   # (color, node number) pairs, top first
 
 
 # The kinds of move a plan record makes.
@@ -249,19 +302,14 @@ def plan_image(img):
 class WalkingMachine(Machine):
     """Runs a TwtSpec or an IpttSpec on an input tree.
 
-    The input is indexed once, in preorder: `nodes[i]` is (the spec's
-    plans for node i's letter and rootness, the parent's number, the
-    first child's number, the number of children, the provenance of
-    arriving at the parent from node i); the root is node 0 and the
-    children of a node are numbered consecutively.  The index holds no
-    positions.  `advance` keeps the current node's number in a local
-    variable while it chains steps.  The configurations it hands out -- the
-    children of an output node, and the one it stops at when its budget
-    runs out -- are remembered, by identity, with their node's number until
-    they are stepped, so a step finds its node without walking the input,
-    and only the positions of configurations still to be stepped are
-    alive.  A configuration made elsewhere is located by walking down from
-    the root."""
+    The input is indexed once: `nodes[i]` is (the spec's plans for node
+    i's letter and rootness, the parent's number, the first child's
+    number, the provenance of arriving at the parent from node i, the
+    letter); the root is node 0 and the children of a node get
+    consecutive numbers, larger than the node's.  A configuration, and each pebble, names its
+    node by that number, so a move is an index step and the machine keeps
+    nothing but `spec` and `nodes`.  `path` gives a node's position, for
+    the text `render` writes."""
 
     def __init__(self, spec, tau):
         tau.validate(spec.input)
@@ -273,34 +321,30 @@ class WalkingMachine(Machine):
             t, i, parent, back = todo.pop()
             first, arity = len(nodes), len(t.children)
             nodes[i] = (plans.get((t.label, parent is None), none), parent,
-                        first, arity, back)
+                        first, back, t.label)
             nodes.extend([None] * arity)
             todo.extend([(c, first + k, i, ("from-child", k + 1))
                          for k, c in enumerate(t.children)])
-        self.tracked = {}   # id(configuration) -> (node number, it)
 
     def initial(self):
-        cfg = WalkConfig(self.spec.initial, "self", ())
-        self.tracked[id(cfg)] = (0, cfg)
-        return cfg
+        return WalkConfig(self.spec.initial, "self", 0)
 
-    def _locate(self, node):
-        i = 0
-        for k in node:
-            _, _, first, arity, _ = self.nodes[i]
-            if not 0 <= k < arity:
-                raise SpecError(f"no node {node} in the input")
-            i = first + k
-        return i
+    def path(self, i):
+        """The position of node i: its child indices from the root down."""
+        out = []
+        while i:
+            _, i, _, back, _ = self.nodes[i]
+            out.append(back[1] - 1)
+        return tuple(reversed(out))
 
     def advance(self, cfg, budget):
         """treegen.Machine.advance; `step` is its one-step run."""
-        tracked = self.tracked.pop(id(cfg), None)
-        i = self._locate(cfg.node) if tracked is None else tracked[0]
-        return self._walk(None, cfg.state, cfg.prov, cfg.node, cfg.pebbles,
-                          i, budget)
+        i = cfg.node
+        if i.__class__ is not int or not 0 <= i < len(self.nodes):
+            raise SpecError(f"no node {i!r} in the input")
+        return self._walk(None, cfg.state, cfg.prov, cfg.pebbles, i, budget)
 
-    def _walk(self, record, state, prov, node, pebbles, i, budget):
+    def _walk(self, record, state, prov, pebbles, i, budget):
         """The machine's rules, as one loop over the fields of the current
         configuration, at node i, held in local variables.  It first makes
         the move of the plan record `record`, if one is given, and then
@@ -315,37 +359,33 @@ class WalkingMachine(Machine):
                 if kind == STAY:
                     state, prov = q, "self"
                 elif kind == TO_CHILD:
-                    state, prov, node, i = (q, "from-parent", node + (arg,),
-                                            entry[2] + arg)
+                    state, prov, i = q, "from-parent", entry[2] + arg
                 elif kind == TO_PARENT:
                     if entry[1] is None:
                         raise SpecError("to-parent at the root")
-                    state, prov, node, i = q, entry[4], node[:-1], entry[1]
+                    state, prov, i = q, entry[3], entry[1]
                 elif kind == PUT:
-                    state, prov, pebbles = q, "self", ((arg, node),) + pebbles
-                elif pebbles and pebbles[0][1] == node:     # REMOVE
+                    state, prov, pebbles = q, "self", ((arg, i),) + pebbles
+                elif pebbles and pebbles[0][1] == i:     # REMOVE
                     state, prov, pebbles = q, "self", pebbles[1:]
                 else:
                     raise SpecError("remove with no visible pebble")
                 entry = nodes[i]
             if n == budget:
-                cfg = WalkConfig(state, prov, node, pebbles)
-                self.tracked[id(cfg)] = (i, cfg)
-                return None, cfg, n
+                return None, WalkConfig(state, prov, i, pebbles), n
             plan = entry[0].get((state, prov))
             if plan.__class__ is dict:      # an IPTT's: by the visible pebble
-                z = pebbles[0][0] if pebbles and pebbles[0][1] == node \
-                    else None
+                z = pebbles[0][0] if pebbles and pebbles[0][1] == i else None
                 plan = plan.get(z, plan.get(ANY))
             if plan is None:
-                return None, WalkConfig(state, prov, node, pebbles), n
+                return None, WalkConfig(state, prov, i, pebbles), n
             n += 1
             if plan.__class__ is not tuple:
-                return (self._image(plan, node, pebbles, i),
-                        WalkConfig(state, prov, node, pebbles), n)
+                return (self._image(plan, pebbles, i),
+                        WalkConfig(state, prov, i, pebbles), n)
             record = plan
 
-    def _image(self, plan, node, pebbles, i):
+    def _image(self, plan, pebbles, i):
         """The FNode skeleton `plan` copied, resolving its records left to
         right to the configurations their moves from node i reach."""
         stack = [(plan, [])]
@@ -356,8 +396,7 @@ class WalkingMachine(Machine):
                 if c.__class__ is FNode:
                     stack.append((c, []))
                 else:
-                    done.append(self._walk(c, None, None, node, pebbles, i,
-                                           0)[1])
+                    done.append(self._walk(c, None, None, pebbles, i, 0)[1])
                 continue
             stack.pop()
             built = FNode(skel.label, tuple(done))
@@ -366,13 +405,14 @@ class WalkingMachine(Machine):
             stack[-1][1].append(built)
 
     def render(self, cfg):
-        node = ".".join(map(str, cfg.node)) or "e"
-        out = f"{cfg.state} {prov_to_str(cfg.prov)} @{node}"
+        out = f"{cfg.state} {prov_to_str(cfg.prov)} @{self._path_text(cfg.node)}"
         if not self.spec.pebbles:
             return out
-        peb = " ".join(f"{c}@{'.'.join(map(str, n)) or 'e'}"
-                       for c, n in cfg.pebbles)
+        peb = " ".join(f"{c}@{self._path_text(i)}" for c, i in cfg.pebbles)
         return f"{out} [{peb}]"
+
+    def _path_text(self, i):
+        return ".".join(map(str, self.path(i))) or "e"
 
 
 # the names callers use for the machine of each spec kind
@@ -403,52 +443,34 @@ class Witness:
 
 
 def check_reversible(spec):
-    """A spec is reversible when, letter by letter, every (state, move)
-    leaf occurs at most once across the map's images -- and then as the
-    only leaf of its image.  Returns (True, None) or (False, witness)."""
-    by_map = {}
-    for key, is_root, _, img in spec.transitions():
-        map_name = f"{'delta-root' if is_root else 'delta'}[{key[0]}]"
-        by_map.setdefault(map_name, []).append((key, img))
-    duplicated = multi = None
-    for map_name, entries in by_map.items():
-        seen = {}
-        for key, img in sorted(entries, key=str):
-            leaves = image_leaves(img)
-            for leaf in leaves:
-                if leaf in seen and duplicated is None:
-                    duplicated = Witness(map_name, seen[leaf], key, leaf)
-                if len(leaves) > 1 and multi is None:
-                    multi = Witness(map_name, key, key, leaf)
-                seen.setdefault(leaf, key)
-    if duplicated is not None:
-        return False, duplicated
-    if multi is not None:
-        return False, multi
+    """Whether the spec is reversible (see WalkingSpec.inverse): (True,
+    None) or (False, witness)."""
+    inverse = spec.inverse
+    if isinstance(inverse, Witness):
+        return False, inverse
     return True, None
 
 
-def predecessor(spec, tau, cfg):
+def predecessor(machine, cfg):
     """The unique configuration that steps to cfg in a reversible spec,
     or None for the initial configuration / anything unreached."""
-    ok, witness = check_reversible(spec)
-    if not ok:
-        raise NotReversible(str(witness))
+    inverse = machine.spec.inverse
+    if isinstance(inverse, Witness):
+        raise NotReversible(str(inverse))
+    nodes, i = machine.nodes, cfg.node
+    _, parent, first, back, _ = nodes[i]
     if cfg.prov == "from-parent":
-        prev_node = cfg.node[:-1]
-        want = ("to-child", cfg.node[-1] + 1)
+        if parent is None:
+            return None
+        prev, want = parent, ("to-child", back[1])
     elif cfg.prov == "self":
-        prev_node = cfg.node
-        want = "stay"
+        prev, want = i, "stay"
     else:
-        prev_node = cfg.node + (cfg.prov[1] - 1,)
-        want = "to-parent"
-    label = tau.at(prev_node).label
-    for (a, q, p, *_), is_root, _, img in spec.transitions():
-        if a == label and is_root == (prev_node == ()) and \
-                (cfg.state, want) in image_leaves(img):
-            return WalkConfig(q, p, prev_node)
-    return None
+        prev, want = first + cfg.prov[1] - 1, "to-parent"
+        if prev >= len(nodes) or nodes[prev][1] != i:
+            return None
+    key = inverse.get((nodes[prev][4], prev == 0), {}).get((cfg.state, want))
+    return None if key is None else WalkConfig(key[1], key[2], prev)
 
 
 # ---------------------------------------------------------------------------
@@ -514,31 +536,41 @@ class _ImageParser:
         return tok
 
     def image(self):
-        kind, val = self.peek()
-        if kind == "(":
-            self.eat()
-            q = self.state()
-            self.eat(",")
-            m = self.move()
-            self.eat(")")
-            return (q, m)
-        if kind in ("word", "str"):
-            self.eat()
-            if val not in self.output:
-                raise SyntaxErr(f"unknown output letter {val!r}")
-            kids = []
-            if self.peek()[0] == "(":
+        """An image: a (state, move) leaf or an output letter with its
+        images as children, parsed with a stack of unclosed nodes."""
+        open_nodes = []     # (label, children so far) of each unclosed node
+        while True:
+            kind, val = self.peek()
+            if kind == "(":
                 self.eat()
-                while True:
-                    kids.append(self.image())
-                    if self.peek()[0] == ",":
-                        self.eat()
-                        continue
+                q = self.state()
+                self.eat(",")
+                m = self.move()
+                self.eat(")")
+                node = (q, m)
+            elif kind in ("word", "str"):
+                self.eat()
+                if val not in self.output:
+                    raise SyntaxErr(f"unknown output letter {val!r}")
+                if self.peek()[0] == "(":
+                    self.eat()
+                    open_nodes.append((val, []))
+                    continue
+                node = FNode(val, ())
+            else:
+                raise SyntaxErr(f"unexpected token {val!r} in transition "
+                                f"image")
+            # hand the finished image to its parent, closing parents as we go
+            while open_nodes:
+                open_nodes[-1][1].append(node)
+                if self.peek()[0] == ",":
+                    self.eat()
                     break
                 self.eat(")")
-            node = FNode(val, tuple(kids))
-            return node
-        raise SyntaxErr(f"unexpected token {val!r} in transition image")
+                label, kids = open_nodes.pop()
+                node = FNode(label, tuple(kids))
+            else:
+                return node
 
     def state(self):
         kind, val = self.eat()

@@ -74,7 +74,7 @@ def test_criterion_02_golden_traces(count):
     tm = WalkingMachine(compile_to_twt(count), tau)
     cfg, got = tm.initial(), []
     for _ in GOLDEN_TWT_PREFIX:
-        got.append((cfg.state, cfg.prov, cfg.node))
+        got.append((cfg.state, cfg.prov, tm.path(cfg.node)))
         res = tm.step(cfg)
         cfg = frontier_get(res, frontier_configs(res)[0])
     ok = ok and got == GOLDEN_TWT_PREFIX
@@ -116,7 +116,8 @@ def test_criterion_05_reversibility(count, seqnat_twt):
     tau = parse_tree("a(b(c),c)", count.input)
     cfgs = forward_configs(tw, tau)
     back = [cfgs[-1]]
-    while (prev := predecessor(tw, tau, back[-1])) is not None:
+    m = WalkingMachine(tw, tau)
+    while (prev := predecessor(m, back[-1])) is not None:
         back.append(prev)
     ok = rev and back == list(reversed(cfgs))
     bad, witness = check_reversible(seqnat_twt)

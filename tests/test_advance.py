@@ -17,7 +17,7 @@ from lamtrans.compiler import compile_to_iptt, compile_to_twt
 from lamtrans.core import LamtransError
 from lamtrans.iam import Config, IamMachine, TermInfo
 from lamtrans.treegen import Diverged, FNode, Machine, Output, Stuck, run
-from lamtrans.walking import IpttSpec, TwtSpec, WalkingMachine
+from lamtrans.walking import IpttSpec, TwtSpec, WalkConfig, WalkingMachine
 
 from reference_treegen import frontier_configs, frontier_get
 
@@ -52,7 +52,7 @@ def full_run(make):
 
 def agree(make, initial, fuel):
     """Run fresh machines from make() chained and step by step; return the
-    chained run's result and machine."""
+    chained run's result."""
     chained, stepped = make(), make()
     got = outcome(chained, initial(chained), fuel)
     want = outcome(StepOnly(stepped), initial(stepped), fuel)
@@ -61,7 +61,7 @@ def agree(make, initial, fuel):
     if isinstance(got, Stuck):
         assert frontier_get(got.frontier, got.pos) == \
             frontier_get(want.frontier, want.pos)
-    return got, chained
+    return got
 
 
 SIZES = {"count": 14, "seq-nat": 9, "bin2bin": 3}
@@ -94,7 +94,7 @@ def test_token_machines_chain_as_they_step(specs, name):
                 return m.initial()
             steps = full_run(make).steps
             for fuel in fuels(rng, steps):
-                got, _ = agree(make, initial, fuel)
+                got = agree(make, initial, fuel)
                 kinds.add(type(got))
             # stuck runs, and the errors a run can raise, from arbitrary
             # configurations
@@ -104,7 +104,7 @@ def test_token_machines_chain_as_they_step(specs, name):
                              rng.choice(positions),
                              tuple(rng.choice("po")
                                    for _ in range(rng.randrange(4))))
-                got, _ = agree(make, lambda m: cfg, rng.randrange(200))
+                got = agree(make, lambda m: cfg, rng.randrange(200))
                 kinds.add(type(got))
     assert {Output, Stuck, Diverged} <= kinds
 
@@ -120,13 +120,6 @@ def pruned(spec, rng):
                    for table in (spec.delta, spec.delta_root))
     return TwtSpec(spec.input, spec.output, spec.states, spec.initial, delta,
                    root, name=spec.name)
-
-
-def pending(frontier, but=None):
-    """The identities of a frontier's configuration leaves, except the one
-    at position `but`."""
-    return {id(frontier_get(frontier, pos)) for pos in
-            frontier_configs(frontier) if pos != but}
 
 
 @pytest.mark.parametrize("name,target", [
@@ -145,15 +138,8 @@ def test_walking_machines_chain_as_they_step(specs, name, target):
                 return m.initial()
             steps = full_run(make).steps
             for fuel in fuels(rng, steps):
-                got, m = agree(make, initial, fuel)
+                got = agree(make, initial, fuel)
                 kinds.add(type(got))
-                # only configurations still to be stepped are remembered
-                if isinstance(got, Output):
-                    assert not m.tracked
-                elif isinstance(got, Stuck):
-                    assert set(m.tracked) == pending(got.frontier, got.pos)
-                else:
-                    assert set(m.tracked) == pending(got.frontier)
     assert {Output, Stuck, Diverged} <= kinds
 
 
@@ -171,8 +157,26 @@ def test_a_single_head_stuck_run_remembers_nothing(count):
         if isinstance(res, Stuck):
             stuck += 1
             assert frontier_configs(res.frontier) == [res.pos]
-            assert not m.tracked
     assert stuck > 0
+
+
+@pytest.mark.parametrize("target", ["twt", "iptt"])
+def test_a_walking_machine_keeps_no_state_between_runs(count, target):
+    # one machine runs out of fuel, gets stuck and then runs to the end,
+    # and each time returns what a fresh machine returns
+    spec = (compile_to_twt if target == "twt" else compile_to_iptt)(count)
+    tau = gen_tree(random.Random(4), count.input, 12)
+    steps = full_run(lambda: WalkingMachine(spec, tau)).steps
+    m = WalkingMachine(spec, tau)
+    for start, fuel, kind in [
+            (m.initial(), steps // 2, Diverged),
+            (WalkConfig("no such state", "self", len(m.nodes) - 1), steps,
+             Stuck),
+            (m.initial(), steps, Output)]:
+        got = run(m, start, fuel)
+        assert isinstance(got, kind)
+        assert got == run(WalkingMachine(spec, tau), start, fuel)
+        assert vars(m).keys() == {"spec", "nodes"}
 
 
 def test_advance_stops_at_an_output_node_and_at_the_budget(count):

@@ -64,7 +64,7 @@ def test_compiled_count_golden_prefix(count):
     cfg = m.initial()
     got = []
     for _ in GOLDEN_TWT_PREFIX:
-        got.append((cfg.state, cfg.prov, cfg.node))
+        got.append((cfg.state, cfg.prov, m.path(cfg.node)))
         res = m.step(cfg)
         cfg = frontier_get(res, frontier_configs(res)[0])
     assert got == GOLDEN_TWT_PREFIX
@@ -84,10 +84,10 @@ def test_simulation_square(count, seqnat):
         tau = parse_tree(s, spec.input)
         comp = WalkingCompiler(spec, "apa")
         tw = comp.compile()
-        mapper = SimMapper(comp, tau)
+        twm = WalkingMachine(tw, tau)
+        mapper = SimMapper(comp, twm)
         iam = IamMachine(TermInfo(spec.program_ann(tau)),
                          pick_variant(spec.tier))
-        twm = WalkingMachine(tw, tau)
         iam_side = [map_leaves(f, mapper.map)
                     for f in frontiers(iam, iam.initial())]
         twt_side = frontiers(twm, twm.initial())

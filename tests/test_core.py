@@ -31,11 +31,9 @@ def test_tree_arity_checked():
         parse_tree("d", SIGMA)
 
 
-def test_tree_positions_and_at():
+def test_tree_size():
     t = parse_tree("a(b(c),c)", SIGMA)
     assert t.size() == 4
-    assert t.at((0, 0)).label == "c"
-    assert t.at((1,)).label == "c"
 
 
 @st.composite

@@ -139,6 +139,32 @@ def test_compiled_iptt_text_is_pinned(capsys, spec, digest):
     assert sha256(out) == digest
 
 
+# (spec, exit code, stdout of `lamtrans reversible`): the witness names the
+# first duplicated leaf in the order of the maps and of their sorted keys
+REVERSIBLE = [
+    ("count-twt.twt", 0, "reversible\n"),
+    ("seq-nat-twt.twt", 1,
+     "not reversible: leaf (num, to-parent) duplicated in map delta[S], "
+     "keys ('S', 'num', 'self') and ('S', 'num', ('from-child', 1))\n"),
+    ("count.lt", 0, "reversible\n"),
+    ("seq-nat.lt", 1,
+     'not reversible: leaf (T[down,"(\\g. \\x. let !y = >x< in cons y '
+     '(g !(S y))) <>1",""], stay) duplicated in map delta[S], keys '
+     '(\'S\', \'T[down,"(\\\\g. \\\\x. let !y = x in cons >y< (g !(S y))) '
+     '<>1",""]\', \'self\') and (\'S\', \'T[down,"(\\\\g. \\\\x. let !y = x '
+     'in cons y (g !(S >y<))) <>1",""]\', \'self\')\n'),
+    ("list-count.lt", 0, "reversible\n"),
+]
+
+
+@pytest.mark.parametrize("spec,code,stdout", REVERSIBLE,
+                         ids=[r[0] for r in REVERSIBLE])
+def test_reversible_output_is_pinned(capsys, spec, code, stdout):
+    assert main(["reversible", corpus_path(spec)]) == code
+    out = capsys.readouterr()
+    assert (out.out, out.err) == (stdout, "")
+
+
 # each value with its repr and its fields, as a frozen dataclass shows and
 # hashes them
 LOG = LogEntry((1, 0), ())

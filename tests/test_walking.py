@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from lamtrans.cli import gen_tree, main
 from lamtrans.compiler import compile_to_iptt, compile_to_twt
 from lamtrans.core import RankedAlphabet, parse_tree
 from lamtrans.transducer import SpecError
@@ -69,8 +72,9 @@ def test_predecessor_walks_backwards(count_twt):
     tau = parse_tree("a(b(c),c)", count_twt.input)
     cfgs = forward_configs(count_twt, tau)
     back = [cfgs[-1]]
+    m = WalkingMachine(count_twt, tau)
     while True:
-        prev = predecessor(count_twt, tau, back[-1])
+        prev = predecessor(m, back[-1])
         if prev is None:
             break
         back.append(prev)
@@ -81,7 +85,62 @@ def test_predecessor_requires_reversibility(seqnat_twt):
     tau = parse_tree(unary(2), seqnat_twt.input)
     m = WalkingMachine(seqnat_twt, tau)
     with pytest.raises(NotReversible):
-        predecessor(seqnat_twt, tau, m.initial())
+        predecessor(m, m.initial())
+
+
+def test_predecessor_of_an_unreached_configuration_is_none(count):
+    tw = compile_to_twt(count)
+    m = WalkingMachine(tw, parse_tree("a(b(c),c)", count.input))
+    # a leaf whose first-child number is another node's
+    leaf = next(i for i, (_, _, first, _, _) in enumerate(m.nodes)
+                if first < len(m.nodes) and m.nodes[first][1] != i)
+    q = next(q for q, move in tw.inverse["c", False] if move == "to-parent")
+    assert predecessor(m, WalkConfig(q, ("from-child", 1), leaf)) is None
+    assert predecessor(m, WalkConfig(q, "from-parent", 0)) is None
+
+
+def test_an_image_with_two_leaves_is_the_witness():
+    spec = parse_twt("""
+input { b:1, e:0 }
+output { p:2, 0:0 }
+state q init
+delta-root b q self = p((r, stay),(s, to-child 1))
+""")
+    ok, witness = check_reversible(spec)
+    assert not ok and str(witness) == \
+        "leaf (r, stay) duplicated in map delta-root[b], key ('b', 'q', 'self')"
+
+
+def test_purely_affine_specs_compile_to_reversible_twts(count, listcount):
+    # the paper's first theorem on two corpus specs: every seeded run of
+    # the compiled TWT walks back, one predecessor at a time, to initial()
+    rng = random.Random(12)
+    for spec in (count, listcount):
+        tw = compile_to_twt(spec)
+        assert check_reversible(tw) == (True, None)
+        for _ in range(20):
+            tau = gen_tree(rng, spec.input, 25)
+            cfgs = forward_configs(tw, tau)
+            m, back = WalkingMachine(tw, tau), [cfgs[-1]]
+            while (prev := predecessor(m, back[-1])) is not None:
+                back.append(prev)
+            assert back == cfgs[::-1] and back[-1] == m.initial()
+
+
+def test_walking_specs_handle_deep_images(tmp_path, capsys):
+    # a delta-root image nested 3,000 deep parses, writes itself back,
+    # is checked for reversibility and runs
+    n = 3000
+    text = ("input { e:0 }\noutput { S:1, 0:0 }\nstate q init\nstate r\n"
+            f"delta-root e q self = {'S(' * n}(r, stay){')' * n}\n"
+            "delta-root e r self = 0\n")
+    spec = parse_twt(text)
+    assert spec.to_str() == text and parse_twt(spec.to_str()) == spec
+    assert check_reversible(spec) == (True, None)
+    path = tmp_path / "deep.twt"
+    path.write_text(text)
+    assert main(["run", str(path), "e"]) == 0
+    assert capsys.readouterr().out == "S(" * n + "0" + ")" * n + "\n"
 
 
 def test_twt_serialization_roundtrip(count_twt):
@@ -221,7 +280,7 @@ def test_root_image_to_parent_is_rejected_when_built(bin2unary, listcount):
 
 def test_step_locates_configurations_it_did_not_make(count):
     # a copy the machine did not make steps as the original does, and a
-    # finished run leaves no configuration remembered
+    # node number the input does not have is refused
     spec = compile_to_iptt(count)
     tau = parse_tree("a(b(c),a(c,b(b(c))))", count.input)
     m, other = WalkingMachine(spec, tau), WalkingMachine(spec, tau)
@@ -235,9 +294,11 @@ def test_step_locates_configurations_it_did_not_make(count):
         if not leaves:
             break
         cfg = frontier_get(res, leaves[0])
-    assert steps > 50 and not m.tracked
-    with pytest.raises(SpecError, match=r"no node \(0, 1\) in the input"):
-        m.step(WalkConfig(spec.initial, "from-parent", (0, 1)))
+    assert steps > 50
+    for node in (len(m.nodes), -1, (0, 1)):
+        with pytest.raises(SpecError) as e:
+            m.step(WalkConfig(spec.initial, "from-parent", node))
+        assert str(e.value) == f"no node {node!r} in the input"
 
 
 def test_run_remembers_no_stepped_configuration(bin2bin):
@@ -246,4 +307,3 @@ def test_run_remembers_no_stepped_configuration(bin2bin):
     m = WalkingMachine(compile_to_iptt(bin2bin), tau)
     res = treegen_run(m, m.initial())
     assert isinstance(res, Output) and res.tree == bin2bin.eval_normalize(tau)
-    assert not m.tracked
