@@ -120,8 +120,10 @@ class LocalBlocks:
         self.u_info = TermInfo(typecheck(u_local, alphabet=spec.output,
                                          consts=consts))
         self.u_machine = IamMachine(self.u_info, variant)
+        self.u_ph = self.u_info.number((1,))
         self.skel = {}
         self.ph_pos = {}
+        self.ph_index = {}
         self.info = {}
         self.machine = {}
         heights = [self.u_info.height]
@@ -130,18 +132,14 @@ class LocalBlocks:
             for i in range(1, k + 1):
                 t = App(t, placeholder(i))
             self.skel[a] = t
-            self.ph_pos[a] = {i: (0,) * (k - i) + (1,) for i in range(1, k + 1)}
             info = TermInfo(typecheck(t, alphabet=spec.output, consts=consts))
+            self.ph_pos[a] = {i: info.number((0,) * (k - i) + (1,))
+                              for i in range(1, k + 1)}
+            self.ph_index[a] = {pos: i for i, pos in self.ph_pos[a].items()}
             self.info[a] = info
             self.machine[a] = IamMachine(info, variant)
             heights.append(info.height)
         self.height = max(heights)
-
-    def ph_index(self, a, pos):
-        for i, p in self.ph_pos[a].items():
-            if p == pos:
-                return i
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +158,8 @@ def color_name(tag, pos, n):
 
 
 def sentinels(n):
-    """Stand-ins for the n log entries a local configuration inherits."""
+    """Stand-ins for the n log entries a local configuration inherits;
+    their positions are tuples, never a position's number."""
     return tuple(StackEntry(("sentinel", i), ()) for i in range(n))
 
 
@@ -194,7 +193,7 @@ class WalkingCompiler:
             if info.bound_is_base(binder):
                 continue
             n = info.depths[pos]
-            self.colors[color_name(tag, pos, n)] = (tag, pos, n)
+            self.colors[color_name(tag, info.path(pos), n)] = (tag, pos, n)
 
     def name(self, state):
         return state.render(self.blocks.u_term, self.pebbles)
@@ -209,22 +208,23 @@ class WalkingCompiler:
         if isinstance(state, SimI):
             if prov != "self" or not is_root:
                 return None
-            return b.u_machine, Config("down", (), ())
+            return b.u_machine, Config("down", 0, ())
         if isinstance(state, SimU):
             if prov != "self" or not is_root:
                 return None
-            return b.u_machine, Config(state.d, (0,) + state.pos,
+            return b.u_machine, Config(state.d,
+                                       b.u_info.number((0,) + state.pos),
                                        tuple(state.tape),
                                        sentinels(state.flag), state.flag)
         if isinstance(state, SimNabla):
             if (prov == "self") != is_root or isinstance(prov, tuple):
                 return None
-            return b.machine[a], Config("down", (), tuple(state.tape))
+            return b.machine[a], Config("down", 0, tuple(state.tape))
         if isinstance(state, SimDelta):
             if prov == "self":
                 if not is_root:
                     return None
-                return b.u_machine, Config("up", (1,), tuple(state.tape))
+                return b.u_machine, Config("up", b.u_ph, tuple(state.tape))
             if isinstance(prov, tuple):
                 i = prov[1]
                 if i not in b.ph_pos[a]:
@@ -235,7 +235,8 @@ class WalkingCompiler:
         if isinstance(state, SimT):
             if prov != "self" or state.skel != b.skel[a]:
                 return None
-            return b.machine[a], Config(state.d, state.pos,
+            return b.machine[a], Config(state.d,
+                                        b.info[a].number(state.pos),
                                         tuple(state.tape),
                                         sentinels(state.flag), state.flag)
         return None
@@ -247,27 +248,29 @@ class WalkingCompiler:
         if len(tape) > self.H:
             return None  # tape overflow: leave the key undefined
         b = self.blocks
+        path = machine.info.path
         if machine is b.u_machine:
-            if cfg.pos == (1,) and cfg.direction == "down":
+            if cfg.pos == b.u_ph and cfg.direction == "down":
                 if cfg.flag != 0:
                     return None
                 return (SimNabla(tape), "stay")
-            if cfg.pos and cfg.pos[0] == 0:
-                return (SimU(cfg.direction, cfg.pos[1:], tape, cfg.flag),
-                        "stay")
+            # positions 1 .. u_ph - 1: the out-term, the root's first child
+            if 0 < cfg.pos < b.u_ph:
+                return (SimU(cfg.direction, path(cfg.pos)[1:], tape,
+                             cfg.flag), "stay")
             return None
         # rule-skeleton machine
-        if cfg.pos == ():
+        if cfg.pos == 0:
             if cfg.direction != "up" or cfg.flag != 0:
                 return None
             return (SimDelta(tape), "stay" if is_root else "to-parent")
-        i = b.ph_index(a, cfg.pos)
+        i = b.ph_index[a].get(cfg.pos)
         if i is not None:
             if cfg.direction != "down" or cfg.flag != 0:
                 return None
             return (SimNabla(tape), ("to-child", i))
-        return (SimT(cfg.direction, b.skel[a], cfg.pos, tape, cfg.flag),
-                "stay")
+        return (SimT(cfg.direction, b.skel[a], path(cfg.pos), tape,
+                     cfg.flag), "stay")
 
     def classify(self, machine, res, a, is_root, log):
         """Turn a one-step result over a local term, started with the given
@@ -288,15 +291,15 @@ class WalkingCompiler:
             return self._local_state(machine, cfg, a, is_root)
         # a stack push: top entry folds the popped sentinel group
         if (cfg.log and isinstance(cfg.log[0], StackEntry)
-                and cfg.log[0].pos[:1] != ("sentinel",)):
+                and isinstance(cfg.log[0].pos, int)):
             top = cfg.log[0]
             k = len(top.entries)
             if top.entries == log[:k] and cfg.log[1:] == log[k:]:
                 loc = self._local_state(machine, cfg, a, is_root)
                 if loc is None or loc[1] != "stay":
                     return None
-                return (loc[0],
-                        ("put", color_name(self._tag_of(machine), top.pos, k)))
+                return (loc[0], ("put", color_name(
+                    self._tag_of(machine), machine.info.path(top.pos), k)))
         # anything else (e.g. discarding entries that sit on other nodes)
         # cannot be realized with pebbles
         return None
@@ -304,9 +307,10 @@ class WalkingCompiler:
     def _is_shared_return(self, machine, cfg):
         """Does this configuration pop a logged position (the one case
         whose behavior depends on the visible pebble)?"""
-        if cfg.direction != "up" or not cfg.pos:
+        up = machine.info.up[cfg.pos]
+        if cfg.direction != "up" or up is None:
             return False
-        ptag, role, parent, _ = machine.info.up[cfg.pos]
+        ptag, role, parent, _ = up
         return ptag == LET and role == 0 \
             and not machine.info.bound_is_base(parent)
 
@@ -316,7 +320,7 @@ class WalkingCompiler:
         entries it had folded under it).  Yields (color, image) pairs."""
         if cfg.flag != 0:
             return
-        binder = cfg.pos[:-1]
+        binder = machine.info.up[cfg.pos][2]
         want_tag = self._tag_of(machine)
         for z, (tag, occ, n) in self.colors.items():
             if tag != want_tag or machine.info.occ_binder.get(occ) != binder:
@@ -401,42 +405,51 @@ def compile_to_iptt(spec):
 # mapped onto walking configurations over the input tree
 
 class SimMapper:
-    def __init__(self, compiler, machine):
-        self.c = compiler
+    """Maps configurations of the token machine over the instantiated
+    program (whose TermInfo is `info`) to configurations of the compiled
+    walking machine `machine` over the input."""
+
+    def __init__(self, compiler, machine, info):
+        self.c, self.info = compiler, info
         self.nodes = nodes = machine.nodes
-        # each input node's block position in out applied to the input:
-        # (1,) for the root, child i of a rank-k node's + (0,)*(k-1-i) + (1,);
+        # each input node's block root in out applied to the input: the
+        # argument (1,) for the root, and for child i of a rank-k node,
+        # k - i function steps then the argument step from its parent's;
         # a parent's number is below its children's
-        rank, tpos = machine.spec.input.rank, [(1,)]
+        rank, down = machine.spec.input.rank, info.down
+        roots = [down[0][1][1]]
         for _, parent, _, back, _ in nodes[1:]:
-            k = rank(nodes[parent][4])
-            tpos.append(tpos[parent] + (0,) * (k - back[1]) + (1,))
-        self.blocks = {t: i for i, t in enumerate(tpos)}
+            pos = roots[parent]
+            for _ in range(rank(nodes[parent][4]) - back[1]):
+                pos = down[pos][1][0]
+            roots.append(down[pos][1][1])
+        self.blocks = {pos: node for node, pos in enumerate(roots)}
+        self.root_block = roots[0]
 
     def map(self, cfg):
         """The configuration of the walking machine that a token
         configuration stands for."""
-        c, b = self.c, self.c.blocks
+        c, b, info = self.c, self.c.blocks, self.info
         tape = mult_tape(cfg.tape)
-        if cfg.pos == ():
+        pos = cfg.pos
+        if pos == 0:
             if cfg.direction == "down" and not tape:
                 return WalkConfig("I", "self", 0)
             raise UnreachableShape("focus on the whole program going up")
-        if cfg.pos[0] == 0:
+        # positions 1 .. root_block - 1: the out-term
+        if pos < self.root_block:
             return WalkConfig(
-                c.name(SimU(cfg.direction, cfg.pos[1:], tape)), "self", 0)
-        # find the deepest block containing the focus
-        best = None
-        for tpos, node in self.blocks.items():
-            if cfg.pos[:len(tpos)] == tpos:
-                if best is None or len(tpos) > len(best[0]):
-                    best = (tpos, node)
-        if best is None:
-            raise UnreachableShape(f"no block contains {cfg.pos}")
-        tpos, node = best
-        rel = cfg.pos[len(tpos):]
+                c.name(SimU(cfg.direction, info.path(pos)[1:], tape)),
+                "self", 0)
+        # walk up to the nearest block root; every other position lies
+        # under the root block
+        up, blocks, rel = info.up, self.blocks, []
+        while pos not in blocks:
+            _, role, pos, _ = up[pos]
+            rel.append(role)
+        node = blocks[pos]
         _, parent, _, back, letter = self.nodes[node]
-        if rel == ():
+        if not rel:
             if cfg.direction == "down":
                 prov = "self" if node == 0 else "from-parent"
                 return WalkConfig(c.name(SimNabla(tape)), prov, node)
@@ -444,5 +457,6 @@ class SimMapper:
                 return WalkConfig(c.name(SimDelta(tape)), "self", 0)
             return WalkConfig(c.name(SimDelta(tape)), back, parent)
         return WalkConfig(
-            c.name(SimT(cfg.direction, b.skel[letter], rel, tape)),
+            c.name(SimT(cfg.direction, b.skel[letter], tuple(reversed(rel)),
+                        tape)),
             "self", node)

@@ -304,6 +304,31 @@ def with_children(t, cs):
     return t
 
 
+def number_term(term):
+    """The positions of a term as preorder numbers: the root is 0 and a
+    node's first child comes right after it.  Returns the subterm at each
+    number and the numbers of its children."""
+    nodes, kids = [], []
+    todo = [(term, None)]   # (subterm, the node it is the second child of)
+    while todo:
+        t, parent = todo.pop()
+        i = len(nodes)
+        nodes.append(t)
+        if parent is not None:
+            kids[parent] = (parent + 1, i)
+        cls = t.__class__
+        if cls is App or cls is Let:
+            kids.append(None)       # filled in when the second child comes
+            todo.append((t.arg if cls is App else t.body, i))
+            todo.append((t.fn if cls is App else t.bound, None))
+        elif cls is Lam or cls is Box:
+            kids.append((i + 1,))
+            todo.append((t.body, None))
+        else:
+            kids.append(())
+    return nodes, kids
+
+
 def term_depth(t):
     """Nodes on the longest root-to-leaf path of t."""
     depth = 0

@@ -44,7 +44,7 @@ VARIANT_MAX_TIER = {"pa": 0, "apa": 1, "d1": 2, "ss": 2}   # highest tier run
 class LogEntry:
     """A logged position: where a jump came from, together with the log
     that was current there."""
-    pos: tuple
+    pos: int
     log: tuple  # tuple of LogEntry
 
 
@@ -52,14 +52,14 @@ class LogEntry:
 class StackEntry:
     """Flat-stack form of a logged position: the source position and the
     group of entries that were sitting above it."""
-    pos: tuple
+    pos: int
     entries: tuple  # tuple of StackEntry
 
 
 @dataclass(slots=True, unsafe_hash=True)
 class Config:
     direction: str  # "down" | "up"
-    pos: tuple
+    pos: int        # a TermInfo position
     tape: tuple     # entries are "p", "o", LogEntry (d1) -- top first
     log: tuple = ()     # d1: tuple of LogEntry; ss: tuple of StackEntry
     flag: int = 0       # ss only: current box nesting
@@ -77,9 +77,10 @@ def mult_tape(tape):
 
 class TermInfo:
     """Per-position facts about the program term, precomputed from a
-    typing derivation.
+    typing derivation.  A position is its preorder number
+    (core.number_term), and every table is a list indexed by it.
 
-    One walk builds two dispatch records for every position, one for each
+    One pass builds two dispatch records for every position, one for each
     direction the focus can move in:
 
       * `down[pos] = (tag, children, arg)`: the position's tag above, its
@@ -92,79 +93,72 @@ class TermInfo:
         the position's index among its parent's children and sibling the
         parent's other child; None at the root.
 
-    Every position in the records is the very tuple that keys them, so a
-    lookup of a position the machine built compares keys by identity.
-
-    The same walk fills `depths[pos]`, the box depth of each position (the
-    number of enclosing boxes whose contents are not of base type), and
-    finds the term's restriction `tier` (typecheck.term_tier) and `height`,
-    the largest type height at any position."""
+    The same pass fills `types[pos]` and `depths[pos]`, the box depth of
+    each position (the number of enclosing boxes whose contents are not of
+    base type), and finds the term's restriction `tier`
+    (typecheck.term_tier) and `height`, the largest type height at any
+    position.  `path(pos)` is the position as a tuple of child indices
+    from the root, for text."""
 
     def __init__(self, ann):
-        self.ann = ann
         self.term = ann.term
-        self.types = types = ann.types
+        nodes, kids = ann.nodes, ann.kids
+        n = len(nodes)
+        self.types = types = list(map(ann.types.__getitem__, range(n)))
         self.occ_binder = occ_binder = ann.occ_binder
         self.var_kind = var_kind = ann.var_kind
-        self.depths = depths = {}
-        self.down = down = {}
-        self.up = up = {}
+        self.depths = depths = [0] * n
+        self.down = down = [None] * n
+        self.up = up = [None] * n
+        boxes = [0] * n     # all the boxes enclosing a position
         occurrences = []
         boxed = []      # (type, enclosing boxes) of the positions in a box
-        # the walk carries the box depth of a position (the enclosing boxes
-        # whose contents are not of base type) and its count of all
-        # enclosing boxes
-        todo = [(ann.term, (), None, 0, 0)]
-        while todo:
-            t, pos, up[pos], depth, boxes = todo.pop()
-            depths[pos] = depth
-            if boxes:
-                boxed.append((types[pos], boxes))
+        # a parent comes before its children, so it hands them its box
+        # depth and its count of enclosing boxes
+        for pos, t in enumerate(nodes):
+            depth, b = depths[pos], boxes[pos]
+            if b:
+                boxed.append((types[pos], b))
             cls = t.__class__
             if cls is App or cls is Let:
-                kids = (pos + (0,), pos + (1,))
                 tag = APP if cls is App else LET
-                first, second = (t.fn, t.arg) if cls is App else \
-                    (t.bound, t.body)
-                todo.append((second, kids[1], (tag, 1, pos, kids[0]), depth,
-                             boxes))
-                todo.append((first, kids[0], (tag, 0, pos, kids[1]), depth,
-                             boxes))
-                down[pos] = (tag, kids, None)
+                first, second = pair = kids[pos]
+                up[first] = (tag, 0, pos, second)
+                up[second] = (tag, 1, pos, first)
+                depths[first] = depths[second] = depth
+                boxes[first] = boxes[second] = b
+                down[pos] = (tag, pair, None)
             elif cls is Lam or cls is Box:
-                kids = (pos + (0,),)
                 if cls is Lam:
                     tag = LAM
                 elif types[pos].inner == O:
                     tag = BASE_BOX
                 else:
                     tag, depth = BOX, depth + 1
-                todo.append((t.body, kids[0], (tag, 0, pos, None), depth,
-                             boxes + (cls is Box)))
-                down[pos] = (tag, kids, None)   # LAM's occurrence: below
+                body = pos + 1
+                up[body] = (tag, 0, pos, None)
+                depths[body], boxes[body] = depth, b + (cls is Box)
+                down[pos] = (tag, kids[pos], None)  # LAM's occurrence: below
             elif cls is Var:
                 occurrences.append(pos)
             elif cls is Const:
                 k = self.rank(pos)
                 down[pos] = (CONST, (), (t.name, ("p",) * k, tuple(
                     ("p",) * i + ("o",) for i in range(k))))
-        # a variable's record names its binder as interned: the binder's
-        # first child is interned in its record, and that child's up
-        # record holds the binder
         for pos in occurrences:
             kind = var_kind[pos]
             if kind == "theta":
                 down[pos] = (FREE_VAR, (), None)
                 continue
-            bound = down[occ_binder[pos]][1][0]
-            binder = up[bound][2]
+            binder = occ_binder[pos]
             if kind == "lam":
                 down[pos] = (LAM_VAR, (), binder)
-                down[binder] = (LAM, (bound,), pos)
+                down[binder] = (LAM, kids[binder], pos)
             else:
-                down[pos] = (LET_VAR, (), (bound, self.bound_is_base(binder),
+                down[pos] = (LET_VAR, (), (binder + 1,
+                                           self.bound_is_base(binder),
                                            depths[pos], depths[binder]))
-        distinct = {id(A): A for A in types.values()}.values()
+        distinct = {id(A): A for A in types}.values()
         self.height = max(map(type_height, distinct))
         self.tier = term_tier(distinct, boxed, ann.theta_types)
 
@@ -177,8 +171,23 @@ class TermInfo:
         return k
 
     def bound_is_base(self, let_pos):
-        A = self.types[let_pos + (0,)]
+        A = self.types[let_pos + 1]     # the bound term, its first child
         return isinstance(A, Bang) and A.inner == O
+
+    def path(self, pos):
+        """The child indices from the root to a position."""
+        up, steps = self.up, []
+        while up[pos] is not None:
+            _, role, pos, _ = up[pos]
+            steps.append(role)
+        return tuple(reversed(steps))
+
+    def number(self, path):
+        """The position at a path of child indices from the root."""
+        pos = 0
+        for i in path:
+            pos = self.down[pos][1][i]
+        return pos
 
 
 class IamMachine(Machine):
@@ -194,7 +203,7 @@ class IamMachine(Machine):
         self.variant = variant
 
     def initial(self):
-        return Config("down", (), ())
+        return Config("down", 0, ())
 
     # -- the rules ----------------------------------------------------------
 
@@ -206,6 +215,8 @@ class IamMachine(Machine):
         info_down, info_up, v = self.info.down, self.info.up, self.variant
         down = cfg.direction == "down"
         pos, tape, log, flag = cfg.pos, cfg.tape, cfg.log, cfg.flag
+        if pos.__class__ is not int or not 0 <= pos < len(info_down):
+            raise LamtransError(f"no position {pos!r} in the program term")
         n = 0
         while n < budget:
             if down:
@@ -336,13 +347,14 @@ class IamMachine(Machine):
     # -- rendering and invariants -----------------------------------------
 
     def render(self, cfg):
-        term = term_to_str(self.info.term, mark=cfg.pos,
+        path = self.info.path
+        term = term_to_str(self.info.term, mark=path(cfg.pos),
                            direction=cfg.direction)
-        s = f'({term}, "{render_tape(cfg.tape)}"'
+        s = f'({term}, "{render_tape(cfg.tape, path)}"'
         if self.variant == "d1":
-            s += f', "{render_tape(cfg.log)}"'
+            s += f', "{render_tape(cfg.log, path)}"'
         elif self.variant == "ss":
-            s += f', "{render_tape(cfg.log)}", {cfg.flag}'
+            s += f', "{render_tape(cfg.log, path)}", {cfg.flag}'
         return s + ")"
 
     def check_invariants(self, cfg):
@@ -364,15 +376,17 @@ class IamMachine(Machine):
             raise InvariantViolation("nesting counter != box depth of focus")
 
 
-def render_tape(tape):
+def render_tape(tape, path):
+    """A tape or log as text, each logged position written as its path
+    (`path`, a TermInfo's) with dots."""
     out = []
     for e in tape:
         if e in ("p", "o"):
             out.append(e)
         else:
-            pos = ".".join(map(str, e.pos)) or "e"
+            pos = ".".join(map(str, path(e.pos))) or "e"
             inner = e.log if isinstance(e, LogEntry) else e.entries
-            out.append("{" + pos + "|" + render_tape(inner) + "}")
+            out.append("{" + pos + "|" + render_tape(inner, path) + "}")
     return "".join(out)
 
 

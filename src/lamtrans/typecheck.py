@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from .core import (App, Box, Const, Lam, LamtransError, Let, SyntaxErr, Var,
-                   _tokenize, children, term_to_str, too_deep)
+                   _tokenize, children, number_term, term_to_str, too_deep,
+                   with_children)
 
 
 class TypingError(LamtransError):
@@ -167,9 +168,12 @@ def _type_facts(A):
 @dataclass
 class Annotated:
     """A typed term together with per-position information gathered by the
-    checker."""
+    checker.  A position is its preorder number (core.number_term)."""
     term: object
     type: object
+    # pos -> the subterm there, and the positions of its children
+    nodes: list = field(init=False, default_factory=list)
+    kids: list = field(init=False, default_factory=list)
     # pos -> Type
     types: dict = field(init=False, default_factory=dict)
     # var occ pos -> binder pos
@@ -188,7 +192,9 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
     letter : o -o ... -o o) or from an explicit consts map.  theta maps
     free unrestricted variable names to types."""
     ann = Annotated(term, None)
-    types, occ_binder, lam_occ = ann.types, ann.occ_binder, ann.lam_occ
+    ann.nodes, ann.kids = number_term(term)
+    kids, types, occ_binder, lam_occ = (ann.kids, ann.types, ann.occ_binder,
+                                        ann.lam_occ)
     var_kind, theta_types = ann.var_kind, ann.theta_types
     ctypes = dict(consts or {})
     if alphabet is not None:
@@ -226,12 +232,13 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
                     lam_occ[bpos] = pos
             return A
         if isinstance(t, App):
-            fA = synth(t.fn, pos + (0,), env)
+            fn, arg = kids[pos]
+            fA = synth(t.fn, fn, env)
             if not isinstance(fA, Arrow):
                 raise TypingError(
                     f"applied term has non-arrow type {type_to_str(fA)}: "
                     f"{term_to_str(t.fn)}")
-            check(t.arg, fA.left, pos + (1,), env)
+            check(t.arg, fA.left, arg, env)
             types[pos] = fA.right
             return fA.right
         if isinstance(t, Lam):
@@ -241,18 +248,18 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
             saved = _bind(env, t.var, ("lam", t.hint, pos))
             lam_occ.setdefault(pos, None)
             try:
-                B = synth(t.body, pos + (0,), env)
+                B = synth(t.body, pos + 1, env)
             finally:
                 _unbind(env, t.var, saved)
             A = types[pos] = Arrow(t.hint, B)
             return A
         if isinstance(t, Box):
-            A = types[pos] = Bang(synth(t.body, pos + (0,), _boxed(env)))
+            A = types[pos] = Bang(synth(t.body, pos + 1, _boxed(env)))
             return A
         if isinstance(t, Let):
             saved = bind_let(t, pos, env)
             try:
-                B = types[pos] = synth(t.body, pos + (1,), env)
+                B = types[pos] = synth(t.body, kids[pos][1], env)
             finally:
                 _unbind(env, t.var, saved)
             return B
@@ -261,7 +268,7 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
     def bind_let(t, pos, env):
         """Type the bound term of a let and bind its variable; returns the
         binding this one shadows."""
-        A = synth(t.bound, pos + (0,), env)
+        A = synth(t.bound, pos + 1, env)
         if not isinstance(A, Bang):
             raise TypingError(
                 f"let-bound term has non-! type {type_to_str(A)}: "
@@ -277,7 +284,7 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
             saved = _bind(env, t.var, ("lam", A.left, pos))
             lam_occ.setdefault(pos, None)
             try:
-                check(t.body, A.right, pos + (0,), env)
+                check(t.body, A.right, pos + 1, env)
             finally:
                 _unbind(env, t.var, saved)
             types[pos] = A
@@ -285,13 +292,13 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
         if isinstance(t, Box):
             if not isinstance(A, Bang):
                 raise TypingError(f"box cannot have type {type_to_str(A)}")
-            check(t.body, A.inner, pos + (0,), _boxed(env))
+            check(t.body, A.inner, pos + 1, _boxed(env))
             types[pos] = A
             return
         if isinstance(t, Let):
             saved = bind_let(t, pos, env)
             try:
-                check(t.body, A, pos + (1,), env)
+                check(t.body, A, kids[pos][1], env)
             finally:
                 _unbind(env, t.var, saved)
             types[pos] = A
@@ -305,8 +312,9 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
                 B = synth(t, pos, env)
             except TypingError:
                 rollback(mark)
-                aA = synth(t.arg, pos + (1,), env)
-                check(t.fn, Arrow(aA, A), pos + (0,), env)
+                fn, arg = kids[pos]
+                aA = synth(t.arg, arg, env)
+                check(t.fn, Arrow(aA, A), fn, env)
                 types[pos] = A
                 return
         else:
@@ -337,9 +345,9 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
     # the term is reported as too deep (core.TooDeep)
     try:
         if ty is None:
-            ann.type = synth(term, (), env0)
+            ann.type = synth(term, 0, env0)
         else:
-            check(term, ty, (), env0)
+            check(term, ty, 0, env0)
             ann.type = ty
     except RecursionError:
         raise too_deep(term, "typecheck") from None
@@ -368,15 +376,16 @@ def fill_hints(ann):
     """Return ann.term with every lambda's binder-type hint filled in from
     the typing derivation, so the result synthesizes without a target."""
 
+    kids, types = ann.kids, ann.types
+
     def go(t, pos):
-        from .core import with_children
-        cs = [go(c, pos + (i,)) for i, c in enumerate(children(t))]
+        cs = [go(c, k) for c, k in zip(children(t), kids[pos])]
         t = with_children(t, cs)
         if isinstance(t, Lam):
-            return Lam(t.var, t.body, ann.types[pos].left)
+            return Lam(t.var, t.body, types[pos].left)
         return t
 
-    return go(ann.term, ())
+    return go(ann.term, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +393,16 @@ def fill_hints(ann):
 
 def classify_term(ann):
     """Restriction tier of a typed term (see term_tier)."""
-    types, boxed = ann.types, []
-    todo = [(ann.term, (), 0)]
+    types, nodes, kids, boxed = ann.types, ann.nodes, ann.kids, []
+    todo = [(0, 0)]
     while todo:
-        t, pos, boxes = todo.pop()
+        pos, boxes = todo.pop()
         if boxes:
             boxed.append((types[pos], boxes))
-        if isinstance(t, Box):
+        if nodes[pos].__class__ is Box:
             boxes += 1
-        for i, c in enumerate(children(t)):
-            todo.append((c, pos + (i,), boxes))
+        for c in kids[pos]:
+            todo.append((c, boxes))
     return term_tier(types.values(), boxed, ann.theta_types)
 
 

@@ -55,3 +55,13 @@ def numeral(n):
     """The msb-first binary encoding of n as a tree string over {0,1,e}."""
     digits = bin(n)[2:] if n else "0"
     return "(".join(digits) + "(e" + ")" * len(digits)
+
+
+def random_tree(rng, n):
+    """A seeded tree over {a:2, b:1, c:0} with exactly n nodes."""
+    if n == 1:
+        return "c"
+    if n == 2 or rng.random() < 1 / 3:
+        return f"b({random_tree(rng, n - 1)})"
+    k = rng.randint(1, n - 2)
+    return f"a({random_tree(rng, k)},{random_tree(rng, n - 1 - k)})"

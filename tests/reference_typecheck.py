@@ -6,8 +6,11 @@ log: a test-only oracle for `lamtrans.typecheck.typecheck` and
 have to undo, threads the set of affine binders each subterm uses, and
 fills box depths in a separate pass (`Annotated.depths`).  `classify_term`
 is the tier rule in one walk of its own, and `ReferenceTermInfo` builds
-the machine's dispatch records from those depths.  The code is kept as it
-was; only its imports changed."""
+the machine's dispatch records from those depths.  Its positions are
+paths, tuples of child indices from the root, where the checker now
+numbers them in preorder.  The code is kept as it was; only its imports
+changed, and `ReferenceTermInfo` keeps the path form of
+`TermInfo.bound_is_base`."""
 
 from __future__ import annotations
 
@@ -350,4 +353,8 @@ class ReferenceTermInfo(TermInfo):
         self.height = max(type_height(A) for A in
                           {id(A): A for A in types.values()}.values())
         self.tier = classify_term(ann)
+
+    def bound_is_base(self, let_pos):
+        A = self.types[let_pos + (0,)]
+        return isinstance(A, Bang) and A.inner == O
 

@@ -68,7 +68,7 @@ def test_criterion_02_golden_traces(count):
     m = IamMachine(TermInfo(count.program_ann(tau)), "pa")
     cfg, got = m.initial(), []
     for _ in GOLDEN_PREFIX:
-        got.append((cfg.direction, cfg.pos, mult_tape(cfg.tape)))
+        got.append((cfg.direction, m.info.path(cfg.pos), mult_tape(cfg.tape)))
         cfg = m.step(cfg)
     ok = got == GOLDEN_PREFIX
     tm = WalkingMachine(compile_to_twt(count), tau)

@@ -98,10 +98,9 @@ def test_token_machines_chain_as_they_step(specs, name):
                 kinds.add(type(got))
             # stuck runs, and the errors a run can raise, from arbitrary
             # configurations
-            positions = sorted(info.down)
             for _ in range(8):
                 cfg = Config(rng.choice(("down", "up")),
-                             rng.choice(positions),
+                             rng.choice(range(len(info.down))),
                              tuple(rng.choice("po")
                                    for _ in range(rng.randrange(4))))
                 got = agree(make, lambda m: cfg, rng.randrange(200))

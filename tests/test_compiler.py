@@ -1,4 +1,5 @@
 import hashlib
+import random
 
 import pytest
 
@@ -9,7 +10,7 @@ from lamtrans.compiler import (SimMapper, WalkingCompiler, compile_to_iptt,
                                compile_to_twt)
 from lamtrans.walking import (ANY, WalkingMachine, check_reversible,
                               parse_iptt, parse_twt, run_walking)
-from conftest import numeral, unary
+from conftest import numeral, random_tree, unary
 from reference_treegen import frontier_configs, frontier_get, frontier_replace
 
 # Hand-derived first eight configurations of the compiled walking machine
@@ -80,14 +81,16 @@ def test_compiled_twt_steps_match_token_machine(count):
 
 
 def test_simulation_square(count, seqnat):
-    for spec, s in [(count, "a(b(c),c)"), (seqnat, unary(3))]:
+    for spec, s in [(count, "a(b(c),c)"), (seqnat, unary(3)),
+                    (count, random_tree(random.Random(40), 40)),
+                    (seqnat, unary(10))]:
         tau = parse_tree(s, spec.input)
         comp = WalkingCompiler(spec, "apa")
         tw = comp.compile()
         twm = WalkingMachine(tw, tau)
-        mapper = SimMapper(comp, twm)
         iam = IamMachine(TermInfo(spec.program_ann(tau)),
                          pick_variant(spec.tier))
+        mapper = SimMapper(comp, twm, iam.info)
         iam_side = [map_leaves(f, mapper.map)
                     for f in frontiers(iam, iam.initial())]
         twt_side = frontiers(twm, twm.initial())

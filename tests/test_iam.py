@@ -1,6 +1,6 @@
 import pytest
 
-from lamtrans.core import parse_tree
+from lamtrans.core import LamtransError, parse_tree
 from lamtrans.iam import (ClassificationTooHigh, Config, IamMachine, TermInfo,
                           mult_tape, pick_variant, run_iam)
 from lamtrans.treegen import FNode, Output
@@ -31,7 +31,7 @@ def test_pa_machine_golden_prefix(count):
     cfg = m.initial()
     got = []
     for _ in GOLDEN_PREFIX:
-        got.append((cfg.direction, cfg.pos, mult_tape(cfg.tape)))
+        got.append((cfg.direction, m.info.path(cfg.pos), mult_tape(cfg.tape)))
         cfg = m.step(cfg)
         assert isinstance(cfg, Config)
     assert got == GOLDEN_PREFIX
@@ -148,3 +148,15 @@ def test_checked_run_checks_each_stepped_configuration(bin2bin, monkeypatch,
     assert all(c is s for c, s in zip(checked, stepped))
     assert any(isinstance(r, Config) for r in results)
     assert sum(isinstance(r, FNode) for r in results) > 1
+
+
+def test_a_position_is_a_number_of_the_term(count):
+    # a list index would read -1 as the last position and fail on a tuple
+    # with a TypeError; the machine refuses both
+    ann = count.program_ann(parse_tree("c", count.input))
+    m = IamMachine(TermInfo(ann), "pa")
+    size = len(m.info.down)
+    m.step(Config("down", size - 1, ()))
+    for pos in (-1, size, (), True):
+        with pytest.raises(LamtransError, match="no position"):
+            m.step(Config("down", pos, ()))

@@ -11,25 +11,17 @@ from lamtrans import corpus_path
 from lamtrans.cli import load_spec, machine_for, main
 from lamtrans.compiler import compile_to_iptt, compile_to_twt
 from lamtrans.core import Tree, parse_tree
-from lamtrans.iam import Config, LogEntry, StackEntry, run_iam
-from lamtrans.treegen import Diverged, FNode, frontier_to_str, run
+from lamtrans.iam import (Config, IamMachine, LogEntry, StackEntry, TermInfo,
+                          run_iam)
+from lamtrans.treegen import (Diverged, FNode, frontier_to_str, run,
+                              trace_lines)
 from lamtrans.walking import WalkConfig, run_walking
 
-from conftest import numeral, unary
+from conftest import numeral, random_tree, unary
 
 COUNT = corpus_path("count.lt")
 SEQNAT = corpus_path("seq-nat.lt")
 BIN2BIN = corpus_path("bin2bin.lt")
-
-
-def random_tree(rng, n):
-    """A seeded tree over {a:2, b:1, c:0} with exactly n nodes."""
-    if n == 1:
-        return "c"
-    if n == 2 or rng.random() < 1 / 3:
-        return f"b({random_tree(rng, n - 1)})"
-    k = rng.randint(1, n - 2)
-    return f"a({random_tree(rng, k)},{random_tree(rng, n - 1 - k)})"
 
 
 def full(depth):
@@ -94,6 +86,19 @@ def test_steps_and_output_are_pinned(specs, name, backend, text, steps,
     assert res.tree.to_str() == output
 
 
+def test_a_450_deep_chain_runs_checked_and_compiled(count):
+    # 450 nodes deep, below the depth at which typecheck refuses the
+    # program (core.TooDeep); the checked runs check on every step that the
+    # tape is no longer than the type height and (d1) that the log equals
+    # the box depth
+    tau = parse_tree("b(" * 449 + "c" + ")" * 449, count.input)
+    ann = count.program_ann(tau)
+    runs = [run_iam(ann, variant, check=True) for variant in ("pa", "d1")]
+    runs.append(run_walking(compile_to_twt(count), tau))
+    assert {(res.tree.to_str(), res.steps) for res in runs} == \
+        {(unary(450), runs[0].steps)}
+
+
 def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -118,6 +123,8 @@ TRACES = [
      "f1ad29cccc47fbe34a22b5c9c66a016eeb06e1423025fc9791cc2dec0da8317e"),
     ("iptt", SEQNAT, "S(S(0))",
      "60faa17857a3e6a8cf769b93b84347bf29c4130fce18ff0072026779b4c5b2bf"),
+    ("iam", SEQNAT, "S(S(0))",
+     "be03330261e4f8c011e1574e785e2aea04177348c62705a9955749b820f29c2e"),
 ]
 
 
@@ -126,6 +133,16 @@ TRACES = [
 def test_trace_output_is_pinned(capsys, machine, spec, tree, digest):
     out = run_cli(capsys, "trace", "--machine", machine, spec, tree)
     assert sha256(out) == digest
+
+
+def test_d1_trace_is_pinned(bin2bin):
+    # the two-stack machine's tape holds logged positions, which the trace
+    # writes as dotted paths
+    tau = parse_tree("0(1(e))", bin2bin.input)
+    m = IamMachine(TermInfo(bin2bin.program_ann(tau)), "d1")
+    out = "".join(line + "\n" for line in trace_lines(m, m.initial()))
+    assert sha256(out) == \
+        "7038b2c9f2d51151132a2d9cca41a6d7f8e55ca88be648af1e604979f3116f28"
 
 
 @pytest.mark.parametrize("spec,digest", [

@@ -1,7 +1,9 @@
 """The program checker and TermInfo against the reference checker in
 reference_typecheck.py: the same annotation tables in the same insertion
 order, the same type, the same errors, and the same dispatch records, box
-depths, tier and height."""
+depths, tier and height.  The checker numbers positions in preorder and
+the reference keys them by path, so every number is compared through
+`TermInfo.path`."""
 
 import random
 from collections import Counter
@@ -31,21 +33,48 @@ def outcome(check, args, kwargs):
 
 def assert_same(args, kwargs):
     """Typecheck with both checkers; returns the error (class, message),
-    or None when the term is well typed."""
+    or None when the term is well typed.  Positions are numbers here and
+    paths in the oracle, so every number is translated through
+    `TermInfo.path` before it is compared."""
     new, err = outcome(typecheck, args, kwargs)
     old, ref_err = outcome(ref.typecheck, args, kwargs)
     assert err == ref_err
     if err is not None:
         return err
+    info, old_info = TermInfo(new), ref.ReferenceTermInfo(old)
+    path = info.path
+    assert [path(i) for i in range(len(new.nodes))] == sorted(old_info.down)
+
+    def at(pos):
+        return None if pos is None else path(pos)
+
+    def down(rec):
+        tag, kids, arg = rec
+        if tag in (iam.LAM, iam.LAM_VAR):
+            arg = at(arg)
+        elif tag == iam.LET_VAR:
+            arg = (path(arg[0]),) + arg[1:]
+        return tag, tuple(map(path, kids)), arg
+
+    def up(rec):
+        return rec and rec[:2] + (path(rec[2]), at(rec[3]))
+
+    def same(v):
+        return v
+
+    # the tables in their insertion order, the TermInfo lists in preorder
+    values = {"occ_binder": path, "lam_occ": at}
     for name in TABLES:
-        assert list(getattr(new, name).items()) == \
-            list(getattr(old, name).items()), name
+        value = values.get(name, same)
+        assert [(path(k), value(v)) for k, v in getattr(new, name).items()] \
+            == list(getattr(old, name).items()), name
     assert new.theta_types == old.theta_types
     assert new.type == old.type
-    info, old_info = TermInfo(new), ref.ReferenceTermInfo(old)
-    assert list(info.down.items()) == list(old_info.down.items())
-    assert list(info.up.items()) == list(old_info.up.items())
-    assert info.depths == old.depths
+    for mine, theirs, value in [
+            (info.down, old_info.down, down), (info.up, old_info.up, up),
+            (info.depths, old.depths, same), (info.types, old.types, same)]:
+        assert [(path(i), value(x)) for i, x in enumerate(mine)] == \
+            sorted(theirs.items())
     assert info.tier == ref.classify_term(old) == classify_term(new)
     assert info.height == max(map(type_height, new.types.values()))
     return None
@@ -78,6 +107,24 @@ def test_corpus_programs_and_blocks(recorded, name):
     assert len(recorded) > 8
     for args, kwargs in recorded:
         assert assert_same(args, kwargs) is None
+
+
+@pytest.mark.parametrize("name", ["count.lt", "seq-nat.lt", "bin2bin.lt",
+                                  "list-count.lt"])
+def test_path_numbers_the_reference_positions_in_preorder(name):
+    # path is one-to-one from the numbers onto the oracle's positions, in
+    # preorder, and number inverts it
+    spec = load_transducer(corpus_path(name))
+    rng = random.Random(f"path-{name}")
+    for _ in range(20):
+        term = spec.program_term(gen_tree(rng, spec.input,
+                                          1 + rng.randrange(12)))
+        info = TermInfo(typecheck(term, O, spec.output))
+        old = ref.ReferenceTermInfo(ref.typecheck(term, O, spec.output))
+        paths = [info.path(i) for i in range(len(info.down))]
+        assert len(set(paths)) == len(paths)
+        assert paths == sorted(old.down)
+        assert [info.number(p) for p in paths] == list(range(len(paths)))
 
 
 def test_mirror_split_and_compose(recorded):
