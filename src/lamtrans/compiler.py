@@ -106,6 +106,11 @@ def placeholder(i):
     return Const(f"{PH}{i}")
 
 
+def occurrence_numbers(info):
+    """The number of each variable occurrence in a term, by its path."""
+    return {info.path(pos): pos for pos in info.occ_binder}
+
+
 class LocalBlocks:
     """The per-letter skeletons and the out-term context, with typed token
     machines over each."""
@@ -126,6 +131,8 @@ class LocalBlocks:
         self.ph_index = {}
         self.info = {}
         self.machine = {}
+        self.u_occ = occurrence_numbers(self.u_info)
+        self.occ = {}
         heights = [self.u_info.height]
         for a, k in spec.input.letters:
             t = spec.norm_rules[a]
@@ -138,6 +145,7 @@ class LocalBlocks:
             self.ph_index[a] = {pos: i for i, pos in self.ph_pos[a].items()}
             self.info[a] = info
             self.machine[a] = IamMachine(info, variant)
+            self.occ[a] = occurrence_numbers(info)
             heights.append(info.height)
         self.height = max(heights)
 
@@ -179,7 +187,10 @@ class WalkingCompiler:
         self.spec = spec
         self.blocks = LocalBlocks(spec, variant)
         self.H = self.blocks.height
-        self.colors = {}   # name -> (tag, pos, n)
+        # name -> (tag, path, n).  All skeletons share the tag "b", so a
+        # color keeps its occurrence's path, which names the same position
+        # in every skeleton; a number names one only in its own skeleton
+        self.colors = {}
         if self.pebbles:
             self._collect_colors("u", self.blocks.u_info)
             for info in self.blocks.info.values():
@@ -193,7 +204,8 @@ class WalkingCompiler:
             if info.bound_is_base(binder):
                 continue
             n = info.depths[pos]
-            self.colors[color_name(tag, info.path(pos), n)] = (tag, pos, n)
+            path = info.path(pos)
+            self.colors[color_name(tag, path, n)] = (tag, path, n)
 
     def name(self, state):
         return state.render(self.blocks.u_term, self.pebbles)
@@ -322,8 +334,13 @@ class WalkingCompiler:
             return
         binder = machine.info.up[cfg.pos][2]
         want_tag = self._tag_of(machine)
-        for z, (tag, occ, n) in self.colors.items():
-            if tag != want_tag or machine.info.occ_binder.get(occ) != binder:
+        b = self.blocks
+        occ_at = b.u_occ if machine is b.u_machine else b.occ[a]
+        for z, (tag, path, n) in self.colors.items():
+            if tag != want_tag:
+                continue
+            occ = occ_at.get(path)
+            if occ is None or machine.info.occ_binder[occ] != binder:
                 continue
             back = Config("up", occ, cfg.tape, sentinels(n), n)
             loc = self._local_state(machine, back, a, is_root)

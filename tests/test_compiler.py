@@ -5,6 +5,7 @@ import pytest
 
 from lamtrans.core import parse_tree
 from lamtrans.iam import IamMachine, TermInfo, pick_variant, run_iam
+from lamtrans.transducer import parse_transducer
 from lamtrans.treegen import FNode, Output
 from lamtrans.compiler import (SimMapper, WalkingCompiler, compile_to_iptt,
                                compile_to_twt)
@@ -131,6 +132,36 @@ def test_compiled_seqnat_iptt(seqnat):
     for n in range(7):
         tau = parse_tree(unary(n), seqnat.input)
         assert run_walking(ip, tau).tree == seqnat.eval_normalize(tau)
+
+
+# Two rank-1 rules whose shared let-variable f sits at the same path in both
+# skeletons; the larger first argument of g in rule 1 gives its occurrences
+# other numbers.  A pebble color names the occurrence by path, so each
+# skeleton keeps its own shared-return transitions.
+TWIN = r"""
+input  { 0:1, 1:1, e:0 }
+output { a:2, c:0 }
+memory o -o !(!o -o !o) -o o
+rule 0 = \g. \u. \x. let !f = x in g u !(\y. f (f y))
+rule 1 = \g. \u. \x. let !f = x in g (a u c) !(\y. f (f y))
+rule e = \u. \x. let !f = x in let !z = f !c in a u z
+out    = \g. g c !(\y. y)
+"""
+
+
+def test_compiled_iptt_colors_name_occurrences_by_path():
+    spec = parse_transducer(TWIN, name="twin")
+    ip = compile_to_iptt(spec)
+    text = ip.to_str()
+    # the IPTT text is pinned byte for byte
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "a794acba08dde1f94f70ff45dc3f48b946510970a2cbd06eee7de314e7a6f175"
+    assert sum(key[4] != ANY for key in ip.delta) == 10
+    for s in ["0(e)", "1(e)", "0(1(e))", "1(0(1(e)))"]:
+        tau = parse_tree(s, spec.input)
+        res = run_walking(ip, tau)
+        assert isinstance(res, Output)
+        assert res.tree == spec.eval_normalize(tau)
 
 
 def test_compiled_specs_serialize(count, bin2bin):

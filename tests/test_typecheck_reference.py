@@ -43,7 +43,9 @@ def assert_same(args, kwargs):
         return err
     info, old_info = TermInfo(new), ref.ReferenceTermInfo(old)
     path = info.path
-    assert [path(i) for i in range(len(new.nodes))] == sorted(old_info.down)
+    paths = [path(i) for i in range(len(new.nodes))]
+    assert paths == sorted(old_info.down)
+    assert [info.number(p) for p in paths] == list(range(len(paths)))
 
     def at(pos):
         return None if pos is None else path(pos)
@@ -107,24 +109,6 @@ def test_corpus_programs_and_blocks(recorded, name):
     assert len(recorded) > 8
     for args, kwargs in recorded:
         assert assert_same(args, kwargs) is None
-
-
-@pytest.mark.parametrize("name", ["count.lt", "seq-nat.lt", "bin2bin.lt",
-                                  "list-count.lt"])
-def test_path_numbers_the_reference_positions_in_preorder(name):
-    # path is one-to-one from the numbers onto the oracle's positions, in
-    # preorder, and number inverts it
-    spec = load_transducer(corpus_path(name))
-    rng = random.Random(f"path-{name}")
-    for _ in range(20):
-        term = spec.program_term(gen_tree(rng, spec.input,
-                                          1 + rng.randrange(12)))
-        info = TermInfo(typecheck(term, O, spec.output))
-        old = ref.ReferenceTermInfo(ref.typecheck(term, O, spec.output))
-        paths = [info.path(i) for i in range(len(info.down))]
-        assert len(set(paths)) == len(paths)
-        assert paths == sorted(old.down)
-        assert [info.number(p) for p in paths] == list(range(len(paths)))
 
 
 def test_mirror_split_and_compose(recorded):
