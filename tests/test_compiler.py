@@ -3,12 +3,14 @@ import random
 
 import pytest
 
+from lamtrans import corpus_path
 from lamtrans.core import parse_tree
 from lamtrans.iam import IamMachine, TermInfo, pick_variant, run_iam
 from lamtrans.transducer import parse_transducer
 from lamtrans.treegen import FNode, Output
 from lamtrans.compiler import (SimMapper, WalkingCompiler, compile_to_iptt,
-                               compile_to_twt)
+                               compile_to_twt, compile_walking)
+from lamtrans.gls import load_gls, make_type_constant, split_state_relabeling
 from lamtrans.walking import (ANY, WalkingMachine, check_reversible,
                               parse_iptt, parse_twt, run_walking)
 from conftest import numeral, random_tree, unary
@@ -190,6 +192,47 @@ def test_compiled_twt_text_is_stable(fixture, request):
     spec = request.getfixturevalue(fixture)
     text = compile_to_twt(spec).to_str()
     assert hashlib.sha256(text.encode()).hexdigest() == TWT_SHA256[fixture]
+
+
+# Two letters with the same rule: their in-block T states are one state,
+# shared because a T state names its skeleton term, not its letter
+SAME_RULES = r"""
+input  { a:1, b:1, c:0 }
+output { S:1, 0:0 }
+memory o -o o
+rule a = \f. \x. S (f x)
+rule b = \f. \x. S (f x)
+rule c = \x. S x
+out    = \f. f 0
+"""
+
+
+def mirror_split():
+    """The stateless transducer that mirror.gls splits into."""
+    return split_state_relabeling(make_type_constant(load_gls(corpus_path(
+        "mirror.gls"))))[1]
+
+
+# sha256 of compile_walking(spec, target).to_str()
+COMPILED_SHA256 = {
+    ("same-rules", "twt"):
+        "fd2c3116df7f2624354c4be8a2e1a507b6f185ae66f52b7426eff397b8c48a4f",
+    ("same-rules", "iptt"):
+        "1228b88aee8449d202aac18b2df5b569ab46c2e9790f2a4574f5a08853d2c064",
+    ("mirror-split", "twt"):
+        "498f43f80b6c57ab7f165717b7e6f6b58a4f9e873c4aa19730870a22fb3061f7",
+    ("mirror-split", "iptt"):
+        "354adabc32e8f427581a67dbf90a6a3c00be78aa527a7283136c89189039faad",
+}
+
+
+@pytest.mark.parametrize("name, target", sorted(COMPILED_SHA256))
+def test_compiled_text_of_shared_and_split_rules_is_stable(name, target):
+    spec = (parse_transducer(SAME_RULES, name="same") if name == "same-rules"
+            else mirror_split())
+    text = compile_walking(spec, target).to_str()
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        COMPILED_SHA256[name, target]
 
 
 def test_compiled_bin2bin_iptt_stores_pebble_independent_keys_once(bin2bin):
