@@ -216,9 +216,8 @@ def difftest_backends(kind, spec, fuel):
         return [
             ("gls", lambda tau: Output(spec.run(tau, fuel), 0)),
             ("type-constant", lambda tau: Output(const.run(tau, fuel), 0)),
-            ("relabel+transducer",
-             lambda tau: Output(trans.eval_normalize(relabel(tau), fuel), 0)),
-        ]
+        ] + [(f"relabel+{n}", lambda tau, run=run: run(relabel(tau)))
+             for n, run in difftest_backends("lt", trans, fuel)]
     raise LamtransError("difftest expects .lt or .gls specs")
 
 

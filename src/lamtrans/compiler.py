@@ -22,12 +22,12 @@ never drops a pebble."""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .core import App, Const, LamtransError, term_to_str
 from .iam import (LET, VARIANT_MAX_TIER, ClassificationTooHigh, Config,
                   IamMachine, StackEntry, TermInfo, mult_tape)
-from .treegen import FNode
 from .typecheck import TIER_NAMES, typecheck
 from .walking import (ANY, IpttSpec, TwtSpec, WalkConfig, image_leaves,
                       image_map_leaves)
@@ -40,41 +40,30 @@ class UnreachableShape(LamtransError):
 # ---------------------------------------------------------------------------
 # Compiled-state naming
 
-# Every state renders given the out-term and whether to show the box-depth
-# flag; only the token states use them.
+# Every state renders given whether to show the box-depth flag; only the
+# token states use it.
 
 @dataclass(frozen=True)
 class SimI:
-    def render(self, u_term, with_flag):
+    def render(self, with_flag):
         return "I"
 
 
 @dataclass(frozen=True)
-class SimU:
-    d: str
-    pos: tuple
-    tape: str
-    flag: int = 0
-
-    def render(self, u_term, with_flag):
-        body = term_to_str(u_term, mark=self.pos, direction=self.d)
-        s = f'U[{self.d},"{body}","{self.tape}"'
-        if with_flag:
-            s += f",{self.flag}"
-        return s + "]"
-
-
-@dataclass(frozen=True)
 class SimT:
+    """A token configuration inside a block of kind `kind`: its direction,
+    the block's term, the path of its position in that term, its tape and
+    its flag."""
+    kind: str
     d: str
-    skel: object    # the skeleton term (rule applied to placeholders)
+    term: object
     pos: tuple
     tape: str
     flag: int = 0
 
-    def render(self, u_term, with_flag):
-        body = term_to_str(self.skel, mark=self.pos, direction=self.d)
-        s = f'T[{self.d},"{body}","{self.tape}"'
+    def render(self, with_flag):
+        body = term_to_str(self.term, mark=self.pos, direction=self.d)
+        s = f'{self.kind}[{self.d},"{body}","{self.tape}"'
         if with_flag:
             s += f",{self.flag}"
         return s + "]"
@@ -84,7 +73,7 @@ class SimT:
 class SimNabla:
     tape: str
 
-    def render(self, u_term, with_flag):
+    def render(self, with_flag):
         return f'Nabla["{self.tape}"]'
 
 
@@ -92,7 +81,7 @@ class SimNabla:
 class SimDelta:
     tape: str
 
-    def render(self, u_term, with_flag):
+    def render(self, with_flag):
         return f'Delta["{self.tape}"]'
 
 
@@ -106,48 +95,59 @@ def placeholder(i):
     return Const(f"{PH}{i}")
 
 
-def occurrence_numbers(info):
-    """The number of each variable occurrence in a term, by its path."""
-    return {info.path(pos): pos for pos in info.occ_binder}
+@dataclass
+class Block:
+    """One local term with a typed token machine over it: the out-term
+    applied to one placeholder (kind "U"), or a letter's rule applied to
+    one placeholder per child (kind "T").  Its states show `term`, the
+    subterm at path `prefix`.  `ph` maps the provenance of coming back up
+    from a placeholder's node to the placeholder's position, `moves` maps
+    that position to the head move down onto the node, and `occ` maps the
+    path of each occurrence of a variable let-bound to a non-base term
+    (the occurrences a pebble names) to its position."""
+    kind: str
+    term: object
+    prefix: tuple
+    info: TermInfo
+    machine: IamMachine
+    ph: dict
+    moves: dict
+    occ: dict
 
 
 class LocalBlocks:
-    """The per-letter skeletons and the out-term context, with typed token
-    machines over each."""
+    """The out-term's block `u`, each letter's block `t[letter]`, and the
+    largest type height among them."""
 
     def __init__(self, spec, variant):
-        self.spec = spec
-        self.u_term = spec.norm_out
         consts = {f"{PH}{i}": spec.memory
                   for i in range(max([r for _, r in spec.input.letters],
                                      default=0) + 1)}
-        u_local = App(spec.norm_out, placeholder(0))
-        self.u_info = TermInfo(typecheck(u_local, alphabet=spec.output,
-                                         consts=consts))
-        self.u_machine = IamMachine(self.u_info, variant)
-        self.u_ph = self.u_info.number((1,))
-        self.skel = {}
-        self.ph_pos = {}
-        self.ph_index = {}
-        self.info = {}
-        self.machine = {}
-        self.u_occ = occurrence_numbers(self.u_info)
-        self.occ = {}
-        heights = [self.u_info.height]
+
+        def block(kind, term, prefix, local, places):
+            """places: the (provenance, move, path) of each placeholder."""
+            info = TermInfo(typecheck(local, alphabet=spec.output,
+                                      consts=consts))
+            ph = {prov: info.number(path) for prov, _, path in places}
+            return Block(kind, term, prefix, info, IamMachine(info, variant),
+                         ph, {ph[prov]: move for prov, move, _ in places},
+                         {info.path(pos): pos
+                          for pos, var in info.var_kind.items()
+                          if var == "let" and not info.bound_is_base(
+                              info.occ_binder[pos])})
+
+        self.u = block("U", spec.norm_out, (0,),
+                       App(spec.norm_out, placeholder(0)),
+                       [("self", "stay", (1,))])
+        self.t = {}
         for a, k in spec.input.letters:
             t = spec.norm_rules[a]
             for i in range(1, k + 1):
                 t = App(t, placeholder(i))
-            self.skel[a] = t
-            info = TermInfo(typecheck(t, alphabet=spec.output, consts=consts))
-            self.ph_pos[a] = {i: info.number((0,) * (k - i) + (1,))
-                              for i in range(1, k + 1)}
-            self.ph_index[a] = {pos: i for i, pos in self.ph_pos[a].items()}
-            self.info[a] = info
-            self.machine[a] = IamMachine(info, variant)
-            self.occ[a] = occurrence_numbers(info)
-            heights.append(info.height)
-        self.height = max(heights)
+            self.t[a] = block("T", t, (), t, [
+                (("from-child", i), ("to-child", i), (0,) * (k - i) + (1,))
+                for i in range(1, k + 1)])
+        self.height = max(b.info.height for b in (self.u, *self.t.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +159,12 @@ class LocalBlocks:
 # stack pop is one remove.
 
 TARGET_VARIANT = {"twt": "apa", "iptt": "ss"}   # target -> token machine
+
+
+# the tag of the colors of each kind of block; every letter's block shares
+# "b", so a color keeps its occurrence's path, which names the same position
+# in every skeleton, where a number names one only in its own skeleton
+COLOR_TAG = {"U": "u", "T": "b"}
 
 
 def color_name(tag, pos, n):
@@ -187,163 +193,119 @@ class WalkingCompiler:
         self.spec = spec
         self.blocks = LocalBlocks(spec, variant)
         self.H = self.blocks.height
-        # name -> (tag, path, n).  All skeletons share the tag "b", so a
-        # color keeps its occurrence's path, which names the same position
-        # in every skeleton; a number names one only in its own skeleton
-        self.colors = {}
+        self.colors = {}    # name -> (block kind, occurrence path, n)
         if self.pebbles:
-            self._collect_colors("u", self.blocks.u_info)
-            for info in self.blocks.info.values():
-                self._collect_colors("b", info)
-
-    def _collect_colors(self, tag, info):
-        for pos, kind in info.var_kind.items():
-            if kind != "let":
-                continue
-            binder = info.occ_binder[pos]
-            if info.bound_is_base(binder):
-                continue
-            n = info.depths[pos]
-            path = info.path(pos)
-            self.colors[color_name(tag, path, n)] = (tag, path, n)
+            for block in (self.blocks.u, *self.blocks.t.values()):
+                for path, pos in block.occ.items():
+                    n = block.info.depths[pos]
+                    self.colors[color_name(COLOR_TAG[block.kind], path,
+                                           n)] = (block.kind, path, n)
 
     def name(self, state):
-        return state.render(self.blocks.u_term, self.pebbles)
-
-    def _tag_of(self, machine):
-        return "u" if machine is self.blocks.u_machine else "b"
+        return state.render(self.pebbles)
 
     def start_config(self, a, state, prov, is_root):
-        """The local machine and configuration a key stands for, or None
-        when the key shape is impossible."""
+        """The block and local configuration a key stands for, or None
+        when the key shape is impossible.  The out-term's block lives at
+        the root only."""
         b = self.blocks
         if isinstance(state, SimI):
             if prov != "self" or not is_root:
                 return None
-            return b.u_machine, Config("down", 0, ())
-        if isinstance(state, SimU):
-            if prov != "self" or not is_root:
+            return b.u, Config("down", 0, ())
+        if isinstance(state, SimT):
+            block = b.u if state.kind == "U" else b.t[a]
+            if (prov != "self" or block is b.u and not is_root
+                    or state.term != block.term):
                 return None
-            return b.u_machine, Config(state.d,
-                                       b.u_info.number((0,) + state.pos),
-                                       tuple(state.tape),
-                                       sentinels(state.flag), state.flag)
+            return block, Config(state.d,
+                                 block.info.number(block.prefix + state.pos),
+                                 tuple(state.tape), sentinels(state.flag),
+                                 state.flag)
         if isinstance(state, SimNabla):
             if (prov == "self") != is_root or isinstance(prov, tuple):
                 return None
-            return b.machine[a], Config("down", 0, tuple(state.tape))
+            return b.t[a], Config("down", 0, tuple(state.tape))
         if isinstance(state, SimDelta):
-            if prov == "self":
-                if not is_root:
-                    return None
-                return b.u_machine, Config("up", b.u_ph, tuple(state.tape))
-            if isinstance(prov, tuple):
-                i = prov[1]
-                if i not in b.ph_pos[a]:
-                    return None
-                return b.machine[a], Config("up", b.ph_pos[a][i],
-                                            tuple(state.tape))
-            return None
-        if isinstance(state, SimT):
-            if prov != "self" or state.skel != b.skel[a]:
+            block = b.u if prov == "self" else b.t[a]
+            pos = block.ph.get(prov)
+            if pos is None or block is b.u and not is_root:
                 return None
-            return b.machine[a], Config(state.d,
-                                        b.info[a].number(state.pos),
-                                        tuple(state.tape),
-                                        sentinels(state.flag), state.flag)
+            return block, Config("up", pos, tuple(state.tape))
         return None
 
-    def _local_state(self, machine, cfg, a, is_root):
-        """Classify a stepped configuration's position, ignoring the
+    def _local_state(self, block, cfg, is_root):
+        """Classify a configuration's position in its block, ignoring the
         stack; returns (state, move) or None."""
         tape = mult_tape(cfg.tape)
         if len(tape) > self.H:
             return None  # tape overflow: leave the key undefined
-        b = self.blocks
-        path = machine.info.path
-        if machine is b.u_machine:
-            if cfg.pos == b.u_ph and cfg.direction == "down":
-                if cfg.flag != 0:
-                    return None
-                return (SimNabla(tape), "stay")
-            # positions 1 .. u_ph - 1: the out-term, the root's first child
-            if 0 < cfg.pos < b.u_ph:
-                return (SimU(cfg.direction, path(cfg.pos)[1:], tape,
-                             cfg.flag), "stay")
-            return None
-        # rule-skeleton machine
-        if cfg.pos == 0:
-            if cfg.direction != "up" or cfg.flag != 0:
-                return None
-            return (SimDelta(tape), "stay" if is_root else "to-parent")
-        i = b.ph_index[a].get(cfg.pos)
-        if i is not None:
+        move = block.moves.get(cfg.pos)
+        if move is not None:    # a placeholder: the head enters its node
             if cfg.direction != "down" or cfg.flag != 0:
                 return None
-            return (SimNabla(tape), ("to-child", i))
-        return (SimT(cfg.direction, b.skel[a], path(cfg.pos), tape,
+            return (SimNabla(tape), move)
+        if cfg.pos == 0:        # the root: the head leaves a letter's node
+            if block.kind == "U" or cfg.direction != "up" or cfg.flag != 0:
+                return None
+            return (SimDelta(tape), "stay" if is_root else "to-parent")
+        return (SimT(block.kind, cfg.direction, block.term,
+                     block.info.path(cfg.pos)[len(block.prefix):], tape,
                      cfg.flag), "stay")
 
-    def classify(self, machine, res, a, is_root, log):
-        """Turn a one-step result over a local term, started with the given
-        log, into a transition image, or None when the key must stay
+    def classify(self, block, res, is_root, log):
+        """Turn a one-step result in a block, started with the given log,
+        into a transition image, or None when the key must stay
         undefined."""
         if res is None:
             return None
-        if isinstance(res, FNode):
-            kids = []
-            for c in res.children:
-                sub = self.classify(machine, c, a, is_root, log)
-                if sub is None:
-                    return None
-                kids.append(sub)
-            return FNode(res.label, tuple(kids))
-        cfg = res
+        img = image_map_leaves(
+            res, lambda cfg: self._leaf(block, cfg, is_root, log))
+        return None if None in image_leaves(img) else img
+
+    def _leaf(self, block, cfg, is_root, log):
+        """The (state, move) leaf of one configuration of a step result, or
+        None."""
         if cfg.log == log:
-            return self._local_state(machine, cfg, a, is_root)
+            return self._local_state(block, cfg, is_root)
         # a stack push: top entry folds the popped sentinel group
         if (cfg.log and isinstance(cfg.log[0], StackEntry)
                 and isinstance(cfg.log[0].pos, int)):
             top = cfg.log[0]
             k = len(top.entries)
             if top.entries == log[:k] and cfg.log[1:] == log[k:]:
-                loc = self._local_state(machine, cfg, a, is_root)
+                loc = self._local_state(block, cfg, is_root)
                 if loc is None or loc[1] != "stay":
                     return None
                 return (loc[0], ("put", color_name(
-                    self._tag_of(machine), machine.info.path(top.pos), k)))
+                    COLOR_TAG[block.kind], block.info.path(top.pos), k)))
         # anything else (e.g. discarding entries that sit on other nodes)
         # cannot be realized with pebbles
         return None
 
-    def _is_shared_return(self, machine, cfg):
+    def _is_shared_return(self, block, cfg):
         """Does this configuration pop a logged position (the one case
         whose behavior depends on the visible pebble)?"""
-        up = machine.info.up[cfg.pos]
+        up = block.info.up[cfg.pos]
         if cfg.direction != "up" or up is None:
             return False
         ptag, role, parent, _ = up
         return ptag == LET and role == 0 \
-            and not machine.info.bound_is_base(parent)
+            and not block.info.bound_is_base(parent)
 
-    def _returns(self, machine, cfg, a, is_root):
+    def _returns(self, block, cfg, is_root):
         """The focus sits on a shared bound term going up: the visible
         pebble names the occurrence to jump back to (and how many log
         entries it had folded under it).  Yields (color, image) pairs."""
         if cfg.flag != 0:
             return
-        binder = machine.info.up[cfg.pos][2]
-        want_tag = self._tag_of(machine)
-        b = self.blocks
-        occ_at = b.u_occ if machine is b.u_machine else b.occ[a]
-        for z, (tag, path, n) in self.colors.items():
-            if tag != want_tag:
-                continue
-            occ = occ_at.get(path)
-            if occ is None or machine.info.occ_binder[occ] != binder:
+        binder = block.info.up[cfg.pos][2]
+        for z, (kind, path, n) in self.colors.items():
+            occ = block.occ.get(path) if kind == block.kind else None
+            if occ is None or block.info.occ_binder[occ] != binder:
                 continue
             back = Config("up", occ, cfg.tape, sentinels(n), n)
-            loc = self._local_state(machine, back, a, is_root)
+            loc = self._local_state(block, back, is_root)
             if loc is not None and loc[1] == "stay":
                 yield z, (loc[0], "remove")
 
@@ -358,13 +320,14 @@ class WalkingCompiler:
         worklist = [SimI()]
 
         def register(key, img):
-            table[key] = image_map_leaves(
-                img, lambda leaf: (self.name(leaf[0]), leaf[1]))
-            for obj, _ in image_leaves(img):
-                nm = self.name(obj)
+            def leaf(leaf):
+                state, move = leaf
+                nm = self.name(state)
                 if nm not in state_of_name:
-                    state_of_name[nm] = obj
-                    worklist.append(obj)
+                    state_of_name[nm] = state
+                    worklist.append(state)
+                return nm, move
+            table[key] = image_map_leaves(img, leaf)
 
         while worklist:
             state = worklist.pop()
@@ -379,14 +342,13 @@ class WalkingCompiler:
                         pair = self.start_config(a, state, prov, is_root)
                         if pair is None:
                             continue
-                        machine, cfg = pair
+                        block, cfg = pair
                         if (self.pebbles
-                                and self._is_shared_return(machine, cfg)):
-                            for z, img in self._returns(machine, cfg, a,
-                                                        is_root):
+                                and self._is_shared_return(block, cfg)):
+                            for z, img in self._returns(block, cfg, is_root):
                                 register((a, q, prov, is_root, z), img)
                             continue
-                        img = self.classify(machine, machine.step(cfg), a,
+                        img = self.classify(block, block.machine.step(cfg),
                                             is_root, cfg.log)
                         if img is not None:
                             register((a, q, prov, is_root, ANY), img)
@@ -427,7 +389,7 @@ class SimMapper:
     walking machine `machine` over the input."""
 
     def __init__(self, compiler, machine, info):
-        self.c, self.info = compiler, info
+        self.c = compiler
         self.nodes = nodes = machine.nodes
         # each input node's block root in out applied to the input: the
         # argument (1,) for the root, and for child i of a rank-k node,
@@ -440,40 +402,45 @@ class SimMapper:
             for _ in range(rank(nodes[parent][4]) - back[1]):
                 pos = down[pos][1][0]
             roots.append(down[pos][1][1])
-        self.blocks = {pos: node for node, pos in enumerate(roots)}
-        self.root_block = roots[0]
+        # a block numbers its placeholders after all its other positions,
+        # which run from its root on as in its local term; so the blocks
+        # tile the program from the root block on, and a position lies in
+        # the block of the last root not after it
+        self.starts = sorted(roots)
+        self.node_at = {pos: node for node, pos in enumerate(roots)}
 
     def map(self, cfg):
         """The configuration of the walking machine that a token
         configuration stands for."""
-        c, b, info = self.c, self.c.blocks, self.info
-        tape = mult_tape(cfg.tape)
-        pos = cfg.pos
+        b, nodes, pos, node = self.c.blocks, self.nodes, cfg.pos, 0
         if pos == 0:
-            if cfg.direction == "down" and not tape:
+            if cfg.direction == "down" and not mult_tape(cfg.tape):
                 return WalkConfig("I", "self", 0)
             raise UnreachableShape("focus on the whole program going up")
-        # positions 1 .. root_block - 1: the out-term
-        if pos < self.root_block:
-            return WalkConfig(
-                c.name(SimU(cfg.direction, info.path(pos)[1:], tape)),
-                "self", 0)
-        # walk up to the nearest block root; every other position lies
-        # under the root block
-        up, blocks, rel = info.up, self.blocks, []
-        while pos not in blocks:
-            _, role, pos, _ = up[pos]
-            rel.append(role)
-        node = blocks[pos]
-        _, parent, _, back, letter = self.nodes[node]
-        if not rel:
-            if cfg.direction == "down":
-                prov = "self" if node == 0 else "from-parent"
-                return WalkConfig(c.name(SimNabla(tape)), prov, node)
-            if node == 0:
-                return WalkConfig(c.name(SimDelta(tape)), "self", 0)
-            return WalkConfig(c.name(SimDelta(tape)), back, parent)
-        return WalkConfig(
-            c.name(SimT(cfg.direction, b.skel[letter], tuple(reversed(rel)),
-                        tape)),
-            "self", node)
+        if pos < self.starts[0]:
+            block = b.u     # the out-term, numbered as in its local term
+        else:
+            start = self.starts[bisect_right(self.starts, pos) - 1]
+            node = self.node_at[start]
+            block, pos = b.t[nodes[node][4]], pos - start
+            if pos == 0 and cfg.direction == "down":
+                # entering a node: its parent's block's placeholder
+                _, parent, _, back, _ = nodes[node]
+                if parent is None:
+                    block, back = b.u, "self"
+                else:
+                    block, node = b.t[nodes[parent][4]], parent
+                pos = block.ph[back]
+        loc = self.c._local_state(
+            block, Config(cfg.direction, pos, cfg.tape, cfg.log, cfg.flag),
+            node == 0)
+        if loc is None:
+            raise UnreachableShape(f"no walking state for {cfg}")
+        state, move = loc
+        name = self.c.name(state)
+        _, parent, first, back, _ = nodes[node]
+        if move == "stay":
+            return WalkConfig(name, "self", node)
+        if move == "to-parent":
+            return WalkConfig(name, back, parent)
+        return WalkConfig(name, "from-parent", first + move[1] - 1)

@@ -133,18 +133,28 @@ def parse_alphabet_block(text, where=""):
             if ":" not in part:
                 raise SyntaxErr(f"expected letter:rank, got {part!r} {where}")
             name, rank = part.split(":", 1)
-            letters.append((name.strip(), int(rank.strip())))
+            letters.append((name.strip(), parse_int(rank.strip())))
     return RankedAlphabet(tuple(letters))
+
+
+def parse_int(text):
+    """The number a spec line writes as text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise SyntaxErr(f"expected a number, got {text!r}") from None
 
 
 def parse_directives(text, name, handlers, required=(), repeated=()):
     """Parse a spec file of `DIRECTIVE REST` lines; '#' starts a comment.
     handlers[DIRECTIVE](REST, got) parses one line given the values of the
     lines before it, collected in got: the last value of each directive,
-    or the list of all values for those in `repeated`.  Returns got.  A bad
-    line raises SpecError 'name:lineno: ...', as does a `required`
+    or the list of all values for those in `repeated`, each a (key, ...)
+    pair.  Returns got.  A bad line, or a repeated directive's key given
+    twice, raises SpecError 'name:lineno: ...', as does a `required`
     directive that never occurs ('name: missing ...')."""
     got = {key: [] for key in repeated}
+    seen = {key: set() for key in repeated}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = _strip(raw)
         if not line:
@@ -157,6 +167,10 @@ def parse_directives(text, name, handlers, required=(), repeated=()):
         except SyntaxErr as e:
             raise SpecError(f"{name}:{lineno}: {e}") from e
         if key in repeated:
+            if value[0] in seen[key]:
+                raise SpecError(f"{name}:{lineno}: duplicate {key} "
+                                f"{value[0]!r}")
+            seen[key].add(value[0])
             got[key].append(value)
         else:
             got[key] = value

@@ -212,117 +212,95 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
             raise TypingError(f"unknown constant {name!r}")
         return ctypes[name]
 
-    def synth(t, pos, env):
+    def typed(t, pos, env, A=None):
+        """The type of t at pos: synthesized when A is None, else checked
+        to be A."""
         if isinstance(t, Const):
-            A = types[pos] = lookup_const(t.name)
-            return A
-        if isinstance(t, Var):
+            B = types[pos] = lookup_const(t.name)
+        elif isinstance(t, Var):
             if t.name not in env:
                 raise TypingError(f"unbound variable {t.name!r}")
-            kind, A, bpos = env[t.name]
+            kind, B, bpos = env[t.name]
             # checked before anything is written: rollback takes every
             # occurrence in occ_binder to have written its binder's entry
             if kind == "lam" and lam_occ.get(bpos) is not None:
                 raise TypingError(f"affine variable {t.name!r} used twice")
-            types[pos] = A
+            types[pos] = B
             var_kind[pos] = kind
             if bpos is not None:
                 occ_binder[pos] = bpos
                 if kind == "lam":
                     lam_occ[bpos] = pos
-            return A
-        if isinstance(t, App):
+        elif isinstance(t, App):
             fn, arg = kids[pos]
-            fA = synth(t.fn, fn, env)
-            if not isinstance(fA, Arrow):
-                raise TypingError(
-                    f"applied term has non-arrow type {type_to_str(fA)}: "
-                    f"{term_to_str(t.fn)}")
-            check(t.arg, fA.left, arg, env)
-            types[pos] = fA.right
-            return fA.right
-        if isinstance(t, Lam):
-            if t.hint is None:
-                raise TypingError(
-                    f"cannot synthesize the type of {term_to_str(t)}")
-            saved = _bind(env, t.var, ("lam", t.hint, pos))
-            lam_occ.setdefault(pos, None)
-            try:
-                B = synth(t.body, pos + 1, env)
-            finally:
-                _unbind(env, t.var, saved)
-            A = types[pos] = Arrow(t.hint, B)
-            return A
-        if isinstance(t, Box):
-            A = types[pos] = Bang(synth(t.body, pos + 1, _boxed(env)))
-            return A
-        if isinstance(t, Let):
-            saved = bind_let(t, pos, env)
-            try:
-                B = types[pos] = synth(t.body, kids[pos][1], env)
-            finally:
-                _unbind(env, t.var, saved)
-            return B
-        raise TypingError(f"not a term: {t!r}")
-
-    def bind_let(t, pos, env):
-        """Type the bound term of a let and bind its variable; returns the
-        binding this one shadows."""
-        A = synth(t.bound, pos + 1, env)
-        if not isinstance(A, Bang):
-            raise TypingError(
-                f"let-bound term has non-! type {type_to_str(A)}: "
-                f"{term_to_str(t.bound)}")
-        theta_types.append(A.inner)
-        return _bind(env, t.var, ("let", A.inner, pos))
-
-    def check(t, A, pos, env):
-        if isinstance(t, Lam):
-            if not isinstance(A, Arrow):
+            if A is None:
+                fA = typed(t.fn, fn, env)
+                if not isinstance(fA, Arrow):
+                    raise TypingError(
+                        f"applied term has non-arrow type "
+                        f"{type_to_str(fA)}: {term_to_str(t.fn)}")
+                typed(t.arg, arg, env, fA.left)
+                B = types[pos] = fA.right
+            else:
+                # prefer synthesizing the function; fall back to
+                # synthesizing the argument when the function is an
+                # unannotated redex
+                mark = (len(types), len(occ_binder), len(lam_occ),
+                        len(var_kind), len(theta_types))
+                try:
+                    B = typed(t, pos, env)
+                except TypingError:
+                    rollback(mark)
+                    typed(t.fn, fn, env, Arrow(typed(t.arg, arg, env), A))
+                    B = types[pos] = A
+        elif isinstance(t, Lam):
+            if A is None:
+                if t.hint is None:
+                    raise TypingError(
+                        f"cannot synthesize the type of {term_to_str(t)}")
+                left = t.hint
+            elif isinstance(A, Arrow):
+                left = A.left
+            else:
                 raise TypingError(
                     f"lambda cannot have type {type_to_str(A)}")
-            saved = _bind(env, t.var, ("lam", A.left, pos))
+            saved = _bind(env, t.var, ("lam", left, pos))
             lam_occ.setdefault(pos, None)
             try:
-                check(t.body, A.right, pos + 1, env)
+                B = typed(t.body, pos + 1, env,
+                          None if A is None else A.right)
             finally:
                 _unbind(env, t.var, saved)
-            types[pos] = A
-            return
-        if isinstance(t, Box):
-            if not isinstance(A, Bang):
+            B = types[pos] = Arrow(left, B) if A is None else A
+        elif isinstance(t, Box):
+            if A is None:
+                B = types[pos] = Bang(typed(t.body, pos + 1, _boxed(env)))
+            elif isinstance(A, Bang):
+                typed(t.body, pos + 1, _boxed(env), A.inner)
+                B = types[pos] = A
+            else:
                 raise TypingError(f"box cannot have type {type_to_str(A)}")
-            check(t.body, A.inner, pos + 1, _boxed(env))
-            types[pos] = A
-            return
-        if isinstance(t, Let):
-            saved = bind_let(t, pos, env)
+        elif isinstance(t, Let):
+            bound = typed(t.bound, pos + 1, env)
+            if not isinstance(bound, Bang):
+                raise TypingError(
+                    f"let-bound term has non-! type {type_to_str(bound)}: "
+                    f"{term_to_str(t.bound)}")
+            theta_types.append(bound.inner)
+            saved = _bind(env, t.var, ("let", bound.inner, pos))
             try:
-                check(t.body, A, kids[pos][1], env)
+                B = types[pos] = typed(t.body, kids[pos][1], env, A)
             finally:
                 _unbind(env, t.var, saved)
-            types[pos] = A
-            return
-        if isinstance(t, App):
-            # prefer synthesizing the function; fall back to synthesizing
-            # the argument when the function is an unannotated redex
-            mark = (len(types), len(occ_binder), len(lam_occ), len(var_kind),
-                    len(theta_types))
-            try:
-                B = synth(t, pos, env)
-            except TypingError:
-                rollback(mark)
-                fn, arg = kids[pos]
-                aA = synth(t.arg, arg, env)
-                check(t.fn, Arrow(aA, A), fn, env)
-                types[pos] = A
-                return
         else:
-            B = synth(t, pos, env)
+            raise TypingError(f"not a term: {t!r}")
+        if A is None:
+            return B
         if B != A:
             raise TypingError(
                 f"expected {type_to_str(A)}, got {type_to_str(B)}: "
                 f"{term_to_str(t)}")
+        return A
 
     def rollback(mark):
         """Undo what a failed trial wrote since `mark`, the sizes of the
@@ -341,14 +319,10 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
                 table.popitem()
         del theta_types[n_thetas:]
 
-    # synth and check recurse on the term; past Python's recursion limit
-    # the term is reported as too deep (core.TooDeep)
+    # typed recurses on the term; past Python's recursion limit the term
+    # is reported as too deep (core.TooDeep)
     try:
-        if ty is None:
-            ann.type = synth(term, 0, env0)
-        else:
-            check(term, ty, 0, env0)
-            ann.type = ty
+        ann.type = typed(term, 0, env0, ty)
     except RecursionError:
         raise too_deep(term, "typecheck") from None
     return ann

@@ -22,7 +22,7 @@ from functools import cached_property
 
 from .core import LamtransError, RankedAlphabet, SyntaxErr, tree_to_str
 from .transducer import (ALPHABET_LINES, SpecError, load_file,
-                         parse_directives)
+                         parse_directives, parse_int)
 from .treegen import FNode, Machine, run as treegen_run
 
 
@@ -381,28 +381,10 @@ class WalkingMachine(Machine):
                 return None, WalkConfig(state, prov, i, pebbles), n
             n += 1
             if plan.__class__ is not tuple:
-                return (self._image(plan, pebbles, i),
-                        WalkConfig(state, prov, i, pebbles), n)
+                img = image_map_leaves(plan, lambda r: self._walk(
+                    r, None, None, pebbles, i, 0)[1])
+                return img, WalkConfig(state, prov, i, pebbles), n
             record = plan
-
-    def _image(self, plan, pebbles, i):
-        """The FNode skeleton `plan` copied, resolving its records left to
-        right to the configurations their moves from node i reach."""
-        stack = [(plan, [])]
-        while True:
-            skel, done = stack[-1]
-            if len(done) < len(skel.children):
-                c = skel.children[len(done)]
-                if c.__class__ is FNode:
-                    stack.append((c, []))
-                else:
-                    done.append(self._walk(c, None, None, pebbles, i, 0)[1])
-                continue
-            stack.pop()
-            built = FNode(skel.label, tuple(done))
-            if not stack:
-                return built
-            stack[-1][1].append(built)
 
     def render(self, cfg):
         out = f"{cfg.state} {prov_to_str(cfg.prov)} @{self._path_text(cfg.node)}"
@@ -535,9 +517,16 @@ class _ImageParser:
         self.i += 1
         return tok
 
+    def end(self, what):
+        """Refuses the tokens left after the line's last part."""
+        if self.i < len(self.toks):
+            raise SyntaxErr(f"trailing input after {what}: "
+                            f"{self.toks[self.i][1]!r}")
+
     def image(self):
-        """An image: a (state, move) leaf or an output letter with its
-        images as children, parsed with a stack of unclosed nodes."""
+        """An image, the rest of the line: a (state, move) leaf or an
+        output letter with its images as children, parsed with a stack of
+        unclosed nodes."""
         open_nodes = []     # (label, children so far) of each unclosed node
         while True:
             kind, val = self.peek()
@@ -570,6 +559,7 @@ class _ImageParser:
                 label, kids = open_nodes.pop()
                 node = FNode(label, tuple(kids))
             else:
+                self.end("transition image")
                 return node
 
     def state(self):
@@ -583,7 +573,7 @@ class _ImageParser:
         if val in ("to-parent", "stay", "remove"):
             return val
         if val == "to-child":
-            return ("to-child", int(self.eat("word")[1]))
+            return ("to-child", parse_int(self.eat("word")[1]))
         if val == "put":
             return ("put", self.eat("word")[1])
         raise SyntaxErr(f"unknown move {val!r}")
@@ -599,14 +589,18 @@ def _parse_prov(parser):
     if val in ("from-parent", "self"):
         return val
     if val == "from-child":
-        return ("from-child", int(parser.eat("word")[1]))
+        return ("from-child", parse_int(parser.eat("word")[1]))
     raise SyntaxErr(f"unknown provenance {val!r}")
 
 
 def _state_line(rest, got):
     """`state NAME [init]`: the name and whether it is initial."""
     p = _ImageParser(_wtokenize(rest), None)
-    return p.state(), p.peek()[1] == "init"
+    q, init = p.state(), p.peek()[1] == "init"
+    if init:
+        p.eat()
+    p.end("state line")
+    return q, init
 
 
 def _transition_key(rest, got):

@@ -207,6 +207,17 @@ out    = \f. f 0
 """
 
 
+# A shared let-variable in the out-term: the IPTT declares "u" colors
+OUT_LETS = r"""
+input  { s:1, e:0 }
+output { a:2, c:0 }
+memory !o -o !(!o -o !o)
+rule e = \x. !(\y. y)
+rule s = \g. \x. let !f = g x in !(\y. let !z = f (f y) in !(a z z))
+out    = \g. let !f = g !c in let !z = f (f !c) in z
+"""
+
+
 def mirror_split():
     """The stateless transducer that mirror.gls splits into."""
     return split_state_relabeling(make_type_constant(load_gls(corpus_path(
@@ -223,13 +234,16 @@ COMPILED_SHA256 = {
         "498f43f80b6c57ab7f165717b7e6f6b58a4f9e873c4aa19730870a22fb3061f7",
     ("mirror-split", "iptt"):
         "354adabc32e8f427581a67dbf90a6a3c00be78aa527a7283136c89189039faad",
+    ("out-lets", "iptt"):
+        "79f2856609fca3cfce1109ea15aaef88575610c17caf77312efece49f83046e5",
 }
 
 
 @pytest.mark.parametrize("name, target", sorted(COMPILED_SHA256))
 def test_compiled_text_of_shared_and_split_rules_is_stable(name, target):
-    spec = (parse_transducer(SAME_RULES, name="same") if name == "same-rules"
-            else mirror_split())
+    spec = {"same-rules": lambda: parse_transducer(SAME_RULES, name="same"),
+            "out-lets": lambda: parse_transducer(OUT_LETS, name="out-lets"),
+            "mirror-split": mirror_split}[name]()
     text = compile_walking(spec, target).to_str()
     assert hashlib.sha256(text.encode()).hexdigest() == \
         COMPILED_SHA256[name, target]

@@ -11,6 +11,11 @@ from lamtrans.transducer import SpecError, parse_transducer
 from lamtrans.walking import parse_iptt, parse_twt
 
 
+# a directive of each format that may occur on many lines, one key a line
+REPEATED = {"count.lt": "rule", "mirror.gls": "state",
+            "count-twt.twt": "delta-root", "bin2unary.iptt": "delta"}
+
+
 @pytest.mark.parametrize("fname, parse, required", [
     ("count.lt", parse_transducer, "memory"),
     ("mirror.gls", parse_gls, "init"),
@@ -30,3 +35,31 @@ def test_spec_file_errors(fname, parse, required):
     with pytest.raises(SpecError,
                        match=re.escape(f"{fname}: missing '{required}' line")):
         parse(dropped, name=fname)
+    repeated = REPEATED[fname]
+    again = next(line for line in lines if line.startswith(repeated + " "))
+    with pytest.raises(SpecError, match=f"^{where}duplicate {repeated} "):
+        parse("\n".join(lines + [again]), name=fname)
+    i = next(i for i, line in enumerate(lines) if line.startswith("input "))
+    bad_rank = lines[:i] + [lines[i].replace(":", ":x", 1)] + lines[i + 1:]
+    with pytest.raises(SpecError, match=re.escape(
+            f"{fname}:{i + 1}: expected a number, got 'x")):
+        parse("\n".join(bad_rank), name=fname)
+
+
+@pytest.mark.parametrize("parse, line, message", [
+    (parse_twt, "delta a q from-child x = (q, stay)",
+     "expected a number, got 'x'"),
+    (parse_iptt, "delta a q self root pebble NONE = (q, to-child y)",
+     "expected a number, got 'y'"),
+    (parse_twt, "delta-root a q self = (q, stay) ) junk",
+     "trailing input after transition image: ')'"),
+    (parse_iptt, "delta a q self nonroot pebble NONE = S((q, stay)) junk",
+     "trailing input after transition image: 'junk'"),
+    (parse_twt, "state r init whatever",
+     "trailing input after state line: 'whatever'"),
+    (parse_twt, "state q", "duplicate state 'q'"),
+])
+def test_walking_spec_lines_are_read_to_their_end(parse, line, message):
+    text = f"input {{ a:1, e:0 }}\noutput {{ S:1, 0:0 }}\nstate q init\n{line}"
+    with pytest.raises(SpecError, match=f"^x:4: {re.escape(message)}$"):
+        parse(text, name="x")
