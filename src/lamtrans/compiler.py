@@ -192,7 +192,6 @@ class WalkingCompiler:
                 f"needs {TIER_NAMES[limit]} or lower")
         self.spec = spec
         self.blocks = LocalBlocks(spec, variant)
-        self.H = self.blocks.height
         self.colors = {}    # name -> (block kind, occurrence path, n)
         if self.pebbles:
             for block in (self.blocks.u, *self.blocks.t.values()):
@@ -238,7 +237,7 @@ class WalkingCompiler:
         """Classify a configuration's position in its block, ignoring the
         stack; returns (state, move) or None."""
         tape = mult_tape(cfg.tape)
-        if len(tape) > self.H:
+        if len(tape) > self.blocks.height:
             return None  # tape overflow: leave the key undefined
         move = block.moves.get(cfg.pos)
         if move is not None:    # a placeholder: the head enters its node

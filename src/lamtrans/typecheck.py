@@ -273,13 +273,11 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
                 _unbind(env, t.var, saved)
             B = types[pos] = Arrow(left, B) if A is None else A
         elif isinstance(t, Box):
-            if A is None:
-                B = types[pos] = Bang(typed(t.body, pos + 1, _boxed(env)))
-            elif isinstance(A, Bang):
-                typed(t.body, pos + 1, _boxed(env), A.inner)
-                B = types[pos] = A
-            else:
+            if A is not None and not isinstance(A, Bang):
                 raise TypingError(f"box cannot have type {type_to_str(A)}")
+            B = typed(t.body, pos + 1, _boxed(env),
+                      None if A is None else A.inner)
+            B = types[pos] = Bang(B) if A is None else A
         elif isinstance(t, Let):
             bound = typed(t.bound, pos + 1, env)
             if not isinstance(bound, Bang):

@@ -58,7 +58,8 @@ def test_spec_file_errors(fname, parse, required):
     (parse_twt, "state r init whatever",
      "trailing input after state line: 'whatever'"),
     (parse_twt, "state q", "duplicate state 'q'"),
-])
+], ids=["from-child-x", "to-child-y", "after-leaf", "after-node",
+        "after-init", "state-twice"])
 def test_walking_spec_lines_are_read_to_their_end(parse, line, message):
     text = f"input {{ a:1, e:0 }}\noutput {{ S:1, 0:0 }}\nstate q init\n{line}"
     with pytest.raises(SpecError, match=f"^x:4: {re.escape(message)}$"):
