@@ -7,7 +7,8 @@ is the head position, and block boundaries are head moves.  Compilation
 therefore synthesizes each walking transition by running a single token
 step on a local representative term: the block's rule term applied to
 placeholder constants (one per child), or the output-extraction term
-applied to one placeholder.
+applied to one placeholder: the spec's blocks (iam.LocalBlocks), typed
+when the spec was loaded.
 
 One compiler serves both targets; the token-machine variant picks the
 target.  The almost-purely-affine machine ("apa", tiers up to
@@ -25,10 +26,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .core import App, Const, LamtransError, term_to_str
+from .core import LamtransError, term_to_str
 from .iam import (LET, VARIANT_MAX_TIER, ClassificationTooHigh, Config,
-                  IamMachine, StackEntry, TermInfo, mult_tape)
-from .typecheck import TIER_NAMES, typecheck
+                  IamMachine, StackEntry, mult_tape)
+from .typecheck import TIER_NAMES
 from .walking import (ANY, IpttSpec, TwtSpec, WalkConfig, image_leaves,
                       image_map_leaves)
 
@@ -86,71 +87,6 @@ class SimDelta:
 
 
 # ---------------------------------------------------------------------------
-# Local representative terms
-
-PH = "<>"
-
-
-def placeholder(i):
-    return Const(f"{PH}{i}")
-
-
-@dataclass
-class Block:
-    """One local term with a typed token machine over it: the out-term
-    applied to one placeholder (kind "U"), or a letter's rule applied to
-    one placeholder per child (kind "T").  Its states show `term`, the
-    subterm at path `prefix`.  `ph` maps the provenance of coming back up
-    from a placeholder's node to the placeholder's position, `moves` maps
-    that position to the head move down onto the node, and `occ` maps the
-    path of each occurrence of a variable let-bound to a non-base term
-    (the occurrences a pebble names) to its position."""
-    kind: str
-    term: object
-    prefix: tuple
-    info: TermInfo
-    machine: IamMachine
-    ph: dict
-    moves: dict
-    occ: dict
-
-
-class LocalBlocks:
-    """The out-term's block `u`, each letter's block `t[letter]`, and the
-    largest type height among them."""
-
-    def __init__(self, spec, variant):
-        consts = {f"{PH}{i}": spec.memory
-                  for i in range(max([r for _, r in spec.input.letters],
-                                     default=0) + 1)}
-
-        def block(kind, term, prefix, local, places):
-            """places: the (provenance, move, path) of each placeholder."""
-            info = TermInfo(typecheck(local, alphabet=spec.output,
-                                      consts=consts))
-            ph = {prov: info.number(path) for prov, _, path in places}
-            return Block(kind, term, prefix, info, IamMachine(info, variant),
-                         ph, {ph[prov]: move for prov, move, _ in places},
-                         {info.path(pos): pos
-                          for pos, var in info.var_kind.items()
-                          if var == "let" and not info.bound_is_base(
-                              info.occ_binder[pos])})
-
-        self.u = block("U", spec.norm_out, (0,),
-                       App(spec.norm_out, placeholder(0)),
-                       [("self", "stay", (1,))])
-        self.t = {}
-        for a, k in spec.input.letters:
-            t = spec.norm_rules[a]
-            for i in range(1, k + 1):
-                t = App(t, placeholder(i))
-            self.t[a] = block("T", t, (), t, [
-                (("from-child", i), ("to-child", i), (0,) * (k - i) + (1,))
-                for i in range(1, k + 1)])
-        self.height = max(b.info.height for b in (self.u, *self.t.values()))
-
-
-# ---------------------------------------------------------------------------
 # Compilation.  In the single-stack machine a stack entry records a jump
 # source (a position inside the block of some node) together with the
 # group of entries folded under it; the pebble for it sits on that node, its
@@ -191,10 +127,12 @@ class WalkingCompiler:
                 f"{'pebble' if self.pebbles else 'walking'} compilation "
                 f"needs {TIER_NAMES[limit]} or lower")
         self.spec = spec
-        self.blocks = LocalBlocks(spec, variant)
+        self.blocks = spec.blocks
+        self.machines = {block: IamMachine(block.info, variant)
+                         for block in self.blocks}
         self.colors = {}    # name -> (block kind, occurrence path, n)
         if self.pebbles:
-            for block in (self.blocks.u, *self.blocks.t.values()):
+            for block in self.blocks:
                 for path, pos in block.occ.items():
                     n = block.info.depths[pos]
                     self.colors[color_name(COLOR_TAG[block.kind], path,
@@ -347,7 +285,8 @@ class WalkingCompiler:
                             for z, img in self._returns(block, cfg, is_root):
                                 register((a, q, prov, is_root, z), img)
                             continue
-                        img = self.classify(block, block.machine.step(cfg),
+                        img = self.classify(block,
+                                            self.machines[block].step(cfg),
                                             is_root, cfg.log)
                         if img is not None:
                             register((a, q, prov, is_root, ANY), img)

@@ -11,9 +11,8 @@ from .core import (App, Const, Lam, LamtransError, RankedAlphabet, SyntaxErr,
                    Var, apply_tree, decode_tree, parse_term, term_to_str, Tree)
 from .reduction import normalize
 from .transducer import (ALPHABET_LINES, LambdaTransducerSpec, SpecError,
-                         load_file, out_line, parse_directives)
-from .typecheck import (Arrow, O, classify_type, fill_hints, parse_type,
-                        type_to_str, typecheck)
+                         load_file, normal_form, out_line, parse_directives)
+from .typecheck import Arrow, O, classify_type, parse_type, type_to_str
 
 
 class NoNullaryOutputLetter(LamtransError):
@@ -50,11 +49,11 @@ class GlsSpec:
             ty = self.state_types[q]
             for qc in reversed(qs):
                 ty = Arrow(self.state_types[qc], ty)
-            ann = typecheck(t, ty=ty, alphabet=self.output)
-            self.norm_rules[(q, a)] = normalize(fill_hints(ann))
-        out_ty = Arrow(self.state_types[self.init], O)
-        ann = typecheck(self.out, ty=out_ty, alphabet=self.output)
-        self.norm_out = normalize(fill_hints(ann))
+            self.norm_rules[(q, a)] = normal_form(
+                t, ty, self.output, f"{self.name}: rule ({q},{a})")
+        self.norm_out = normal_form(
+            self.out, Arrow(self.state_types[self.init], O), self.output,
+            f"{self.name}: out")
 
     # -- running -----------------------------------------------------------
 

@@ -22,7 +22,8 @@ from .core import (App, Box, Const, Lam, LamtransError, Let, Var,
                    term_to_str)
 from . import treegen
 from .treegen import FNode, Machine
-from .typecheck import Arrow, Bang, O, navigate, term_tier, type_height
+from .typecheck import (TIER_NAMES, Arrow, Bang, O, navigate, term_tier,
+                        type_height, typecheck)
 
 
 class ClassificationTooHigh(LamtransError):
@@ -190,13 +191,83 @@ class TermInfo:
         return pos
 
 
+# ---------------------------------------------------------------------------
+# Local terms: every position of a program lies in the out-term or in one
+# node's copy of its letter's rule, so a spec is typed block by block.
+
+PH = "<>"
+
+
+def placeholder(i):
+    return Const(f"{PH}{i}")
+
+
+@dataclass(eq=False)
+class Block:
+    """One typed local term: the out-term applied to one placeholder (kind
+    "U"), or a letter's rule applied to one placeholder per child (kind
+    "T").  Its compiled states show `term`, the subterm at path `prefix`.
+    `ph` maps the provenance of coming back up from a placeholder's node
+    to the placeholder's position, `moves` maps that position to the head
+    move down onto the node, and `occ` maps the path of each occurrence of
+    a variable let-bound to a non-base term (the occurrences a pebble
+    names) to its position."""
+    kind: str
+    term: object
+    prefix: tuple
+    info: TermInfo
+    ph: dict
+    moves: dict
+    occ: dict
+
+
+class LocalBlocks:
+    """The blocks of a lambda-transducer: the out-term's `u` and each
+    letter's `t[letter]`, iterated in that order, and the largest type
+    height among them.  A placeholder has the memory type, so the
+    memory's tier and height count in every block."""
+
+    def __init__(self, spec):
+        consts = {f"{PH}{i}": spec.memory
+                  for i in range(max([r for _, r in spec.input.letters],
+                                     default=0) + 1)}
+
+        def block(kind, term, prefix, local, places):
+            """places: the (provenance, move, path) of each placeholder."""
+            info = TermInfo(typecheck(local, alphabet=spec.output,
+                                      consts=consts))
+            ph = {prov: info.number(path) for prov, _, path in places}
+            return Block(kind, term, prefix, info, ph,
+                         {ph[prov]: move for prov, move, _ in places},
+                         {info.path(pos): pos
+                          for pos, var in info.var_kind.items()
+                          if var == "let" and not info.bound_is_base(
+                              info.occ_binder[pos])})
+
+        self.u = block("U", spec.norm_out, (0,),
+                       App(spec.norm_out, placeholder(0)),
+                       [("self", "stay", (1,))])
+        self.t = {}
+        for a, k in spec.input.letters:
+            t = spec.norm_rules[a]
+            for i in range(1, k + 1):
+                t = App(t, placeholder(i))
+            self.t[a] = block("T", t, (), t, [
+                (("from-child", i), ("to-child", i), (0,) * (k - i) + (1,))
+                for i in range(1, k + 1)])
+        self.height = max(b.info.height for b in self)
+
+    def __iter__(self):
+        yield self.u
+        yield from self.t.values()
+
+
 class IamMachine(Machine):
     def __init__(self, info, variant="pa"):
         if variant not in VARIANT_MAX_TIER:
             raise LamtransError(f"unknown machine variant {variant!r}")
         self.info = info
         if self.info.tier > VARIANT_MAX_TIER[variant]:
-            from .typecheck import TIER_NAMES
             raise ClassificationTooHigh(
                 f"term tier is {TIER_NAMES[self.info.tier]}; the {variant!r} "
                 "machine does not support it")

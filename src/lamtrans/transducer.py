@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 from .core import (App, Box, Const, Lam, LamtransError, Let, RankedAlphabet,
                    SyntaxErr, Var, children, decode_tree, instantiate,
                    parse_term, term_to_str, with_children)
+from .iam import LocalBlocks, run_iam
 from .reduction import normalize
 from .treegen import Output
-from .typecheck import (Arrow, Bang, O, TIER_NAMES, TypingError,
-                        classify_term, classify_type, fill_hints, parse_type,
-                        subst_base, type_to_str, typecheck)
+from .typecheck import (Arrow, Bang, O, TIER_NAMES, TypingError, fill_hints,
+                        parse_type, subst_base, type_to_str, typecheck)
 
 
 class SpecError(LamtransError):
@@ -36,6 +36,18 @@ def rule_type(memory, rank):
     return A
 
 
+def normal_form(t, ty, alphabet, what):
+    """The normal form of a source term of type ty, every binder hinted
+    with its type so that it synthesizes that type; `what` names the term
+    in the SpecError for a term of another type."""
+    try:
+        ann = typecheck(t, ty=ty, alphabet=alphabet)
+    except TypingError as e:
+        raise SpecError(f"{what} does not have type {type_to_str(ty)}: "
+                        f"{e}") from e
+    return normalize(fill_hints(ann))
+
+
 @dataclass
 class LambdaTransducerSpec:
     input: RankedAlphabet
@@ -44,41 +56,30 @@ class LambdaTransducerSpec:
     rules: dict                         # letter -> source Term
     out: object                         # source Term
     name: str = "transducer"
-    # filled by _elaborate: normalized, hint-carrying forms and their tiers
+    # filled by _elaborate: normalized, hint-carrying forms, the typed
+    # local terms and the largest tier among them
     norm_rules: dict = field(init=False, default_factory=dict)
     norm_out: object = field(init=False, default=None)
+    blocks: LocalBlocks = field(init=False, default=None)
     tier: int = field(init=False, default=0)
 
     def __post_init__(self):
         self._elaborate()
 
     def _elaborate(self):
-        tiers = [classify_type(self.memory)]
         for letter, rank in self.input.letters:
             if letter not in self.rules:
                 raise SpecError(f"missing rule for input letter {letter!r}")
-            ty = rule_type(self.memory, rank)
-            t = self._norm(self.rules[letter], ty, f"rule {letter}")
-            ann = typecheck(t, ty=ty, alphabet=self.output)
-            tiers.append(classify_term(ann))
-            self.norm_rules[letter] = fill_hints(ann)
+            self.norm_rules[letter] = normal_form(
+                self.rules[letter], rule_type(self.memory, rank), self.output,
+                f"{self.name}: rule {letter}")
         for letter in self.rules:
             if letter not in self.input:
                 raise SpecError(f"rule for unknown letter {letter!r}")
-        out_ty = Arrow(self.memory, O)
-        t = self._norm(self.out, out_ty, "out")
-        ann = typecheck(t, ty=out_ty, alphabet=self.output)
-        tiers.append(classify_term(ann))
-        self.norm_out = fill_hints(ann)
-        self.tier = max(tiers)
-
-    def _norm(self, t, ty, what):
-        try:
-            ann = typecheck(t, ty=ty, alphabet=self.output)
-        except TypingError as e:
-            raise SpecError(f"{self.name}: {what} does not have type "
-                            f"{type_to_str(ty)}: {e}") from e
-        return normalize(fill_hints(ann))
+        self.norm_out = normal_form(self.out, Arrow(self.memory, O),
+                                    self.output, f"{self.name}: out")
+        self.blocks = LocalBlocks(self)
+        self.tier = max(block.info.tier for block in self.blocks)
 
     def tier_name(self):
         return TIER_NAMES[self.tier]
@@ -96,7 +97,6 @@ class LambdaTransducerSpec:
         return decode_tree(normalize(self.program_term(tau), fuel))
 
     def eval_iam(self, tau, variant="auto", fuel=10_000_000, check=False):
-        from .iam import run_iam
         res = run_iam(self.program_ann(tau), variant, fuel, check)
         if not isinstance(res, Output):
             raise LamtransError(
@@ -148,11 +148,12 @@ def parse_int(text):
 def parse_directives(text, name, handlers, required=(), repeated=()):
     """Parse a spec file of `DIRECTIVE REST` lines; '#' starts a comment.
     handlers[DIRECTIVE](REST, got) parses one line given the values of the
-    lines before it, collected in got: the last value of each directive,
-    or the list of all values for those in `repeated`, each a (key, ...)
-    pair.  Returns got.  A bad line, or a repeated directive's key given
-    twice, raises SpecError 'name:lineno: ...', as does a `required`
-    directive that never occurs ('name: missing ...')."""
+    lines before it, collected in got: the value of each directive, or the
+    list of all values for those in `repeated`, each a (key, ...) pair.
+    Returns got.  A bad line, a second line of a directive not in
+    `repeated`, or a repeated directive's key given twice raises SpecError
+    'name:lineno: ...'; a `required` directive that never occurs raises
+    'name: missing ...'."""
     got = {key: [] for key in repeated}
     seen = {key: set() for key in repeated}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -164,7 +165,7 @@ def parse_directives(text, name, handlers, required=(), repeated=()):
             if key not in handlers:
                 raise SyntaxErr(f"unknown directive {key!r}")
             value = handlers[key](rest, got)
-        except SyntaxErr as e:
+        except LamtransError as e:
             raise SpecError(f"{name}:{lineno}: {e}") from e
         if key in repeated:
             if value[0] in seen[key]:
@@ -172,6 +173,8 @@ def parse_directives(text, name, handlers, required=(), repeated=()):
                                 f"{value[0]!r}")
             seen[key].add(value[0])
             got[key].append(value)
+        elif key in got:
+            raise SpecError(f"{name}:{lineno}: duplicate '{key}' line")
         else:
             got[key] = value
     for key in required:

@@ -363,21 +363,6 @@ def fill_hints(ann):
 # ---------------------------------------------------------------------------
 # Term classification
 
-def classify_term(ann):
-    """Restriction tier of a typed term (see term_tier)."""
-    types, nodes, kids, boxed = ann.types, ann.nodes, ann.kids, []
-    todo = [(0, 0)]
-    while todo:
-        pos, boxes = todo.pop()
-        if boxes:
-            boxed.append((types[pos], boxes))
-        if nodes[pos].__class__ is Box:
-            boxes += 1
-        for c in kids[pos]:
-            todo.append((c, boxes))
-    return term_tier(types.values(), boxed, ann.theta_types)
-
-
 def term_tier(types, boxed, theta_types):
     """Restriction tier of a typed term, given the types at its positions,
     the (type, number of enclosing boxes) of each position inside a box,

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -8,6 +9,7 @@ from lamtrans.core import Tree, parse_term, parse_tree
 from lamtrans.gls import (conversions, dummy_term, make_type_constant,
                           parse_gls, relabel_letter, split_state_relabeling)
 from lamtrans.reduction import normalize
+from lamtrans.transducer import SpecError
 from lamtrans.typecheck import O, parse_type, typecheck
 from reference_terms import (alpha_eq, eta_reduce, is_linear,
                              sample_normal_term)
@@ -52,6 +54,20 @@ def test_state_types_must_be_purely_affine():
            "rule q c -> = \\x. let !y = x in y\nout = \\f. f !c\n")
     with pytest.raises(Exception):
         parse_gls(src)
+
+
+def test_ill_typed_rules_name_the_spec_and_rule():
+    head = "input { c:0 }\noutput { c:0 }\nstate q : o -o o\ninit q\n"
+    with pytest.raises(SpecError, match=re.escape(
+            "bad.gls: rule (q,c) does not have type o -o o: expected "
+            "o -o o, got o: c")):
+        parse_gls(head + "rule q c -> = c\nout = \\f. f c\n",
+                  name="bad.gls")
+    with pytest.raises(SpecError, match=re.escape(
+            "bad.gls: out does not have type (o -o o) -o o: expected o, "
+            "got o -o o: f")):
+        parse_gls(head + "rule q c -> = \\x. c\nout = \\f. f\n",
+                  name="bad.gls")
 
 
 def test_make_type_constant_preserves_outputs(mirror):

@@ -44,6 +44,14 @@ def test_spec_file_errors(fname, parse, required):
     with pytest.raises(SpecError, match=re.escape(
             f"{fname}:{i + 1}: expected a number, got 'x")):
         parse("\n".join(bad_rank), name=fname)
+    # the alphabet's own checks name the line too
+    negative = lines[:i] + [lines[i].replace(":", ":-", 1)] + lines[i + 1:]
+    with pytest.raises(SpecError, match=f"^{re.escape(f'{fname}:{i + 1}: ')}"
+                       "negative rank for "):
+        parse("\n".join(negative), name=fname)
+    # a directive that is not repeated may occur on one line only
+    with pytest.raises(SpecError, match=f"^{where}duplicate 'input' line$"):
+        parse("\n".join(lines + [lines[i]]), name=fname)
 
 
 @pytest.mark.parametrize("parse, line, message", [

@@ -1,6 +1,9 @@
 import pytest
 
+from lamtrans.cli import main
+from lamtrans.compiler import compile_to_iptt, compile_to_twt
 from lamtrans.core import Box, encode_tree, parse_term, parse_tree
+from lamtrans.iam import ClassificationTooHigh
 from lamtrans.reduction import normalize
 from lamtrans.transducer import (NotAlmostAffine, SpecError, compose,
                                  infer_simple_types, parse_transducer,
@@ -62,6 +65,53 @@ def test_ill_typed_rule_rejected():
     with pytest.raises(SpecError):
         parse_transducer("input { c:0 }\noutput { d:0 }\nmemory o\n"
                          "rule c = \\x. x\nout = \\x. x\n")
+
+
+# Where a spec's tier comes from: the largest tier among its blocks.  A
+# normal form's types are made of the memory type's parts, so a rule or the
+# out-term raises the tier above the memory type's only by nesting boxes
+# around a let-bound variable of non-base type.
+TIER_HEAD = "input { a:1, c:0 }\noutput { S:1, 0:0 }\n"
+TIER_SPECS = {
+    # no box and no let: tier 2 from !(!o -o o) in the memory type
+    "memory": "memory !(!o -o o) -o o\n"
+              "rule a = \\f. f\nrule c = \\x. 0\nout = \\g. 0\n",
+    # rule a uses f, of a tier-1 type, inside two boxes
+    "rule": "memory !(!o -o o)\n"
+            "rule a = \\x. let !f = x in !(\\y. let !w = y in f !(S (f !w)))\n"
+            "rule c = !(\\y. 0)\nout = \\x. let !f = x in f !0\n",
+    # so does the out-term
+    "out": "memory !(!o -o o)\nrule a = \\m. m\n"
+           "rule c = !(\\y. let !w = y in S w)\n"
+           "out = \\x. let !f = x in f !(S (f !(S (f !0))))\n",
+}
+
+
+@pytest.mark.parametrize("source, tier, block_tiers", [
+    ("memory", "almost-depth-1", [2, 2, 2]),
+    ("rule", "general", [2, 3, 2]),
+    ("out", "general", [3, 2, 2]),
+])
+def test_tier_comes_from_the_blocks(source, tier, block_tiers):
+    spec = parse_transducer(TIER_HEAD + TIER_SPECS[source], name=source)
+    # blocks in order: the out-term's, then a's and c's
+    assert [block.info.tier for block in spec.blocks] == block_tiers
+    assert spec.tier_name() == tier
+
+
+def test_a_general_spec_classifies_and_does_not_compile(tmp_path, capsys):
+    path = tmp_path / "general.lt"
+    path.write_text(TIER_HEAD + TIER_SPECS["rule"])
+    assert main(["classify", str(path)]) == 0
+    assert capsys.readouterr().out == "general\n"
+    spec = parse_transducer(path.read_text(), name="general.lt")
+    for compile_to, needs in [(compile_to_twt, "walking compilation needs "
+                               "almost-purely-affine"),
+                              (compile_to_iptt, "pebble compilation needs "
+                               "almost-depth-1")]:
+        with pytest.raises(ClassificationTooHigh,
+                           match=f"^general.lt is general; {needs} or lower"):
+            compile_to(spec)
 
 
 def test_identity_transducer(count):

@@ -3,10 +3,11 @@ import tracemalloc
 import pytest
 
 from lamtrans.core import App, Lam, RankedAlphabet, parse_term, parse_tree
+from lamtrans.iam import TermInfo
 from lamtrans.typecheck import (Arrow, Bang, O, TIER_NAMES, TypingError,
-                                classify_term, classify_type, const_type,
-                                fill_hints, navigate, parse_type, subst_base,
-                                type_height, type_to_str, typecheck)
+                                classify_type, const_type, fill_hints,
+                                navigate, parse_type, subst_base, type_height,
+                                type_to_str, typecheck)
 
 OUT = RankedAlphabet.of({"a": 2, "b": 1, "c": 0, "S": 1, "0": 0})
 
@@ -77,7 +78,7 @@ def test_classify_type_tiers():
 ])
 def test_classify_term(src, ty, tier):
     ann = typecheck(parse_term(src, OUT), ty=parse_type(ty), alphabet=OUT)
-    assert classify_term(ann) == tier
+    assert TermInfo(ann).tier == tier
 
 
 # -- the typechecker itself -------------------------------------------------
@@ -134,7 +135,7 @@ def test_program_check_memory_is_linear(count):
 def test_let_bound_variables_may_repeat():
     ann = typecheck(parse_term(r"\y. let !x = y in a x x", OUT),
                     ty=parse_type("!o -o o"), alphabet=OUT)
-    assert classify_term(ann) == 1
+    assert TermInfo(ann).tier == 1
 
 
 def test_box_cannot_capture_affine_variables():

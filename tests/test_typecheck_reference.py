@@ -6,20 +6,20 @@ the reference keys them by path, so every number is compared through
 `TermInfo.path`."""
 
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 import reference_typecheck as ref
-from lamtrans import compiler, corpus_path, gls, iam, transducer
+from lamtrans import corpus_path, iam
 from lamtrans.cli import gen_tree
-from lamtrans.compiler import LocalBlocks
+from lamtrans.compiler import compile_to_iptt, compile_to_twt
 from lamtrans.core import App, Box, Const, Lam, Let, RankedAlphabet, Var
 from lamtrans.gls import load_gls, make_type_constant, split_state_relabeling
 from lamtrans.iam import TermInfo
 from lamtrans.transducer import compose, load_transducer
-from lamtrans.typecheck import (O, Arrow, Bang, classify_term, type_height,
-                                typecheck)
+from lamtrans.typecheck import O, Arrow, Bang, type_height, typecheck
 
 TABLES = ("types", "occ_binder", "lam_occ", "var_kind")
 
@@ -77,32 +77,45 @@ def assert_same(args, kwargs):
             (info.depths, old.depths, same), (info.types, old.types, same)]:
         assert [(path(i), value(x)) for i, x in enumerate(mine)] == \
             sorted(theirs.items())
-    assert info.tier == ref.classify_term(old) == classify_term(new)
+    assert info.tier == ref.classify_term(old)
     assert info.height == max(map(type_height, new.types.values()))
     return None
 
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every typecheck call the library makes, as (args, kwargs)."""
+    """Every typecheck call the library makes, as (args, kwargs): the
+    checker is replaced in each lamtrans module that imports it."""
     calls = []
 
     def recording(*args, **kwargs):
         calls.append((args, kwargs))
         return typecheck(*args, **kwargs)
 
-    for module in (transducer, gls, compiler):
-        monkeypatch.setattr(module, "typecheck", recording)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("lamtrans.")
+                and getattr(module, "typecheck", None) is typecheck):
+            monkeypatch.setattr(module, "typecheck", recording)
     return calls
+
+
+def test_a_spec_is_typed_once_and_compiled_untyped(recorded):
+    # count.lt's four local terms are each checked once as source and
+    # typed once as a block; the compilers read the blocks
+    spec = load_transducer(corpus_path("count.lt"))
+    assert len(recorded) == 8
+    compile_to_twt(spec)
+    compile_to_iptt(spec)
+    assert len(recorded) == 8
 
 
 @pytest.mark.parametrize("name", ["count.lt", "seq-nat.lt", "bin2bin.lt",
                                   "list-count.lt"])
 def test_corpus_programs_and_blocks(recorded, name):
     spec = load_transducer(corpus_path(name))
-    for variant in ("apa", "ss"):
-        if spec.tier <= iam.VARIANT_MAX_TIER[variant]:
-            LocalBlocks(spec, variant)
+    blocks = list(spec.blocks)
+    assert [args[0] for args, _ in recorded[len(blocks):]] == \
+        [block.info.term for block in blocks]
     rng = random.Random(name)
     for size in (1, 2, 3, 5, 8, 12, 20, 40):
         spec.program_ann(gen_tree(rng, spec.input, size))
