@@ -335,7 +335,7 @@ class SimMapper:
         # a parent's number is below its children's
         rank, down = machine.spec.input.rank, info.down
         roots = [down[0][1][1]]
-        for _, parent, _, back, _ in nodes[1:]:
+        for _, parent, _, back, *_ in nodes[1:]:
             pos = roots[parent]
             for _ in range(rank(nodes[parent][4]) - back[1]):
                 pos = down[pos][1][0]
@@ -363,7 +363,7 @@ class SimMapper:
             block, pos = b.t[nodes[node][4]], pos - start
             if pos == 0 and cfg.direction == "down":
                 # entering a node: its parent's block's placeholder
-                _, parent, _, back, _ = nodes[node]
+                _, parent, _, back, *_ = nodes[node]
                 if parent is None:
                     block, back = b.u, "self"
                 else:
@@ -376,7 +376,7 @@ class SimMapper:
             raise UnreachableShape(f"no walking state for {cfg}")
         state, move = loc
         name = self.c.name(state)
-        _, parent, first, back, _ = nodes[node]
+        _, parent, first, back, *_ = nodes[node]
         if move == "stay":
             return WalkConfig(name, "self", node)
         if move == "to-parent":

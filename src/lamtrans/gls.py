@@ -48,6 +48,9 @@ class GlsSpec:
                     f"states for a rank-{self.input.rank(a)} letter")
             ty = self.state_types[q]
             for qc in reversed(qs):
+                if qc not in self.state_types:
+                    raise SpecError(f"{self.name}: rule ({q},{a}) names "
+                                    f"unknown state {qc!r}")
                 ty = Arrow(self.state_types[qc], ty)
             self.norm_rules[(q, a)] = normal_form(
                 t, ty, self.output, f"{self.name}: rule ({q},{a})")

@@ -69,13 +69,15 @@ class LambdaTransducerSpec:
     def _elaborate(self):
         for letter, rank in self.input.letters:
             if letter not in self.rules:
-                raise SpecError(f"missing rule for input letter {letter!r}")
+                raise SpecError(f"{self.name}: missing rule for input letter "
+                                f"{letter!r}")
             self.norm_rules[letter] = normal_form(
                 self.rules[letter], rule_type(self.memory, rank), self.output,
                 f"{self.name}: rule {letter}")
         for letter in self.rules:
             if letter not in self.input:
-                raise SpecError(f"rule for unknown letter {letter!r}")
+                raise SpecError(f"{self.name}: rule for unknown letter "
+                                f"{letter!r}")
         self.norm_out = normal_form(self.out, Arrow(self.memory, O),
                                     self.output, f"{self.name}: out")
         self.blocks = LocalBlocks(self)
@@ -201,6 +203,8 @@ def _rule_line(rest, got):
     letter = letter.strip()
     if not letter or not term_src:
         raise SyntaxErr("expected 'rule LETTER = TERM'")
+    if "input" in got and letter not in got["input"]:
+        raise SyntaxErr(f"rule for unknown letter {letter!r}")
     return letter, term_src
 
 

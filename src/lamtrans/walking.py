@@ -131,6 +131,35 @@ class WalkingSpec:
         return out
 
     @cached_property
+    def stays(self):
+        """The chains of stays, built on first use like `plans`: for each
+        (letter, is-root), a map from a state q entered at "self" to (the
+        state that ends the chain of STAY tuple plans from (q, "self"), the
+        chain's length k >= 1).  A chain stops before a plan that is a dict
+        by visible pebble, an image, a record of another move or a missing
+        key, so where it ends depends on neither the node nor the pebbles.
+        A chain that comes back to a state it has passed never ends, and
+        is left out: its stays are taken one at a time until the fuel
+        runs out."""
+        out = {}
+        for key, by_state in self.plans.items():
+            chains = out[key] = {}
+            for (start, p), plan in by_state.items():
+                if p != "self":
+                    continue
+                seen = {start}
+                while plan.__class__ is tuple and plan[1] == STAY:
+                    q = plan[0]
+                    if q in seen:       # a cycle of stays
+                        break
+                    seen.add(q)
+                    plan = by_state.get((q, "self"))
+                else:
+                    if len(seen) > 1:
+                        chains[start] = q, len(seen) - 1
+        return out
+
+    @cached_property
     def inverse(self):
         """The reversibility analysis, built on first use like `plans`.  A
         spec is reversible when, letter by letter, every (state, move) leaf
@@ -305,23 +334,25 @@ class WalkingMachine(Machine):
     The input is indexed once: `nodes[i]` is (the spec's plans for node
     i's letter and rootness, the parent's number, the first child's
     number, the provenance of arriving at the parent from node i, the
-    letter); the root is node 0 and the children of a node get
-    consecutive numbers, larger than the node's.  A configuration, and each pebble, names its
-    node by that number, so a move is an index step and the machine keeps
-    nothing but `spec` and `nodes`.  `path` gives a node's position, for
-    the text `render` writes."""
+    letter, the spec's stay chains for the letter and rootness); the root
+    is node 0 and the children of a node get consecutive numbers, larger
+    than the node's.  A configuration, and each pebble, names its node by
+    that number, so a move is an index step and the machine keeps nothing
+    but `spec` and `nodes`.  `path` gives a node's position, for the text
+    `render` writes."""
 
     def __init__(self, spec, tau):
         tau.validate(spec.input)
         self.spec = spec
-        plans, none = spec.plans, {}
+        plans, stays, none = spec.plans, spec.stays, {}
         self.nodes = nodes = [None]
         todo = [(tau, 0, None, None)]
         while todo:
             t, i, parent, back = todo.pop()
             first, arity = len(nodes), len(t.children)
-            nodes[i] = (plans.get((t.label, parent is None), none), parent,
-                        first, back, t.label)
+            key = t.label, parent is None
+            nodes[i] = (plans.get(key, none), parent, first, back, t.label,
+                        stays.get(key, none))
             nodes.extend([None] * arity)
             todo.extend([(c, first + k, i, ("from-child", k + 1))
                          for k, c in enumerate(t.children)])
@@ -333,7 +364,7 @@ class WalkingMachine(Machine):
         """The position of node i: its child indices from the root down."""
         out = []
         while i:
-            _, i, _, back, _ = self.nodes[i]
+            _, i, _, back, *_ = self.nodes[i]
             out.append(back[1] - 1)
         return tuple(reversed(out))
 
@@ -349,7 +380,10 @@ class WalkingMachine(Machine):
         configuration, at node i, held in local variables.  It first makes
         the move of the plan record `record`, if one is given, and then
         takes up to `budget` steps as `advance` does.  With budget 0 it only
-        makes the move, and hands out the configuration that reaches."""
+        makes the move, and hands out the configuration that reaches.  A
+        STAY record's chain of stays (see WalkingSpec.stays) is taken in
+        one jump, counted as its k steps, when the budget has room for all
+        of them; otherwise its stays are taken one at a time."""
         nodes = self.nodes
         entry = nodes[i]
         n = 0
@@ -358,6 +392,9 @@ class WalkingMachine(Machine):
                 q, kind, arg = record
                 if kind == STAY:
                     state, prov = q, "self"
+                    jump = entry[5].get(q)
+                    if jump is not None and n + jump[1] <= budget:
+                        state, n = jump[0], n + jump[1]
                 elif kind == TO_CHILD:
                     state, prov, i = q, "from-parent", entry[2] + arg
                 elif kind == TO_PARENT:
@@ -440,7 +477,7 @@ def predecessor(machine, cfg):
     if isinstance(inverse, Witness):
         raise NotReversible(str(inverse))
     nodes, i = machine.nodes, cfg.node
-    _, parent, first, back, _ = nodes[i]
+    _, parent, first, back, *_ = nodes[i]
     if cfg.prov == "from-parent":
         if parent is None:
             return None
@@ -609,7 +646,10 @@ def _transition_key(rest, got):
     if "input" not in got or "output" not in got:
         raise SyntaxErr("alphabets must come before transitions")
     p = _ImageParser(_wtokenize(rest), got["output"])
-    return p, p.eat()[1], p.state(), _parse_prov(p)
+    a = p.eat()[1]
+    if a not in got["input"]:
+        raise SyntaxErr(f"unknown letter {a!r}")
+    return p, a, p.state(), _parse_prov(p)
 
 
 def _twt_delta_line(rest, got):

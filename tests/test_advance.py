@@ -14,10 +14,11 @@ import pytest
 
 from lamtrans.cli import gen_tree
 from lamtrans.compiler import compile_to_iptt, compile_to_twt
-from lamtrans.core import LamtransError
+from lamtrans.core import LamtransError, parse_tree
 from lamtrans.iam import Config, IamMachine, TermInfo
 from lamtrans.treegen import Diverged, FNode, Machine, Output, Stuck, run
-from lamtrans.walking import IpttSpec, TwtSpec, WalkConfig, WalkingMachine
+from lamtrans.walking import (IpttSpec, TwtSpec, WalkConfig, WalkingMachine,
+                              parse_iptt, parse_twt)
 
 from reference_treegen import frontier_configs, frontier_get
 
@@ -140,6 +141,80 @@ def test_walking_machines_chain_as_they_step(specs, name, target):
                 got = agree(make, initial, fuel)
                 kinds.add(type(got))
     assert {Output, Stuck, Diverged} <= kinds
+
+
+def walk_at_fuels(spec, tree, fuels):
+    """The runs of spec's machine on tree at each fuel, chained as they
+    step."""
+    tau = parse_tree(tree, spec.input)
+    return [agree(lambda: WalkingMachine(spec, tau), lambda m: m.initial(),
+                  fuel) for fuel in fuels]
+
+
+# A chain of stays that runs into a missing transition at node 1.
+STAY_CHAIN_TWT = """
+input { b:1, e:0 }
+output { S:1, 0:0 }
+state q init
+delta-root b q self = (r, to-child 1)
+delta e r from-parent = (s, stay)
+delta e s self = (t, stay)
+delta e t self = (u, stay)
+delta e u self = (v, stay)
+"""
+
+
+def test_a_stay_chain_that_runs_into_a_missing_transition_is_stuck():
+    spec = parse_twt(STAY_CHAIN_TWT)
+    assert spec.stays["e", False] == {"s": ("v", 3), "t": ("v", 2),
+                                      "u": ("v", 1)}
+    runs = walk_at_fuels(spec, "b(e)", range(8))
+    # every fuel inside the chain stops where the stays one at a time do
+    for fuel, state in [(2, "s"), (3, "t"), (4, "u"), (5, "v")]:
+        assert runs[fuel] == Diverged(WalkConfig(state, "self", 1), fuel)
+    for res in runs[6:]:
+        assert isinstance(res, Stuck) and res.steps == 5
+        assert res.pos == () and res.frontier == WalkConfig("v", "self", 1)
+    # a single step never jumps
+    m = WalkingMachine(spec, parse_tree("b(e)", spec.input))
+    assert m.step(WalkConfig("s", "self", 1)) == WalkConfig("t", "self", 1)
+
+
+def test_a_cycle_of_stays_diverges_at_exactly_the_fuel():
+    spec = parse_twt("""
+input { b:1, e:0 }
+output { S:1, 0:0 }
+state q init
+delta-root b q self = S((r, to-child 1))
+delta e r from-parent = (s, stay)
+delta e s self = (t, stay)
+delta e t self = (u, stay)
+delta e u self = (t, stay)
+""")
+    # s leads into the cycle t, u: no chain of these is taken in a jump
+    assert spec.stays["e", False] == {}
+    for fuel, res in enumerate(walk_at_fuels(spec, "b(e)", range(40))):
+        assert isinstance(res, Diverged) and res.steps == fuel
+
+
+def test_a_stay_chain_stops_at_a_plan_by_visible_pebble():
+    spec = parse_iptt("""
+input { e:0 }
+output { S:1, 0:0 }
+colors { z }
+state q init
+delta e q self root pebble * = (r, stay)
+delta e r self root pebble * = (s, stay)
+delta e s self root pebble NONE = (q, put z)
+delta e s self root pebble z = S((u, remove))
+delta e u self root pebble * = (w, stay)
+delta e w self root pebble * = 0
+""")
+    assert spec.stays["e", True] == {"q": ("s", 2), "r": ("s", 1),
+                                     "u": ("w", 1)}
+    runs = walk_at_fuels(spec, "e", range(10))
+    assert all(isinstance(res, Diverged) for res in runs[:8])
+    assert runs[8] == runs[9] == Output(parse_tree("S(0)", spec.output), 8)
 
 
 def test_a_single_head_stuck_run_remembers_nothing(count):

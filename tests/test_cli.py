@@ -275,8 +275,10 @@ def test_malformed_iptt_is_exit_1_as_in_a_twt(capsys, tmp_path, letter,
              (letter, "q", "self", True, None))]:
         path = tmp_path / f"bad.{ext}"
         path.write_text(f"{head}{line} = {image}\n")
+        # an unknown letter is refused on its line, the image when built
+        where = f"{path}:4" if letter == "x" else path
         assert run_cli(capsys, "run", str(path), "b(e)") == (
-            1, "", f"error: {path}: {message.format(key)}\n")
+            1, "", f"error: {where}: {message.format(key)}\n")
 
 
 # -- random input generation ------------------------------------------------

@@ -14,6 +14,15 @@ from lamtrans.walking import parse_iptt, parse_twt
 # a directive of each format that may occur on many lines, one key a line
 REPEATED = {"count.lt": "rule", "mirror.gls": "state",
             "count-twt.twt": "delta-root", "bin2unary.iptt": "delta"}
+# a line that makes each format's spec name a letter or state it never
+# declares, by being added (or, if the spec has it, dropped), and the refusal
+UNDECLARED = {
+    "count.lt": ("rule d = c", "rule for unknown letter 'd'"),
+    "mirror.gls": ("state qo : o -o o", "rule (qe,a) names unknown state 'qo'"),
+    "count-twt.twt": ("delta-root d q self = 0", "unknown letter 'd'"),
+    "bin2unary.iptt": ("delta d q0 self root pebble NONE = 0",
+                       "unknown letter 'd'"),
+}
 
 
 @pytest.mark.parametrize("fname, parse, required", [
@@ -52,6 +61,15 @@ def test_spec_file_errors(fname, parse, required):
     # a directive that is not repeated may occur on one line only
     with pytest.raises(SpecError, match=f"^{where}duplicate 'input' line$"):
         parse("\n".join(lines + [lines[i]]), name=fname)
+    # a letter or state that is never declared: on its line where there is
+    # one, else in the spec
+    line, message = UNDECLARED[fname]
+    if line in lines:
+        bad, at = [other for other in lines if other != line], f"{fname}: "
+    else:
+        bad, at = lines + [line], f"{fname}:{len(lines) + 1}: "
+    with pytest.raises(SpecError, match=f"^{re.escape(at + message)}$"):
+        parse("\n".join(bad), name=fname)
 
 
 @pytest.mark.parametrize("parse, line, message", [

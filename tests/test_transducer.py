@@ -56,9 +56,15 @@ def test_to_str_roundtrip(count, seqnat, bin2bin):
 
 
 def test_missing_rule_rejected():
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match="^transducer: missing rule for input "
+                       "letter 'c'$"):
         parse_transducer("input { c:0 }\noutput { c:0 }\nmemory o\n"
                          "out = \\x. x\n")
+    # a rule read before the input alphabet is checked with the whole spec
+    with pytest.raises(SpecError, match="^transducer: rule for unknown "
+                       "letter 'd'$"):
+        parse_transducer("rule c = c\nrule d = c\ninput { c:0 }\n"
+                         "output { c:0 }\nmemory o\nout = \\x. x\n")
 
 
 def test_ill_typed_rule_rejected():

@@ -92,7 +92,7 @@ def test_predecessor_of_an_unreached_configuration_is_none(count):
     tw = compile_to_twt(count)
     m = WalkingMachine(tw, parse_tree("a(b(c),c)", count.input))
     # a leaf whose first-child number is another node's
-    leaf = next(i for i, (_, _, first, _, _) in enumerate(m.nodes)
+    leaf = next(i for i, (_, _, first, *_) in enumerate(m.nodes)
                 if first < len(m.nodes) and m.nodes[first][1] != i)
     q = next(q for q, move in tw.inverse["c", False] if move == "to-parent")
     assert predecessor(m, WalkConfig(q, ("from-child", 1), leaf)) is None
