@@ -409,9 +409,10 @@ def _is_ident(s):
     return s.replace("_", "a").isalnum() and s not in RESERVED
 
 
-def _tokenize(text):
+def _tokenize(text, line=1, col=1):
+    """The tokens of `text` with their (line, column), counted from the
+    position (line, col) of its first character."""
     toks = []
-    line, col = 1, 1
     i = 0
     n = len(text)
     while i < n:
@@ -516,16 +517,11 @@ class _TermParser:
             # allow a lambda directly as the last applicand: "f \\x. t"
             return self.term(bound)
         if p is not None and _is_ident(p):
-            name = self.eat()
-            if name in bound:
-                return Var(name)
-            if name in self.extra:
-                return Const(name)
-            if self.alphabet is not None:
-                if name in self.alphabet:
-                    return Const(name)
-                self.err(f"unknown constant {name!r}")
-            return Var(name)
+            if p in bound or self.alphabet is None and p not in self.extra:
+                return Var(self.eat())
+            if p not in self.extra and p not in self.alphabet:
+                self.err(f"unknown constant {p!r}")
+            return Const(self.eat())
         self.err("expected a term")
 
     def ident(self):
@@ -535,12 +531,13 @@ class _TermParser:
         return self.eat()
 
 
-def parse_term(text, alphabet=None, extra_consts=()):
+def parse_term(text, alphabet=None, extra_consts=(), at=(1, 1)):
     """Parse a term.  Identifiers matching letters of the given output
     alphabet (or extra_consts) become constants; bound names become
     variables; anything else is a free variable if no alphabet is given,
-    an error otherwise."""
-    p = _TermParser(_tokenize(text), alphabet, extra_consts)
+    an error otherwise.  Syntax errors give their (line, column) counted
+    from `at`, the position of the text's first character."""
+    p = _TermParser(_tokenize(text, *at), alphabet, extra_consts)
     t = p.term(frozenset())
     if p.i != len(p.toks):
         p.err("trailing input after term")

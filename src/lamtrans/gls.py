@@ -8,10 +8,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (App, Const, Lam, LamtransError, RankedAlphabet, SyntaxErr,
-                   Var, apply_tree, decode_tree, parse_term, term_to_str, Tree)
+                   Var, apply_tree, decode_tree, term_to_str, Tree)
 from .reduction import normalize
 from .transducer import (ALPHABET_LINES, LambdaTransducerSpec, SpecError,
-                         load_file, normal_form, out_line, parse_directives)
+                         line_term, load_file, normal_form, out_line,
+                         parse_directives, suffix_at)
 from .typecheck import Arrow, O, classify_type, parse_type, type_to_str
 
 
@@ -42,6 +43,8 @@ class GlsSpec:
         for (q, a), (t, qs) in self.rules.items():
             if q not in self.state_types:
                 raise SpecError(f"{self.name}: rule for unknown state {q!r}")
+            if a not in self.input:
+                raise SpecError(f"{self.name}: rule for unknown letter {a!r}")
             if len(qs) != self.input.rank(a):
                 raise SpecError(
                     f"{self.name}: rule ({q},{a}) lists {len(qs)} child "
@@ -95,12 +98,12 @@ class GlsSpec:
         return "\n".join(lines) + "\n"
 
 
-def _state_line(rest, got):
+def _state_line(rest, got, at):
     q, _, ty = rest.partition(":")
-    return q.strip(), parse_type(ty)
+    return q.strip(), parse_type(ty, suffix_at(rest, ty, at))
 
 
-def _rule_line(rest, got):
+def _rule_line(rest, got, at):
     head, _, src = rest.partition("=")
     if not src:
         raise SyntaxErr("expected 'rule Q A -> Q1 ... QK = TERM'")
@@ -108,22 +111,22 @@ def _rule_line(rest, got):
     parts = head.split()
     if len(parts) != 2:
         raise SyntaxErr("expected 'rule Q A -> ... = TERM'")
-    return (parts[0], parts[1]), (src, childs.split())
+    if "input" in got and parts[1] not in got["input"]:
+        raise SyntaxErr(f"rule for unknown letter {parts[1]!r}")
+    return (parts[0], parts[1]), (line_term(rest, src, got, at),
+                                  childs.split())
 
 
 def parse_gls(text, name="gls"):
     got = parse_directives(
         text, name,
         {**ALPHABET_LINES, "state": _state_line,
-         "init": lambda rest, got: rest.strip(), "rule": _rule_line,
+         "init": lambda rest, *_: rest.strip(), "rule": _rule_line,
          "out": out_line},
         required=("input", "output", "init", "out"),
         repeated=("state", "rule"))
-    out_alpha = got["output"]
-    rules = {key: (parse_term(src, out_alpha), qs)
-             for key, (src, qs) in got["rule"]}
-    return GlsSpec(got["input"], out_alpha, dict(got["state"]), got["init"],
-                   rules, parse_term(got["out"], out_alpha), name=name)
+    return GlsSpec(got["input"], got["output"], dict(got["state"]),
+                   got["init"], dict(got["rule"]), got["out"], name=name)
 
 
 def load_gls(path):

@@ -480,11 +480,14 @@ def iam_machine(ann, variant="auto"):
 
 
 def run_iam(ann, variant="auto", fuel=10_000_000, check=False):
-    """Run a token machine on a typed closed term of base type."""
+    """Run a token machine on a typed closed term of base type.  With
+    `check`, the run pauses before each step, which it then takes as a
+    one-step `advance`, to check the invariants of the configuration about
+    to be stepped."""
     machine = iam_machine(ann, variant)
     if not check:
         return treegen.run(machine, machine.initial(), fuel)
-    paused = treegen.drive(machine, machine.initial(), fuel, "leftmost", True)
+    paused = treegen.drive(machine, machine.initial(), fuel, True)
     try:
         while True:
             _, kids, i, _ = next(paused)

@@ -149,13 +149,14 @@ def parse_int(text):
 
 def parse_directives(text, name, handlers, required=(), repeated=()):
     """Parse a spec file of `DIRECTIVE REST` lines; '#' starts a comment.
-    handlers[DIRECTIVE](REST, got) parses one line given the values of the
-    lines before it, collected in got: the value of each directive, or the
-    list of all values for those in `repeated`, each a (key, ...) pair.
-    Returns got.  A bad line, a second line of a directive not in
-    `repeated`, or a repeated directive's key given twice raises SpecError
-    'name:lineno: ...'; a `required` directive that never occurs raises
-    'name: missing ...'."""
+    handlers[DIRECTIVE](REST, got, at) parses one line given the values of
+    the lines before it, collected in got: the value of each directive, or
+    the list of all values for those in `repeated`, each a (key, ...) pair;
+    `at` is the (line, column) of REST in the file, for the positions of
+    syntax errors.  Returns got.  A bad line, a second line of a directive
+    not in `repeated`, or a repeated directive's key given twice raises
+    SpecError 'name:lineno: ...'; a `required` directive that never occurs
+    raises 'name: missing ...'."""
     got = {key: [] for key in repeated}
     seen = {key: set() for key in repeated}
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -163,10 +164,11 @@ def parse_directives(text, name, handlers, required=(), repeated=()):
         if not line:
             continue
         key, _, rest = line.partition(" ")
+        at = lineno, len(raw) - len(raw.lstrip()) + len(key) + 2
         try:
             if key not in handlers:
                 raise SyntaxErr(f"unknown directive {key!r}")
-            value = handlers[key](rest, got)
+            value = handlers[key](rest, got, at)
         except LamtransError as e:
             raise SpecError(f"{name}:{lineno}: {e}") from e
         if key in repeated:
@@ -187,37 +189,50 @@ def parse_directives(text, name, handlers, required=(), repeated=()):
 
 # the alphabet lines every spec file starts with
 ALPHABET_LINES = {
-    "input": lambda rest, got: parse_alphabet_block(rest, "after 'input'"),
-    "output": lambda rest, got: parse_alphabet_block(rest, "after 'output'"),
+    "input": lambda rest, *_: parse_alphabet_block(rest, "after 'input'"),
+    "output": lambda rest, *_: parse_alphabet_block(rest, "after 'output'"),
 }
 
 
-def out_line(rest, got):
-    """`out = TERM`, the '=' optional: the term's source."""
+def suffix_at(rest, part, at):
+    """The file position of `part`, an end of the directive text `rest`
+    that starts at `at`."""
+    return at[0], at[1] + len(rest) - len(part)
+
+
+def line_term(rest, src, got, at):
+    """The term `src`, the end of a directive line, over the output
+    alphabet."""
+    if "output" not in got:
+        raise SyntaxErr("the output alphabet must come before terms")
+    return parse_term(src, got["output"], at=suffix_at(rest, src, at))
+
+
+def out_line(rest, got, at):
+    """`out = TERM`, the '=' optional: the term."""
     src = rest.strip()
-    return src[1:] if src.startswith("=") else src
+    return line_term(rest, src[1:] if src.startswith("=") else src, got, at)
 
 
-def _rule_line(rest, got):
-    letter, _, term_src = rest.partition("=")
+def _rule_line(rest, got, at):
+    letter, _, src = rest.partition("=")
     letter = letter.strip()
-    if not letter or not term_src:
+    if not letter or not src:
         raise SyntaxErr("expected 'rule LETTER = TERM'")
     if "input" in got and letter not in got["input"]:
         raise SyntaxErr(f"rule for unknown letter {letter!r}")
-    return letter, term_src
+    return letter, line_term(rest, src, got, at)
 
 
 def parse_transducer(text, name="transducer"):
     got = parse_directives(
         text, name,
-        {**ALPHABET_LINES, "memory": lambda rest, got: parse_type(rest),
+        {**ALPHABET_LINES,
+         "memory": lambda rest, got, at: parse_type(rest, at),
          "rule": _rule_line, "out": out_line},
         required=("input", "output", "memory", "out"), repeated=("rule",))
-    out_alpha = got["output"]
-    rules = {letter: parse_term(src, out_alpha) for letter, src in got["rule"]}
-    return LambdaTransducerSpec(got["input"], out_alpha, got["memory"], rules,
-                                parse_term(got["out"], out_alpha), name=name)
+    return LambdaTransducerSpec(got["input"], got["output"], got["memory"],
+                                dict(got["rule"]), got["out"], name=name)
 
 
 def load_file(parse, path):

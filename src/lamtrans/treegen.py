@@ -19,10 +19,11 @@ in `advance`, and gets `step` as a one-step `advance`.
 `drive` is the one run loop.  It keeps the frontier as mutable nodes with
 a stack of pending configuration slots, leaf to fire next on top, so the
 work it does around each machine step does not depend on the size of the
-frontier.  It gives each pending slot the fuel left in one `advance`
-call.  `run` drives a machine to its result.  `trace` and the
+frontier.  It always fires the leftmost configuration leaf, and it steps
+only through `advance`.  `run` drives a machine to its result, giving
+each pending slot the fuel left in one `advance` call.  `trace` and the
 invariant-checked token machine run (`iam.run_iam(check=True)`) are the
-same run, paused before each step, and call `step` once per pause:
+same run, paused before each step, which is then a one-step `advance`:
 `trace` renders the whole frontier there with `frontier_to_str`, and the
 checked run checks the configuration about to be stepped."""
 
@@ -107,10 +108,10 @@ class _Node:
         self.kids = kids
 
 
-def _graft(res, kids, i, pending, rightmost):
+def _graft(res, kids, i, pending):
     """Put `res` into slot `kids[i]`, copying its FNodes into _Nodes, and
-    push the slots of its configuration leaves so that the leaf to fire
-    first ends on top of `pending`."""
+    push the slots of its configuration leaves so that the leftmost ends
+    on top of `pending`."""
     slots = []
     todo = [(res, kids, i)]
     while todo:
@@ -122,8 +123,7 @@ def _graft(res, kids, i, pending, rightmost):
         else:
             kids[i] = f
             slots.append((kids, i))
-    if not rightmost:
-        slots.reverse()
+    slots.reverse()
     pending.extend(slots)
 
 
@@ -154,64 +154,53 @@ def _freeze(top, make, slot=(None, None)):
         frames[-1][1].append(built)
 
 
-def drive(machine, initial, fuel, order, watch):
+def drive(machine, initial, fuel, watch):
     """The run loop, as a generator that returns the run's Output, Stuck
-    or Diverged.  Fires the leftmost (or, with any other `order`, the
-    rightmost) configuration leaf, for at most `fuel` successful steps.
-    With `watch`, it pauses before each step with (top, kids, i, n): the
-    configuration about to be stepped is in slot kids[i], the frontier in
-    top[0], and n steps have been taken; it then takes that one step with
-    `step`.  Without it, it never pauses and hands each slot's chain of
-    steps to `advance`."""
-    step, advance = machine.step, machine.advance
-    rightmost = order != "leftmost"
+    or Diverged.  Fires the leftmost configuration leaf, for at most `fuel`
+    successful steps, each taken by `advance`.  Without `watch`, it never
+    pauses and hands each slot all the fuel left.  With it, it pauses
+    before each step with (top, kids, i, n): the configuration about to be
+    stepped is in slot kids[i], the frontier in top[0], and n steps have
+    been taken; it then takes that one step with a budget of 1."""
+    advance = machine.advance
     top = [None]                    # the slot holding the whole frontier
     pending = []
-    _graft(initial, top, 0, pending, rightmost)
+    _graft(initial, top, 0, pending)
     n = 0
     while pending:
         kids, i = pending.pop()
-        cfg = kids[i]
-        if watch:
-            res = None
-            while n < fuel:
-                kids[i] = cfg
+        res, k, budget = None, 0, 0
+        # a slot is done at an FNode, where it is stuck (fewer steps than
+        # the budget), or when the fuel is used up
+        while res is None and k == budget and n < fuel:
+            if watch:
                 yield top, kids, i, n
-                res = step(cfg)
-                if res is None:
-                    break
-                n += 1
-                if isinstance(res, FNode):
-                    break
-                cfg, res = res, None
-        else:
-            res, cfg, k = advance(cfg, fuel - n)
+            budget = 1 if watch else fuel - n
+            res, kids[i], k = advance(kids[i], budget)
             n += k
         if res is None:
-            kids[i] = cfg
             if n < fuel:
                 return Stuck(*_freeze(top, FNode, (kids, i)), n)
             return Diverged(_freeze(top, FNode)[0], n)
-        _graft(res, kids, i, pending, rightmost)
+        _graft(res, kids, i, pending)
     return Output(_freeze(top, Tree)[0], n)
 
 
-def run(machine, initial, fuel=10_000_000, order="leftmost"):
+def run(machine, initial, fuel=10_000_000):
     """Run from the frontier `initial` for at most `fuel` successful steps,
-    always firing the leftmost (or, with any other `order`, the rightmost)
-    configuration leaf."""
+    always firing the leftmost configuration leaf."""
     try:
-        next(drive(machine, initial, fuel, order, False))
+        next(drive(machine, initial, fuel, False))
     except StopIteration as stop:
         return stop.value
 
 
-def trace(machine, initial, fuel=10_000_000, order="leftmost"):
+def trace(machine, initial, fuel=10_000_000):
     """Yield one JSON-serializable record per frontier, including the
     initial one.  'fired' is the leaf position about to be rewritten (null
     on the final record)."""
     render = machine.render
-    paused = drive(machine, initial, fuel, order, True)
+    paused = drive(machine, initial, fuel, True)
     while True:
         try:
             top, kids, i, n = next(paused)
@@ -231,6 +220,6 @@ def trace(machine, initial, fuel=10_000_000, order="leftmost"):
                "fired": None}
 
 
-def trace_lines(machine, initial, fuel=10_000_000, order="leftmost"):
-    for rec in trace(machine, initial, fuel, order):
+def trace_lines(machine, initial, fuel=10_000_000):
+    for rec in trace(machine, initial, fuel):
         yield json.dumps(rec)

@@ -50,8 +50,10 @@ def type_to_str(A, level=0):
     raise LamtransError(f"not a type: {A!r}")
 
 
-def parse_type(text):
-    toks = _tokenize(text)
+def parse_type(text, at=(1, 1)):
+    """Parse a type; syntax errors count their position from `at`, as in
+    parse_term."""
+    toks = _tokenize(text, *at)
     A, i = _parse_arrow(toks, 0)
     if i != len(toks):
         raise SyntaxErr(f"trailing input after type: {toks[i][0]!r}",

@@ -46,13 +46,12 @@ def move_to_str(m):
     return m
 
 
-def is_pebble_move(m):
-    return m == "remove" or (isinstance(m, tuple) and m[0] == "put")
-
-
 # The pebble of an IPTT transition that applies whatever pebble is visible
 # (or none); a transition for the exact pebble takes precedence.
 ANY = "*"
+
+# The kinds of move a plan record makes.
+STAY, TO_PARENT, TO_CHILD, PUT, REMOVE = range(5)
 
 
 # ---------------------------------------------------------------------------
@@ -63,15 +62,20 @@ class WalkingSpec:
     transitions(): (key, is_root, pebble, image) for each transition, where
     a key starts with (letter, state, provenance) and a TWT's pebble is
     ANY.  A subclass stores the transitions, writes its own delta_lines(),
-    and says whether it has `pebbles` and which `colors` it declares."""
+    and says whether it has `pebbles` and which `colors` it declares.
+
+    The transitions are checked and planned for WalkingMachine in one pass
+    when the spec is built, so the tables must not change afterwards.
+    `plans` maps each (letter, is-root) to a map from (state, provenance)
+    to a dict from the pebble (a color, None, or ANY) to the plan of the
+    image: the image with each (state, move) leaf decoded to its (state,
+    move kind, argument) record (see `_record`).  A dict whose only pebble
+    is ANY -- every one in a TWT -- is replaced by its plan."""
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
-        """Checks every transition in one pass over its image."""
         if ANY in self.colors:
             raise SpecError(f"{self.name}: {ANY!r} is not a color name")
+        self.plans = plans = {}
         for key, is_root, z, img in self.transitions():
             a, q, p = key[:3]
             if a not in self.input:
@@ -89,58 +93,57 @@ class WalkingSpec:
                         raise SpecError(f"{self.name}: arity mismatch at "
                                         f"{t.label!r}")
                     todo.extend(t.children)
-                elif is_root and t[1] == "to-parent":
-                    raise SpecError(f"{self.name}: root image moves "
-                                    f"to-parent: {key}")
-                elif not self.pebbles and is_pebble_move(t[1]):
-                    raise SpecError(f"{self.name}: pebble move in a "
-                                    f"tree-walking transducer: {a} {q}")
-                else:
-                    self._check_move(t[1], a)
-
-    def _check_move(self, m, a):
-        """Refuses a move that is none of the known ones, or a to-child
-        move to a child that a node labelled `a` does not have."""
-        if m in ("to-parent", "stay", "remove") or \
-                isinstance(m, tuple) and len(m) == 2 and m[0] == "put":
-            return
-        if not (isinstance(m, tuple) and len(m) == 2 and m[0] == "to-child"
-                and isinstance(m[1], int)):
-            raise SpecError(f"{self.name}: unknown move {m!r}")
-        rank = self.input.rank(a)
-        if not 1 <= m[1] <= rank:
-            raise SpecError(f"{self.name}: move to-child {m[1]} at letter "
-                            f"{a!r} of rank {rank}")
-
-    @cached_property
-    def plans(self):
-        """The transitions compiled for WalkingMachine, built on first use
-        (so the tables must not change after a machine has run): for each
-        (letter, is-root), a map from (state, provenance) to a dict from
-        the pebble (a color, None, or ANY) to the plan of the image (see
-        plan_image).  A dict whose only pebble is ANY -- every one in a
-        TWT -- is replaced by its plan."""
-        out = {}
-        for (a, q, p, *_), is_root, z, img in self.transitions():
-            out.setdefault((a, is_root), {}).setdefault((q, p), {})[z] = \
-                plan_image(img)
-        for by_state in out.values():
+            plans.setdefault((a, is_root), {}).setdefault((q, p), {})[z] = \
+                image_map_leaves(img, lambda leaf: self._record(leaf, key,
+                                                                is_root))
+        for by_state in plans.values():
             for key, by_pebble in by_state.items():
                 if by_pebble.keys() == {ANY}:
                     by_state[key] = by_pebble[ANY]
-        return out
+
+    def _record(self, leaf, key, is_root):
+        """The record of a (state, move) leaf of the image of transition
+        `key`: (state, move kind, argument), the argument being the 0-based
+        child of TO_CHILD and the color of PUT.  Refuses a move that is
+        none of the known ones, or one that the transition cannot make."""
+        q, m = leaf
+        if m == "stay":
+            return q, STAY, None
+        if m == "to-parent":
+            if is_root:
+                raise SpecError(f"{self.name}: root image moves "
+                                f"to-parent: {key}")
+            return q, TO_PARENT, None
+        if m == "remove" or isinstance(m, tuple) and len(m) == 2 and \
+                m[0] == "put":
+            if not self.pebbles:
+                raise SpecError(f"{self.name}: pebble move in a tree-walking "
+                                f"transducer: {key[0]} {key[1]}")
+            if m == "remove":
+                return q, REMOVE, None
+            if m[1] not in self.colors:
+                raise SpecError(f"{self.name}: unknown color {m[1]!r}")
+            return q, PUT, m[1]
+        if not (isinstance(m, tuple) and len(m) == 2 and m[0] == "to-child"
+                and isinstance(m[1], int)):
+            raise SpecError(f"{self.name}: unknown move {m!r}")
+        rank = self.input.rank(key[0])
+        if not 1 <= m[1] <= rank:
+            raise SpecError(f"{self.name}: move to-child {m[1]} at letter "
+                            f"{key[0]!r} of rank {rank}")
+        return q, TO_CHILD, m[1] - 1
 
     @cached_property
     def stays(self):
-        """The chains of stays, built on first use like `plans`: for each
-        (letter, is-root), a map from a state q entered at "self" to (the
-        state that ends the chain of STAY tuple plans from (q, "self"), the
-        chain's length k >= 1).  A chain stops before a plan that is a dict
-        by visible pebble, an image, a record of another move or a missing
+        """The chains of stays, built on first use: for each (letter,
+        is-root), a map from a state q entered at "self" to (the state that
+        ends the chain of STAY tuple plans from (q, "self"), the chain's
+        length k >= 1).  A chain stops before a plan that is a dict by
+        visible pebble, an image, a record of another move or a missing
         key, so where it ends depends on neither the node nor the pebbles.
-        A chain that comes back to a state it has passed never ends, and
-        is left out: its stays are taken one at a time until the fuel
-        runs out."""
+        A chain that comes back to a state it has passed never ends, and is
+        left out: its stays are taken one at a time until the fuel runs
+        out."""
         out = {}
         for key, by_state in self.plans.items():
             chains = out[key] = {}
@@ -161,13 +164,13 @@ class WalkingSpec:
 
     @cached_property
     def inverse(self):
-        """The reversibility analysis, built on first use like `plans`.  A
-        spec is reversible when, letter by letter, every (state, move) leaf
-        occurs at most once across the map's images -- and then as the
-        only leaf of its image.  If it is not, this is a Witness: the first
-        duplicated leaf, else the first image with two leaves.  If it is,
-        this maps (letter, is-root) to a dict from each leaf to the key of
-        the transition whose image holds it."""
+        """The reversibility analysis, built on first use.  A spec is
+        reversible when, letter by letter, every (state, move) leaf occurs
+        at most once across the map's images -- and then as the only leaf
+        of its image.  If it is not, this is a Witness: the first duplicated
+        leaf, else the first image with two leaves.  If it is, this maps
+        (letter, is-root) to a dict from each leaf to the key of the
+        transition whose image holds it."""
         by_map = {}
         for key, is_root, _, img in self.transitions():
             by_map.setdefault((key[0], is_root), []).append((key, img))
@@ -300,32 +303,6 @@ class WalkConfig:
     prov: object
     node: int             # the node's number in WalkingMachine.nodes
     pebbles: tuple = ()   # (color, node number) pairs, top first
-
-
-# The kinds of move a plan record makes.
-STAY, TO_PARENT, TO_CHILD, PUT, REMOVE = range(5)
-
-
-def _leaf_plan(leaf):
-    """The record of a (state, move) leaf whose move validate accepted."""
-    q, move = leaf
-    if move == "stay":
-        return q, STAY, None
-    if move == "to-parent":
-        return q, TO_PARENT, None
-    if move == "remove":
-        return q, REMOVE, None
-    if move[0] == "to-child":
-        return q, TO_CHILD, move[1] - 1
-    return q, PUT, move[1]
-
-
-def plan_image(img):
-    """An image as the machine runs it: a (state, move) leaf becomes a
-    (state, move kind, argument) record, where the argument is the
-    0-based child of TO_CHILD and the color of PUT; an FNode becomes its
-    skeleton with such records at the leaves."""
-    return image_map_leaves(img, _leaf_plan)
 
 
 class WalkingMachine(Machine):
@@ -630,7 +607,7 @@ def _parse_prov(parser):
     raise SyntaxErr(f"unknown provenance {val!r}")
 
 
-def _state_line(rest, got):
+def _state_line(rest, got, at):
     """`state NAME [init]`: the name and whether it is initial."""
     p = _ImageParser(_wtokenize(rest), None)
     q, init = p.state(), p.peek()[1] == "init"
@@ -652,13 +629,13 @@ def _transition_key(rest, got):
     return p, a, p.state(), _parse_prov(p)
 
 
-def _twt_delta_line(rest, got):
+def _twt_delta_line(rest, got, at):
     p, a, q, prov = _transition_key(rest, got)
     p.eat("=")
     return (a, q, prov), p.image()
 
 
-def _iptt_delta_line(rest, got):
+def _iptt_delta_line(rest, got, at):
     p, a, q, prov = _transition_key(rest, got)
     _, rootness = p.eat("word")
     if rootness not in ("root", "nonroot"):
@@ -671,7 +648,7 @@ def _iptt_delta_line(rest, got):
         p.image()
 
 
-def _colors_line(rest, got):
+def _colors_line(rest, got, at):
     body = rest.strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise SyntaxErr("expected colors { a, b, c }")

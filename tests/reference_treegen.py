@@ -62,7 +62,7 @@ def frontier_to_tree(f):
         frames[-1][1].append(built)
 
 
-def reference_trace(machine, initial, fuel=10_000_000, order="leftmost"):
+def reference_trace(machine, initial, fuel=10_000_000):
     """Yield one JSON-serializable record per frontier, including the
     initial one.  'fired' is the leaf position about to be rewritten (null
     on the final record)."""
@@ -74,7 +74,7 @@ def reference_trace(machine, initial, fuel=10_000_000, order="leftmost"):
                    "frontier": frontier_to_str(frontier, machine.render),
                    "fired": None}
             return
-        pos = leaves[0] if order == "leftmost" else leaves[-1]
+        pos = leaves[0]
         yield {"step": n,
                "frontier": frontier_to_str(frontier, machine.render),
                "fired": list(pos)}

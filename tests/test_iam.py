@@ -129,25 +129,27 @@ def test_checked_run_checks_each_stepped_configuration(bin2bin, monkeypatch,
     ann = bin2bin.program_ann(parse_tree(numeral(3), bin2bin.input))
     want = run_iam(ann, variant)
     checked, stepped, results = [], [], []
-    step, check = IamMachine.step, IamMachine.check_invariants
+    advance, check = IamMachine.advance, IamMachine.check_invariants
 
-    def spy_step(self, cfg):
+    def spy_advance(self, cfg, budget):
+        # a checked run takes its steps one at a time
+        assert budget == 1
         stepped.append(cfg)
-        results.append(step(self, cfg))
+        results.append(advance(self, cfg, budget))
         return results[-1]
 
     def spy_check(self, cfg):
         checked.append(cfg)
         check(self, cfg)
 
-    monkeypatch.setattr(IamMachine, "step", spy_step)
+    monkeypatch.setattr(IamMachine, "advance", spy_advance)
     monkeypatch.setattr(IamMachine, "check_invariants", spy_check)
     got = run_iam(ann, variant, check=True)
     assert got == want
     assert len(checked) == len(stepped) == got.steps
     assert all(c is s for c, s in zip(checked, stepped))
-    assert any(isinstance(r, Config) for r in results)
-    assert sum(isinstance(r, FNode) for r in results) > 1
+    assert any(res is None for res, _, _ in results)
+    assert sum(isinstance(res, FNode) for res, _, _ in results) > 1
 
 
 def test_a_position_is_a_number_of_the_term(count):

@@ -90,3 +90,25 @@ def test_walking_spec_lines_are_read_to_their_end(parse, line, message):
     text = f"input {{ a:1, e:0 }}\noutput {{ S:1, 0:0 }}\nstate q init\n{line}"
     with pytest.raises(SpecError, match=f"^x:4: {re.escape(message)}$"):
         parse(text, name="x")
+
+
+@pytest.mark.parametrize("fname, parse, old, new, message", [
+    ("count.lt", parse_transducer, r"rule b = \f. \x. S (f x)",
+     r"rule b = \x. T x", "7: unknown constant 'T' (line 7, column 14)"),
+    ("count.lt", parse_transducer, "memory o -o o", "  memory o -o )",
+     "5: unexpected token ')' in type (line 5, column 15)"),
+    ("count.lt", parse_transducer, r"out    = \f. f 0", r"out  \f. f 0 (",
+     "9: expected a term (at end of input)"),
+    ("mirror.gls", parse_gls, r"rule qe c -> = \x. c", r"rule qe d -> = \x. c",
+     "11: rule for unknown letter 'd'"),
+    ("mirror.gls", parse_gls, "state qo : o -o o", "state qo : o o",
+     "7: trailing input after type: 'o' (line 7, column 14)"),
+], ids=["term", "memory-type", "out-term", "gls-letter", "state-type"])
+def test_term_and_type_errors_give_the_file_line_and_column(fname, parse, old,
+                                                            new, message):
+    with open(corpus_path(fname)) as f:
+        text = f.read()
+    assert old in text
+    with pytest.raises(SpecError) as e:
+        parse(text.replace(old, new), name=fname)
+    assert str(e.value) == f"{fname}:{message}"

@@ -63,8 +63,13 @@ def test_missing_rule_rejected():
     # a rule read before the input alphabet is checked with the whole spec
     with pytest.raises(SpecError, match="^transducer: rule for unknown "
                        "letter 'd'$"):
-        parse_transducer("rule c = c\nrule d = c\ninput { c:0 }\n"
-                         "output { c:0 }\nmemory o\nout = \\x. x\n")
+        parse_transducer("output { c:0 }\nrule c = c\nrule d = c\n"
+                         "input { c:0 }\nmemory o\nout = \\x. x\n")
+    # but a term needs the output alphabet it is written over
+    with pytest.raises(SpecError, match="^transducer:1: the output alphabet "
+                       "must come before terms$"):
+        parse_transducer("rule c = c\ninput { c:0 }\noutput { c:0 }\n"
+                         "memory o\nout = \\x. x\n")
 
 
 def test_ill_typed_rule_rejected():

@@ -130,18 +130,6 @@ def test_run_diverged():
     assert res.steps == 10
 
 
-def test_run_order_independent():
-    class Fork(Machine):
-        def step(self, n):
-            if n == 0:
-                return FNode("c")
-            return FNode("a", (n - 1, n - 1))
-    left = run(Fork(), 2, order="leftmost")
-    right = run(Fork(), 2, order="rightmost")
-    assert left.tree == right.tree
-    assert left.steps == right.steps
-
-
 def test_frontier_to_tree_requires_no_configs():
     from lamtrans.core import LamtransError
     with pytest.raises(LamtransError):
@@ -169,7 +157,7 @@ def test_run_deep_stuck_position():
     assert len(res.pos) == 5000 and set(res.pos) == {0}
 
 
-def reference_run(machine, initial, fuel, order):
+def reference_run(machine, initial, fuel):
     """The rescan-and-rebuild run loop: each step finds the leaf to fire with
     frontier_configs and rebuilds the path to it with frontier_replace."""
     frontier = initial
@@ -177,7 +165,7 @@ def reference_run(machine, initial, fuel, order):
         leaves = frontier_configs(frontier)
         if not leaves:
             return Output(frontier_to_tree(frontier), n)
-        pos = leaves[0] if order == "leftmost" else leaves[-1]
+        pos = leaves[0]
         res = machine.step(frontier_get(frontier, pos))
         if res is None:
             return Stuck(frontier, pos, n)
@@ -221,8 +209,7 @@ class RandomMachine(Machine):
         return FNode(f"n{len(kids)}", tuple(kids))
 
 
-@pytest.mark.parametrize("order", ["leftmost", "rightmost"])
-def test_run_matches_reference_run(order):
+def test_run_matches_reference_run():
     kinds = set()
     for seed in range(300):
         rng = random.Random(seed)
@@ -230,8 +217,8 @@ def test_run_matches_reference_run(order):
                    RandomMachine.tree(rng, 4, 0))
         fuel = rng.randrange(60)
         ours, ref = RandomMachine(seed), RandomMachine(seed)
-        got = run(ours, initial, fuel, order)
-        want = reference_run(ref, initial, fuel, order)
+        got = run(ours, initial, fuel)
+        want = reference_run(ref, initial, fuel)
         assert ours.calls == ref.calls, seed
         assert type(got) is type(want), seed
         assert got == want, seed
@@ -254,8 +241,7 @@ def test_trace_lines_are_json():
         assert set(rec) == {"step", "frontier", "fired"}
 
 
-@pytest.mark.parametrize("order", ["leftmost", "rightmost"])
-def test_trace_matches_reference_trace(order):
+def test_trace_matches_reference_trace():
     endings, initials = set(), set()
     for seed in range(300):
         rng = random.Random(seed)
@@ -263,11 +249,11 @@ def test_trace_matches_reference_trace(order):
                    RandomMachine.tree(rng, 4, 0))
         fuel = rng.randrange(60)
         ours, ref = RandomMachine(seed), RandomMachine(seed)
-        got = list(trace(ours, initial, fuel, order))
-        want = list(reference_trace(ref, initial, fuel, order))
+        got = list(trace(ours, initial, fuel))
+        want = list(reference_trace(ref, initial, fuel))
         assert ours.calls == ref.calls, seed
         assert got == want, seed
-        endings.add(type(run(RandomMachine(seed), initial, fuel, order)))
+        endings.add(type(run(RandomMachine(seed), initial, fuel)))
         initials.add("bare" if not isinstance(initial, FNode) else
                      "config-free" if not frontier_configs(initial) else
                      "tree")

@@ -7,9 +7,11 @@ from lamtrans.compiler import compile_to_iptt, compile_to_twt
 from lamtrans.core import RankedAlphabet, parse_tree
 from lamtrans.transducer import SpecError
 from lamtrans.treegen import FNode, Output, run as treegen_run
-from lamtrans.walking import (ANY, IpttSpec, NotReversible, WalkConfig,
-                              WalkingMachine, check_reversible, image_to_str, parse_iptt,
-                              parse_twt, plan_image, predecessor, quote_state,
+from lamtrans.walking import (ANY, PUT, REMOVE, STAY, TO_CHILD, TO_PARENT,
+                              IpttSpec, NotReversible, WalkConfig,
+                              WalkingMachine, check_reversible,
+                              image_map_leaves, image_to_str, parse_iptt,
+                              parse_twt, predecessor, quote_state,
                               run_walking)
 from conftest import numeral, unary
 from reference_treegen import frontier_configs, frontier_get
@@ -200,6 +202,16 @@ delta-root e q self = (q, put p)
         parse_twt(text)
 
 
+def plan_leaf(record):
+    """The (state, move) leaf a plan record stands for."""
+    q, kind, arg = record
+    if kind == TO_CHILD:
+        return q, ("to-child", arg + 1)
+    if kind == PUT:
+        return q, ("put", arg)
+    return q, {STAY: "stay", TO_PARENT: "to-parent", REMOVE: "remove"}[kind]
+
+
 def test_plans_pick_the_image_lookup_does(count, bin2bin, count_twt,
                                           bin2unary):
     specs = [compile_to_twt(count), compile_to_iptt(count),
@@ -216,7 +228,8 @@ def test_plans_pick_the_image_lookup_does(count, bin2bin, count_twt,
                     if isinstance(plan, dict) else plan
                 img = table.get((a, q, p, is_root, z),
                                 table.get((a, q, p, is_root, ANY)))
-                assert picked == (None if img is None else plan_image(img))
+                assert img == (None if picked is None else
+                               image_map_leaves(picked, plan_leaf))
 
 
 def one_state_iptt(image):
@@ -260,6 +273,7 @@ delta e t self nonroot pebble * = 0
     (("hop", 1), "iptt: unknown move ('hop', 1)"),
     (("to-child", 2), "iptt: move to-child 2 at letter 'b' of rank 1"),
     (("to-child", 0), "iptt: move to-child 0 at letter 'b' of rank 1"),
+    (("put", "zz"), "iptt: unknown color 'zz'"),
 ])
 def test_unknown_and_out_of_range_moves_are_refused_at_load(move, message):
     # a move no node can make is refused when the spec is built, also from
