@@ -41,20 +41,41 @@ class InvariantViolation(LamtransError):
 VARIANT_MAX_TIER = {"pa": 0, "apa": 1, "d1": 2, "ss": 2}   # highest tier run
 
 
-@dataclass(slots=True, unsafe_hash=True)
+# A log entry keeps its hash once computed: a log nests as deep as the
+# input is long, and an unpaused run hashes the configurations it memoizes
+# (treegen.drive), so a hash that walked the whole nest each time would
+# cost each memoized slot that depth.
+
+@dataclass
 class LogEntry:
     """A logged position: where a jump came from, together with the log
     that was current there."""
+    __slots__ = ("pos", "log", "_hash")
     pos: int
     log: tuple  # tuple of LogEntry
 
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.pos, self.log))
+            return h
 
-@dataclass(slots=True, unsafe_hash=True)
+
+@dataclass
 class StackEntry:
     """Flat-stack form of a logged position: the source position and the
     group of entries that were sitting above it."""
+    __slots__ = ("pos", "entries", "_hash")
     pos: int
     entries: tuple  # tuple of StackEntry
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((self.pos, self.entries))
+            return h
 
 
 @dataclass(slots=True, unsafe_hash=True)

@@ -25,7 +25,21 @@ each pending slot the fuel left in one `advance` call.  `trace` and the
 invariant-checked token machine run (`iam.run_iam(check=True)`) are the
 same run, paused before each step, which is then a one-step `advance`:
 `trace` renders the whole frontier there with `frontier_to_str`, and the
-checked run checks the configuration about to be stepped."""
+checked run checks the configuration about to be stepped.
+
+The machines are deterministic: a configuration fixes the rest of its
+chain, so the FNode a slot's chain reaches, and the number of steps it
+takes, are a function of the slot's first configuration.  An unpaused run
+keeps them in a memo for the length of the run; a slot whose first
+configuration is in it gets the stored FNode and counts its steps without
+calling `advance`, when they fit in the fuel left.  A slot below another
+that starts the same way would repeat it forever, so in a run that ends
+only a slot to the right can reuse a chain: the memo stores a chain only
+while some slot to its right is pending, and a run whose frontier never
+branches hashes no configuration.  This needs configurations to be
+hashable values, with equal ones stepping alike, and a step to depend on
+nothing but its configuration.  Paused runs (`trace`, `check=True`) never
+use the memo and take every step."""
 
 from __future__ import annotations
 
@@ -158,7 +172,8 @@ def drive(machine, initial, fuel, watch):
     """The run loop, as a generator that returns the run's Output, Stuck
     or Diverged.  Fires the leftmost configuration leaf, for at most `fuel`
     successful steps, each taken by `advance`.  Without `watch`, it never
-    pauses and hands each slot all the fuel left.  With it, it pauses
+    pauses, hands each slot all the fuel left and reuses the chains in its
+    memo (see the module docstring).  With it, it pauses
     before each step with (top, kids, i, n): the configuration about to be
     stepped is in slot kids[i], the frontier in top[0], and n steps have
     been taken; it then takes that one step with a budget of 1."""
@@ -167,21 +182,29 @@ def drive(machine, initial, fuel, watch):
     pending = []
     _graft(initial, top, 0, pending)
     n = 0
+    memo = {}       # unpaused: a slot's first configuration -> (FNode, steps)
     while pending:
         kids, i = pending.pop()
-        res, k, budget = None, 0, 0
-        # a slot is done at an FNode, where it is stuck (fewer steps than
-        # the budget), or when the fuel is used up
-        while res is None and k == budget and n < fuel:
-            if watch:
-                yield top, kids, i, n
-            budget = 1 if watch else fuel - n
-            res, kids[i], k = advance(kids[i], budget)
-            n += k
-        if res is None:
-            if n < fuel:
-                return Stuck(*_freeze(top, FNode, (kids, i)), n)
-            return Diverged(_freeze(top, FNode)[0], n)
+        start, n0 = kids[i], n
+        hit = memo.get(start) if memo else None
+        if hit is not None and n + hit[1] <= fuel:
+            res, n = hit[0], n + hit[1]
+        else:
+            res, k, budget = None, 0, 0
+            # a slot is done at an FNode, where it is stuck (fewer steps
+            # than the budget), or when the fuel is used up
+            while res is None and k == budget and n < fuel:
+                if watch:
+                    yield top, kids, i, n
+                budget = 1 if watch else fuel - n
+                res, kids[i], k = advance(kids[i], budget)
+                n += k
+            if res is None:
+                if n < fuel:
+                    return Stuck(*_freeze(top, FNode, (kids, i)), n)
+                return Diverged(_freeze(top, FNode)[0], n)
+            if pending and not watch:
+                memo[start] = res, n - n0
         _graft(res, kids, i, pending)
     return Output(_freeze(top, Tree)[0], n)
 

@@ -23,7 +23,7 @@ from functools import cached_property
 from .core import LamtransError, RankedAlphabet, SyntaxErr, tree_to_str
 from .transducer import (ALPHABET_LINES, SpecError, load_file,
                          parse_directives, parse_int)
-from .treegen import FNode, Machine, run as treegen_run
+from .treegen import FNode, Machine
 
 
 class NotReversible(LamtransError):
@@ -413,11 +413,6 @@ class WalkingMachine(Machine):
 
 # the names callers use for the machine of each spec kind
 TwtMachine = IpttMachine = WalkingMachine
-
-
-def run_walking(spec, tau, fuel=10_000_000):
-    m = WalkingMachine(spec, tau)
-    return treegen_run(m, m.initial(), fuel)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 from lamtrans import corpus_path
 from lamtrans.gls import load_gls
 from lamtrans.transducer import load_transducer
-from lamtrans.walking import load_iptt, load_twt
+from lamtrans.treegen import run
+from lamtrans.walking import WalkingMachine, load_iptt, load_twt
 
 
 @pytest.fixture(scope="session")
@@ -65,3 +66,9 @@ def random_tree(rng, n):
         return f"b({random_tree(rng, n - 1)})"
     k = rng.randint(1, n - 2)
     return f"a({random_tree(rng, k)},{random_tree(rng, n - 1 - k)})"
+
+
+def run_walking(spec, tau):
+    """Run the walking machine of a TWT or IPTT spec on tau to its result."""
+    m = WalkingMachine(spec, tau)
+    return run(m, m.initial())

@@ -3,12 +3,24 @@ helpers and the rescan-and-rebuild `trace` loop that `run`'s driver
 replaced.  Each step of `reference_trace` finds the leaf to fire with
 `frontier_configs` and rebuilds the path to it with `frontier_replace`.
 The code is kept as it was in `lamtrans.treegen`; only its imports
-changed."""
+changed.  `paused_run` is the memo-free run that `trace` and the checked
+token machine run take."""
 
 from __future__ import annotations
 
 from lamtrans.core import LamtransError, Tree
-from lamtrans.treegen import FNode, frontier_to_str
+from lamtrans.treegen import FNode, drive, frontier_to_str
+
+
+def paused_run(machine, initial, fuel=10_000_000):
+    """`treegen.drive` paused before each step, as `trace` runs it: every
+    step is a one-step `advance`, and the run's memo is never read."""
+    paused = drive(machine, initial, fuel, True)
+    try:
+        while True:
+            next(paused)
+    except StopIteration as stop:
+        return stop.value
 
 
 def frontier_configs(f, pos=()):

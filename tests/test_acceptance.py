@@ -16,9 +16,9 @@ from lamtrans.reduction import normalize
 from lamtrans.transducer import compose, wn_translate
 from lamtrans.treegen import Output
 from lamtrans.typecheck import O, typecheck
-from lamtrans.walking import check_reversible, predecessor, run_walking
+from lamtrans.walking import check_reversible, predecessor
 
-from conftest import numeral, unary
+from conftest import numeral, run_walking, unary
 from test_compiler import GOLDEN_TWT_PREFIX, frontiers
 from test_iam import GOLDEN_PREFIX
 from test_walking import forward_configs

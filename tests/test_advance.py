@@ -3,10 +3,12 @@
 `treegen.run` hands each pending slot to the machine's `advance`, which the
 token and walking machines implement as one loop over local variables.
 `StepOnly` exposes only a machine's `step`, so its runs go through the
-base-class `advance`, one `step` call at a time.  On the corpus and on
-seeded random inputs, and for fuels around and below the full step count,
-the two runs must return the same Output, Stuck or Diverged: the same
-output or frontier, stuck position and step count."""
+base-class `advance`, one `step` call at a time.  Both runs keep
+`treegen.run`'s per-run memo of chains; a third run, paused before each
+step as `trace` runs it, takes every step and reads no memo.  On the
+corpus and on seeded random inputs, and for fuels around and below the
+full step count, the three runs must return the same Output, Stuck or
+Diverged: the same output or frontier, stuck position and step count."""
 
 import random
 
@@ -20,7 +22,7 @@ from lamtrans.treegen import Diverged, FNode, Machine, Output, Stuck, run
 from lamtrans.walking import (IpttSpec, TwtSpec, WalkConfig, WalkingMachine,
                               parse_iptt, parse_twt)
 
-from reference_treegen import frontier_configs, frontier_get
+from reference_treegen import frontier_configs, frontier_get, paused_run
 
 
 class StepOnly(Machine):
@@ -33,10 +35,10 @@ class StepOnly(Machine):
         return self.machine.step(cfg)
 
 
-def outcome(machine, initial, fuel):
+def outcome(machine, initial, fuel, runner=run):
     """The run's result, or the type and message of the error it raised."""
     try:
-        return run(machine, initial, fuel)
+        return runner(machine, initial, fuel)
     except LamtransError as e:
         return type(e), str(e)
 
@@ -52,16 +54,17 @@ def full_run(make):
 
 
 def agree(make, initial, fuel):
-    """Run fresh machines from make() chained and step by step; return the
-    chained run's result."""
-    chained, stepped = make(), make()
+    """Run fresh machines from make() chained, step by step, and paused
+    without the memo; return the chained run's result."""
+    chained, stepped, paused = make(), make(), make()
     got = outcome(chained, initial(chained), fuel)
-    want = outcome(StepOnly(stepped), initial(stepped), fuel)
-    assert type(got) is type(want)
-    assert got == want
-    if isinstance(got, Stuck):
-        assert frontier_get(got.frontier, got.pos) == \
-            frontier_get(want.frontier, want.pos)
+    for want in (outcome(StepOnly(stepped), initial(stepped), fuel),
+                 outcome(paused, initial(paused), fuel, paused_run)):
+        assert type(got) is type(want)
+        assert got == want
+        if isinstance(got, Stuck):
+            assert frontier_get(got.frontier, got.pos) == \
+                frontier_get(want.frontier, want.pos)
     return got
 
 

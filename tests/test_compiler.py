@@ -12,8 +12,8 @@ from lamtrans.compiler import (SimMapper, WalkingCompiler, compile_to_iptt,
                                compile_to_twt, compile_walking)
 from lamtrans.gls import load_gls, make_type_constant, split_state_relabeling
 from lamtrans.walking import (ANY, WalkingMachine, check_reversible,
-                              parse_iptt, parse_twt, run_walking)
-from conftest import numeral, random_tree, unary
+                              parse_iptt, parse_twt)
+from conftest import numeral, random_tree, run_walking, unary
 from reference_treegen import frontier_configs, frontier_get, frontier_replace
 
 # Hand-derived first eight configurations of the compiled walking machine

@@ -1,8 +1,9 @@
 import pytest
 
 from lamtrans.core import LamtransError, parse_tree
-from lamtrans.iam import (ClassificationTooHigh, Config, IamMachine, TermInfo,
-                          mult_tape, pick_variant, run_iam)
+from lamtrans.iam import (ClassificationTooHigh, Config, IamMachine, LogEntry,
+                          StackEntry, TermInfo, mult_tape, pick_variant,
+                          run_iam)
 from lamtrans.treegen import FNode, Output
 from conftest import numeral, unary
 
@@ -162,3 +163,18 @@ def test_a_position_is_a_number_of_the_term(count):
     for pos in (-1, size, (), True):
         with pytest.raises(LamtransError, match="no position"):
             m.step(Config("down", pos, ()))
+
+
+@pytest.mark.parametrize("entry", [LogEntry, StackEntry])
+def test_a_log_entry_hashes_once(entry):
+    # the memo of an unpaused run hashes configurations as their logs grow,
+    # so each entry is hashed when it is new and its log was hashed before;
+    # a hash that walked the whole nest would pass the recursion limit here
+    n = 5_000
+    e = entry(0, ())
+    for i in range(1, n):
+        hash(e)
+        last, e = e, entry(i, (e,))
+    assert hash(e) == hash((n - 1, (last,)))
+    copy = entry(n - 1, (last,))
+    assert copy == e and hash(copy) == hash(e)

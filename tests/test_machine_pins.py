@@ -15,9 +15,9 @@ from lamtrans.iam import (Config, IamMachine, LogEntry, StackEntry, TermInfo,
                           run_iam)
 from lamtrans.treegen import (Diverged, FNode, frontier_to_str, run,
                               trace_lines)
-from lamtrans.walking import WalkConfig, run_walking
+from lamtrans.walking import WalkConfig
 
-from conftest import numeral, random_tree, unary
+from conftest import numeral, random_tree, run_walking, unary
 
 COUNT = corpus_path("count.lt")
 SEQNAT = corpus_path("seq-nat.lt")

@@ -9,7 +9,7 @@ from lamtrans.treegen import (Diverged, FNode, Machine, Output, Stuck,
                               frontier_to_str, run, trace, trace_lines)
 from reference_treegen import (frontier_configs, frontier_get,
                                frontier_replace, frontier_to_tree,
-                               reference_trace)
+                               paused_run, reference_trace)
 
 
 class Countdown(Machine):
@@ -209,21 +209,102 @@ class RandomMachine(Machine):
         return FNode(f"n{len(kids)}", tuple(kids))
 
 
+def is_subsequence(xs, ys):
+    rest = iter(ys)
+    return all(any(x == y for y in rest) for x in xs)
+
+
 def test_run_matches_reference_run():
-    kinds = set()
+    kinds, fewer = set(), 0
     for seed in range(300):
         rng = random.Random(seed)
         initial = ((4, seed) if seed % 2 else
                    RandomMachine.tree(rng, 4, 0))
         fuel = rng.randrange(60)
-        ours, ref = RandomMachine(seed), RandomMachine(seed)
+        ours, paused, ref = (RandomMachine(seed) for _ in range(3))
         got = run(ours, initial, fuel)
         want = reference_run(ref, initial, fuel)
-        assert ours.calls == ref.calls, seed
         assert type(got) is type(want), seed
         assert got == want, seed
+        # a paused run steps every configuration, as the reference does
+        assert paused_run(paused, initial, fuel) == want, seed
+        assert paused.calls == ref.calls, seed
+        # run steps a repeated chain once: it leaves out whole chains
+        assert set(ours.calls) == set(ref.calls), seed
+        assert is_subsequence(ours.calls, ref.calls), seed
+        fewer += len(ours.calls) < len(ref.calls)
         kinds.add(type(got))
     assert kinds == {Output, Stuck, Diverged}
+    assert fewer > 0
+
+
+class Doubling(Machine):
+    """Toy machine: configuration h unfolds to a(h-1,h-1), and 0 to a leaf,
+    so the output from h is the complete binary tree of height h, built
+    from h+1 distinct configurations.  Counts its step calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def step(self, h):
+        self.calls += 1
+        return FNode("c") if h == 0 else FNode("a", (h - 1, h - 1))
+
+
+def test_run_steps_each_configuration_once():
+    h = 12
+    m = Doubling()
+    res = run(m, h)
+    assert m.calls == h + 1
+    assert res.steps == 2 ** (h + 1) - 1
+    t = "c"
+    for _ in range(h):
+        t = f"a({t},{t})"
+    assert res.tree.to_str() == t
+
+
+def test_run_memoizes_only_where_the_frontier_branches():
+    hashed = []
+
+    class Cfg:
+        """A configuration that records each time it is hashed."""
+
+        def __init__(self, n):
+            self.n = n
+
+        def __hash__(self):
+            hashed.append(self.n)
+            return hash(self.n)
+
+        def __eq__(self, other):
+            return self.n == other.n
+
+    class Unary(Machine):
+        def step(self, c):
+            return FNode("S", (Cfg(c.n - 1),)) if c.n else FNode("0")
+
+    class Binary(Machine):
+        def step(self, c):
+            return (FNode("a", (Cfg(c.n - 1), Cfg(c.n - 1))) if c.n
+                    else FNode("c"))
+
+    assert run(Unary(), Cfg(50)).steps == 51
+    assert hashed == []
+    assert run(Binary(), Cfg(5)).steps == 63
+    assert hashed
+
+
+def test_run_matches_the_paused_run_at_every_fuel():
+    h = 6
+    steps = 2 ** (h + 1) - 1
+    kinds = set()
+    for fuel in range(steps + 2):
+        got = run(Doubling(), h, fuel)
+        want = paused_run(Doubling(), h, fuel)
+        assert type(got) is type(want), fuel
+        assert got == want, fuel
+        kinds.add(type(got))
+    assert kinds == {Output, Diverged}
 
 
 def test_trace_records():

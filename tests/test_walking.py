@@ -11,9 +11,8 @@ from lamtrans.walking import (ANY, PUT, REMOVE, STAY, TO_CHILD, TO_PARENT,
                               IpttSpec, NotReversible, WalkConfig,
                               WalkingMachine, check_reversible,
                               image_map_leaves, image_to_str, parse_iptt,
-                              parse_twt, predecessor, quote_state,
-                              run_walking)
-from conftest import numeral, unary
+                              parse_twt, predecessor, quote_state)
+from conftest import numeral, run_walking, unary
 from reference_treegen import frontier_configs, frontier_get
 
 
