@@ -23,19 +23,14 @@ never drops a pebble."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
-from .core import LamtransError, term_to_str
+from .core import term_to_str
 from .iam import (LET, VARIANT_MAX_TIER, ClassificationTooHigh, Config,
                   IamMachine, StackEntry, mult_tape)
 from .typecheck import TIER_NAMES
-from .walking import (ANY, IpttSpec, TwtSpec, WalkConfig, image_leaves,
+from .walking import (ANY, IpttSpec, TwtSpec, image_leaves,
                       image_map_leaves)
-
-
-class UnreachableShape(LamtransError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -316,69 +311,3 @@ def compile_to_twt(spec):
 def compile_to_iptt(spec):
     return compile_walking(spec, "iptt")
 
-
-# ---------------------------------------------------------------------------
-# The simulation map: token configurations over the instantiated program
-# mapped onto walking configurations over the input tree
-
-class SimMapper:
-    """Maps configurations of the token machine over the instantiated
-    program (whose TermInfo is `info`) to configurations of the compiled
-    walking machine `machine` over the input."""
-
-    def __init__(self, compiler, machine, info):
-        self.c = compiler
-        self.nodes = nodes = machine.nodes
-        # each input node's block root in out applied to the input: the
-        # argument (1,) for the root, and for child i of a rank-k node,
-        # k - i function steps then the argument step from its parent's;
-        # a parent's number is below its children's
-        rank, down = machine.spec.input.rank, info.down
-        roots = [down[0][1][1]]
-        for _, parent, _, back, *_ in nodes[1:]:
-            pos = roots[parent]
-            for _ in range(rank(nodes[parent][4]) - back[1]):
-                pos = down[pos][1][0]
-            roots.append(down[pos][1][1])
-        # a block numbers its placeholders after all its other positions,
-        # which run from its root on as in its local term; so the blocks
-        # tile the program from the root block on, and a position lies in
-        # the block of the last root not after it
-        self.starts = sorted(roots)
-        self.node_at = {pos: node for node, pos in enumerate(roots)}
-
-    def map(self, cfg):
-        """The configuration of the walking machine that a token
-        configuration stands for."""
-        b, nodes, pos, node = self.c.blocks, self.nodes, cfg.pos, 0
-        if pos == 0:
-            if cfg.direction == "down" and not mult_tape(cfg.tape):
-                return WalkConfig("I", "self", 0)
-            raise UnreachableShape("focus on the whole program going up")
-        if pos < self.starts[0]:
-            block = b.u     # the out-term, numbered as in its local term
-        else:
-            start = self.starts[bisect_right(self.starts, pos) - 1]
-            node = self.node_at[start]
-            block, pos = b.t[nodes[node][4]], pos - start
-            if pos == 0 and cfg.direction == "down":
-                # entering a node: its parent's block's placeholder
-                _, parent, _, back, *_ = nodes[node]
-                if parent is None:
-                    block, back = b.u, "self"
-                else:
-                    block, node = b.t[nodes[parent][4]], parent
-                pos = block.ph[back]
-        loc = self.c._local_state(
-            block, Config(cfg.direction, pos, cfg.tape, cfg.log, cfg.flag),
-            node == 0)
-        if loc is None:
-            raise UnreachableShape(f"no walking state for {cfg}")
-        state, move = loc
-        name = self.c.name(state)
-        _, parent, first, back, *_ = nodes[node]
-        if move == "stay":
-            return WalkConfig(name, "self", node)
-        if move == "to-parent":
-            return WalkConfig(name, back, parent)
-        return WalkConfig(name, "from-parent", first + move[1] - 1)

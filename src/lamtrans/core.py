@@ -30,10 +30,11 @@ class TooDeep(LamtransError):
 
 def too_deep(t, doing):
     """The TooDeep error for a pass (`doing`, a verb) that ran out of
-    Python's recursion limit on t."""
-    return TooDeep(f"term of depth {term_depth(t)} nests too deeply to "
-                   f"{doing} within Python's recursion limit of "
-                   f"{sys.getrecursionlimit()}")
+    Python's recursion limit on t: a term, or the word for text that does
+    not parse into one yet."""
+    what = t if isinstance(t, str) else f"term of depth {term_depth(t)}"
+    return TooDeep(f"{what} nests too deeply to {doing} within Python's "
+                   f"recursion limit of {sys.getrecursionlimit()}")
 
 
 # ---------------------------------------------------------------------------
@@ -340,20 +341,6 @@ def term_depth(t):
     return depth
 
 
-def free_vars(t, bound=None):
-    bound = bound or frozenset()
-    if isinstance(t, Var):
-        return set() if t.name in bound else {t.name}
-    if isinstance(t, Lam):
-        return free_vars(t.body, bound | {t.var})
-    if isinstance(t, Let):
-        return free_vars(t.bound, bound) | free_vars(t.body, bound | {t.var})
-    out = set()
-    for c in children(t):
-        out |= free_vars(c, bound)
-    return out
-
-
 def fresh_name(base, avoid):
     if base not in avoid:
         return base
@@ -536,9 +523,13 @@ def parse_term(text, alphabet=None, extra_consts=(), at=(1, 1)):
     alphabet (or extra_consts) become constants; bound names become
     variables; anything else is a free variable if no alphabet is given,
     an error otherwise.  Syntax errors give their (line, column) counted
-    from `at`, the position of the text's first character."""
+    from `at`, the position of the text's first character; a term nested
+    past Python's recursion limit raises TooDeep."""
     p = _TermParser(_tokenize(text, *at), alphabet, extra_consts)
-    t = p.term(frozenset())
+    try:
+        t = p.term(frozenset())
+    except RecursionError:
+        raise too_deep("term", "parse") from None
     if p.i != len(p.toks):
         p.err("trailing input after term")
     return t

@@ -284,7 +284,7 @@ class LocalBlocks:
 
 
 class IamMachine(Machine):
-    def __init__(self, info, variant="pa"):
+    def __init__(self, info, variant):
         if variant not in VARIANT_MAX_TIER:
             raise LamtransError(f"unknown machine variant {variant!r}")
         self.info = info

@@ -27,7 +27,7 @@ application wait on a stack and are evaluated only when used, so only the
 redexes the normal form needs are contracted, and neither evaluation nor
 read-back recurses on the depth of an application spine.  A let's bound
 is evaluated by a nested call, so bounds nested past Python's recursion
-limit raise `TooDeep`, a LamtransError.
+limit raise `core.TooDeep`, a LamtransError.
 
 Fuel counts contractions: each closure application and each let of a box
 costs one unit, and `normalize` raises `OutOfFuel` unless the normal form
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from .core import (App, Box, Const, Lam, LamtransError, Let, Var,
                    fresh_name, too_deep)
-from .core import TooDeep  # noqa: F401  (normalize raises it)
 
 
 class OutOfFuel(LamtransError):

@@ -51,10 +51,13 @@ def type_to_str(A, level=0):
 
 
 def parse_type(text, at=(1, 1)):
-    """Parse a type; syntax errors count their position from `at`, as in
-    parse_term."""
+    """Parse a type; syntax errors count their position from `at`, and a
+    type nested too deeply raises TooDeep, as in parse_term."""
     toks = _tokenize(text, *at)
-    A, i = _parse_arrow(toks, 0)
+    try:
+        A, i = _parse_arrow(toks, 0)
+    except RecursionError:
+        raise too_deep("type", "parse") from None
     if i != len(toks):
         raise SyntaxErr(f"trailing input after type: {toks[i][0]!r}",
                         toks[i][1], toks[i][2])

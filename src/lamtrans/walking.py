@@ -73,8 +73,6 @@ class WalkingSpec:
     is ANY -- every one in a TWT -- is replaced by its plan."""
 
     def __post_init__(self):
-        if ANY in self.colors:
-            raise SpecError(f"{self.name}: {ANY!r} is not a color name")
         self.plans = plans = {}
         for key, is_root, z, img in self.transitions():
             a, q, p = key[:3]
@@ -644,10 +642,21 @@ def _iptt_delta_line(rest, got, at):
 
 
 def _colors_line(rest, got, at):
+    """`colors { a, b, c }`: the colors, each one word that a `pebble` key
+    and a `put` move can name, and none of them the file's words for no
+    pebble (NONE) and any pebble (*)."""
     body = rest.strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise SyntaxErr("expected colors { a, b, c }")
-    return [c.strip() for c in body[1:-1].split(",") if c.strip()]
+    colors = [c.strip() for c in body[1:-1].split(",") if c.strip()]
+    for i, c in enumerate(colors):
+        if _wtokenize(c) != [("word", c)]:
+            raise SyntaxErr(f"color {c!r} is not one word")
+        if c in ("NONE", ANY):
+            raise SyntaxErr(f"{c!r} is not a color name")
+        if c in colors[:i]:
+            raise SyntaxErr(f"duplicate color {c!r}")
+    return colors
 
 
 def _parse_walking(text, name, handlers, tables):

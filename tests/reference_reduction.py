@@ -9,8 +9,9 @@ for the term helpers, `lamtrans.core`; only its imports changed."""
 from __future__ import annotations
 
 from lamtrans.core import (App, Box, Lam, LamtransError, Let, Var, children,
-                           free_vars, fresh_name, with_children)
+                           fresh_name, with_children)
 from lamtrans.reduction import OutOfFuel
+from reference_terms import free_vars
 
 
 def subterm_at(t, pos):

@@ -1,13 +1,13 @@
-"""Term helpers that only the tests use: alpha-equivalence, positions and
-size of a term, linearity of a typed term, random closed normal terms of
-purely affine types, the identity transducer and eta-reduction.  The code
-is kept as it was in `lamtrans.core`, `lamtrans.gls`, `lamtrans.transducer`
+"""Term helpers that only the tests use: alpha-equivalence, positions,
+size and free variables of a term, linearity of a typed term, random closed
+normal terms of purely affine types, the identity transducer and
+eta-reduction.  The code is kept as it was in `lamtrans.core`, `lamtrans.gls`, `lamtrans.transducer`
 and `lamtrans.reduction`; only its imports changed."""
 
 from __future__ import annotations
 
 from lamtrans.core import (App, Box, Const, Lam, Let, Var, children,
-                           free_vars, with_children)
+                           with_children)
 from lamtrans.gls import NoNullaryOutputLetter, arg_types
 from lamtrans.transducer import LambdaTransducerSpec
 from lamtrans.typecheck import Arrow, O
@@ -23,6 +23,20 @@ def positions(t):
 
 def term_size(t):
     return 1 + sum(term_size(c) for c in children(t))
+
+
+def free_vars(t, bound=None):
+    bound = bound or frozenset()
+    if isinstance(t, Var):
+        return set() if t.name in bound else {t.name}
+    if isinstance(t, Lam):
+        return free_vars(t.body, bound | {t.var})
+    if isinstance(t, Let):
+        return free_vars(t.bound, bound) | free_vars(t.body, bound | {t.var})
+    out = set()
+    for c in children(t):
+        out |= free_vars(c, bound)
+    return out
 
 
 def alpha_eq(t, u):

@@ -1,18 +1,20 @@
 import hashlib
 import random
+from bisect import bisect_right
 
 import pytest
 
 from lamtrans import corpus_path
-from lamtrans.core import parse_tree
-from lamtrans.iam import IamMachine, TermInfo, pick_variant, run_iam
+from lamtrans.core import LamtransError, parse_tree
+from lamtrans.iam import (Config, IamMachine, TermInfo, mult_tape,
+                          pick_variant, run_iam)
 from lamtrans.transducer import parse_transducer
 from lamtrans.treegen import FNode, Output
-from lamtrans.compiler import (SimMapper, WalkingCompiler, compile_to_iptt,
+from lamtrans.compiler import (WalkingCompiler, compile_to_iptt,
                                compile_to_twt, compile_walking)
 from lamtrans.gls import load_gls, make_type_constant, split_state_relabeling
-from lamtrans.walking import (ANY, WalkingMachine, check_reversible,
-                              parse_iptt, parse_twt)
+from lamtrans.walking import (ANY, WalkConfig, WalkingMachine,
+                              check_reversible, parse_iptt, parse_twt)
 from conftest import numeral, random_tree, run_walking, unary
 from reference_treegen import frontier_configs, frontier_get, frontier_replace
 
@@ -47,6 +49,77 @@ def map_leaves(f, fn):
     if isinstance(f, FNode):
         return FNode(f.label, tuple(map_leaves(c, fn) for c in f.children))
     return fn(f)
+
+
+# ---------------------------------------------------------------------------
+# The simulation map: token configurations over the instantiated program
+# mapped onto walking configurations over the input tree
+
+class UnreachableShape(LamtransError):
+    pass
+
+
+class SimMapper:
+    """Maps configurations of the token machine over the instantiated
+    program (whose TermInfo is `info`) to configurations of the compiled
+    walking machine `machine` over the input."""
+
+    def __init__(self, compiler, machine, info):
+        self.c = compiler
+        self.nodes = nodes = machine.nodes
+        # each input node's block root in out applied to the input: the
+        # argument (1,) for the root, and for child i of a rank-k node,
+        # k - i function steps then the argument step from its parent's;
+        # a parent's number is below its children's
+        rank, down = machine.spec.input.rank, info.down
+        roots = [down[0][1][1]]
+        for _, parent, _, back, *_ in nodes[1:]:
+            pos = roots[parent]
+            for _ in range(rank(nodes[parent][4]) - back[1]):
+                pos = down[pos][1][0]
+            roots.append(down[pos][1][1])
+        # a block numbers its placeholders after all its other positions,
+        # which run from its root on as in its local term; so the blocks
+        # tile the program from the root block on, and a position lies in
+        # the block of the last root not after it
+        self.starts = sorted(roots)
+        self.node_at = {pos: node for node, pos in enumerate(roots)}
+
+    def map(self, cfg):
+        """The configuration of the walking machine that a token
+        configuration stands for."""
+        b, nodes, pos, node = self.c.blocks, self.nodes, cfg.pos, 0
+        if pos == 0:
+            if cfg.direction == "down" and not mult_tape(cfg.tape):
+                return WalkConfig("I", "self", 0)
+            raise UnreachableShape("focus on the whole program going up")
+        if pos < self.starts[0]:
+            block = b.u     # the out-term, numbered as in its local term
+        else:
+            start = self.starts[bisect_right(self.starts, pos) - 1]
+            node = self.node_at[start]
+            block, pos = b.t[nodes[node][4]], pos - start
+            if pos == 0 and cfg.direction == "down":
+                # entering a node: its parent's block's placeholder
+                _, parent, _, back, *_ = nodes[node]
+                if parent is None:
+                    block, back = b.u, "self"
+                else:
+                    block, node = b.t[nodes[parent][4]], parent
+                pos = block.ph[back]
+        loc = self.c._local_state(
+            block, Config(cfg.direction, pos, cfg.tape, cfg.log, cfg.flag),
+            node == 0)
+        if loc is None:
+            raise UnreachableShape(f"no walking state for {cfg}")
+        state, move = loc
+        name = self.c.name(state)
+        _, parent, first, back, *_ = nodes[node]
+        if move == "stay":
+            return WalkConfig(name, "self", node)
+        if move == "to-parent":
+            return WalkConfig(name, back, parent)
+        return WalkConfig(name, "from-parent", first + move[1] - 1)
 
 
 def test_compiled_count_twt(count):
@@ -112,7 +185,6 @@ def test_compiled_seqnat_twt(seqnat):
 
 
 def test_twt_compiler_rejects_depth1(bin2bin):
-    from lamtrans.core import LamtransError
     with pytest.raises(LamtransError):
         compile_to_twt(bin2bin)
 

@@ -6,10 +6,10 @@ from hypothesis import given, strategies as st
 
 from lamtrans.core import (App, Box, Const, Lam, Let, NotAnEncoding,
                            RankedAlphabet, SyntaxErr, Tree, Var, decode_tree,
-                           encode_tree, free_vars, instantiate, parse_term,
-                           parse_tree, term_to_str)
+                           encode_tree, instantiate, parse_term, parse_tree,
+                           term_to_str)
 from reference_reduction import replace_at, substitute, subterm_at
-from reference_terms import alpha_eq, positions, term_size
+from reference_terms import alpha_eq, free_vars, positions, term_size
 
 SIGMA = RankedAlphabet.of({"a": 2, "b": 1, "c": 0})
 

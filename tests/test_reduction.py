@@ -6,10 +6,11 @@ import lamtrans.gls
 import lamtrans.transducer
 from lamtrans import corpus_path
 from lamtrans.cli import gen_tree
-from lamtrans.core import (App, Box, Const, Lam, Let, RankedAlphabet, Var,
-                           children, decode_tree, parse_term, parse_tree)
+from lamtrans.core import (App, Box, Const, Lam, Let, RankedAlphabet,
+                           TooDeep, Var, children, decode_tree, parse_term,
+                           parse_tree)
 from lamtrans.gls import load_gls, make_type_constant, split_state_relabeling
-from lamtrans.reduction import OutOfFuel, TooDeep, normalize
+from lamtrans.reduction import OutOfFuel, normalize
 from lamtrans.transducer import compose, load_transducer
 from lamtrans.typecheck import Arrow, O, typecheck
 from conftest import numeral, unary

@@ -2,6 +2,7 @@
 'name:lineno: ...', a missing required line as 'name: missing ...'."""
 
 import re
+import sys
 
 import pytest
 
@@ -84,12 +85,23 @@ def test_spec_file_errors(fname, parse, required):
     (parse_twt, "state r init whatever",
      "trailing input after state line: 'whatever'"),
     (parse_twt, "state q", "duplicate state 'q'"),
+    (parse_iptt, "colors { z, z }", "duplicate color 'z'"),
+    (parse_iptt, "colors { a b }", "color 'a b' is not one word"),
+    (parse_iptt, "colors { NONE }", "'NONE' is not a color name"),
+    (parse_iptt, "colors { * }", "'*' is not a color name"),
 ], ids=["from-child-x", "to-child-y", "after-leaf", "after-node",
-        "after-init", "state-twice"])
+        "after-init", "state-twice", "color-twice", "color-two-words",
+        "color-none", "color-any"])
 def test_walking_spec_lines_are_read_to_their_end(parse, line, message):
     text = f"input {{ a:1, e:0 }}\noutput {{ S:1, 0:0 }}\nstate q init\n{line}"
     with pytest.raises(SpecError, match=f"^x:4: {re.escape(message)}$"):
         parse(text, name="x")
+
+
+# nesting past Python's recursion limit, and its refusal
+DEEP = 2000
+TOO_DEEP = (" nests too deeply to parse within Python's recursion limit of "
+            f"{sys.getrecursionlimit()}")
 
 
 @pytest.mark.parametrize("fname, parse, old, new, message", [
@@ -103,7 +115,18 @@ def test_walking_spec_lines_are_read_to_their_end(parse, line, message):
      "11: rule for unknown letter 'd'"),
     ("mirror.gls", parse_gls, "state qo : o -o o", "state qo : o o",
      "7: trailing input after type: 'o' (line 7, column 14)"),
-], ids=["term", "memory-type", "out-term", "gls-letter", "state-type"])
+    ("count.lt", parse_transducer, r"rule b = \f. \x. S (f x)",
+     r"rule b = \f. \x. S (f " + "(" * DEEP + "x" + ")" * DEEP + ")",
+     "7: term" + TOO_DEEP),
+    ("count.lt", parse_transducer, "memory o -o o",
+     "memory " + "o -o " * DEEP + "o", "5: type" + TOO_DEEP),
+    ("count.lt", parse_transducer, "memory o -o o",
+     "memory " + "!" * DEEP + "o", "5: type" + TOO_DEEP),
+    ("mirror.gls", parse_gls, "state qo : o -o o",
+     "state qo : " + "o -o " * DEEP + "o", "7: type" + TOO_DEEP),
+], ids=["term", "memory-type", "out-term", "gls-letter", "state-type",
+        "deep-term", "deep-memory-arrows", "deep-memory-bangs",
+        "deep-state-type"])
 def test_term_and_type_errors_give_the_file_line_and_column(fname, parse, old,
                                                             new, message):
     with open(corpus_path(fname)) as f:
@@ -112,3 +135,4 @@ def test_term_and_type_errors_give_the_file_line_and_column(fname, parse, old,
     with pytest.raises(SpecError) as e:
         parse(text.replace(old, new), name=fname)
     assert str(e.value) == f"{fname}:{message}"
+
