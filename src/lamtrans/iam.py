@@ -44,7 +44,7 @@ VARIANT_MAX_TIER = {"pa": 0, "apa": 1, "d1": 2, "ss": 2}   # highest tier run
 # A log entry keeps its hash once computed: a log nests as deep as the
 # input is long, and an unpaused run hashes the configurations it memoizes
 # (treegen.drive), so a hash that walked the whole nest each time would
-# cost each memoized slot that depth.
+# cost each memoized chain that depth.
 
 @dataclass
 class LogEntry:
@@ -511,7 +511,6 @@ def run_iam(ann, variant="auto", fuel=10_000_000, check=False):
     paused = treegen.drive(machine, machine.initial(), fuel, True)
     try:
         while True:
-            _, kids, i, _ = next(paused)
-            machine.check_invariants(kids[i])
+            machine.check_invariants(next(paused)[0])
     except StopIteration as stop:
         return stop.value

@@ -16,30 +16,36 @@ stopped at, the steps taken).  The base class builds each from the other,
 so a machine that chains steps in local variables states its rules once,
 in `advance`, and gets `step` as a one-step `advance`.
 
-`drive` is the one run loop.  It keeps the frontier as mutable nodes with
-a stack of pending configuration slots, leaf to fire next on top, so the
-work it does around each machine step does not depend on the size of the
-frontier.  It always fires the leftmost configuration leaf, and it steps
-only through `advance`.  `run` drives a machine to its result, giving
-each pending slot the fuel left in one `advance` call.  `trace` and the
+`drive` is the one run loop.  It always fires the leftmost configuration
+leaf, steps only through `advance`, and builds each output node once, as
+its final `core.Tree`, in preorder.  It keeps two stacks: the pending
+items (configurations and FNodes still to be taken apart, the leftmost
+on top) and the open output nodes (label, arity and children built so
+far).  A leaf closes its parent once it is the last child, and so on up,
+so the work around each machine step does not depend on the size of the
+frontier.  `run` drives a machine to its result, giving each pending
+configuration the fuel left in one `advance` call.  `trace` and the
 invariant-checked token machine run (`iam.run_iam(check=True)`) are the
-same run, paused before each step, which is then a one-step `advance`:
-`trace` renders the whole frontier there with `frontier_to_str`, and the
-checked run checks the configuration about to be stepped.
+same run, paused before each step, which is then a one-step `advance`.
+A pause hands out the configuration about to be stepped and the two
+stacks; `frontier` rebuilds the FNode frontier and the position of that
+leaf from them only when asked.  `trace` asks at every pause and renders
+it with `frontier_to_str`; the checked run reads only the configuration.
+A Stuck or Diverged result gets its frontier the same way.
 
 The machines are deterministic: a configuration fixes the rest of its
-chain, so the FNode a slot's chain reaches, and the number of steps it
-takes, are a function of the slot's first configuration.  An unpaused run
-keeps them in a memo for the length of the run; a slot whose first
-configuration is in it gets the stored FNode and counts its steps without
-calling `advance`, when they fit in the fuel left.  A slot below another
-that starts the same way would repeat it forever, so in a run that ends
-only a slot to the right can reuse a chain: the memo stores a chain only
-while some slot to its right is pending, and a run whose frontier never
-branches hashes no configuration.  This needs configurations to be
-hashable values, with equal ones stepping alike, and a step to depend on
-nothing but its configuration.  Paused runs (`trace`, `check=True`) never
-use the memo and take every step."""
+chain, so the FNode a chain reaches, and the number of steps it takes,
+are a function of its first configuration.  An unpaused run keeps them
+in a memo for the length of the run; a pending configuration that is in
+it gets the stored FNode, pushed back as an item, and counts its steps
+without calling `advance`, when they fit in the fuel left.  A chain
+below another that starts the same way would repeat it forever, so in a
+run that ends only a chain to the right can reuse one: the memo stores a
+chain only while some item is pending to its right, and a run whose
+frontier never branches hashes no configuration.  This needs
+configurations to be hashable values, with equal ones stepping alike,
+and a step to depend on nothing but its configuration.  Paused runs
+(`trace`, `check=True`) never use the memo and take every step."""
 
 from __future__ import annotations
 
@@ -113,100 +119,89 @@ class Machine:
         return str(config)
 
 
-class _Node:
-    """A mutable output node of a running frontier."""
-    __slots__ = ("label", "kids")
-
-    def __init__(self, label, kids):
-        self.label = label
-        self.kids = kids
-
-
-def _graft(res, kids, i, pending):
-    """Put `res` into slot `kids[i]`, copying its FNodes into _Nodes, and
-    push the slots of its configuration leaves so that the leftmost ends
-    on top of `pending`."""
-    slots = []
-    todo = [(res, kids, i)]
-    while todo:
-        f, kids, i = todo.pop()
-        if isinstance(f, FNode):
-            cs = list(f.children)
-            kids[i] = _Node(f.label, cs)
-            todo.extend([(cs[j], cs, j) for j in range(len(cs) - 1, -1, -1)])
-        else:
-            kids[i] = f
-            slots.append((kids, i))
-    slots.reverse()
-    pending.extend(slots)
-
-
-def _freeze(top, make, slot=(None, None)):
-    """Copy the frontier held in `top[0]` bottom-up, building each node with
-    make(label, children) and keeping configuration leaves as they are.
-    Returns the copy and the position of the pending slot `slot`."""
-    kids, i = slot
-    if not isinstance(top[0], _Node):
-        return top[0], ()
-    pos = None
-    frames = [(top[0], [])]         # a node, and its children copied so far
+def _thaw(t):
+    """Copy the Tree `t` into FNodes."""
+    frames = [(t, [])]              # a node, and its children copied so far
     while True:
-        node, done = frames[-1]
-        if not done and node.kids is kids:
-            pos = tuple(len(d) for _, d in frames[:-1]) + (i,)
-        if len(done) < len(node.kids):
-            c = node.kids[len(done)]
-            if isinstance(c, _Node):
-                frames.append((c, []))
-            else:
-                done.append(c)
+        t, done = frames[-1]
+        if len(done) < len(t.children):
+            frames.append((t.children[len(done)], []))
             continue
         frames.pop()
-        built = make(node.label, tuple(done))
+        built = FNode(t.label, tuple(done))
         if not frames:
-            return built, pos
+            return built
         frames[-1][1].append(built)
+
+
+def frontier(config, opened, pending):
+    """The frontier of a paused or ended run, from its two stacks, with
+    `config` at the leftmost configuration leaf; and that leaf's position."""
+    pos, j = [], len(pending)
+    for label, arity, done in reversed(opened):
+        rest = arity - len(done) - 1     # the children right of the path
+        config = FNode(label, (*map(_thaw, done), config,
+                               *reversed(pending[j - rest:j])))
+        j -= rest
+        pos.append(len(done))
+    return config, tuple(reversed(pos))
 
 
 def drive(machine, initial, fuel, watch):
     """The run loop, as a generator that returns the run's Output, Stuck
     or Diverged.  Fires the leftmost configuration leaf, for at most `fuel`
     successful steps, each taken by `advance`.  Without `watch`, it never
-    pauses, hands each slot all the fuel left and reuses the chains in its
-    memo (see the module docstring).  With it, it pauses
-    before each step with (top, kids, i, n): the configuration about to be
-    stepped is in slot kids[i], the frontier in top[0], and n steps have
-    been taken; it then takes that one step with a budget of 1."""
+    pauses, hands each configuration all the fuel left and reuses the
+    chains in its memo (see the module docstring).  With it, it pauses
+    before each step with (config, n, opened, pending): the configuration
+    about to be stepped, the steps taken so far and the run's two stacks,
+    from which `frontier` rebuilds the frontier; it then takes that one
+    step with a budget of 1."""
     advance = machine.advance
-    top = [None]                    # the slot holding the whole frontier
-    pending = []
-    _graft(initial, top, 0, pending)
+    pending = [initial]     # configurations and FNodes, the leftmost on top
+    opened = []             # (label, arity, children built) of open nodes
     n = 0
-    memo = {}       # unpaused: a slot's first configuration -> (FNode, steps)
-    while pending:
-        kids, i = pending.pop()
-        start, n0 = kids[i], n
-        hit = memo.get(start) if memo else None
-        if hit is not None and n + hit[1] <= fuel:
-            res, n = hit[0], n + hit[1]
+    memo = {}       # unpaused: a chain's first configuration -> (FNode, steps)
+    while True:
+        item = pending.pop()
+        if item.__class__ is not FNode:
+            start, n0 = item, n
+            hit = memo.get(start) if memo else None
+            if hit is not None and n + hit[1] <= fuel:
+                res, n = hit[0], n + hit[1]
+            else:
+                res, k, budget = None, 0, 0
+                # a chain ends at an FNode, where it is stuck (fewer steps
+                # than the budget), or when the fuel is used up
+                while res is None and k == budget and n < fuel:
+                    if watch:
+                        yield item, n, opened, pending
+                    budget = 1 if watch else fuel - n
+                    res, item, k = advance(item, budget)
+                    n += k
+                if res is None:
+                    if n < fuel:
+                        return Stuck(*frontier(item, opened, pending), n)
+                    return Diverged(frontier(item, opened, pending)[0], n)
+                if pending and not watch:
+                    memo[start] = res, n - n0
+            item = res
+        cs = item.children
+        if cs:
+            opened.append((item.label, len(cs), []))
+            pending.extend(reversed(cs))
+            continue
+        # a leaf: close it, and each node whose last child it completes
+        node = Tree(item.label)
+        while opened:
+            label, arity, done = opened[-1]
+            done.append(node)
+            if len(done) < arity:
+                break
+            opened.pop()
+            node = Tree(label, tuple(done))
         else:
-            res, k, budget = None, 0, 0
-            # a slot is done at an FNode, where it is stuck (fewer steps
-            # than the budget), or when the fuel is used up
-            while res is None and k == budget and n < fuel:
-                if watch:
-                    yield top, kids, i, n
-                budget = 1 if watch else fuel - n
-                res, kids[i], k = advance(kids[i], budget)
-                n += k
-            if res is None:
-                if n < fuel:
-                    return Stuck(*_freeze(top, FNode, (kids, i)), n)
-                return Diverged(_freeze(top, FNode)[0], n)
-            if pending and not watch:
-                memo[start] = res, n - n0
-        _graft(res, kids, i, pending)
-    return Output(_freeze(top, Tree)[0], n)
+            return Output(node, n)
 
 
 def run(machine, initial, fuel=10_000_000):
@@ -226,12 +221,12 @@ def trace(machine, initial, fuel=10_000_000):
     paused = drive(machine, initial, fuel, True)
     while True:
         try:
-            top, kids, i, n = next(paused)
+            config, n, opened, pending = next(paused)
         except StopIteration as stop:
             res = stop.value
             break
-        frontier, pos = _freeze(top, FNode, (kids, i))
-        yield {"step": n, "frontier": frontier_to_str(frontier, render),
+        f, pos = frontier(config, opened, pending)
+        yield {"step": n, "frontier": frontier_to_str(f, render),
                "fired": list(pos)}
     if isinstance(res, Output):
         yield {"step": res.steps, "frontier": res.tree.to_str(),

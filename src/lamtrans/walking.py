@@ -648,8 +648,11 @@ def _colors_line(rest, got, at):
     body = rest.strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise SyntaxErr("expected colors { a, b, c }")
-    colors = [c.strip() for c in body[1:-1].split(",") if c.strip()]
+    body = body[1:-1].strip()
+    colors = [c.strip() for c in body.split(",")] if body else []
     for i, c in enumerate(colors):
+        if not c:
+            raise SyntaxErr("empty entry in colors list")
         if _wtokenize(c) != [("word", c)]:
             raise SyntaxErr(f"color {c!r} is not one word")
         if c in ("NONE", ANY):

@@ -1,14 +1,14 @@
 """Chained runs against step-at-a-time runs.
 
-`treegen.run` hands each pending slot to the machine's `advance`, which the
-token and walking machines implement as one loop over local variables.
-`StepOnly` exposes only a machine's `step`, so its runs go through the
-base-class `advance`, one `step` call at a time.  Both runs keep
-`treegen.run`'s per-run memo of chains; a third run, paused before each
-step as `trace` runs it, takes every step and reads no memo.  On the
-corpus and on seeded random inputs, and for fuels around and below the
-full step count, the three runs must return the same Output, Stuck or
-Diverged: the same output or frontier, stuck position and step count."""
+`treegen.run` hands each pending configuration to the machine's `advance`,
+which the token and walking machines implement as one loop over local
+variables.  `StepOnly` exposes only a machine's `step`, so its runs go
+through the base-class `advance`, one `step` call at a time.  Both runs
+keep `treegen.run`'s per-run memo of chains; a third run, paused before
+each step as `trace` runs it, takes every step and reads no memo.  On the
+corpus and on seeded random inputs, and for fuels around and below the full
+step count, the three runs must return the same Output, Stuck or Diverged:
+the same output or frontier, stuck position and step count."""
 
 import random
 

@@ -13,9 +13,9 @@ from lamtrans.compiler import compile_to_iptt, compile_to_twt
 from lamtrans.core import Tree, parse_tree
 from lamtrans.iam import (Config, IamMachine, LogEntry, StackEntry, TermInfo,
                           run_iam)
-from lamtrans.treegen import (Diverged, FNode, frontier_to_str, run,
-                              trace_lines)
-from lamtrans.walking import WalkConfig
+from lamtrans.treegen import (Diverged, FNode, Machine, Output,
+                              frontier_to_str, run, trace_lines)
+from lamtrans.walking import WalkConfig, WalkingMachine
 
 from conftest import numeral, random_tree, run_walking, unary
 
@@ -84,6 +84,50 @@ def test_steps_and_output_are_pinned(specs, name, backend, text, steps,
         res = run_iam(spec.program_ann(tau), backend)
     assert res.steps == steps
     assert res.tree.to_str() == output
+
+
+class CountingAdvance(Machine):
+    """A machine that counts the calls of the wrapped machine's advance."""
+
+    def __init__(self, machine):
+        self.machine = machine
+        self.calls = 0
+
+    def advance(self, cfg, budget):
+        self.calls += 1
+        return self.machine.advance(cfg, budget)
+
+
+# (spec, backends, input, advance calls of each backend's run): the jobs of
+# the bench's wide-output workload and of deep-input, with TREE200 for its
+# seeded random tree.  `run` calls advance once per chain it does not find
+# in its memo, so these count the chains a run steps.
+ADVANCES = [
+    ("bin2bin", ("ss", "d1", "iptt"), numeral(5), 11),
+    ("bin2bin", ("ss", "d1", "iptt"), numeral(6), 13),
+    ("bin2bin", ("ss", "d1", "iptt"), numeral(7), 15),
+    ("count", ("pa", "twt", "iptt"), CHAIN, 152),
+    ("count", ("pa", "twt", "iptt"), TREE200, 129),
+    ("seq-nat", ("apa", "twt", "iptt"), unary(22), 67),
+]
+
+
+@pytest.mark.parametrize("name,backends,text,calls", ADVANCES,
+                         ids=[f"{a[0]}-{i}" for i, a in enumerate(ADVANCES)])
+def test_advance_calls_are_pinned(specs, name, backends, text, calls):
+    spec = specs[name]
+    tau = parse_tree(text, spec.input)
+    for backend in backends:
+        if backend in ("twt", "iptt"):
+            compiled = (compile_to_twt if backend == "twt"
+                        else compile_to_iptt)(spec)
+            machine = WalkingMachine(compiled, tau)
+        else:
+            machine = IamMachine(TermInfo(spec.program_ann(tau)), backend)
+        counted = CountingAdvance(machine)
+        res = run(counted, machine.initial())
+        assert isinstance(res, Output), backend
+        assert counted.calls == calls, backend
 
 
 def test_a_450_deep_chain_runs_checked_and_compiled(count):

@@ -89,13 +89,31 @@ def test_spec_file_errors(fname, parse, required):
     (parse_iptt, "colors { a b }", "color 'a b' is not one word"),
     (parse_iptt, "colors { NONE }", "'NONE' is not a color name"),
     (parse_iptt, "colors { * }", "'*' is not a color name"),
+    (parse_iptt, "colors { z,, y }", "empty entry in colors list"),
+    (parse_iptt, "colors { z, y, }", "empty entry in colors list"),
+    (parse_iptt, "colors { , z }", "empty entry in colors list"),
+    (parse_iptt, "colors { , }", "empty entry in colors list"),
 ], ids=["from-child-x", "to-child-y", "after-leaf", "after-node",
         "after-init", "state-twice", "color-twice", "color-two-words",
-        "color-none", "color-any"])
+        "color-none", "color-any", "color-empty", "color-trailing-comma",
+        "color-leading-comma", "color-comma-only"])
 def test_walking_spec_lines_are_read_to_their_end(parse, line, message):
     text = f"input {{ a:1, e:0 }}\noutput {{ S:1, 0:0 }}\nstate q init\n{line}"
     with pytest.raises(SpecError, match=f"^x:4: {re.escape(message)}$"):
         parse(text, name="x")
+
+
+@pytest.mark.parametrize("line, colors", [
+    ("colors { }", []), ("colors {}", []), ("colors { z }", ["z"]),
+    ("colors { a, b, c }", ["a", "b", "c"]), ("colors {z,y}", ["z", "y"]),
+])
+def test_walking_colors_lines_that_load(line, colors):
+    text = f"input {{ a:1, e:0 }}\noutput {{ S:1, 0:0 }}\nstate q init\n{line}"
+    assert parse_iptt(text, name="x").colors == colors
+
+
+def test_corpus_iptt_colors_load_unchanged(bin2unary):
+    assert bin2unary.colors == ["a", "b", "c"]
 
 
 # nesting past Python's recursion limit, and its refusal

@@ -1,15 +1,24 @@
 import itertools
 import json
+import os
 import random
 
 import pytest
 
-from lamtrans.iam import Config
+from lamtrans import corpus_path
+from lamtrans.cli import gen_tree, load_spec
+from lamtrans.compiler import TARGET_VARIANT, compile_walking
+from lamtrans.core import Node, Tree
+from lamtrans.gls import make_type_constant, split_state_relabeling
+from lamtrans.iam import VARIANT_MAX_TIER, Config, IamMachine, TermInfo
 from lamtrans.treegen import (Diverged, FNode, Machine, Output, Stuck,
                               frontier_to_str, run, trace, trace_lines)
+from lamtrans.walking import WalkingMachine
 from reference_treegen import (frontier_configs, frontier_get,
                                frontier_replace, frontier_to_tree,
                                paused_run, reference_trace)
+
+CORPUS_DIR = os.path.dirname(corpus_path("count.lt"))
 
 
 class Countdown(Machine):
@@ -349,3 +358,84 @@ def test_trace_streams():
     recs = list(itertools.islice(trace(Loop(), 0), 3))
     assert recs == [{"step": n, "frontier": f"[{n}]", "fired": []}
                     for n in range(3)]
+
+
+def trees_only(t):
+    """Whether t and all its nodes are core.Tree nodes."""
+    todo = [t]
+    while todo:
+        t = todo.pop()
+        if t.__class__ is not Tree:
+            return False
+        todo.extend(t.children)
+    return True
+
+
+def frontier_only(f):
+    """Whether f is made of FNodes and configurations, with no Tree."""
+    todo = [f]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, Node) and f.__class__ is not FNode:
+            return False
+        if f.__class__ is FNode:
+            todo.extend(f.children)
+    return True
+
+
+def check_shape(res):
+    if isinstance(res, Output):
+        assert trees_only(res.tree)
+    else:
+        assert frontier_only(res.frontier)
+
+
+def test_results_are_trees_or_frontiers_on_random_machines():
+    kinds = set()
+    for seed in range(300):
+        rng = random.Random(seed)
+        initial = ((4, seed) if seed % 2 else
+                   RandomMachine.tree(rng, 4, 0))
+        res = run(RandomMachine(seed), initial, rng.randrange(60))
+        check_shape(res)
+        kinds.add(type(res))
+    assert kinds == {Output, Stuck, Diverged}
+
+
+def corpus_machines(path):
+    """For each backend that runs the corpus spec at `path` through
+    treegen, a function from an input tree to its machine."""
+    kind, spec = load_spec(path)
+    if kind in ("twt", "iptt"):
+        return spec, [lambda tau: WalkingMachine(spec, tau)]
+    if kind == "gls":
+        spec = split_state_relabeling(make_type_constant(spec))[1]
+    makes = [lambda tau, v=v: IamMachine(TermInfo(spec.program_ann(tau)), v)
+             for v, tier in VARIANT_MAX_TIER.items() if spec.tier <= tier]
+    makes += [lambda tau, t=t: WalkingMachine(compile_walking(spec, t), tau)
+              for t, v in TARGET_VARIANT.items()
+              if spec.tier <= VARIANT_MAX_TIER[v]]
+    return spec, makes
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(CORPUS_DIR)))
+def test_results_are_trees_or_frontiers_on_the_corpus(name):
+    spec, makes = corpus_machines(os.path.join(CORPUS_DIR, name))
+    tau = gen_tree(random.Random(name), spec.input, 4)
+    for make in makes:
+        m = make(tau)
+        res = run(m, m.initial())
+        assert isinstance(res, Output)
+        check_shape(res)
+        # the same run with half the fuel it needs
+        m = make(tau)
+        res = run(m, m.initial(), res.steps // 2)
+        assert isinstance(res, Diverged)
+        check_shape(res)
+
+
+def test_trace_matches_reference_trace_at_every_fuel():
+    h = 6
+    for fuel in range(2 ** (h + 1) + 1):
+        assert list(trace(Doubling(), h, fuel)) == \
+            list(reference_trace(Doubling(), h, fuel)), fuel
