@@ -223,7 +223,7 @@ class WalkingCompiler:
             return False
         ptag, role, parent, _ = up
         return ptag == LET and role == 0 \
-            and not block.info.bound_is_base(parent)
+            and not block.info.bound_is_base(cfg.pos + parent)
 
     def _returns(self, block, cfg, is_root):
         """The focus sits on a shared bound term going up: the visible
@@ -231,7 +231,7 @@ class WalkingCompiler:
         entries it had folded under it).  Yields (color, image) pairs."""
         if cfg.flag != 0:
             return
-        binder = block.info.up[cfg.pos][2]
+        binder = cfg.pos + block.info.up[cfg.pos][2]
         for z, (kind, path, n) in self.colors.items():
             occ = block.occ.get(path) if kind == block.kind else None
             if occ is None or block.info.occ_binder[occ] != binder:

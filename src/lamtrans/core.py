@@ -305,28 +305,74 @@ def with_children(t, cs):
     return t
 
 
+class Shared:
+    """The parts of a term that a spec puts at many places by identity,
+    each relative to the term's root, so that a pass over a term that
+    holds it copies them instead of walking it again: `numbering`, its
+    number_term lists (but for the term itself, which its nodes list
+    would otherwise hold in a cycle), set the first time a term that holds
+    it is numbered, and `typings`, what typecheck found for it under each
+    (expected type, constant typing), one typecheck.Piece each.  None of
+    them refers to the term, so it is freed with its spec."""
+    __slots__ = ("numbering", "typings")
+
+    def __init__(self):
+        self.numbering = None
+        self.typings = []
+
+
+def share(t):
+    """Mark t as shared: number_term and typecheck keep their results for
+    it, where they meet it outside every binder, on t itself, so they
+    last as long as t."""
+    object.__setattr__(t, "_shared", Shared())
+
+
 def number_term(term):
     """The positions of a term as preorder numbers: the root is 0 and a
     node's first child comes right after it.  Returns the subterm at each
-    number and the numbers of its children."""
+    number and its children as offsets from it (1 for the first child), so
+    the lists of a subterm do not depend on where it sits.  A shared term
+    (share) is looked for only on the chain of applications from the
+    root, outside every binder, and its lists are copied in."""
     nodes, kids = [], []
-    todo = [(term, None)]   # (subterm, the node it is the second child of)
-    while todo:
-        t, parent = todo.pop()
+    spine = [(term, None)]  # (subterm, the node it is the second child of)
+    while spine:
+        t, parent = spine.pop()
         i = len(nodes)
-        nodes.append(t)
         if parent is not None:
-            kids[parent] = (parent + 1, i)
-        cls = t.__class__
-        if cls is App or cls is Let:
-            kids.append(None)       # filled in when the second child comes
-            todo.append((t.arg if cls is App else t.body, i))
-            todo.append((t.fn if cls is App else t.bound, None))
-        elif cls is Lam or cls is Box:
-            kids.append((i + 1,))
-            todo.append((t.body, None))
-        else:
-            kids.append(())
+            kids[parent] = (1, i - parent)
+        shared = getattr(t, "_shared", None)
+        if shared is not None and shared.numbering is not None:
+            nodes.append(t)
+            nodes += shared.numbering[0]
+            kids += shared.numbering[1]
+            continue
+        if t.__class__ is App and shared is None:
+            nodes.append(t)
+            kids.append(None)       # filled in when the argument comes
+            spine.append((t.arg, i))
+            spine.append((t.fn, None))
+            continue
+        todo = [(t, None)]
+        while todo:
+            t, parent = todo.pop()
+            j = len(nodes)
+            nodes.append(t)
+            if parent is not None:
+                kids[parent] = (1, j - parent)
+            cls = t.__class__
+            if cls is App or cls is Let:
+                kids.append(None)   # filled in when the second child comes
+                todo.append((t.arg if cls is App else t.body, j))
+                todo.append((t.fn if cls is App else t.bound, None))
+            elif cls is Lam or cls is Box:
+                kids.append((1,))
+                todo.append((t.body, None))
+            else:
+                kids.append(())
+        if shared is not None:     # t itself left out: no cycle through t
+            shared.numbering = nodes[i + 1:], kids[i:]
     return nodes, kids
 
 

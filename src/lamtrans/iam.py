@@ -17,6 +17,7 @@ whose children are configurations."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .core import (App, Box, Const, Lam, LamtransError, Let, Var,
                    term_to_str)
@@ -102,11 +103,13 @@ class TermInfo:
     typing derivation.  A position is its preorder number
     (core.number_term), and every table is a list indexed by it.
 
-    One pass builds two dispatch records for every position, one for each
-    direction the focus can move in:
+    Two dispatch records are built for every position, one for each
+    direction the focus can move in.  Every position they name is an
+    offset from the record's own, so a term's records do not depend on
+    where it sits:
 
       * `down[pos] = (tag, children, arg)`: the position's tag above, its
-        child positions, and by tag: for LAM the occurrence of the bound
+        children, and by tag: for LAM the occurrence of the bound
         variable (None if unused), for LAM_VAR its binder, for LET_VAR
         (bound term, whether it has type !o, box depth of the occurrence,
         box depth of the binder), for CONST (name, the tape prefix ("p",)
@@ -119,34 +122,88 @@ class TermInfo:
     each position (the number of enclosing boxes whose contents are not of
     base type), and finds the term's restriction `tier`
     (typecheck.term_tier) and `height`, the largest type height at any
-    position.  `path(pos)` is the position as a tuple of child indices
-    from the root, for text."""
+    position.  Where typecheck copied a shared term's entries in (a
+    typecheck.Piece) outside every box, its records and depths are copied
+    in too, by list slice, and its boxed types count by their largest
+    tier: the first TermInfo to meet the Piece builds them and keeps them
+    on it.  `path(pos)` is the position as a tuple of child indices from
+    the root, for text."""
 
     def __init__(self, ann):
         self.term = ann.term
-        nodes, kids = ann.nodes, ann.kids
-        n = len(nodes)
+        n = len(ann.nodes)
         self.types = types = list(map(ann.types.__getitem__, range(n)))
         self.occ_binder = occ_binder = ann.occ_binder
         self.var_kind = var_kind = ann.var_kind
         self.depths = depths = [0] * n
         self.down = down = [None] * n
         self.up = up = [None] * n
+        kids = ann.kids
         boxes = [0] * n     # all the boxes enclosing a position
         occurrences = []
         boxed = []      # (type, enclosing boxes) of the positions in a box
-        # a parent comes before its children, so it hands them its box
-        # depth and its count of enclosing boxes
-        for pos, t in enumerate(nodes):
+        new = []        # (start, end, Piece, its boxed) of pieces walked
+        tier = 0        # the largest tier of the copied pieces' boxed types
+        walk = self._walk
+        lo = 0
+        for start, piece in sorted(ann.pieces, key=itemgetter(0)):
+            walk(ann, boxes, occurrences, boxed, lo, start)
+            lo = start + piece.size
+            if boxes[start]:    # its box depth and boxes are not its own
+                walk(ann, boxes, occurrences, boxed, start, lo)
+            elif piece.info is None:
+                first = len(boxed)
+                walk(ann, boxes, occurrences, boxed, start, lo)
+                new.append((start, lo, piece, boxed[first:]))
+            else:
+                down[start:lo], up[start + 1:lo], depths[start:lo], \
+                    boxed_tier = piece.info
+                if boxed_tier > tier:
+                    tier = boxed_tier
+        walk(ann, boxes, occurrences, boxed, lo, n)
+        for pos in occurrences:
+            kind = var_kind[pos]
+            if kind == "theta":
+                down[pos] = (FREE_VAR, (), None)
+                continue
+            binder = occ_binder[pos]
+            if kind == "lam":
+                down[pos] = (LAM_VAR, (), binder - pos)
+                down[binder] = (LAM, kids[binder], pos - binder)
+            else:
+                down[pos] = (LET_VAR, (), (binder + 1 - pos,
+                                           self.bound_is_base(binder),
+                                           depths[pos], depths[binder]))
+        for start, end, piece, more in new:
+            piece.info = (down[start:end], up[start + 1:end],
+                          depths[start:end], term_tier((), more, ()))
+        # term_tier takes the largest tier over its parts, and the types of
+        # a program are few objects each at many positions
+        distinct = dict(zip(map(id, types), types)).values()
+        thetas = dict(zip(map(id, ann.theta_types), ann.theta_types)).values()
+        self.height = max(map(type_height, distinct))
+        self.tier = max(tier, term_tier(distinct, boxed, thetas))
+
+    def _walk(self, ann, boxes, occurrences, boxed, lo, hi):
+        """Build the records of positions lo to hi, but for the LAM and
+        variable records that __init__ finishes once every occurrence is
+        known.  A parent comes before its children, so it hands them its
+        box depth and its count of enclosing boxes."""
+        nodes, kids = ann.nodes, ann.kids
+        types, depths, down, up = self.types, self.depths, self.down, self.up
+        for pos in range(lo, hi):
+            t = nodes[pos]
             depth, b = depths[pos], boxes[pos]
             if b:
                 boxed.append((types[pos], b))
             cls = t.__class__
             if cls is App or cls is Let:
                 tag = APP if cls is App else LET
-                first, second = pair = kids[pos]
-                up[first] = (tag, 0, pos, second)
-                up[second] = (tag, 1, pos, first)
+                pair = kids[pos]
+                k = pair[1]
+                first, second = pos + 1, pos + k
+                up[first] = (tag, 0, -1, k - 1)
+                up[second] = (tag, 1, -k, 1 - k)
                 depths[first] = depths[second] = depth
                 boxes[first] = boxes[second] = b
                 down[pos] = (tag, pair, None)
@@ -158,7 +215,7 @@ class TermInfo:
                 else:
                     tag, depth = BOX, depth + 1
                 body = pos + 1
-                up[body] = (tag, 0, pos, None)
+                up[body] = (tag, 0, -1, None)
                 depths[body], boxes[body] = depth, b + (cls is Box)
                 down[pos] = (tag, kids[pos], None)  # LAM's occurrence: below
             elif cls is Var:
@@ -167,22 +224,6 @@ class TermInfo:
                 k = self.rank(pos)
                 down[pos] = (CONST, (), (t.name, ("p",) * k, tuple(
                     ("p",) * i + ("o",) for i in range(k))))
-        for pos in occurrences:
-            kind = var_kind[pos]
-            if kind == "theta":
-                down[pos] = (FREE_VAR, (), None)
-                continue
-            binder = occ_binder[pos]
-            if kind == "lam":
-                down[pos] = (LAM_VAR, (), binder)
-                down[binder] = (LAM, kids[binder], pos)
-            else:
-                down[pos] = (LET_VAR, (), (binder + 1,
-                                           self.bound_is_base(binder),
-                                           depths[pos], depths[binder]))
-        distinct = {id(A): A for A in types}.values()
-        self.height = max(map(type_height, distinct))
-        self.tier = term_tier(distinct, boxed, ann.theta_types)
 
     def rank(self, pos):
         A = self.types[pos]
@@ -199,16 +240,18 @@ class TermInfo:
     def path(self, pos):
         """The child indices from the root to a position."""
         up, steps = self.up, []
-        while up[pos] is not None:
-            _, role, pos, _ = up[pos]
-            steps.append(role)
+        record = up[pos]
+        while record is not None:
+            steps.append(record[1])
+            pos += record[2]
+            record = up[pos]
         return tuple(reversed(steps))
 
     def number(self, path):
         """The position at a path of child indices from the root."""
         pos = 0
         for i in path:
-            pos = self.down[pos][1][i]
+            pos += self.down[pos][1][i]
         return pos
 
 
@@ -303,7 +346,9 @@ class IamMachine(Machine):
         """The machine's rules, as one loop over the fields of the current
         configuration held in local variables (treegen.Machine.advance).
         A Config is built only for the children of an output node and where
-        the loop stops; `step` is this loop run for one step."""
+        the loop stops; `step` is this loop run for one step.  A record
+        names positions as offsets from its own, and a first child is the
+        next position."""
         info_down, info_up, v = self.info.down, self.info.up, self.variant
         down = cfg.direction == "down"
         pos, tape, log, flag = cfg.pos, cfg.tape, cfg.log, cfg.flag
@@ -314,17 +359,17 @@ class IamMachine(Machine):
             if down:
                 tag, kids, arg = info_down[pos]
                 if tag == APP:
-                    pos, tape = kids[0], ("p",) + tape
+                    pos, tape = pos + 1, ("p",) + tape
                 elif tag == LAM:
                     top = tape[0] if tape else None
                     if top == "p":
-                        pos, tape = kids[0], tape[1:]
+                        pos, tape = pos + 1, tape[1:]
                     elif top == "o" and arg is not None:
-                        down, pos, tape = False, arg, tape[1:]
+                        down, pos, tape = False, pos + arg, tape[1:]
                     else:
                         break   # with "o": the bound variable is never used
                 elif tag == LAM_VAR:
-                    down, pos, tape = False, arg, ("o",) + tape
+                    down, pos, tape = False, pos + arg, ("o",) + tape
                 elif tag == CONST:
                     name, args, outs = arg
                     k = len(args)
@@ -335,20 +380,20 @@ class IamMachine(Machine):
                         Config("up", pos, o + rest, log, flag) for o in outs
                     ])), Config("down", pos, tape, log, flag), n + 1
                 elif tag == LET:
-                    pos = kids[1]
+                    pos += kids[1]
                 elif tag == LET_VAR:
                     bound, base, bn, bm = arg
                     if v == "pa":
                         raise InternalInvariantError("let rules in the plain "
                                                      "machine")
                     if v == "apa":
-                        pos = bound
+                        pos += bound
                     elif base:
                         if v == "ss" and flag != bn:
                             raise InternalInvariantError("nesting counter "
                                                          "out of sync")
                         # forget the log entries for the boxes being exited
-                        pos, log = bound, log[bn - bm:]
+                        pos, log = pos + bound, log[bn - bm:]
                         if v == "ss":
                             flag = bm
                     elif bm != 0:
@@ -356,12 +401,12 @@ class IamMachine(Machine):
                                                      "under a box")
                     elif v == "d1":
                         tape = (LogEntry(pos, log),) + tape
-                        pos, log = bound, ()
+                        pos, log = pos + bound, ()
                     else:
                         log = (StackEntry(pos, log[:flag]),) + log[flag:]
-                        pos, flag = bound, 0
+                        pos, flag = pos + bound, 0
                 elif tag == BASE_BOX or tag == BOX and v == "apa":
-                    pos = kids[0]
+                    pos += 1
                 elif tag == BOX:
                     if v == "d1":
                         if log:
@@ -369,13 +414,13 @@ class IamMachine(Machine):
                                                          "a nonempty log")
                         if not tape or not isinstance(tape[0], LogEntry):
                             break
-                        pos, tape, log = kids[0], tape[1:], (tape[0],)
+                        pos, tape, log = pos + 1, tape[1:], (tape[0],)
                     # ss: mark that the top stack entry now plays the log role
                     elif flag != 0:
                         raise InternalInvariantError("entering a box with "
                                                      "nonzero nesting counter")
                     else:
-                        pos, flag = kids[0], 1
+                        pos, flag = pos + 1, 1
                 else:
                     break       # free unrestricted variable: no rule
             else:
@@ -384,19 +429,19 @@ class IamMachine(Machine):
                     break
                 ptag, role, parent, sibling = up
                 if ptag == APP and role == 1:
-                    down, pos, tape = True, sibling, ("o",) + tape
+                    down, pos, tape = True, pos + sibling, ("o",) + tape
                 elif ptag == APP:
                     top = tape[0] if tape else None
                     if top == "p":
-                        pos, tape = parent, tape[1:]
+                        pos, tape = pos + parent, tape[1:]
                     elif top == "o":
-                        down, pos, tape = True, sibling, tape[1:]
+                        down, pos, tape = True, pos + sibling, tape[1:]
                     else:
                         break
                 elif ptag == LAM:
-                    pos, tape = parent, ("p",) + tape
+                    pos, tape = pos + parent, ("p",) + tape
                 elif ptag == LET and role == 1:
-                    pos = parent
+                    pos += parent
                 # coming back out of a shared resource: jump to the
                 # occurrence that requested it
                 elif ptag == LET and (v == "pa" or v == "apa"):
@@ -427,12 +472,12 @@ class IamMachine(Machine):
                     if len(log) != 1:
                         raise InternalInvariantError("exiting a box with a "
                                                      "log of length != 1")
-                    pos, tape, log = parent, (log[0],) + tape, ()
+                    pos, tape, log = pos + parent, (log[0],) + tape, ()
                 elif flag != 1:
                     raise InternalInvariantError("exiting a box with nesting "
                                                  "counter != 1")
                 else:
-                    pos, flag = parent, 0
+                    pos, flag = pos + parent, 0
             n += 1
         return None, Config("down" if down else "up", pos, tape, log, flag), n
 

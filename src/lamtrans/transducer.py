@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (App, Const, Lam, LamtransError, RankedAlphabet, SyntaxErr,
-                   Var, children, decode_tree, instantiate, parse_term,
+                   Var, children, decode_tree, instantiate, parse_term, share,
                    term_to_str, with_children)
 from .iam import LocalBlocks
 from .reduction import normalize
@@ -77,6 +77,12 @@ class LambdaTransducerSpec:
                                     self.output, f"{self.name}: out")
         self.blocks = LocalBlocks(self)
         self.tier = max(block.info.tier for block in self.blocks)
+        # instantiate puts these terms at every input node: each program
+        # numbers and types them once (core.share), but for a constant,
+        # which is typed faster than copied in
+        for t in (*self.norm_rules.values(), self.norm_out):
+            if not isinstance(t, Const):
+                share(t)
 
     def tier_name(self):
         return TIER_NAMES[self.tier]

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import islice
 
 from .core import (App, Box, Const, Lam, LamtransError, Let, SyntaxErr, Var,
                    _tokenize, children, number_term, term_to_str, too_deep,
@@ -176,7 +177,7 @@ class Annotated:
     checker.  A position is its preorder number (core.number_term)."""
     term: object
     type: object
-    # pos -> the subterm there, and the positions of its children
+    # pos -> the subterm there, and its children as offsets from pos
     nodes: list = field(init=False, default_factory=list)
     kids: list = field(init=False, default_factory=list)
     # pos -> Type
@@ -189,6 +190,31 @@ class Annotated:
     var_kind: dict = field(init=False, default_factory=dict)
     # types of unrestricted vars
     theta_types: list = field(init=False, default_factory=list)
+    # (pos, Piece) of each shared term whose tables were copied in or kept
+    pieces: list = field(init=False, default_factory=list)
+
+
+@dataclass(eq=False)
+class Piece:
+    """What typecheck wrote for a shared term (core.share) typed from an
+    empty environment against the type `expected` (None: synthesized),
+    with the constants' types given by `consts`, its (alphabet, consts)
+    arguments: each table's new entries in the order it wrote them, as
+    (keys, values) with positions as offsets from the term's root, the
+    theta types it added, and the term's type.  Every position of the
+    term has a type, so `size` is the number of its positions.  `info`
+    holds iam.TermInfo's records for it, once a TermInfo has built
+    them."""
+    expected: object
+    consts: tuple
+    types: tuple
+    occ_binder: tuple
+    lam_occ: tuple
+    var_kind: tuple
+    theta_types: list
+    type: object
+    size: int
+    info: tuple = None
 
 
 def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
@@ -200,7 +226,7 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
     ann.nodes, ann.kids = number_term(term)
     kids, types, occ_binder, lam_occ = (ann.kids, ann.types, ann.occ_binder,
                                         ann.lam_occ)
-    var_kind, theta_types = ann.var_kind, ann.theta_types
+    var_kind, theta_types, pieces = ann.var_kind, ann.theta_types, ann.pieces
     ctypes = dict(consts or {})
     if alphabet is not None:
         for name, rank in alphabet.letters:
@@ -220,9 +246,16 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
     def typed(t, pos, env, A=None):
         """The type of t at pos: synthesized when A is None, else checked
         to be A."""
-        if isinstance(t, Const):
+        # from an empty environment a shared term writes the same entries
+        # wherever it sits
+        if not env and t is not fresh:
+            shared = getattr(t, "_shared", None)
+            if shared is not None:
+                return shared_typed(t, pos, env, A, shared)
+        cls = t.__class__
+        if cls is Const:
             B = types[pos] = lookup_const(t.name)
-        elif isinstance(t, Var):
+        elif cls is Var:
             if t.name not in env:
                 raise TypingError(f"unbound variable {t.name!r}")
             kind, B, bpos = env[t.name]
@@ -236,8 +269,8 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
                 occ_binder[pos] = bpos
                 if kind == "lam":
                     lam_occ[bpos] = pos
-        elif isinstance(t, App):
-            fn, arg = kids[pos]
+        elif cls is App:
+            fn, arg = pos + 1, pos + kids[pos][1]
             if A is None:
                 fA = typed(t.fn, fn, env)
                 if not isinstance(fA, Arrow):
@@ -251,14 +284,14 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
                 # synthesizing the argument when the function is an
                 # unannotated redex
                 mark = (len(types), len(occ_binder), len(lam_occ),
-                        len(var_kind), len(theta_types))
+                        len(var_kind), len(theta_types), len(pieces))
                 try:
                     B = typed(t, pos, env)
                 except TypingError:
                     rollback(mark)
                     typed(t.fn, fn, env, Arrow(typed(t.arg, arg, env), A))
                     B = types[pos] = A
-        elif isinstance(t, Lam):
+        elif cls is Lam:
             if A is None:
                 if t.hint is None:
                     raise TypingError(
@@ -277,13 +310,13 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
             finally:
                 _unbind(env, t.var, saved)
             B = types[pos] = Arrow(left, B) if A is None else A
-        elif isinstance(t, Box):
+        elif cls is Box:
             if A is not None and not isinstance(A, Bang):
                 raise TypingError(f"box cannot have type {type_to_str(A)}")
             B = typed(t.body, pos + 1, _boxed(env),
                       None if A is None else A.inner)
             B = types[pos] = Bang(B) if A is None else A
-        elif isinstance(t, Let):
+        elif cls is Let:
             bound = typed(t.bound, pos + 1, env)
             if not isinstance(bound, Bang):
                 raise TypingError(
@@ -292,18 +325,41 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
             theta_types.append(bound.inner)
             saved = _bind(env, t.var, ("let", bound.inner, pos))
             try:
-                B = types[pos] = typed(t.body, kids[pos][1], env, A)
+                B = types[pos] = typed(t.body, pos + kids[pos][1], env, A)
             finally:
                 _unbind(env, t.var, saved)
         else:
             raise TypingError(f"not a term: {t!r}")
         if A is None:
             return B
-        if B != A:
+        if B is not A and B != A:
             raise TypingError(
                 f"expected {type_to_str(A)}, got {type_to_str(B)}: "
                 f"{term_to_str(t)}")
         return A
+
+    fresh = None    # the shared term being typed for its Piece
+
+    def shared_typed(t, pos, env, A, shared):
+        """typed for a shared term (core.share) at pos from an empty
+        environment: its entries are copied in from its Piece for A and
+        these constants, or written by typed and kept as that Piece."""
+        nonlocal fresh
+        key = alphabet, consts or None
+        for piece in shared.typings:
+            if (piece.expected is A or piece.expected == A) \
+                    and piece.consts == key:
+                return _splice(ann, piece, pos)
+        mark = (len(types), len(occ_binder), len(lam_occ), len(var_kind),
+                len(theta_types), len(pieces))
+        outer, fresh = fresh, t
+        try:
+            B = typed(t, pos, env, A)
+        finally:
+            fresh = outer
+        shared.typings.append(_keep(ann, pos, mark, A, (
+            alphabet, dict(consts) if consts else None), B))
+        return B
 
     def rollback(mark):
         """Undo what a failed trial wrote since `mark`, the sizes of the
@@ -311,7 +367,7 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
         tables.  An older entry it changed is the lam_occ entry of the
         binder of an occurrence it added, so the trial's part of occ_binder
         is its undo log."""
-        n_types, n_occs, n_lams, n_kinds, n_thetas = mark
+        n_types, n_occs, n_lams, n_kinds, n_thetas, n_pieces = mark
         while len(occ_binder) > n_occs:
             occ, bpos = occ_binder.popitem()
             if var_kind[occ] == "lam":
@@ -321,6 +377,7 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
             while len(table) > n:
                 table.popitem()
         del theta_types[n_thetas:]
+        del pieces[n_pieces:]
 
     # typed recurses on the term; past Python's recursion limit the term
     # is reported as too deep (core.TooDeep)
@@ -328,7 +385,53 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
         ann.type = typed(term, 0, env0, ty)
     except RecursionError:
         raise too_deep(term, "typecheck") from None
+    finally:
+        # typed reaches itself through its closure: clear that cycle, so
+        # that the closures and what they hold go when this call returns
+        typed = None
     return ann
+
+
+def _keep(ann, pos, mark, expected, consts, B):
+    """The Piece of the shared term just typed at pos against `expected`
+    with the constants `consts`, to the type B, from the entries written
+    since `mark`, the sizes of ann's tables before; it stands for them in
+    ann.pieces."""
+    n_types, n_occs, n_lams, n_kinds, n_thetas, n_pieces = mark
+
+    def tail(table, n, positions=False):
+        """The entries from the n-th on, positions as offsets from pos."""
+        items = list(islice(table.items(), n, None))
+        return (tuple(k - pos for k, _ in items),
+                tuple(v - pos if positions and v is not None else v
+                      for _, v in items))
+
+    piece = Piece(expected, consts, tail(ann.types, n_types),
+                  tail(ann.occ_binder, n_occs, True),
+                  tail(ann.lam_occ, n_lams, True), tail(ann.var_kind, n_kinds),
+                  ann.theta_types[n_thetas:], B, len(ann.types) - n_types)
+    del ann.pieces[n_pieces:]
+    ann.pieces.append((pos, piece))
+    return piece
+
+
+def _splice(ann, piece, pos):
+    """Write a Piece's entries into ann at pos, in their order; its type."""
+    add = pos.__add__
+    keys, values = piece.types
+    ann.types.update(zip(map(add, keys), values))
+    keys, values = piece.var_kind
+    if keys:    # else no occurrence has a binder either
+        ann.var_kind.update(zip(map(add, keys), values))
+        keys, values = piece.occ_binder
+        ann.occ_binder.update(zip(map(add, keys), map(add, values)))
+    keys, values = piece.lam_occ
+    if keys:
+        ann.lam_occ.update(zip(map(add, keys), [
+            v if v is None else pos + v for v in values]))
+    ann.theta_types.extend(piece.theta_types)
+    ann.pieces.append((pos, piece))
+    return piece.type
 
 
 def _boxed(env):
@@ -356,13 +459,16 @@ def fill_hints(ann):
     kids, types = ann.kids, ann.types
 
     def go(t, pos):
-        cs = [go(c, k) for c, k in zip(children(t), kids[pos])]
+        cs = [go(c, pos + k) for c, k in zip(children(t), kids[pos])]
         t = with_children(t, cs)
         if isinstance(t, Lam):
             return Lam(t.var, t.body, types[pos].left)
         return t
 
-    return go(ann.term, 0)
+    try:
+        return go(ann.term, 0)
+    finally:
+        go = None       # as in typecheck: no cycle through go's closure
 
 
 # ---------------------------------------------------------------------------

@@ -70,14 +70,15 @@ class SimMapper:
         # each input node's block root in out applied to the input: the
         # argument (1,) for the root, and for child i of a rank-k node,
         # k - i function steps then the argument step from its parent's;
-        # a parent's number is below its children's
+        # a parent's number is below its children's; a record's children
+        # are offsets from its own position
         rank, down = machine.spec.input.rank, info.down
         roots = [down[0][1][1]]
         for _, parent, _, back, *_ in nodes[1:]:
             pos = roots[parent]
             for _ in range(rank(nodes[parent][4]) - back[1]):
-                pos = down[pos][1][0]
-            roots.append(down[pos][1][1])
+                pos += down[pos][1][0]
+            roots.append(pos + down[pos][1][1])
         # a block numbers its placeholders after all its other positions,
         # which run from its root on as in its local term; so the blocks
         # tile the program from the root block on, and a position lies in

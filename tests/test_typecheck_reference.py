@@ -34,8 +34,9 @@ def outcome(check, args, kwargs):
 def assert_same(args, kwargs):
     """Typecheck with both checkers; returns the error (class, message),
     or None when the term is well typed.  Positions are numbers here and
-    paths in the oracle, so every number is translated through
-    `TermInfo.path` before it is compared."""
+    paths in the oracle, so every number, and every offset a TermInfo
+    record holds, is translated through `TermInfo.path` before it is
+    compared."""
     new, err = outcome(typecheck, args, kwargs)
     old, ref_err = outcome(ref.typecheck, args, kwargs)
     assert err == ref_err
@@ -47,27 +48,29 @@ def assert_same(args, kwargs):
     assert paths == sorted(old_info.down)
     assert [info.number(p) for p in paths] == list(range(len(paths)))
 
-    def at(pos):
-        return None if pos is None else path(pos)
+    # a record at pos names every position as an offset from pos
+    def at(pos, off):
+        return None if off is None else path(pos + off)
 
-    def down(rec):
+    def down(pos, rec):
         tag, kids, arg = rec
         if tag in (iam.LAM, iam.LAM_VAR):
-            arg = at(arg)
+            arg = at(pos, arg)
         elif tag == iam.LET_VAR:
-            arg = (path(arg[0]),) + arg[1:]
-        return tag, tuple(map(path, kids)), arg
+            arg = (at(pos, arg[0]),) + arg[1:]
+        return tag, tuple(at(pos, k) for k in kids), arg
 
-    def up(rec):
-        return rec and rec[:2] + (path(rec[2]), at(rec[3]))
+    def up(pos, rec):
+        return rec and rec[:2] + (at(pos, rec[2]), at(pos, rec[3]))
 
-    def same(v):
+    def same(pos, v):
         return v
 
     # the tables in their insertion order, the TermInfo lists in preorder
-    values = {"occ_binder": path, "lam_occ": at}
+    values = {"occ_binder": path,
+              "lam_occ": lambda v: None if v is None else path(v)}
     for name in TABLES:
-        value = values.get(name, same)
+        value = values.get(name, lambda v: v)
         assert [(path(k), value(v)) for k, v in getattr(new, name).items()] \
             == list(getattr(old, name).items()), name
     assert new.theta_types == old.theta_types
@@ -75,7 +78,7 @@ def assert_same(args, kwargs):
     for mine, theirs, value in [
             (info.down, old_info.down, down), (info.up, old_info.up, up),
             (info.depths, old.depths, same), (info.types, old.types, same)]:
-        assert [(path(i), value(x)) for i, x in enumerate(mine)] == \
+        assert [(path(i), value(i, x)) for i, x in enumerate(mine)] == \
             sorted(theirs.items())
     assert info.tier == ref.classify_term(old)
     assert info.height == max(map(type_height, new.types.values()))
