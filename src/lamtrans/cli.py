@@ -41,7 +41,10 @@ def gen_tree(rng, alphabet, bound):
             kids.append(sub)
         return Tree(name, tuple(kids))
 
-    return go(max(1, bound))
+    try:
+        return go(max(1, bound))
+    finally:
+        go = None       # no cycle through go's closure
 
 
 def load_spec(path):

@@ -23,9 +23,7 @@ never drops a pebble."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import term_to_str
+from .core import LamtransError, term_to_str
 from .iam import (LET, VARIANT_MAX_TIER, ClassificationTooHigh, Config,
                   IamMachine, StackEntry, mult_tape)
 from .typecheck import TIER_NAMES
@@ -34,51 +32,26 @@ from .walking import (ANY, IpttSpec, TwtSpec, image_leaves,
 
 
 # ---------------------------------------------------------------------------
-# Compiled-state naming
+# Compiled states.  A state is a plain value: ("I",), the initial state;
+# (kind, direction, block, path, tape, flag), a token inside a block of kind
+# "U" or "T" at the path of its position in the block's term; ("Nabla",
+# tape), a head about to enter a node; ("Delta", tape), a head about to
+# leave a letter's node.
 
-# Every state renders given whether to show the box-depth flag; only the
-# token states use it.
+INITIAL = ("I",)
 
-@dataclass(frozen=True)
-class SimI:
-    def render(self, with_flag):
+
+def state_name(state, with_flag):
+    """A state's name; only a token state shows its box-depth flag, and
+    only when asked to."""
+    if state == INITIAL:
         return "I"
-
-
-@dataclass(frozen=True)
-class SimT:
-    """A token configuration inside a block of kind `kind`: its direction,
-    the block's term, the path of its position in that term, its tape and
-    its flag."""
-    kind: str
-    d: str
-    term: object
-    pos: tuple
-    tape: str
-    flag: int = 0
-
-    def render(self, with_flag):
-        body = term_to_str(self.term, mark=self.pos, direction=self.d)
-        s = f'{self.kind}[{self.d},"{body}","{self.tape}"'
-        if with_flag:
-            s += f",{self.flag}"
-        return s + "]"
-
-
-@dataclass(frozen=True)
-class SimNabla:
-    tape: str
-
-    def render(self, with_flag):
-        return f'Nabla["{self.tape}"]'
-
-
-@dataclass(frozen=True)
-class SimDelta:
-    tape: str
-
-    def render(self, with_flag):
-        return f'Delta["{self.tape}"]'
+    if len(state) == 2:
+        return f'{state[0]}["{state[1]}"]'
+    kind, d, block, path, tape, flag = state
+    body = term_to_str(block.term, mark=path, direction=d)
+    return f'{kind}[{d},"{body}","{tape}"' + (f",{flag}]" if with_flag
+                                              else "]")
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +98,14 @@ class WalkingCompiler:
         self.blocks = spec.blocks
         self.machines = {block: IamMachine(block.info, variant)
                          for block in self.blocks}
+        # a letter's token states carry the first block with their term,
+        # and twins[block] lists the letters whose blocks have that term
+        self.first, self.twins = {self.blocks.u: self.blocks.u}, {}
+        for a, block in self.blocks.t.items():
+            first = next((b for b in self.twins if b.term == block.term),
+                         block)
+            self.first[block] = first
+            self.twins.setdefault(first, []).append(a)
         self.colors = {}    # name -> (block kind, occurrence path, n)
         if self.pebbles:
             for block in self.blocks:
@@ -133,38 +114,42 @@ class WalkingCompiler:
                     self.colors[color_name(COLOR_TAG[block.kind], path,
                                            n)] = (block.kind, path, n)
 
-    def name(self, state):
-        return state.render(self.pebbles)
-
-    def start_config(self, a, state, prov, is_root):
-        """The block and local configuration a key stands for, or None
-        when the key shape is impossible.  The out-term's block lives at
-        the root only."""
-        b = self.blocks
-        if isinstance(state, SimI):
-            if prov != "self" or not is_root:
-                return None
-            return b.u, Config("down", 0, ())
-        if isinstance(state, SimT):
-            block = b.u if state.kind == "U" else b.t[a]
-            if (prov != "self" or block is b.u and not is_root
-                    or state.term != block.term):
-                return None
-            return block, Config(state.d,
-                                 block.info.number(block.prefix + state.pos),
-                                 tuple(state.tape), sentinels(state.flag),
-                                 state.flag)
-        if isinstance(state, SimNabla):
-            if (prov == "self") != is_root or isinstance(prov, tuple):
-                return None
-            return b.t[a], Config("down", 0, tuple(state.tape))
-        if isinstance(state, SimDelta):
-            block = b.u if prov == "self" else b.t[a]
-            pos = block.ph.get(prov)
-            if pos is None or block is b.u and not is_root:
-                return None
-            return block, Config("up", pos, tuple(state.tape))
-        return None
+    def entries(self, state):
+        """The (letter, provenance, is-root, block, local configuration)
+        keys that a state can be entered under.  The out-term's block
+        lives at the root only, and a token state of a letter's block is
+        entered at the nodes of every letter whose block has its term."""
+        b, letters = self.blocks, self.spec.input.letters
+        if state == INITIAL:
+            for a, _ in letters:
+                yield a, "self", True, b.u, Config("down", 0, ())
+        elif state[0] == "Nabla":
+            cfg = Config("down", 0, tuple(state[1]))
+            for a, _ in letters:
+                yield a, "self", True, b.t[a], cfg
+                yield a, "from-parent", False, b.t[a], cfg
+        elif state[0] == "Delta":
+            tape = tuple(state[1])
+            root = Config("up", b.u.ph["self"], tape)
+            for a, k in letters:
+                yield a, "self", True, b.u, root
+                block = b.t[a]
+                for i in range(1, k + 1):
+                    prov = ("from-child", i)
+                    cfg = Config("up", block.ph[prov], tape)
+                    yield a, prov, True, block, cfg
+                    yield a, prov, False, block, cfg
+        else:
+            kind, d, block, path, tape, flag = state
+            cfg = Config(d, block.info.number(block.prefix + path),
+                         tuple(tape), sentinels(flag), flag)
+            if kind == "U":
+                for a, _ in letters:
+                    yield a, "self", True, block, cfg
+            else:
+                for a in self.twins[block]:
+                    yield a, "self", True, b.t[a], cfg
+                    yield a, "self", False, b.t[a], cfg
 
     def _local_state(self, block, cfg, is_root):
         """Classify a configuration's position in its block, ignoring the
@@ -176,14 +161,14 @@ class WalkingCompiler:
         if move is not None:    # a placeholder: the head enters its node
             if cfg.direction != "down" or cfg.flag != 0:
                 return None
-            return (SimNabla(tape), move)
+            return ("Nabla", tape), move
         if cfg.pos == 0:        # the root: the head leaves a letter's node
             if block.kind == "U" or cfg.direction != "up" or cfg.flag != 0:
                 return None
-            return (SimDelta(tape), "stay" if is_root else "to-parent")
-        return (SimT(block.kind, cfg.direction, block.term,
-                     block.info.path(cfg.pos)[len(block.prefix):], tape,
-                     cfg.flag), "stay")
+            return ("Delta", tape), "stay" if is_root else "to-parent"
+        return (block.kind, cfg.direction, self.first[block],
+                block.info.path(cfg.pos)[len(block.prefix):], tape,
+                cfg.flag), "stay"
 
     def classify(self, block, res, is_root, log):
         """Turn a one-step result in a block, started with the given log,
@@ -247,47 +232,38 @@ class WalkingCompiler:
         is-root, pebble), where a transition that does not look at the
         visible pebble is stored once under the pebble ANY."""
         spec = self.spec
-        table = {}
-        state_of_name = {"I": SimI()}
-        worklist = [SimI()]
+        table, names, seen, worklist = {}, {}, set(), []
 
-        def register(key, img):
-            def leaf(leaf):
-                state, move = leaf
-                nm = self.name(state)
-                if nm not in state_of_name:
-                    state_of_name[nm] = state
+        def named(state):
+            """The state's name.  Each state is named once, and one whose
+            name is new joins the worklist."""
+            nm = names.get(state)
+            if nm is None:
+                nm = names[state] = state_name(state, self.pebbles)
+                if nm not in seen:
+                    seen.add(nm)
                     worklist.append(state)
-                return nm, move
-            table[key] = image_map_leaves(img, leaf)
+            return nm
 
+        def leaf(pair):
+            return named(pair[0]), pair[1]
+
+        named(INITIAL)
         while worklist:
             state = worklist.pop()
-            q = self.name(state)
-            for a, k in spec.input.letters:
-                provs = ["self", "from-parent"] + \
-                        [("from-child", i) for i in range(1, k + 1)]
-                for prov in provs:
-                    for is_root in (True, False):
-                        if is_root and prov == "from-parent":
-                            continue
-                        pair = self.start_config(a, state, prov, is_root)
-                        if pair is None:
-                            continue
-                        block, cfg = pair
-                        if (self.pebbles
-                                and self._is_shared_return(block, cfg)):
-                            for z, img in self._returns(block, cfg, is_root):
-                                register((a, q, prov, is_root, z), img)
-                            continue
-                        img = self.classify(block,
-                                            self.machines[block].step(cfg),
-                                            is_root, cfg.log)
-                        if img is not None:
-                            register((a, q, prov, is_root, ANY), img)
-        states = sorted(state_of_name)
-        states.remove("I")
-        states = ["I"] + states
+            q = names[state]
+            for a, prov, is_root, block, cfg in self.entries(state):
+                if self.pebbles and self._is_shared_return(block, cfg):
+                    for z, img in self._returns(block, cfg, is_root):
+                        table[a, q, prov, is_root, z] = \
+                            image_map_leaves(img, leaf)
+                    continue
+                img = self.classify(block, self.machines[block].step(cfg),
+                                    is_root, cfg.log)
+                if img is not None:
+                    table[a, q, prov, is_root, ANY] = \
+                        image_map_leaves(img, leaf)
+        states = ["I"] + sorted(seen - {"I"})
         if self.pebbles:
             return IpttSpec(spec.input, spec.output, states, "I",
                             sorted(self.colors), table,
@@ -301,6 +277,8 @@ class WalkingCompiler:
 
 def compile_walking(spec, target):
     """A .lt spec compiled to a "twt" or an "iptt"."""
+    if target not in TARGET_VARIANT:
+        raise LamtransError(f"unknown compile target {target!r}")
     return WalkingCompiler(spec, TARGET_VARIANT[target]).compile()
 
 

@@ -432,7 +432,10 @@ def term_to_str(t, mark=None, direction=None):
             return "(" + s + ")" if level > 1 else s
         raise LamtransError(f"not a term: {t!r}")
 
-    return go(t, (), 0)
+    try:
+        return go(t, (), 0)
+    finally:
+        go = None       # no cycle through go's closure
 
 
 # ---------------------------------------------------------------------------

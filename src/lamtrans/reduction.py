@@ -291,6 +291,11 @@ def normalize(t, fuel=10_000_000):
         return readback(ev(t, {}, []))
     except RecursionError:
         raise too_deep(t, "normalize") from None
+    finally:
+        # ev, apply and let_at_a_distance reach each other through their
+        # closures: clear that cycle, so that the closures and what they
+        # hold go when this call returns
+        ev = apply = let_at_a_distance = None
 
 
 def _occurs(key, t, bound):

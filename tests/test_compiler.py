@@ -10,8 +10,9 @@ from lamtrans.iam import (Config, IamMachine, TermInfo, mult_tape,
                           pick_variant, run_iam)
 from lamtrans.transducer import parse_transducer
 from lamtrans.treegen import FNode, Output
+from lamtrans import compiler
 from lamtrans.compiler import (WalkingCompiler, compile_to_iptt,
-                               compile_to_twt, compile_walking)
+                               compile_to_twt, compile_walking, state_name)
 from lamtrans.gls import load_gls, make_type_constant, split_state_relabeling
 from lamtrans.walking import (ANY, WalkConfig, WalkingMachine,
                               check_reversible, parse_iptt, parse_twt)
@@ -114,7 +115,7 @@ class SimMapper:
         if loc is None:
             raise UnreachableShape(f"no walking state for {cfg}")
         state, move = loc
-        name = self.c.name(state)
+        name = state_name(state, self.c.pebbles)
         _, parent, first, back, *_ = nodes[node]
         if move == "stay":
             return WalkConfig(name, "self", node)
@@ -332,3 +333,24 @@ def test_compiled_bin2bin_iptt_stores_pebble_independent_keys_once(bin2bin):
     again = parse_iptt(text)
     assert again.delta == ip.delta
     assert again.to_str() == text
+
+
+def test_each_compiled_state_is_named_once(count, seqnat, bin2bin,
+                                           monkeypatch):
+    # the five compiles of the bench's set-up name 259 states in all
+    calls = []
+
+    def counting(state, with_flag):
+        calls.append(state)
+        return state_name(state, with_flag)
+
+    monkeypatch.setattr(compiler, "state_name", counting)
+    machines = [compile_to_twt(count), compile_to_iptt(count),
+                compile_to_twt(seqnat), compile_to_iptt(seqnat),
+                compile_to_iptt(bin2bin)]
+    assert sum(len(m.states) for m in machines) == len(calls) == 259
+
+
+def test_unknown_compile_target_is_named(count):
+    with pytest.raises(LamtransError, match="unknown compile target 'twtt'"):
+        compile_walking(count, "twtt")

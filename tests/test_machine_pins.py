@@ -22,6 +22,7 @@ from conftest import numeral, random_tree, run_walking, unary
 COUNT = corpus_path("count.lt")
 SEQNAT = corpus_path("seq-nat.lt")
 BIN2BIN = corpus_path("bin2bin.lt")
+LISTCOUNT = corpus_path("list-count.lt")
 
 
 def full(depth):
@@ -194,7 +195,11 @@ def test_d1_trace_is_pinned(bin2bin):
      "a9d7e516b9019c394fc88f86e864c88535d57502984421e2c24c568f585daff4"),
     (SEQNAT,
      "d26e7d8fc19c5740c4a2545570808070b591b69ec03363c6cac5719dc4467938"),
-], ids=["bin2bin", "seqnat"])
+    (COUNT,
+     "b4b0610f5d27fbbdfaee924c3c015ec6cc2d922e7826eab3b11f0237f1aed7ab"),
+    (LISTCOUNT,
+     "6a891540e368e1266b6fa0467b5f5b4acac944aaca78f5ef1e78bb033757b2ed"),
+], ids=["bin2bin", "seqnat", "count", "listcount"])
 def test_compiled_iptt_text_is_pinned(capsys, spec, digest):
     out = run_cli(capsys, "compile", "--target", "iptt", spec)
     assert sha256(out) == digest
