@@ -3,6 +3,7 @@ positions, tree encodings, and concrete-syntax parsing/printing."""
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -43,31 +44,37 @@ def too_deep(t, doing):
 @dataclass(frozen=True)
 class RankedAlphabet:
     letters: tuple  # tuple of (name, rank) pairs, order-preserving
+    # built from letters: each name's rank, and whether every name is an
+    # identifier, which is all a tree text can spell
+    ranks: dict = field(init=False, repr=False, compare=False)
+    spellable: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [n for n, _ in self.letters]
-        if not names:
+        ranks = dict(self.letters)
+        if not ranks:
             raise LamtransError("alphabet must contain at least one letter")
-        if len(set(names)) != len(names):
+        if len(ranks) != len(self.letters):
             raise LamtransError("duplicate letter in alphabet")
         for n, r in self.letters:
             if not n or n.startswith("<>"):
                 raise LamtransError(f"invalid letter name {n!r}")
             if r < 0:
                 raise LamtransError(f"negative rank for {n}")
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "spellable", all(map(is_ident, ranks)))
 
     @staticmethod
     def of(mapping):
         return RankedAlphabet(tuple(mapping.items()))
 
     def rank(self, name):
-        for n, r in self.letters:
-            if n == name:
-                return r
-        raise LamtransError(f"unknown letter {name!r}")
+        r = self.ranks.get(name)
+        if r is None:
+            raise LamtransError(f"unknown letter {name!r}")
+        return r
 
     def __contains__(self, name):
-        return any(n == name for n, _ in self.letters)
+        return name in self.ranks
 
     def nullary(self):
         """First rank-0 letter, or None."""
@@ -183,54 +190,86 @@ def tree_to_str(t, node, leaf):
         t = todo.pop()
         if t.__class__ is not node:
             out.append("," if t is _COMMA else ")" if t is _CLOSE else leaf(t))
-        elif t.children:
-            cs = t.children
-            out.append(t.label + "(")
-            todo.append(_CLOSE)
-            for i in range(len(cs) - 1, 0, -1):
-                todo.append(cs[i])
-                todo.append(_COMMA)
-            todo.append(cs[0])
-        else:
+            continue
+        cs = t.children
+        if not cs:
             out.append(t.label)
+            continue
+        out.append(t.label + "(")
+        todo.append(_CLOSE)
+        if len(cs) == 1:        # a unary node: no commas to place
+            todo.append(cs[0])
+            continue
+        for i in range(len(cs) - 1, 0, -1):
+            todo.append(cs[i])
+            todo.append(_COMMA)
+        todo.append(cs[0])
     return "".join(out)
 
 
+# the tokens of a tree text, and its comments: where _tokenize accepts a
+# text, these are its tokens once the comments are dropped
+_TREE_TOKEN = re.compile(r"#[^\n]*|-o|\w+|\S")
+
+
 def parse_tree(text, alphabet=None):
-    toks = _tokenize(text)
-    n = len(toks)
+    """The tree a text writes as label(child,...), with whitespace and
+    '#' comments anywhere between tokens.  Given an alphabet, each node's
+    rank is checked as the node closes, and a tree that does not fit gets
+    Tree.validate's error; a syntax error comes first."""
+    toks = _TREE_TOKEN.findall(text)
+    if "#" in text:
+        toks = [tok for tok in toks if tok[0] != "#"]
+    toks.append("")     # the end of the text
+    ranks = {} if alphabet is None else alphabet.ranks
+    every = alphabet is None or not alphabet.spellable  # check every label
+    fits = True
     i = 0
-    open_nodes = []     # (label, children so far) of each unclosed node
-    tree = None
-    while tree is None:
-        if i >= n or not _is_ident(toks[i][0]):
-            raise SyntaxErr("expected a tree label")
-        label = toks[i][0]
+    open_nodes = []     # (label, rank, children so far) of each unclosed node
+    while True:
+        label = toks[i]
+        rank = ranks.get(label)
+        if (rank is None or every) and not is_ident(label):
+            _tree_syntax_error(text, "expected a tree label")
         i += 1
-        if i < n and toks[i][0] == "(":
+        if toks[i] == "(":
             i += 1
-            open_nodes.append((label, []))
+            open_nodes.append((label, rank, []))
             continue
+        if rank != 0:
+            fits = False
         node = Tree(label)
         # hand the finished node to its parent, closing parents as we go
         while open_nodes:
-            open_nodes[-1][1].append(node)
-            if i < n and toks[i][0] == ",":
-                i += 1
-                break
-            if i >= n or toks[i][0] != ")":
-                raise SyntaxErr("expected ')' in tree")
+            open_nodes[-1][2].append(node)
+            tok = toks[i]
             i += 1
-            label, children = open_nodes.pop()
+            if tok == ",":
+                break
+            if tok != ")":
+                _tree_syntax_error(text, "expected ')' in tree")
+            label, rank, children = open_nodes.pop()
+            if rank != len(children):
+                fits = False
             node = Tree(label, tuple(children))
         else:
-            tree = node
-    if i < n:
-        raise SyntaxErr(f"trailing input after tree: {toks[i][0]!r}",
-                        toks[i][1], toks[i][2])
-    if alphabet is not None:
-        tree.validate(alphabet)
-    return tree
+            break
+    if toks[i]:
+        _tree_syntax_error(text, "trailing input after tree", i)
+    if not fits and alphabet is not None:
+        node.validate(alphabet)
+    return node
+
+
+def _tree_syntax_error(text, msg, i=None):
+    """Raises the SyntaxErr of a tree text that parse_tree refused with msg
+    at its token i: _tokenize's own error if the text has one, else msg,
+    which names token i and gives its line and column when i is given."""
+    toks = _tokenize(text)
+    if i is None:
+        raise SyntaxErr(msg)
+    tok, line, col = toks[i]
+    raise SyntaxErr(f"{msg}: {tok!r}", line, col)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +480,7 @@ def term_to_str(t, mark=None, direction=None):
 # ---------------------------------------------------------------------------
 # Parsing
 
-def _is_ident(s):
+def is_ident(s):
     return s.replace("_", "a").isalnum() and s not in RESERVED
 
 
@@ -537,7 +576,7 @@ class _TermParser:
 
     def _at_atom(self):
         p = self.peek()
-        return p is not None and (p == "(" or p == "!" or _is_ident(p))
+        return p is not None and (p == "(" or p == "!" or is_ident(p))
 
     def atom(self, bound):
         p = self.peek()
@@ -552,7 +591,7 @@ class _TermParser:
         if p == "\\":
             # allow a lambda directly as the last applicand: "f \\x. t"
             return self.term(bound)
-        if p is not None and _is_ident(p):
+        if p is not None and is_ident(p):
             if p in bound or self.alphabet is None and p not in self.extra:
                 return Var(self.eat())
             if p not in self.extra and p not in self.alphabet:
@@ -562,7 +601,7 @@ class _TermParser:
 
     def ident(self):
         p = self.peek()
-        if p is None or not _is_ident(p):
+        if p is None or not is_ident(p):
             self.err("expected an identifier")
         return self.eat()
 
@@ -587,28 +626,43 @@ def parse_term(text, alphabet=None, extra_consts=(), at=(1, 1)):
 # ---------------------------------------------------------------------------
 # Tree encodings
 
-def apply_tree(tau, head):
+def apply_tree(tau, head, alphabet=None):
     """The term head(a) t_1 ... t_k for each node a(c_1, ..., c_k) of tau,
-    where t_i is the term of c_i; head is called in preorder."""
+    where t_i is the term of c_i; head is called in preorder.  Given an
+    alphabet, the same walk checks each node's rank, and a tree that does
+    not fit gets Tree.validate's error, also where head raised on it."""
+    ranks = {} if alphabet is None else alphabet.ranks
+    fits = True
     out = []
     todo = [tau]
-    while todo:
-        node = todo.pop()
-        if type(node) is tuple:     # (head term, rank): children are done
-            t, k = node
-            if k == 1:
-                out[-1] = App(t, out[-1])
+    try:
+        while todo:
+            node = todo.pop()
+            if type(node) is tuple:     # (head term, rank): children are done
+                t, k = node
+                if k == 1:
+                    out[-1] = App(t, out[-1])
+                    continue
+                cut = len(out) - k
+                for c in out[cut:]:
+                    t = App(t, c)
+                del out[cut:]
+                out.append(t)
                 continue
-            cut = len(out) - k
-            for c in out[cut:]:
-                t = App(t, c)
-            del out[cut:]
-            out.append(t)
-        elif node.children:
-            todo.append((head(node.label), len(node.children)))
-            todo.extend(reversed(node.children))
-        else:
-            out.append(head(node.label))
+            cs = node.children
+            if ranks.get(node.label) != len(cs):
+                fits = False
+            if cs:
+                todo.append((head(node.label), len(cs)))
+                todo.extend(reversed(cs))
+            else:
+                out.append(head(node.label))
+    except (KeyError, LamtransError):     # what a head raises
+        if alphabet is not None:
+            tau.validate(alphabet)
+        raise
+    if not fits and alphabet is not None:
+        tau.validate(alphabet)
     return out[0]
 
 
@@ -642,10 +696,11 @@ def decode_tree(t):
     return out[0]
 
 
-def instantiate(tau, family):
-    """Replace each constant of encode_tree(tau) by its family term."""
+def instantiate(tau, family, alphabet=None):
+    """Replace each constant of encode_tree(tau) by its family term, tau
+    checked against the alphabet if one is given (see apply_tree)."""
     try:
-        return apply_tree(tau, family.__getitem__)
+        return apply_tree(tau, family.__getitem__, alphabet)
     except KeyError as e:
         raise LamtransError(
             f"no family entry for letter {e.args[0]!r}") from None

@@ -64,7 +64,8 @@ class GlsSpec:
     # -- running -----------------------------------------------------------
 
     def build(self, tau):
-        """The term tau-arrow-down : A_init.  apply_tree visits the nodes in
+        """The term tau-arrow-down : A_init, tau checked against the input
+        alphabet as apply_tree builds it.  apply_tree visits the nodes in
         preorder, so the states still to visit are a stack."""
         states = [self.init]
 
@@ -76,10 +77,9 @@ class GlsSpec:
             states.extend(reversed(self.rules[key][1]))
             return self.norm_rules[key]
 
-        return apply_tree(tau, head)
+        return apply_tree(tau, head, self.input)
 
     def run(self, tau, fuel=10_000_000):
-        tau.validate(self.input)
         return decode_tree(normalize(App(self.norm_out, self.build(tau)),
                                      fuel))
 
@@ -245,18 +245,22 @@ def split_state_relabeling(spec):
                             "apply make_type_constant first")
 
     def relabel(tau):
+        ranks = spec.input.ranks
         out = Tree(None)
         todo = [(tau, spec.init, out)]
         while todo:     # each new node is filled in before its children
             node, q, new = todo.pop()
-            key = (q, node.label)
-            if key not in spec.rules:
+            rule = spec.rules.get((q, node.label))
+            if rule is None or ranks[node.label] != len(node.children):
+                # a tree that does not fit gets Tree.validate's error; a
+                # node of the wrong rank never fits, so only a missing rule
+                # gets this one
+                tau.validate(spec.input)
                 raise SpecError(f"{spec.name}: no rule for state {q!r} at "
                                 f"letter {node.label!r}")
             new.label = relabel_letter(node.label, q)
             new.children = kids = tuple([Tree(None) for _ in node.children])
-            todo.extend(reversed(list(zip(node.children, spec.rules[key][1],
-                                          kids))))
+            todo.extend(reversed(list(zip(node.children, rule[1], kids))))
         return out
 
     letters = []

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (App, Const, Lam, LamtransError, RankedAlphabet, SyntaxErr,
-                   Var, children, decode_tree, instantiate, parse_term, share,
-                   term_to_str, with_children)
+                   Var, children, decode_tree, instantiate, is_ident,
+                   parse_term, share, term_to_str, with_children)
 from .iam import LocalBlocks
 from .reduction import normalize
 from .typecheck import (Arrow, O, TIER_NAMES, TypingError, fill_hints,
@@ -90,8 +90,8 @@ class LambdaTransducerSpec:
     # -- running -----------------------------------------------------------
 
     def program_term(self, tau):
-        tau.validate(self.input)
-        return App(self.norm_out, instantiate(tau, self.norm_rules))
+        return App(self.norm_out, instantiate(tau, self.norm_rules,
+                                              self.input))
 
     def program_ann(self, tau):
         return typecheck(self.program_term(tau), ty=O, alphabet=self.output)
@@ -119,6 +119,8 @@ def _strip(line):
 
 
 def parse_alphabet_block(text, where=""):
+    """The alphabet `{ letter:rank, ... }`; each letter is an identifier, so
+    that a tree text can spell it."""
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
         raise SyntaxErr(f"expected {{ letter:rank, ... }} {where}")
@@ -129,7 +131,11 @@ def parse_alphabet_block(text, where=""):
             if ":" not in part:
                 raise SyntaxErr(f"expected letter:rank, got {part!r} {where}")
             name, rank = part.split(":", 1)
-            letters.append((name.strip(), parse_int(rank.strip())))
+            name = name.strip()
+            if not is_ident(name):
+                raise SyntaxErr(f"letter {name!r} {where} is not an "
+                                "identifier")
+            letters.append((name, parse_int(rank.strip())))
     return RankedAlphabet(tuple(letters))
 
 

@@ -306,7 +306,9 @@ class WalkConfig:
 class WalkingMachine(Machine):
     """Runs a TwtSpec or an IpttSpec on an input tree.
 
-    The input is indexed once: `nodes[i]` is (the spec's plans for node
+    The input is indexed once, and checked against the spec's input
+    alphabet in the same walk (a tree that does not fit gets
+    Tree.validate's error): `nodes[i]` is (the spec's plans for node
     i's letter and rootness, the parent's number, the first child's
     number, the provenance of arriving at the parent from node i, the
     letter, the spec's stay chains for the letter and rootness); the root
@@ -317,20 +319,24 @@ class WalkingMachine(Machine):
     `render` writes."""
 
     def __init__(self, spec, tau):
-        tau.validate(spec.input)
         self.spec = spec
         plans, stays, none = spec.plans, spec.stays, {}
+        ranks, fits = spec.input.ranks, True
         self.nodes = nodes = [None]
         todo = [(tau, 0, None, None)]
         while todo:
             t, i, parent, back = todo.pop()
             first, arity = len(nodes), len(t.children)
+            if ranks.get(t.label) != arity:
+                fits = False
             key = t.label, parent is None
             nodes[i] = (plans.get(key, none), parent, first, back, t.label,
                         stays.get(key, none))
             nodes.extend([None] * arity)
             todo.extend([(c, first + k, i, ("from-child", k + 1))
                          for k, c in enumerate(t.children)])
+        if not fits:
+            tau.validate(spec.input)
 
     def initial(self):
         return WalkConfig(self.spec.initial, "self", 0)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from lamtrans import corpus_path
-from lamtrans.gls import parse_gls
+from lamtrans.gls import make_type_constant, parse_gls, split_state_relabeling
 from lamtrans.transducer import SpecError, parse_transducer
 from lamtrans.walking import parse_iptt, parse_twt
 
@@ -154,3 +154,30 @@ def test_term_and_type_errors_give_the_file_line_and_column(fname, parse, old,
         parse(text.replace(old, new), name=fname)
     assert str(e.value) == f"{fname}:{message}"
 
+
+
+@pytest.mark.parametrize("parse", [parse_transducer, parse_gls, parse_twt,
+                                   parse_iptt],
+                         ids=["lt", "gls", "twt", "iptt"])
+@pytest.mark.parametrize("line, message", [
+    ("input { in:0, b:1 }", "letter 'in' after 'input' is not an identifier"),
+    ("input { a-b:0 }", "letter 'a-b' after 'input' is not an identifier"),
+    ("input { a@q:1, c:0 }",
+     "letter 'a@q' after 'input' is not an identifier"),
+    ("input { b:1, :0 }", "letter '' after 'input' is not an identifier"),
+    ("output { S:1, let:0 }",
+     "letter 'let' after 'output' is not an identifier"),
+], ids=["reserved", "dash", "at", "empty", "output-reserved"])
+def test_a_letter_no_tree_can_spell_is_refused_on_its_line(parse, line,
+                                                           message):
+    # such a spec used to load, and then refuse every tree that used the
+    # letter with a syntax error
+    text = f"# header\n{line}\n"
+    with pytest.raises(SpecError, match=f"^x:2: {re.escape(message)}$"):
+        parse(text, name="x")
+
+
+def test_in_process_alphabets_keep_letters_no_tree_can_spell(mirror):
+    relabel, trans = split_state_relabeling(make_type_constant(mirror))
+    assert "a@qe" in trans.input and not trans.input.spellable
+    assert mirror.input.spellable
