@@ -207,19 +207,12 @@ def tree_to_str(t, node, leaf):
     return "".join(out)
 
 
-# the tokens of a tree text, and its comments: where _tokenize accepts a
-# text, these are its tokens once the comments are dropped
-_TREE_TOKEN = re.compile(r"#[^\n]*|-o|\w+|\S")
-
-
 def parse_tree(text, alphabet=None):
     """The tree a text writes as label(child,...), with whitespace and
     '#' comments anywhere between tokens.  Given an alphabet, each node's
     rank is checked as the node closes, and a tree that does not fit gets
     Tree.validate's error; a syntax error comes first."""
-    toks = _TREE_TOKEN.findall(text)
-    if "#" in text:
-        toks = [tok for tok in toks if tok[0] != "#"]
+    toks = _scan(text)
     toks.append("")     # the end of the text
     ranks = {} if alphabet is None else alphabet.ranks
     every = alphabet is None or not alphabet.spellable  # check every label
@@ -268,8 +261,7 @@ def _tree_syntax_error(text, msg, i=None):
     toks = _tokenize(text)
     if i is None:
         raise SyntaxErr(msg)
-    tok, line, col = toks[i]
-    raise SyntaxErr(f"{msg}: {tok!r}", line, col)
+    raise SyntaxErr(f"{msg}: {toks[i]!r}", *token_position(text, (1, 1), i))
 
 
 # ---------------------------------------------------------------------------
@@ -484,73 +476,68 @@ def is_ident(s):
     return s.replace("_", "a").isalnum() and s not in RESERVED
 
 
-def _tokenize(text, line=1, col=1):
-    """The tokens of `text` with their (line, column), counted from the
-    position (line, col) of its first character."""
-    toks = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalnum() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append((text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if text.startswith("-o", i):
-            toks.append(("-o", line, col))
-            i += 2
-            col += 2
-            continue
-        if c in "\\.!()=,{}:@<>":
-            toks.append((c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise SyntaxErr(f"unexpected character {c!r}", line, col)
+# the tokens of tree, term and type text, and its '#' comments
+_TOKEN = re.compile(r"#[^\n]*|-o|\w+|\S")
+_PUNCT = frozenset("\\.!()=,{}:@<>")
+
+
+def _scan(text):
+    """The tokens of a tree, term or type text, its comments dropped."""
+    toks = _TOKEN.findall(text)
+    if "#" in text:
+        toks = [tok for tok in toks if tok[0] != "#"]
     return toks
 
 
+def _tokenize(text, at=(1, 1)):
+    """The tokens of `text` (_scan).  A character that is not white space
+    and in no word, comment, `-o` or punctuation is refused with its (line,
+    column), counted from `at`, the position of the text's first
+    character."""
+    toks = _scan(text)
+    for i, tok in enumerate(toks):
+        if len(tok) == 1 and tok not in _PUNCT and not is_ident(tok):
+            raise SyntaxErr(f"unexpected character {tok!r}",
+                            *token_position(text, at, i))
+    return toks
+
+
+def token_position(text, at, i):
+    """The (line, column) of the i-th token of `text` (see _tokenize),
+    counted from `at`, the position of its first character: found again
+    from the text, for an error only."""
+    off = [m.start() for m in _TOKEN.finditer(text) if m[0][0] != "#"][i]
+    line, col = at
+    nl = text.rfind("\n", 0, off)
+    if nl < 0:
+        return line, col + off
+    return line + text.count("\n", 0, off), off - nl
+
+
 class _TermParser:
-    def __init__(self, toks, alphabet=None, extra_consts=()):
-        self.toks = toks
+    def __init__(self, text, at, alphabet=None, extra_consts=()):
+        self.text, self.at = text, at
+        self.toks = _tokenize(text, at)
         self.i = 0
         self.alphabet = alphabet
         self.extra = set(extra_consts)
 
     def peek(self):
-        return self.toks[self.i][0] if self.i < len(self.toks) else None
+        return self.toks[self.i] if self.i < len(self.toks) else None
 
     def err(self, msg):
         if self.i < len(self.toks):
-            _, line, col = self.toks[self.i]
-            raise SyntaxErr(msg, line, col)
+            raise SyntaxErr(msg, *token_position(self.text, self.at, self.i))
         raise SyntaxErr(msg + " (at end of input)")
 
     def eat(self, tok=None):
         if self.i >= len(self.toks):
             self.err(f"expected {tok!r}")
         got = self.toks[self.i]
-        if tok is not None and got[0] != tok:
-            self.err(f"expected {tok!r}, got {got[0]!r}")
+        if tok is not None and got != tok:
+            self.err(f"expected {tok!r}, got {got!r}")
         self.i += 1
-        return got[0]
+        return got
 
     def term(self, bound):
         if self.peek() == "\\":
@@ -613,7 +600,7 @@ def parse_term(text, alphabet=None, extra_consts=(), at=(1, 1)):
     an error otherwise.  Syntax errors give their (line, column) counted
     from `at`, the position of the text's first character; a term nested
     past Python's recursion limit raises TooDeep."""
-    p = _TermParser(_tokenize(text, *at), alphabet, extra_consts)
+    p = _TermParser(text, at, alphabet, extra_consts)
     try:
         t = p.term(frozenset())
     except RecursionError:

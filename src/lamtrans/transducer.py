@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .core import (App, Const, Lam, LamtransError, RankedAlphabet, SyntaxErr,
-                   Var, children, decode_tree, instantiate, is_ident,
+                   Var, decode_tree, instantiate, is_ident, number_term,
                    parse_term, share, term_to_str, with_children)
 from .iam import LocalBlocks
 from .reduction import normalize
@@ -249,10 +249,17 @@ def load_transducer(path):
 # Composition
 
 def subst_consts(t, mapping):
-    """Replace constants by closed terms."""
-    if isinstance(t, Const) and t.name in mapping:
-        return mapping[t.name]
-    return with_children(t, [subst_consts(c, mapping) for c in children(t)])
+    """Replace constants by closed terms; built as fill_hints builds, so
+    terms of any depth work."""
+    nodes, kids = number_term(t)
+    built = [None] * len(nodes)
+    for pos in range(len(nodes) - 1, -1, -1):
+        t = nodes[pos]
+        if t.__class__ is Const and t.name in mapping:
+            built[pos] = mapping[t.name]
+        else:
+            built[pos] = with_children(t, [built[pos + k] for k in kids[pos]])
+    return built[0]
 
 
 def compose(f, g, name=None):

@@ -4,12 +4,12 @@ classification of types and terms into restriction tiers."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from itertools import islice
 
 from .core import (App, Box, Const, Lam, LamtransError, Let, SyntaxErr, Var,
-                   _tokenize, children, number_term, term_to_str, too_deep,
-                   with_children)
+                   _tokenize, number_term, term_to_str, token_position,
+                   too_deep, with_children)
 
 
 class TypingError(LamtransError):
@@ -39,66 +39,103 @@ Type = object
 O = Base()
 
 
-def type_to_str(A, level=0):
-    # level: 0 = full type, 1 = left of an arrow / under a bang
-    if isinstance(A, Base):
-        return "o"
-    if isinstance(A, Bang):
-        return "!" + type_to_str(A.inner, 1)
-    if isinstance(A, Arrow):
-        s = type_to_str(A.left, 1) + " -o " + type_to_str(A.right, 0)
-        return "(" + s + ")" if level > 0 else s
-    raise LamtransError(f"not a type: {A!r}")
+def type_to_str(A):
+    """The text of a type, written without recursion."""
+    out, todo = [], [(A, 0)]
+    while todo:
+        A, level = todo.pop()
+        # level: 0 = full type, 1 = left of an arrow / under a bang
+        if A.__class__ is str:
+            out.append(A)
+        elif isinstance(A, Base):
+            out.append("o")
+        elif isinstance(A, Bang):
+            out.append("!")
+            todo.append((A.inner, 1))
+        elif isinstance(A, Arrow):
+            if level > 0:
+                out.append("(")
+                todo.append((")", 0))
+            todo += ((A.right, 0), (" -o ", 0), (A.left, 1))
+        else:
+            raise LamtransError(f"not a type: {A!r}")
+    return "".join(out)
 
 
 def parse_type(text, at=(1, 1)):
     """Parse a type; syntax errors count their position from `at`, and a
     type nested too deeply raises TooDeep, as in parse_term."""
-    toks = _tokenize(text, *at)
+    toks = _tokenize(text, at)
+    where = partial(token_position, text, at)   # of the i-th token
     try:
-        A, i = _parse_arrow(toks, 0)
+        A, i = _parse_arrow(toks, 0, where)
     except RecursionError:
         raise too_deep("type", "parse") from None
     if i != len(toks):
-        raise SyntaxErr(f"trailing input after type: {toks[i][0]!r}",
-                        toks[i][1], toks[i][2])
+        raise SyntaxErr(f"trailing input after type: {toks[i]!r}", *where(i))
     return A
 
 
-def _parse_arrow(toks, i):
-    A, i = _parse_type_atom(toks, i)
-    if i < len(toks) and toks[i][0] == "-o":
-        B, i = _parse_arrow(toks, i + 1)
+def _parse_arrow(toks, i, where):
+    A, i = _parse_type_atom(toks, i, where)
+    if i < len(toks) and toks[i] == "-o":
+        B, i = _parse_arrow(toks, i + 1, where)
         return Arrow(A, B), i
     return A, i
 
 
-def _parse_type_atom(toks, i):
+def _parse_type_atom(toks, i, where):
     if i >= len(toks):
         raise SyntaxErr("expected a type")
-    tok, line, col = toks[i]
+    tok = toks[i]
     if tok == "o":
         return O, i + 1
     if tok == "!":
-        A, i = _parse_type_atom(toks, i + 1)
+        A, i = _parse_type_atom(toks, i + 1, where)
         return Bang(A), i
     if tok == "(":
-        A, i = _parse_arrow(toks, i + 1)
-        if i >= len(toks) or toks[i][0] != ")":
-            raise SyntaxErr("expected ')' in type", line, col)
-        return A, i + 1
-    raise SyntaxErr(f"unexpected token {tok!r} in type", line, col)
+        A, j = _parse_arrow(toks, i + 1, where)
+        if j >= len(toks) or toks[j] != ")":
+            raise SyntaxErr("expected ')' in type", *where(i))
+        return A, j + 1
+    raise SyntaxErr(f"unexpected token {tok!r} in type", *where(i))
+
+
+def _parts_first(A, known):
+    """The parts of type A, A too, for which known(part) is false, each
+    after the parts it holds, without recursion; the caller makes known()
+    true for each part it is handed before it asks for the next."""
+    todo = [A]
+    while todo:
+        T = todo[-1]
+        if known(T):
+            todo.pop()
+            continue
+        cls = T.__class__
+        parts = ((T.left, T.right) if cls is Arrow else
+                 (T.inner,) if cls is Bang else ())
+        missing = [P for P in parts if not known(P)]
+        if missing:
+            todo.extend(missing)
+            continue
+        todo.pop()
+        yield T
 
 
 def subst_base(A, B):
     """A with every occurrence of the base type replaced by B."""
-    if isinstance(A, Base):
-        return B
-    if isinstance(A, Arrow):
-        return Arrow(subst_base(A.left, B), subst_base(A.right, B))
-    if isinstance(A, Bang):
-        return Bang(subst_base(A.inner, B))
-    raise LamtransError(f"not a type: {A!r}")
+    done = {}   # id of a part of A -> that part with B for the base type
+    for T in _parts_first(A, lambda T: id(T) in done):
+        cls = T.__class__
+        if cls is Base:
+            done[id(T)] = B
+        elif cls is Arrow:
+            done[id(T)] = Arrow(done[id(T.left)], done[id(T.right)])
+        elif cls is Bang:
+            done[id(T)] = Bang(done[id(T.inner)])
+        else:
+            raise LamtransError(f"not a type: {T!r}")
+    return done[id(A)]
 
 
 def type_height(A):
@@ -108,15 +145,15 @@ def type_height(A):
 def navigate(A, tape):
     """Follow a multiplicative tape (string over 'p'/'o', read left to
     right) down a type.  Returns None when the tape does not fit."""
-    if isinstance(A, Bang):
-        return navigate(A.inner, tape)
-    if not tape:
-        return A
-    if isinstance(A, Arrow):
-        if tape[0] == "o":
-            return navigate(A.left, tape[1:])
-        return navigate(A.right, tape[1:])
-    return None
+    for step in tape:
+        while isinstance(A, Bang):
+            A = A.inner
+        if not isinstance(A, Arrow):
+            return None
+        A = A.left if step == "o" else A.right
+    while isinstance(A, Bang):
+        A = A.inner
+    return A
 
 
 @cache
@@ -149,23 +186,24 @@ def _type_facts(A):
     facts = getattr(A, "_facts", None)
     if facts is not None:
         return facts
-    if isinstance(A, Base):
-        facts = (0, 0)
-    elif isinstance(A, Arrow):
-        (ltier, lheight), (rtier, rheight) = (_type_facts(A.left),
-                                              _type_facts(A.right))
-        facts = (max(ltier, rtier), 1 + max(lheight, rheight))
-    elif isinstance(A, Bang):
-        tier, height = _type_facts(A.inner)
-        if isinstance(A.inner, Base):
-            tier = 1
+    for T in _parts_first(A, lambda T: hasattr(T, "_facts")):
+        cls = T.__class__
+        if cls is Base:
+            facts = (0, 0)
+        elif cls is Arrow:
+            (ltier, lheight), (rtier, rheight) = T.left._facts, T.right._facts
+            facts = (max(ltier, rtier), 1 + max(lheight, rheight))
+        elif cls is Bang:
+            tier, height = T.inner._facts
+            if T.inner.__class__ is Base:
+                tier = 1
+            else:
+                tier = 2 if tier <= 1 else 3
+            facts = (tier, height)
         else:
-            tier = 2 if tier <= 1 else 3
-        facts = (tier, height)
-    else:
-        raise LamtransError(f"not a type: {A!r}")
-    object.__setattr__(A, "_facts", facts)
-    return facts
+            raise LamtransError(f"not a type: {T!r}")
+        object.__setattr__(T, "_facts", facts)
+    return A._facts
 
 
 # ---------------------------------------------------------------------------
@@ -454,21 +492,18 @@ def _unbind(env, name, saved):
 
 def fill_hints(ann):
     """Return ann.term with every lambda's binder-type hint filled in from
-    the typing derivation, so the result synthesizes without a target."""
-
-    kids, types = ann.kids, ann.types
-
-    def go(t, pos):
-        cs = [go(c, pos + k) for c, k in zip(children(t), kids[pos])]
-        t = with_children(t, cs)
-        if isinstance(t, Lam):
-            return Lam(t.var, t.body, types[pos].left)
-        return t
-
-    try:
-        return go(ann.term, 0)
-    finally:
-        go = None       # as in typecheck: no cycle through go's closure
+    the typing derivation, so the result synthesizes without a target.
+    Built from the last position to the first, children before parents,
+    so terms of any depth work."""
+    nodes, kids, types = ann.nodes, ann.kids, ann.types
+    built = [None] * len(nodes)
+    for pos in range(len(nodes) - 1, -1, -1):
+        t = nodes[pos]
+        if t.__class__ is Lam:
+            built[pos] = Lam(t.var, built[pos + 1], types[pos].left)
+        else:
+            built[pos] = with_children(t, [built[pos + k] for k in kids[pos]])
+    return built[0]
 
 
 # ---------------------------------------------------------------------------

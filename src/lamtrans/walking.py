@@ -17,6 +17,7 @@ configurations carry a pebble stack that stays empty for a TWT."""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,7 +66,9 @@ class WalkingSpec:
     and says whether it has `pebbles` and which `colors` it declares.
 
     The transitions are checked and planned for WalkingMachine in one pass
-    when the spec is built, so the tables must not change afterwards.
+    when the spec is built, so the tables must not change afterwards.  A
+    state or color that the spec's file format cannot hold is refused
+    then too, so that every spec reads back as to_str writes it.
     `plans` maps each (letter, is-root) to a map from (state, provenance)
     to a dict from the pebble (a color, None, or ANY) to the plan of the
     image: the image with each (state, move) leaf decoded to its (state,
@@ -73,9 +76,18 @@ class WalkingSpec:
     is ANY -- every one in a TWT -- is replaced by its plan."""
 
     def __post_init__(self):
+        for i, c in enumerate(self.colors):
+            try:
+                problem = _color_problem(c, self.colors[:i])
+            except SyntaxErr:       # a quote that none closes
+                problem = f"color {c!r} is not one word"
+            if problem:
+                raise SpecError(f"{self.name}: {problem}")
         self.plans = plans = {}
+        names = dict.fromkeys(self.states)  # every state named, in order
         for key, is_root, z, img in self.transitions():
             a, q, p = key[:3]
+            names[q] = None
             if a not in self.input:
                 raise SpecError(f"{self.name}: unknown letter {a!r}")
             if is_root and p == "from-parent":
@@ -91,6 +103,8 @@ class WalkingSpec:
                         raise SpecError(f"{self.name}: arity mismatch at "
                                         f"{t.label!r}")
                     todo.extend(t.children)
+                else:
+                    names[t[0]] = None
             plans.setdefault((a, is_root), {}).setdefault((q, p), {})[z] = \
                 image_map_leaves(img, lambda leaf: self._record(leaf, key,
                                                                 is_root))
@@ -98,6 +112,13 @@ class WalkingSpec:
             for key, by_pebble in by_state.items():
                 if by_pebble.keys() == {ANY}:
                     by_state[key] = by_pebble[ANY]
+        for q in names:
+            if "#" in q:
+                raise SpecError(f"{self.name}: state {q!r} holds '#', which "
+                                f"starts a comment in a spec file")
+            if "".join(q.splitlines()) != q:
+                raise SpecError(f"{self.name}: state {q!r} holds a line "
+                                f"break, which ends a spec file's line")
 
     def _record(self, leaf, key, is_root):
         """The record of a (state, move) leaf of the image of transition
@@ -477,38 +498,26 @@ def quote_state(q):
     return '"' + q.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+# a token of a walking-spec line: a quoted name with backslash escapes, one
+# of (),= or a word; a quote that no other one closes is an error
+_WTOKEN = re.compile(r'"((?:\\.|[^"\\])*)"|([(),=])|([^\s(),="]+)|"', re.S)
+_ESCAPE = re.compile(r"\\(.)", re.S)
+
+
 def _wtokenize(text):
+    """The tokens of a walking-spec line: ("str", name) for a quoted name,
+    (c, c) for c one of (),= and ("word", w) for a word."""
     toks = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            buf = []
-            while j < n and text[j] != '"':
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append(text[j + 1])
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                raise SyntaxErr("unterminated quoted state name")
-            toks.append(("str", "".join(buf)))
-            i = j + 1
-            continue
-        if c in "(),=":
-            toks.append((c, c))
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace() and text[j] not in '(),="':
-            j += 1
-        toks.append(("word", text[i:j]))
-        i = j
+    for m in _WTOKEN.finditer(text):
+        name, punct, word = m.groups()
+        if word is not None:
+            toks.append(("word", word))
+        elif punct is not None:
+            toks.append((punct, punct))
+        elif name is not None:
+            toks.append(("str", _ESCAPE.sub(r"\1", name)))
+        else:
+            raise SyntaxErr("unterminated quoted state name")
     return toks
 
 
@@ -648,24 +657,35 @@ def _iptt_delta_line(rest, got, at):
 
 
 def _colors_line(rest, got, at):
-    """`colors { a, b, c }`: the colors, each one word that a `pebble` key
-    and a `put` move can name, and none of them the file's words for no
-    pebble (NONE) and any pebble (*)."""
+    """`colors { a, b, c }`: the colors (see _color_problem)."""
     body = rest.strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise SyntaxErr("expected colors { a, b, c }")
     body = body[1:-1].strip()
     colors = [c.strip() for c in body.split(",")] if body else []
     for i, c in enumerate(colors):
-        if not c:
-            raise SyntaxErr("empty entry in colors list")
-        if _wtokenize(c) != [("word", c)]:
-            raise SyntaxErr(f"color {c!r} is not one word")
-        if c in ("NONE", ANY):
-            raise SyntaxErr(f"{c!r} is not a color name")
-        if c in colors[:i]:
-            raise SyntaxErr(f"duplicate color {c!r}")
+        problem = _color_problem(c, colors[:i])
+        if problem:
+            raise SyntaxErr(problem)
     return colors
+
+
+def _color_problem(c, earlier):
+    """Why c cannot follow the colors `earlier` in a colors line, or None:
+    a color is one word that a `pebble` key and a `put` move can name, not
+    the file's words for no pebble (NONE) and any pebble (*), and without
+    the '#' that starts a comment."""
+    if not c:
+        return "empty entry in colors list"
+    if _wtokenize(c) != [("word", c)]:
+        return f"color {c!r} is not one word"
+    if c in ("NONE", ANY):
+        return f"{c!r} is not a color name"
+    if "#" in c:
+        return f"color {c!r} holds '#', which starts a comment"
+    if c in earlier:
+        return f"duplicate color {c!r}"
+    return None
 
 
 def _parse_walking(text, name, handlers, tables):

@@ -233,6 +233,34 @@ def test_python_dash_m_runs_the_cli():
     assert proc.stdout.startswith("usage: lamtrans")
 
 
+@pytest.mark.parametrize("k", [600, 900, 980])
+@pytest.mark.parametrize("command", ["typecheck", "run", "compose"])
+def test_a_spec_of_deep_boxes_gives_a_result_or_a_clean_error(tmp_path, k,
+                                                              command):
+    # memory and rule are k boxes deep: a command prints its result, or
+    # the checker refuses a term too deep for its recursion, and no pass
+    # after the checker crashes
+    spec = tmp_path / "deep.lt"
+    spec.write_text(f"input {{ c:0 }}\noutput {{ c:0 }}\n"
+                    f"memory {'!' * k}o\nrule c = {'!' * k}c\n"
+                    "out = \\x. let !y = x in c\n")
+    args = {"typecheck": [spec], "run": [spec, "c"],
+            "compose": [spec, spec]}[command]
+    src = os.path.dirname(os.path.dirname(lamtrans.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "lamtrans", command, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert "Traceback" not in proc.stderr
+    if proc.returncode == 0:
+        assert proc.stdout and not proc.stderr
+    else:
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert " nests too deeply " in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+
 def test_reversible_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "reversible", COUNT_TWT)
     assert code == 0 and "reversible" in out

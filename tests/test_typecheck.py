@@ -58,6 +58,22 @@ def test_navigate():
     assert navigate(O, ("p",)) is None
 
 
+def test_type_passes_work_past_the_recursion_limit():
+    k = 5000
+    bangs, arrows = O, O
+    for _ in range(k):
+        bangs, arrows = Bang(bangs), Arrow(arrows, O)
+    assert type_to_str(bangs) == "!" * k + "o"
+    assert type_to_str(arrows) == \
+        "(" * (k - 1) + "o -o o" + ") -o o" * (k - 1)
+    assert (classify_type(bangs), type_height(bangs)) == (3, 0)
+    assert (classify_type(arrows), type_height(arrows)) == (0, k)
+    assert type_to_str(subst_base(bangs, Arrow(O, O))) == \
+        "!" * k + "(o -o o)"
+    assert navigate(bangs, "") is O
+    assert navigate(arrows, "o" * k) is O and navigate(arrows, "p") is O
+
+
 # -- classification ---------------------------------------------------------
 
 def test_classify_type_tiers():

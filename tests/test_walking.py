@@ -1,4 +1,5 @@
 import random
+from functools import partial
 
 import pytest
 
@@ -8,8 +9,8 @@ from lamtrans.core import RankedAlphabet, parse_tree
 from lamtrans.transducer import SpecError
 from lamtrans.treegen import FNode, Output, run as treegen_run
 from lamtrans.walking import (ANY, PUT, REMOVE, STAY, TO_CHILD, TO_PARENT,
-                              IpttSpec, NotReversible, WalkConfig,
-                              WalkingMachine, check_reversible,
+                              IpttSpec, NotReversible, TwtSpec, WalkConfig,
+                              WalkingMachine, check_reversible, image_leaves,
                               image_map_leaves, image_to_str, parse_iptt,
                               parse_twt, predecessor, quote_state)
 from conftest import numeral, run_walking, unary
@@ -320,3 +321,100 @@ def test_run_remembers_no_stepped_configuration(bin2bin):
     m = WalkingMachine(compile_to_iptt(bin2bin), tau)
     res = treegen_run(m, m.initial())
     assert isinstance(res, Output) and res.tree == bin2bin.eval_normalize(tau)
+
+
+# names a spec file can hold, and ones it cannot
+STATE_NAMES = ["q", "q 1", 'say "hi"', "back\\slash", "->", "a-b", "x_y", "",
+               "init", "NONE", "stay", "(", ",", "=", " pad ", "tab\t", "é",
+               "\\", '"', "q#1", "#", "two\nlines", "cr\r", "ff\x0c"]
+GOOD_COLORS = ["o", "p", "z1", "a}", "{a", "é"]
+COLORS = GOOD_COLORS + ["a#b", "a b", "NONE", "*", "", "x)", '"', "o"]
+IN = RankedAlphabet.of({"a": 2, "b": 1, "c": 0})
+OUT = RankedAlphabet.of({"S": 1, "f": 2, "0": 0})
+
+
+def random_walking_spec(rng, pebbles):
+    """The class and arguments of a random TWT or IPTT over IN and OUT
+    whose transitions are well formed, with states from STATE_NAMES and
+    colors from COLORS."""
+    states = rng.sample(STATE_NAMES, rng.randint(1, 4))
+    colors = rng.sample(COLORS, rng.randint(0, 3))
+    used = states + rng.sample(STATE_NAMES, 1)  # one maybe not declared
+    state = partial(rng.choice, used)
+
+    def image(letter, is_root, depth):
+        if depth and rng.random() < 0.4:
+            label, rank = rng.choice(OUT.letters)
+            return FNode(label, tuple(image(letter, is_root, depth - 1)
+                                      for _ in range(rank)))
+        moves = ["stay"] + [("to-child", i)
+                            for i in range(1, IN.rank(letter) + 1)]
+        if not is_root:
+            moves.append("to-parent")
+        if pebbles:
+            moves += ["remove"] + [("put", c) for c in colors]
+        return state(), rng.choice(moves)
+
+    delta, delta_root = {}, {}
+    for _ in range(rng.randint(1, 6)):
+        letter, rank = rng.choice(IN.letters)
+        is_root = rng.random() < 0.3
+        provs = ["self"] + [("from-child", i) for i in range(1, rank + 1)]
+        if not is_root:
+            provs.append("from-parent")
+        key = letter, state(), rng.choice(provs)
+        img = image(letter, is_root, 2)
+        if pebbles:
+            z = rng.choice([None, ANY, *colors])
+            delta[key + (is_root, z)] = img
+        else:
+            (delta_root if is_root else delta)[key] = img
+    initial = rng.choice(states)
+    if pebbles:
+        return IpttSpec, (IN, OUT, states, initial, colors, delta)
+    return TwtSpec, (IN, OUT, states, initial, delta, delta_root)
+
+
+@pytest.mark.parametrize("pebbles", [False, True], ids=["twt", "iptt"])
+def test_every_walking_spec_that_builds_reads_back_as_written(pebbles):
+    rng = random.Random(24)
+    built = 0
+    for _ in range(2000):
+        cls, args = random_walking_spec(rng, pebbles)
+        colors = args[4] if pebbles else []
+        tables = args[5:] if pebbles else args[4:]
+        names = {*args[2], *(key[1] for table in tables for key in table),
+                 *(leaf[0] for table in tables for img in table.values()
+                   for leaf in image_leaves(img))}
+        # refused just when it names a state or a color no file can hold
+        unwritable = [q for q in names
+                      if "#" in q or "".join(q.splitlines()) != q]
+        bad_colors = [c for c in colors if c not in GOOD_COLORS]
+        if unwritable or bad_colors or len(set(colors)) < len(colors):
+            with pytest.raises(SpecError):
+                cls(*args)
+            continue
+        spec = cls(*args)
+        built += 1
+        text = spec.to_str()
+        parse = parse_iptt if pebbles else parse_twt
+        assert parse(text).to_str() == text, text
+    assert built > 300
+
+
+@pytest.mark.parametrize("make,message", [
+    (lambda: TwtSpec(IN, OUT, ["q#1"], "q#1", {}, {}),
+     "twt: state 'q#1' holds '#', which starts a comment in a spec file"),
+    (lambda: TwtSpec(IN, OUT, ["q"], "q",
+                     {("b", "q", "self"): ("two\nlines", "stay")}, {}),
+     "twt: state 'two\\nlines' holds a line break, which ends a spec "
+     "file's line"),
+    (lambda: IpttSpec(IN, OUT, ["q"], "q", ["a", "a#b"], {}),
+     "iptt: color 'a#b' holds '#', which starts a comment"),
+    (lambda: IpttSpec(IN, OUT, ["q"], "q", ["a b"], {}),
+     "iptt: color 'a b' is not one word"),
+], ids=["hash-state", "line-break-state", "hash-color", "two-word-color"])
+def test_a_name_no_spec_file_can_hold_is_refused(make, message):
+    with pytest.raises(SpecError) as e:
+        make()
+    assert str(e.value) == message
