@@ -34,18 +34,25 @@ it with `frontier_to_str`; the checked run reads only the configuration.
 A Stuck or Diverged result gets its frontier the same way.
 
 The machines are deterministic: a configuration fixes the rest of its
-chain, so the FNode a chain reaches, and the number of steps it takes,
-are a function of its first configuration.  An unpaused run keeps them
-in a memo for the length of the run; a pending configuration that is in
-it gets the stored FNode, pushed back as an item, and counts its steps
-without calling `advance`, when they fit in the fuel left.  A chain
-below another that starts the same way would repeat it forever, so in a
-run that ends only a chain to the right can reuse one: the memo stores a
-chain only while some item is pending to its right, and a run whose
-frontier never branches hashes no configuration.  This needs
-configurations to be hashable values, with equal ones stepping alike,
-and a step to depend on nothing but its configuration.  Paused runs
-(`trace`, `check=True`) never use the memo and take every step."""
+chain and the whole output subtree that grows from it, and the number of
+steps each takes.  An unpaused run keeps them in a memo for the length of
+the run.  While a stored chain's subtree is open, its entry is the FNode
+the chain reached and the chain's steps; once the output node it
+produced closes, the entry is that node's `Tree` and the subtree's
+steps, memo-served ones included.  A pending configuration that is in the
+memo counts the stored steps without calling `advance`, when they fit in
+the fuel left: a stored FNode is pushed back as an item, and a stored
+Tree is closed as a leaf is, with nothing below it looked up again; one
+that does not fit is stepped for real.  So one hit can count a whole
+subtree's steps against the fuel, and `Output.tree` shares equal
+subtrees by identity.  A chain below another that starts the same way
+would repeat it forever, so in a run that ends only a chain to the right
+can reuse one: the memo stores a chain only while some item is pending
+to its right, and a run whose frontier never branches hashes no
+configuration.  This needs configurations to be hashable values, with
+equal ones stepping alike, and a step to depend on nothing but its
+configuration.  Paused runs (`trace`, `check=True`) never use the memo
+and take every step."""
 
 from __future__ import annotations
 
@@ -69,6 +76,9 @@ def frontier_to_str(f, render):
 
 @dataclass
 class Output:
+    """A run's output and its steps.  The tree may share equal subtrees
+    by identity (see the module docstring), so it is a DAG; its ==, hash,
+    size and to_str count each occurrence of a node."""
     tree: Tree
     steps: int
 
@@ -138,7 +148,7 @@ def frontier(config, opened, pending):
     """The frontier of a paused or ended run, from its two stacks, with
     `config` at the leftmost configuration leaf; and that leaf's position."""
     pos, j = [], len(pending)
-    for label, arity, done in reversed(opened):
+    for label, arity, done, _ in reversed(opened):
         rest = arity - len(done) - 1     # the children right of the path
         config = FNode(label, (*map(_thaw, done), config,
                                *reversed(pending[j - rest:j])))
@@ -152,23 +162,25 @@ def drive(machine, initial, fuel, watch):
     or Diverged.  Fires the leftmost configuration leaf, for at most `fuel`
     successful steps, each taken by `advance`.  Without `watch`, it never
     pauses, hands each configuration all the fuel left and reuses the
-    chains in its memo (see the module docstring).  With it, it pauses
-    before each step with (config, n, opened, pending): the configuration
-    about to be stepped, the steps taken so far and the run's two stacks,
-    from which `frontier` rebuilds the frontier; it then takes that one
-    step with a budget of 1."""
+    chains and subtrees in its memo (see the module docstring).  With it,
+    it pauses before each step with (config, n, opened, pending): the
+    configuration about to be stepped, the steps taken so far and the
+    run's two stacks, from which `frontier` rebuilds the frontier; it then
+    takes that one step with a budget of 1."""
     advance = machine.advance
     pending = [initial]     # configurations and FNodes, the leftmost on top
-    opened = []             # (label, arity, children built) of open nodes
+    opened = []     # (label, arity, children built, chain) of open nodes
     n = 0
-    memo = {}       # unpaused: a chain's first configuration -> (FNode, steps)
+    memo = {}       # unpaused: a chain's first configuration -> (FNode,
+    #                 chain steps), then (Tree, subtree steps) once closed
     while True:
         item = pending.pop()
+        chain = None    # (first configuration, n there) of a stored chain
         if item.__class__ is not FNode:
             start, n0 = item, n
             hit = memo.get(start) if memo else None
             if hit is not None and n + hit[1] <= fuel:
-                res, n = hit[0], n + hit[1]
+                item, n = hit[0], n + hit[1]
             else:
                 res, k, budget = None, 0, 0
                 # a chain ends at an FNode, where it is stuck (fewer steps
@@ -185,23 +197,30 @@ def drive(machine, initial, fuel, watch):
                     return Diverged(frontier(item, opened, pending)[0], n)
                 if pending and not watch:
                     memo[start] = res, n - n0
-            item = res
-        cs = item.children
-        if cs:
-            opened.append((item.label, len(cs), []))
-            pending.extend(reversed(cs))
-            continue
-        # a leaf: close it, and each node whose last child it completes
-        node = Tree(item.label)
+                    chain = start, n0
+                item = res
+        if item.__class__ is FNode:
+            cs = item.children
+            if cs:
+                opened.append((item.label, len(cs), [], chain))
+                pending.extend(reversed(cs))
+                continue
+            item = Tree(item.label)
+            if chain:
+                memo[start] = item, n - n0
+        # a leaf or a whole subtree from the memo: close it, and each node
+        # whose last child it completes, storing the subtrees of chains
         while opened:
-            label, arity, done = opened[-1]
-            done.append(node)
+            label, arity, done, chain = opened[-1]
+            done.append(item)
             if len(done) < arity:
                 break
             opened.pop()
-            node = Tree(label, tuple(done))
+            item = Tree(label, tuple(done))
+            if chain:
+                memo[chain[0]] = item, n - chain[1]
         else:
-            return Output(node, n)
+            return Output(item, n)
 
 
 def run(machine, initial, fuel=10_000_000):

@@ -67,8 +67,10 @@ class WalkingSpec:
 
     The transitions are checked and planned for WalkingMachine in one pass
     when the spec is built, so the tables must not change afterwards.  A
-    state or color that the spec's file format cannot hold is refused
-    then too, so that every spec reads back as to_str writes it.
+    state or color that the spec's file format cannot hold, a state list
+    that names a state twice and an initial state that it does not name
+    are refused then too, so that every spec reads back as to_str writes
+    it.
     `plans` maps each (letter, is-root) to a map from (state, provenance)
     to a dict from the pebble (a color, None, or ANY) to the plan of the
     image: the image with each (state, move) leaf decoded to its (state,
@@ -83,6 +85,13 @@ class WalkingSpec:
                 problem = f"color {c!r} is not one word"
             if problem:
                 raise SpecError(f"{self.name}: {problem}")
+        if len(set(self.states)) < len(self.states):
+            q = next(q for i, q in enumerate(self.states)
+                     if q in self.states[:i])
+            raise SpecError(f"{self.name}: duplicate state {q!r}")
+        if self.initial not in self.states:
+            raise SpecError(f"{self.name}: initial state {self.initial!r} "
+                            f"is not among the states")
         self.plans = plans = {}
         names = dict.fromkeys(self.states)  # every state named, in order
         for key, is_root, z, img in self.transitions():

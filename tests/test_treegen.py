@@ -7,8 +7,8 @@ import pytest
 
 from lamtrans import corpus_path
 from lamtrans.cli import gen_tree, load_spec
-from lamtrans.compiler import TARGET_VARIANT, compile_walking
-from lamtrans.core import Node, Tree
+from lamtrans.compiler import TARGET_VARIANT, compile_to_iptt, compile_walking
+from lamtrans.core import Node, Tree, parse_tree
 from lamtrans.gls import make_type_constant, split_state_relabeling
 from lamtrans.iam import VARIANT_MAX_TIER, Config, IamMachine, TermInfo
 from lamtrans.treegen import (Diverged, FNode, Machine, Output, Stuck,
@@ -272,35 +272,68 @@ def test_run_steps_each_configuration_once():
     assert res.tree.to_str() == t
 
 
+def test_run_shares_equal_subtrees():
+    # the memo keeps each stored chain's whole subtree, so the output is a
+    # DAG: one Tree object per distinct configuration
+    h = 12
+    res = run(Doubling(), h)
+    assert res == paused_run(Doubling(), h)
+    seen, todo = set(), [res.tree]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            todo.extend(t.children)
+    assert len(seen) == h + 1
+    assert res.tree.size() == 2 ** (h + 1) - 1
+
+
+HASHED = []     # the n of each Cfg hashed
+
+
+class Cfg:
+    """A configuration that records each time it is hashed."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __hash__(self):
+        HASHED.append(self.n)
+        return hash(self.n)
+
+    def __eq__(self, other):
+        return self.n == other.n
+
+
+class Unary(Machine):
+    def step(self, c):
+        return FNode("S", (Cfg(c.n - 1),)) if c.n else FNode("0")
+
+
+class Binary(Machine):
+    def step(self, c):
+        return (FNode("a", (Cfg(c.n - 1), Cfg(c.n - 1))) if c.n
+                else FNode("c"))
+
+
 def test_run_memoizes_only_where_the_frontier_branches():
-    hashed = []
-
-    class Cfg:
-        """A configuration that records each time it is hashed."""
-
-        def __init__(self, n):
-            self.n = n
-
-        def __hash__(self):
-            hashed.append(self.n)
-            return hash(self.n)
-
-        def __eq__(self, other):
-            return self.n == other.n
-
-    class Unary(Machine):
-        def step(self, c):
-            return FNode("S", (Cfg(c.n - 1),)) if c.n else FNode("0")
-
-    class Binary(Machine):
-        def step(self, c):
-            return (FNode("a", (Cfg(c.n - 1), Cfg(c.n - 1))) if c.n
-                    else FNode("c"))
-
+    HASHED.clear()
     assert run(Unary(), Cfg(50)).steps == 51
-    assert hashed == []
+    assert HASHED == []
     assert run(Binary(), Cfg(5)).steps == 63
-    assert hashed
+    assert HASHED
+
+
+def test_run_hashes_each_distinct_configuration_a_few_times():
+    # a repeated configuration is one lookup of its whole subtree, with
+    # nothing below it looked up again
+    h = 12
+    HASHED.clear()
+    res = run(Binary(), Cfg(h))
+    assert len(HASHED) <= 4 * (h + 1)
+    # the rescanning reference_run is quadratic, so it checks a smaller h
+    assert res == paused_run(Binary(), Cfg(h))
+    assert run(Binary(), Cfg(8)) == reference_run(Binary(), Cfg(8), 2 ** 9)
 
 
 def test_run_matches_the_paused_run_at_every_fuel():
@@ -432,6 +465,27 @@ def test_results_are_trees_or_frontiers_on_the_corpus(name):
         res = run(m, m.initial(), res.steps // 2)
         assert isinstance(res, Diverged)
         check_shape(res)
+
+
+def test_run_matches_the_paused_run_at_every_fuel_on_the_corpus(bin2bin):
+    # a branching corpus run, where a stored subtree that does not fit in
+    # the fuel left is stepped for real
+    tau = parse_tree("1(1(e))", bin2bin.input)
+    info, iptt = TermInfo(bin2bin.program_ann(tau)), compile_to_iptt(bin2bin)
+    makes = [lambda v=v: IamMachine(info, v) for v in ("ss", "d1")]
+    makes.append(lambda: WalkingMachine(iptt, tau))
+    for make in makes:
+        m = make()
+        steps = run(m, m.initial()).steps
+        kinds = set()
+        for fuel in range(steps + 2):
+            m, p = make(), make()
+            got = run(m, m.initial(), fuel)
+            want = paused_run(p, p.initial(), fuel)
+            assert type(got) is type(want), fuel
+            assert got == want, fuel
+            kinds.add(type(got))
+        assert kinds == {Output, Diverged}
 
 
 def test_trace_matches_reference_trace_at_every_fuel():

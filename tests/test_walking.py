@@ -413,7 +413,12 @@ def test_every_walking_spec_that_builds_reads_back_as_written(pebbles):
      "iptt: color 'a#b' holds '#', which starts a comment"),
     (lambda: IpttSpec(IN, OUT, ["q"], "q", ["a b"], {}),
      "iptt: color 'a b' is not one word"),
-], ids=["hash-state", "line-break-state", "hash-color", "two-word-color"])
+    (lambda: TwtSpec(IN, OUT, ["q", "spine", "spine"], "q", {}, {}),
+     "twt: duplicate state 'spine'"),
+    (lambda: IpttSpec(IN, OUT, ["q"], "p", [], {}),
+     "iptt: initial state 'p' is not among the states"),
+], ids=["hash-state", "line-break-state", "hash-color", "two-word-color",
+        "duplicate-state", "initial-not-a-state"])
 def test_a_name_no_spec_file_can_hold_is_refused(make, message):
     with pytest.raises(SpecError) as e:
         make()
