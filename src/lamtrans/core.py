@@ -659,28 +659,46 @@ def encode_tree(tau):
 
 
 def decode_tree(t):
-    """Inverse of encode_tree; raises NotAnEncoding on anything else."""
+    """Inverse of encode_tree; raises NotAnEncoding on anything else.  An
+    App met twice is decoded once, so the tree shares the subtrees that
+    the term shares."""
     out = []
     todo = [t]
+    done = {}                       # id of an App decoded -> its Tree
     while todo:
         t = todo.pop()
-        if type(t) is tuple:        # (label, rank): children are done
-            label, k = t
-            cut = len(out) - k
-            children = tuple(out[cut:])
-            del out[cut:]
-            out.append(Tree(label, children))
-            continue
-        args = []
-        while isinstance(t, App):
-            args.append(t.arg)
-            t = t.fn
-        if not isinstance(t, Const):
-            raise NotAnEncoding(
-                f"not an applicative constant term: {term_to_str(t)}")
-        todo.append((t.name, len(args)))
-        todo.extend(args)           # the last argument first
-    return out[0]
+        k = type(t)
+        if k is App:
+            i = id(t)
+            tree = done.get(i)
+            if tree is not None:
+                out.append(tree)
+                continue
+            args = []
+            while type(t) is App:
+                args.append(t.arg)
+                t = t.fn
+            if type(t) is not Const:
+                break
+            todo.append((i, t.name, len(args)))
+            todo += args            # the last argument first
+        elif k is Const:
+            out.append(Tree(t.name))
+        elif k is tuple:            # (id, label, rank): children are done
+            i, label, n = t
+            if n == 1:
+                tree = Tree(label, (out.pop(),))
+            else:
+                cut = len(out) - n
+                tree = Tree(label, tuple(out[cut:]))
+                del out[cut:]
+            done[i] = tree
+            out.append(tree)
+        else:
+            break
+    else:
+        return out[0]
+    raise NotAnEncoding(f"not an applicative constant term: {term_to_str(t)}")
 
 
 def instantiate(tau, family, alphabet=None):

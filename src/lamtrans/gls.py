@@ -230,7 +230,9 @@ def make_type_constant(spec, name=None):
 # Splitting the state off as a relabeling
 
 def relabel_letter(a, q):
-    return f"{a}@{q}"
+    """The letter of the split alphabet for letter a in state q: an
+    identifier, so that the split transducer's text reads back."""
+    return f"{a}_{q}"
 
 
 def split_state_relabeling(spec):
@@ -265,9 +267,17 @@ def split_state_relabeling(spec):
 
     letters = []
     rules = {}
+    named = {}      # split letter -> the (state, letter) it stands for
     for (q, a), (t, qs) in sorted(spec.rules.items()):
-        letters.append((relabel_letter(a, q), spec.input.rank(a)))
-        rules[relabel_letter(a, q)] = spec.norm_rules[(q, a)]
+        b = relabel_letter(a, q)
+        if b in named:
+            raise SpecError(
+                f"{spec.name}: letter {named[b][1]!r} in state "
+                f"{named[b][0]!r} and letter {a!r} in state {q!r} both "
+                f"split to {b!r}")
+        named[b] = (q, a)
+        letters.append((b, spec.input.rank(a)))
+        rules[b] = spec.norm_rules[(q, a)]
     trans = LambdaTransducerSpec(
         RankedAlphabet(tuple(letters)), spec.output, A0, rules,
         spec.norm_out, name=spec.name + "+split")

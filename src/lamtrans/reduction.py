@@ -9,9 +9,16 @@ term once, in an environment, into values, and reads the values back
 into terms.  The values are
 
 - closures: a Lam plus the environment of its free variables;
-- box thunks: a Box body plus its environment.  `let !x` binds x to the
-  body, which is evaluated again at each use of x, as substitution
-  would copy it;
+- box values: a Box body plus its environment.  `let !x` binds x to the
+  body, which is evaluated once, at the first use of x (call by need:
+  Wadsworth's graph reduction, Launchbury's natural semantics).  x is
+  bound to a thunk that records the value and the contractions it took
+  (to a closure at once if the body is a Lam).  Evaluation enters the
+  thunk on an argument stack of its own under an update frame, which
+  takes the value when the stack runs out, so forcing adds no Python
+  recursion.  Read-back builds a thunk's term once if no variable occurs
+  in it (so no name in it depends on where it is read), such as a tree
+  of constants, and uses that term at every later occurrence;
 - neutrals: a head applied to argument values.  The head is a constant,
   a variable that nothing will replace (a free variable of the term, or
   the binder of a Lam or stuck let being read back), or a stuck value: a
@@ -33,19 +40,23 @@ Fuel counts contractions: each closure application and each let of a box
 costs one unit, and `normalize` raises `OutOfFuel` unless the normal form
 is reached with fewer than `fuel` of them.  That is the budget of the
 small-step loop too, which spends one iteration per contraction plus one
-to see that the result is normal.  Since arguments are evaluated only
-where they are used, and a let-bound box body once per use, as
-leftmost-outermost reduction copies and contracts them, `normalize` needs
-no more fuel than the small-step loop; the tests check this.
+to see that the result is normal.  A reuse of a let-bound body is charged
+the contractions that its first evaluation, or its first read-back, took,
+inner thunks included.  So the count is that of evaluating the body again
+at each use, as leftmost-outermost reduction copies and contracts it, and
+`OutOfFuel` comes at the same fuel as without sharing; arguments are
+evaluated only where they are used, so `normalize` needs no more fuel
+than the small-step loop.  The tests check both.
 
 Read-back keeps each binder's source name and each Lam's hint.  A binder
 is renamed (x to x_1, ...) only when its name would capture a free
 occurrence in its body, so a normal term reads back == to itself.
 
-The small-step reference normalizer lives with the tests
-(`tests/reference_reduction.py`): it finds the next redex from the root,
-contracts it and repeats.  The tests check the two normalizers against
-each other."""
+Two reference normalizers live with the tests
+(`tests/reference_reduction.py`): the small-step loop, which finds the
+next redex from the root, contracts it and repeats, and this evaluator
+without sharing (call by name).  The tests check `normalize` against
+both."""
 
 from __future__ import annotations
 
@@ -78,12 +89,32 @@ class _BoxV:
 
 
 class _Thunk:
-    """A term not evaluated yet; evaluated afresh wherever it is used."""
+    """An application's argument not evaluated yet; evaluated wherever it
+    is used, which in an affine term is at most once."""
     __slots__ = ("term", "env")
 
     def __init__(self, term, env):
         self.term = term
         self.env = env
+
+
+class _Need:
+    """A let-bound box body, evaluated at its first use only.  `value` is
+    its weak-head value once forced (None before) and `cost` the
+    contractions that took; `nf` is its read-back term if no variable
+    occurs in it and `rcost` what that first read-back spent."""
+    __slots__ = ("term", "env", "value", "cost", "nf", "rcost")
+
+    def __init__(self, term, env):
+        self.term = term
+        self.env = env
+        self.value = self.nf = None
+
+
+def _shared(body, env):
+    """What `let !x` binds x to for a box body: a closure if the body is a
+    Lam (its value, reached without a contraction), else a _Need."""
+    return _Clo(body, env) if type(body) is Lam else _Need(body, env)
 
 
 class _Ne:
@@ -119,15 +150,21 @@ def normalize(t, fuel=10_000_000):
     # stands for it in values and in the term; `bound` holds them by id.
     bound = {}
 
-    def contract():
+    def spend(n=1):
         nonlocal left
-        left -= 1
-        if not left:
+        left -= n
+        if left <= 0:
             raise OutOfFuel(f"no normal form within {fuel} steps")
 
-    def ev(t, env, args):
+    def ev(t, env, args, need=None):
         """The value of t in env applied to the values on args, which
-        holds the next argument on top and is consumed."""
+        holds the next argument on top and is consumed.  Given a _Need,
+        t is its body and its value is recorded."""
+        nonlocal left
+        # the update frames of the let-bound bodies being forced: a body
+        # is evaluated on an args stack of its own, and its frame holds
+        # (the _Need, the args stack it was entered with, the fuel left)
+        frames = None if need is None else [(need, [], left)]
         while True:
             k = type(t)
             if k is App:
@@ -146,8 +183,15 @@ def normalize(t, fuel=10_000_000):
                 continue
             if k is Lam:
                 if not args:
-                    return _Clo(t, env)
-                contract()
+                    f = _Clo(t, env)
+                    while not args:
+                        if not frames:
+                            return f
+                        s, args, before = frames.pop()
+                        s.value, s.cost = f, before - left
+                left -= 1
+                if not left:
+                    raise OutOfFuel(f"no normal form within {fuel} steps")
                 env = {**env, t.var: args.pop()}
                 t = t.body
                 continue
@@ -160,11 +204,22 @@ def normalize(t, fuel=10_000_000):
                 if kf is _Clo and args:
                     t, env = f.lam, f.env
                     continue
+                if kf is _Need:
+                    if f.value is None:
+                        frames = frames or []
+                        frames.append((f, args, left))
+                        t, env, args = f.term, f.env, []
+                        continue
+                    spend(f.cost)
+                    f = f.value
+                    if type(f) is _Clo and args:
+                        t, env = f.lam, f.env
+                        continue
             elif k is Let:
                 b = ev(t.bound, env, [])
                 if type(b) is _BoxV:
-                    contract()
-                    env = {**env, t.var: _Thunk(b.body, b.env)}
+                    spend()
+                    env = {**env, t.var: _shared(b.body, b.env)}
                     t = t.body
                     continue
                 f = let_at_a_distance(t, b, env)
@@ -173,21 +228,25 @@ def normalize(t, fuel=10_000_000):
             else:
                 f = t
             break
-        if not args:
-            return f
-        kf = type(f)
-        if kf is Const or kf is Var:
-            return _Ne(f, tuple(reversed(args)))
-        if kf is _Ne:
-            return _Ne(f.head, f.args + tuple(reversed(args)))
-        while args:
-            f = apply(f, args.pop())
-        return f
+        while True:
+            if args:
+                kf = type(f)
+                if kf is Const or kf is Var:
+                    f = _Ne(f, tuple(reversed(args)))
+                elif kf is _Ne:
+                    f = _Ne(f.head, f.args + tuple(reversed(args)))
+                else:
+                    while args:
+                        f = apply(f, args.pop())
+            if not frames:
+                return f
+            s, args, before = frames.pop()
+            s.value, s.cost = f, before - left
 
     def apply(f, a):
         kf = type(f)
         if kf is _Clo:
-            contract()
+            spend()
             return ev(f.lam.body, {**f.env, f.lam.var: a}, [])
         if kf is _Ne:
             return _Ne(f.head, f.args + (a,))
@@ -199,8 +258,8 @@ def normalize(t, fuel=10_000_000):
         """let !x = b in t.body, where the bound's value b is no box."""
         end = _stack_end(b)
         if type(end) is _BoxV:
-            contract()
-            v = ev(t.body, {**env, t.var: _Thunk(end.body, end.env)}, [])
+            spend()
+            v = ev(t.body, {**env, t.var: _shared(end.body, end.env)}, [])
             lets = []
             while b is not end:
                 lets.append(b)
@@ -222,11 +281,24 @@ def normalize(t, fuel=10_000_000):
         exits = []      # per open binder, what its name meant before
         binders = {}    # id of a read-back Lam/Let -> the Var it binds
         clash = False
+        nvars = 0       # variable occurrences read back so far
         while todo:
             v = todo.pop()
             k = type(v)
             if k is _Thunk:
                 v = ev(v.term, v.env, [])
+                k = type(v)
+            elif k is _Need:
+                if v.nf is not None:    # no variable: the same term anywhere
+                    spend(v.rcost)
+                    out.append(v.nf)
+                    continue
+                todo.append((_Need, v, left, nvars))
+                if v.value is None:
+                    v = ev(v.term, v.env, [], v)
+                else:
+                    spend(v.cost)
+                    v = v.value
                 k = type(v)
             if k is tuple:          # a pending step
                 tag = v[0]
@@ -240,6 +312,9 @@ def normalize(t, fuel=10_000_000):
                     out.append(f)
                 elif tag is Box:
                     out.append(Box(out.pop()))
+                elif tag is _Need:  # v[1]'s term is read back
+                    if nvars == v[3]:
+                        v[1].nf, v[1].rcost = out[-1], v[2] - left
                 elif tag is Var:    # open a binder's scope
                     x = v[1]
                     exits.append(scope.get(x.name))
@@ -259,6 +334,7 @@ def normalize(t, fuel=10_000_000):
             elif k is Const:
                 out.append(v)
             elif k is Var:
+                nvars += 1
                 if id(v) in bound:
                     clash = clash or scope.get(v.name) is not v
                 else:

@@ -5,12 +5,14 @@ import pytest
 
 from lamtrans import corpus_path
 from lamtrans.cli import main
+from lamtrans.compiler import compile_walking
 from lamtrans.core import Tree, parse_term, parse_tree
 from lamtrans.gls import (conversions, dummy_term, make_type_constant,
                           parse_gls, relabel_letter, split_state_relabeling)
 from lamtrans.reduction import normalize
-from lamtrans.transducer import SpecError
+from lamtrans.transducer import SpecError, parse_transducer
 from lamtrans.typecheck import O, parse_type, typecheck
+from lamtrans.walking import parse_iptt, parse_twt
 from reference_terms import (alpha_eq, eta_reduce, is_linear,
                              sample_normal_term)
 
@@ -85,7 +87,7 @@ def test_split_state_relabeling(mirror):
     relabel, trans = split_state_relabeling(const)
     # the relabeling annotates each node with its propagated state
     tau = parse_tree("a(c,c)", mirror.input)
-    assert relabel(tau).to_str() == "a@qe(c@qo,c@qo)"
+    assert relabel(tau).to_str() == "a_qe(c_qo,c_qo)"
     rng = random.Random(3)
     for _ in range(20):
         t = random_ac_tree(rng)
@@ -136,7 +138,35 @@ def test_iota_is_affine_but_not_linear(mirror):
 
 
 def test_relabel_letter():
-    assert relabel_letter("a", "qe") == "a@qe"
+    assert relabel_letter("a", "qe") == "a_qe"
+
+
+def test_split_letters_must_be_distinct():
+    # letter a in state q_e and letter a_q in state e would both be a_q_e
+    src = ("input { a:1, a_q:1, c:0 }\noutput { c:0 }\n"
+           "state q_e : o\nstate e : o\ninit q_e\n"
+           "rule q_e a -> e = \\s. s\n"
+           "rule e a_q -> e = \\s. s\n"
+           "rule e c -> = c\n"
+           "out = \\x. x\n")
+    with pytest.raises(SpecError, match=re.escape(
+            "gls: letter 'a_q' in state 'e' and letter 'a' in state 'q_e' "
+            "both split to 'a_q_e'")):
+        split_state_relabeling(parse_gls(src))
+
+
+def test_split_transducer_reads_back_as_written(mirror):
+    relabel, trans = split_state_relabeling(make_type_constant(mirror))
+    text = trans.to_str()
+    back = parse_transducer(text, name=trans.name)
+    assert back.to_str() == text
+    for target, parse in (("twt", parse_twt), ("iptt", parse_iptt)):
+        compiled = compile_walking(trans, target).to_str()
+        assert parse(compiled).to_str() == compiled
+    rng = random.Random(6)
+    for _ in range(10):
+        tau = relabel(random_ac_tree(rng))
+        assert back.eval_normalize(tau) == trans.eval_normalize(tau)
 
 
 def test_gls_runs_on_a_comb_deeper_than_the_recursion_limit(

@@ -145,9 +145,8 @@ def lam_hints(t):
     return out
 
 
-def test_nbe_equals_reference_on_elaboration(monkeypatch):
-    # every term normalized while elaborating the corpus: same names and
-    # the same lambda hints as the reference, not just alpha-equivalent
+def elaboration_terms(monkeypatch):
+    """Every term normalized while elaborating the corpus."""
     seen = []
 
     def recording(t, fuel=10_000_000):
@@ -163,7 +162,13 @@ def test_nbe_equals_reference_on_elaboration(monkeypatch):
     compose(specs["seq-nat.lt"], specs["list-count.lt"])
     split_state_relabeling(make_type_constant(mirror))
     assert len(seen) >= 30
-    for t in seen:
+    return seen
+
+
+def test_nbe_equals_reference_on_elaboration(monkeypatch):
+    # same names and the same lambda hints as the reference, not just
+    # alpha-equivalent
+    for t in elaboration_terms(monkeypatch):
         nf = normalize(t)
         ref = normalize_by_steps(t)
         assert nf == ref
