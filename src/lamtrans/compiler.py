@@ -219,7 +219,7 @@ class WalkingCompiler:
         binder = cfg.pos + block.info.up[cfg.pos][2]
         for z, (kind, path, n) in self.colors.items():
             occ = block.occ.get(path) if kind == block.kind else None
-            if occ is None or block.info.occ_binder[occ] != binder:
+            if occ is None or occ + block.info.occ_binder[occ] != binder:
                 continue
             back = Config("up", occ, cfg.tape, sentinels(n), n)
             loc = self._local_state(block, back, is_root)

@@ -336,6 +336,17 @@ def with_children(t, cs):
     return t
 
 
+def rebuild(nodes, kids, node):
+    """The term numbered by (nodes, kids) (number_term) built anew, each
+    position as node(pos, its subterm, its children built anew).  Built
+    from the last position to the first, children before parents, so
+    terms of any depth work."""
+    built = [None] * len(nodes)
+    for pos in range(len(nodes) - 1, -1, -1):
+        built[pos] = node(pos, nodes[pos], [built[pos + k] for k in kids[pos]])
+    return built[0]
+
+
 class Shared:
     """The parts of a term that a spec puts at many places by identity,
     each relative to the term's root, so that a pass over a term that

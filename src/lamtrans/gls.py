@@ -209,7 +209,8 @@ def conversions(spec):
 
 def make_type_constant(spec, name=None):
     """Rebuild a GLS-transducer so every state shares one type (see
-    conversions).  Each rule is wrapped in the conversion terms."""
+    conversions).  Each rule is wrapped in the conversion terms, and the
+    spec keeps and writes the normal forms."""
     A, iota, cast = conversions(spec)
     new_rules = {}
     for (q, a), (t, qs) in spec.rules.items():
@@ -221,9 +222,15 @@ def make_type_constant(spec, name=None):
             body = Lam(f"y{i + 1}_", body, A)
         new_rules[(q, a)] = (body, qs)
     new_out = Lam("y_", App(spec.norm_out, App(cast(spec.init), Var("y_"))), A)
-    return GlsSpec(spec.input, spec.output, {q: A for q in spec.state_order()},
-                   spec.init, new_rules, new_out,
-                   name=name or spec.name + "+const")
+    const = GlsSpec(spec.input, spec.output,
+                    {q: A for q in spec.state_order()}, spec.init, new_rules,
+                    new_out, name=name or spec.name + "+const")
+    # print the normal forms, as transducer.compose does: the wrapped
+    # terms type only through their binders' hints, which the text drops
+    const.rules = {key: (const.norm_rules[key], qs)
+                   for key, (_, qs) in const.rules.items()}
+    const.out = const.norm_out
+    return const
 
 
 # ---------------------------------------------------------------------------

@@ -118,21 +118,22 @@ class TermInfo:
         the position's index among its parent's children and sibling the
         parent's other child; None at the root.
 
-    The same pass fills `types[pos]` and `depths[pos]`, the box depth of
-    each position (the number of enclosing boxes whose contents are not of
-    base type), and finds the term's restriction `tier`
-    (typecheck.term_tier) and `height`, the largest type height at any
-    position.  Where typecheck copied a shared term's entries in (a
-    typecheck.Piece) outside every box, its records and depths are copied
-    in too, by list slice, and its boxed types count by their largest
-    tier: the first TermInfo to meet the Piece builds them and keeps them
-    on it.  `path(pos)` is the position as a tuple of child indices from
-    the root, for text."""
+    `types`, `occ_binder` and `var_kind` are typecheck's lists
+    (typecheck.Annotated), taken as they are.  The same pass fills
+    `depths[pos]`, the box depth of each position (the number of enclosing
+    boxes whose contents are not of base type), and finds the term's
+    restriction `tier` (typecheck.term_tier) and `height`, the largest
+    type height at any position.  Where typecheck copied a shared term's
+    slices in (a typecheck.Piece) outside every box, its records and
+    depths are copied in too, by list slice, and its boxed types count by
+    their largest tier: the first TermInfo to meet the Piece builds them
+    and keeps them on it.  `path(pos)` is the position as a tuple of child
+    indices from the root, for text."""
 
     def __init__(self, ann):
         self.term = ann.term
         n = len(ann.nodes)
-        self.types = types = list(map(ann.types.__getitem__, range(n)))
+        self.types = types = ann.types
         self.occ_binder = occ_binder = ann.occ_binder
         self.var_kind = var_kind = ann.var_kind
         self.depths = depths = [0] * n
@@ -148,7 +149,7 @@ class TermInfo:
         lo = 0
         for start, piece in sorted(ann.pieces, key=itemgetter(0)):
             walk(ann, boxes, occurrences, boxed, lo, start)
-            lo = start + piece.size
+            lo = start + len(piece.types)
             if boxes[start]:    # its box depth and boxes are not its own
                 walk(ann, boxes, occurrences, boxed, start, lo)
             elif piece.info is None:
@@ -166,12 +167,13 @@ class TermInfo:
             if kind == "theta":
                 down[pos] = (FREE_VAR, (), None)
                 continue
-            binder = occ_binder[pos]
+            off = occ_binder[pos]
+            binder = pos + off
             if kind == "lam":
-                down[pos] = (LAM_VAR, (), binder - pos)
-                down[binder] = (LAM, kids[binder], pos - binder)
+                down[pos] = (LAM_VAR, (), off)
+                down[binder] = (LAM, kids[binder], -off)
             else:
-                down[pos] = (LET_VAR, (), (binder + 1 - pos,
+                down[pos] = (LET_VAR, (), (off + 1,
                                            self.bound_is_base(binder),
                                            depths[pos], depths[binder]))
         for start, end, piece, more in new:
@@ -304,9 +306,9 @@ class LocalBlocks:
             return Block(kind, term, prefix, info, ph,
                          {ph[prov]: move for prov, move, _ in places},
                          {info.path(pos): pos
-                          for pos, var in info.var_kind.items()
+                          for pos, var in enumerate(info.var_kind)
                           if var == "let" and not info.bound_is_base(
-                              info.occ_binder[pos])})
+                              pos + info.occ_binder[pos])})
 
         self.u = block("U", spec.norm_out, (0,),
                        App(spec.norm_out, placeholder(0)),

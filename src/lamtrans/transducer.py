@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .core import (App, Const, Lam, LamtransError, RankedAlphabet, SyntaxErr,
                    Var, decode_tree, instantiate, is_ident, number_term,
-                   parse_term, share, term_to_str, with_children)
+                   parse_term, rebuild, share, term_to_str, with_children)
 from .iam import LocalBlocks
 from .reduction import normalize
 from .typecheck import (Arrow, O, TIER_NAMES, TypingError, fill_hints,
@@ -249,17 +249,13 @@ def load_transducer(path):
 # Composition
 
 def subst_consts(t, mapping):
-    """Replace constants by closed terms; built as fill_hints builds, so
-    terms of any depth work."""
-    nodes, kids = number_term(t)
-    built = [None] * len(nodes)
-    for pos in range(len(nodes) - 1, -1, -1):
-        t = nodes[pos]
+    """Replace constants by closed terms, at any depth (core.rebuild)."""
+    def substituted(pos, t, cs):
         if t.__class__ is Const and t.name in mapping:
-            built[pos] = mapping[t.name]
-        else:
-            built[pos] = with_children(t, [built[pos + k] for k in kids[pos]])
-    return built[0]
+            return mapping[t.name]
+        return with_children(t, cs)
+
+    return rebuild(*number_term(t), substituted)
 
 
 def compose(f, g, name=None):

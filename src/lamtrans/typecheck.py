@@ -5,11 +5,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import islice
 
 from .core import (App, Box, Const, Lam, LamtransError, Let, SyntaxErr, Var,
-                   _tokenize, number_term, term_to_str, token_position,
-                   too_deep, with_children)
+                   _tokenize, number_term, rebuild, term_to_str,
+                   token_position, too_deep, with_children)
 
 
 class TypingError(LamtransError):
@@ -212,23 +211,23 @@ def _type_facts(A):
 @dataclass
 class Annotated:
     """A typed term together with per-position information gathered by the
-    checker.  A position is its preorder number (core.number_term)."""
+    checker.  A position is its preorder number (core.number_term), and
+    every table is a list with one slot per position, None where it has
+    no entry."""
     term: object
     type: object
     # pos -> the subterm there, and its children as offsets from pos
     nodes: list = field(init=False, default_factory=list)
     kids: list = field(init=False, default_factory=list)
     # pos -> Type
-    types: dict = field(init=False, default_factory=dict)
-    # var occ pos -> binder pos
-    occ_binder: dict = field(init=False, default_factory=dict)
-    # Lam pos -> occ pos | None
-    lam_occ: dict = field(init=False, default_factory=dict)
+    types: list = field(init=False, default_factory=list)
+    # var occ pos -> its binder, as an offset from pos; None for theta
+    occ_binder: list = field(init=False, default_factory=list)
     # var occ pos -> "lam"|"let"|"theta"
-    var_kind: dict = field(init=False, default_factory=dict)
+    var_kind: list = field(init=False, default_factory=list)
     # types of unrestricted vars
     theta_types: list = field(init=False, default_factory=list)
-    # (pos, Piece) of each shared term whose tables were copied in or kept
+    # (pos, Piece) of each shared term whose slots were copied in or kept
     pieces: list = field(init=False, default_factory=list)
 
 
@@ -237,21 +236,17 @@ class Piece:
     """What typecheck wrote for a shared term (core.share) typed from an
     empty environment against the type `expected` (None: synthesized),
     with the constants' types given by `consts`, its (alphabet, consts)
-    arguments: each table's new entries in the order it wrote them, as
-    (keys, values) with positions as offsets from the term's root, the
-    theta types it added, and the term's type.  Every position of the
-    term has a type, so `size` is the number of its positions.  `info`
-    holds iam.TermInfo's records for it, once a TermInfo has built
-    them."""
+    arguments: the slice of each table over the term's positions, which
+    holds no absolute position, the theta types it added, and the term's
+    type.  `info` holds iam.TermInfo's records for it, once a
+    TermInfo has built them."""
     expected: object
     consts: tuple
-    types: tuple
-    occ_binder: tuple
-    lam_occ: tuple
-    var_kind: tuple
+    types: list
+    occ_binder: list
+    var_kind: list
     theta_types: list
     type: object
-    size: int
     info: tuple = None
 
 
@@ -262,9 +257,12 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
     free unrestricted variable names to types."""
     ann = Annotated(term, None)
     ann.nodes, ann.kids = number_term(term)
-    kids, types, occ_binder, lam_occ = (ann.kids, ann.types, ann.occ_binder,
-                                        ann.lam_occ)
-    var_kind, theta_types, pieces = ann.var_kind, ann.theta_types, ann.pieces
+    kids, n = ann.kids, len(ann.kids)
+    types = ann.types = [None] * n
+    occ_binder = ann.occ_binder = [None] * n
+    var_kind = ann.var_kind = [None] * n
+    theta_types, pieces = ann.theta_types, ann.pieces
+    used = [False] * n      # Lam pos -> whether an occurrence was typed
     ctypes = dict(consts or {})
     if alphabet is not None:
         for name, rank in alphabet.letters:
@@ -284,8 +282,8 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
     def typed(t, pos, env, A=None):
         """The type of t at pos: synthesized when A is None, else checked
         to be A."""
-        # from an empty environment a shared term writes the same entries
-        # wherever it sits
+        # from an empty environment a shared term writes the same slots,
+        # relative to its root, wherever it sits
         if not env and t is not fresh:
             shared = getattr(t, "_shared", None)
             if shared is not None:
@@ -298,15 +296,15 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
                 raise TypingError(f"unbound variable {t.name!r}")
             kind, B, bpos = env[t.name]
             # checked before anything is written: rollback takes every
-            # occurrence in occ_binder to have written its binder's entry
-            if kind == "lam" and lam_occ.get(bpos) is not None:
+            # lam occurrence it clears to have marked its binder used
+            if kind == "lam" and used[bpos]:
                 raise TypingError(f"affine variable {t.name!r} used twice")
             types[pos] = B
             var_kind[pos] = kind
             if bpos is not None:
-                occ_binder[pos] = bpos
+                occ_binder[pos] = bpos - pos
                 if kind == "lam":
-                    lam_occ[bpos] = pos
+                    used[bpos] = True
         elif cls is App:
             fn, arg = pos + 1, pos + kids[pos][1]
             if A is None:
@@ -321,12 +319,11 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
                 # prefer synthesizing the function; fall back to
                 # synthesizing the argument when the function is an
                 # unannotated redex
-                mark = (len(types), len(occ_binder), len(lam_occ),
-                        len(var_kind), len(theta_types), len(pieces))
+                mark = len(theta_types), len(pieces)
                 try:
                     B = typed(t, pos, env)
                 except TypingError:
-                    rollback(mark)
+                    rollback(pos, mark)
                     typed(t.fn, fn, env, Arrow(typed(t.arg, arg, env), A))
                     B = types[pos] = A
         elif cls is Lam:
@@ -341,7 +338,6 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
                 raise TypingError(
                     f"lambda cannot have type {type_to_str(A)}")
             saved = _bind(env, t.var, ("lam", left, pos))
-            lam_occ.setdefault(pos, None)
             try:
                 B = typed(t.body, pos + 1, env,
                           None if A is None else A.right)
@@ -380,7 +376,7 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
 
     def shared_typed(t, pos, env, A, shared):
         """typed for a shared term (core.share) at pos from an empty
-        environment: its entries are copied in from its Piece for A and
+        environment: its slots are copied in from its Piece for A and
         these constants, or written by typed and kept as that Piece."""
         nonlocal fresh
         key = alphabet, consts or None
@@ -388,8 +384,7 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
             if (piece.expected is A or piece.expected == A) \
                     and piece.consts == key:
                 return _splice(ann, piece, pos)
-        mark = (len(types), len(occ_binder), len(lam_occ), len(var_kind),
-                len(theta_types), len(pieces))
+        mark = len(theta_types), len(pieces)
         outer, fresh = fresh, t
         try:
             B = typed(t, pos, env, A)
@@ -399,23 +394,20 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
             alphabet, dict(consts) if consts else None), B))
         return B
 
-    def rollback(mark):
-        """Undo what a failed trial wrote since `mark`, the sizes of the
-        tables before it.  The entries it added are the last ones of their
-        tables.  An older entry it changed is the lam_occ entry of the
-        binder of an occurrence it added, so the trial's part of occ_binder
-        is its undo log."""
-        n_types, n_occs, n_lams, n_kinds, n_thetas, n_pieces = mark
-        while len(occ_binder) > n_occs:
-            occ, bpos = occ_binder.popitem()
+    def rollback(pos, mark):
+        """Undo what a failed trial at pos wrote: it wrote only the slots
+        of the positions pos covers, the used marks of the binders of its
+        lam occurrences, some of them outside those positions, and the
+        theta types and pieces past `mark`, the sizes of those lists
+        before it."""
+        end = _end(kids, pos)
+        for occ in range(pos, end):
             if var_kind[occ] == "lam":
-                lam_occ[bpos] = None
-        for table, n in ((types, n_types), (lam_occ, n_lams),
-                         (var_kind, n_kinds)):
-            while len(table) > n:
-                table.popitem()
-        del theta_types[n_thetas:]
-        del pieces[n_pieces:]
+                used[occ + occ_binder[occ]] = False
+        types[pos:end] = occ_binder[pos:end] = var_kind[pos:end] = \
+            [None] * (end - pos)
+        del theta_types[mark[0]:]
+        del pieces[mark[1]:]
 
     # typed recurses on the term; past Python's recursion limit the term
     # is reported as too deep (core.TooDeep)
@@ -430,43 +422,34 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
     return ann
 
 
+def _end(kids, pos):
+    """The position after the last one the subterm at pos covers, found
+    down its last children."""
+    while kids[pos]:
+        pos += kids[pos][-1]
+    return pos + 1
+
+
 def _keep(ann, pos, mark, expected, consts, B):
     """The Piece of the shared term just typed at pos against `expected`
-    with the constants `consts`, to the type B, from the entries written
-    since `mark`, the sizes of ann's tables before; it stands for them in
-    ann.pieces."""
-    n_types, n_occs, n_lams, n_kinds, n_thetas, n_pieces = mark
-
-    def tail(table, n, positions=False):
-        """The entries from the n-th on, positions as offsets from pos."""
-        items = list(islice(table.items(), n, None))
-        return (tuple(k - pos for k, _ in items),
-                tuple(v - pos if positions and v is not None else v
-                      for _, v in items))
-
-    piece = Piece(expected, consts, tail(ann.types, n_types),
-                  tail(ann.occ_binder, n_occs, True),
-                  tail(ann.lam_occ, n_lams, True), tail(ann.var_kind, n_kinds),
-                  ann.theta_types[n_thetas:], B, len(ann.types) - n_types)
-    del ann.pieces[n_pieces:]
+    with the constants `consts`, to the type B, from its slots and the
+    theta types and pieces past `mark`, the sizes of those lists before;
+    it stands for the pieces in ann.pieces."""
+    end = _end(ann.kids, pos)
+    piece = Piece(expected, consts, ann.types[pos:end],
+                  ann.occ_binder[pos:end], ann.var_kind[pos:end],
+                  ann.theta_types[mark[0]:], B)
+    del ann.pieces[mark[1]:]
     ann.pieces.append((pos, piece))
     return piece
 
 
 def _splice(ann, piece, pos):
-    """Write a Piece's entries into ann at pos, in their order; its type."""
-    add = pos.__add__
-    keys, values = piece.types
-    ann.types.update(zip(map(add, keys), values))
-    keys, values = piece.var_kind
-    if keys:    # else no occurrence has a binder either
-        ann.var_kind.update(zip(map(add, keys), values))
-        keys, values = piece.occ_binder
-        ann.occ_binder.update(zip(map(add, keys), map(add, values)))
-    keys, values = piece.lam_occ
-    if keys:
-        ann.lam_occ.update(zip(map(add, keys), [
-            v if v is None else pos + v for v in values]))
+    """Write a Piece's slots into ann at pos; its type."""
+    end = pos + len(piece.types)
+    ann.types[pos:end] = piece.types
+    ann.occ_binder[pos:end] = piece.occ_binder
+    ann.var_kind[pos:end] = piece.var_kind
     ann.theta_types.extend(piece.theta_types)
     ann.pieces.append((pos, piece))
     return piece.type
@@ -492,18 +475,15 @@ def _unbind(env, name, saved):
 
 def fill_hints(ann):
     """Return ann.term with every lambda's binder-type hint filled in from
-    the typing derivation, so the result synthesizes without a target.
-    Built from the last position to the first, children before parents,
-    so terms of any depth work."""
-    nodes, kids, types = ann.nodes, ann.kids, ann.types
-    built = [None] * len(nodes)
-    for pos in range(len(nodes) - 1, -1, -1):
-        t = nodes[pos]
+    the typing derivation, so the result synthesizes without a target."""
+    types = ann.types
+
+    def hinted(pos, t, cs):
         if t.__class__ is Lam:
-            built[pos] = Lam(t.var, built[pos + 1], types[pos].left)
-        else:
-            built[pos] = with_children(t, [built[pos + k] for k in kids[pos]])
-    return built[0]
+            return Lam(t.var, cs[0], types[pos].left)
+        return with_children(t, cs)
+
+    return rebuild(ann.nodes, ann.kids, hinted)
 
 
 # ---------------------------------------------------------------------------

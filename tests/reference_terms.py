@@ -68,8 +68,12 @@ def alpha_eq(t, u):
 
 
 def is_linear(ann):
-    """True when every lambda-bound variable is used exactly once."""
-    return all(occ is not None for occ in ann.lam_occ.values())
+    """True when every lambda-bound variable is used exactly once: every
+    Lam position is the binder of a lam occurrence."""
+    used = {pos + off for pos, (kind, off)
+            in enumerate(zip(ann.var_kind, ann.occ_binder)) if kind == "lam"}
+    return all(pos in used for pos, t in enumerate(ann.nodes)
+               if t.__class__ is Lam)
 
 
 def sample_normal_term(A, alphabet, rng, size=8):

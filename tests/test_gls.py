@@ -169,6 +169,19 @@ def test_split_transducer_reads_back_as_written(mirror):
         assert back.eval_normalize(tau) == trans.eval_normalize(tau)
 
 
+def test_type_constant_spec_reads_back_as_written(mirror):
+    const = make_type_constant(mirror)
+    text = const.to_str()
+    assert "rule qe a -> qo qo = \\y1_. \\y2_. \\x1_. \\x2_. " \
+        "a (y2_ c c) (y1_ c c)\n" in text
+    back = parse_gls(text, name=const.name)
+    assert back.to_str() == text
+    rng = random.Random(7)
+    for _ in range(200):
+        tau = random_ac_tree(rng)
+        assert back.run(tau) == mirror.run(tau)
+
+
 def test_gls_runs_on_a_comb_deeper_than_the_recursion_limit(
         mirror, capsys, tmp_path):
     # mirror.gls swaps the children of a-nodes at even depth

@@ -2,8 +2,8 @@
 numbers, types and tables them once per spec and copies their parts in at
 every input node.  Here a program built from the shared terms is checked
 against the same program built from unshared copies of them, which every
-pass walks position by position: the same Annotated tables in the same
-insertion order, the same TermInfo, the same runs, and the same errors."""
+pass walks position by position: the same Annotated tables, slot by slot,
+the same TermInfo, the same runs, and the same errors."""
 
 import random
 
@@ -23,7 +23,6 @@ from lamtrans.typecheck import (O, Arrow, Bang, TypingError, type_to_str,
 
 LT = ["count.lt", "seq-nat.lt", "bin2bin.lt", "list-count.lt"]
 SIZES = {"bin2bin.lt": (1, 2, 3, 4)}     # its outputs grow doubly
-TABLES = ("types", "occ_binder", "lam_occ", "var_kind")
 
 
 def unshared(t):
@@ -41,9 +40,9 @@ def unshared_program(spec, tau):
 
 
 def tables(ann):
-    """Everything typecheck wrote, each table in its insertion order."""
-    return ([list(getattr(ann, name).items()) for name in TABLES],
-            ann.theta_types, ann.type, ann.nodes, ann.kids)
+    """Everything typecheck wrote, each table position by position."""
+    return (ann.types, ann.occ_binder, ann.var_kind, ann.theta_types,
+            ann.type, ann.nodes, ann.kids)
 
 
 def facts(info):
@@ -241,7 +240,7 @@ def test_random_terms_with_shared_subterms():
                 assert got == want
                 continue
             assert tables(got) == tables(want)
-            starts = sorted((pos, pos + piece.size)
+            starts = sorted((pos, pos + len(piece.types))
                             for pos, piece in got.pieces)
             assert all(end <= start for (_, end), (start, _)
                        in zip(starts, starts[1:]))

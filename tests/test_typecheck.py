@@ -183,3 +183,17 @@ def test_fill_hints_makes_term_synthesizable():
     # no target type needed any more
     ann2 = typecheck(hinted, alphabet=OUT)
     assert ann2.type == parse_type("(o -o o) -o o")
+
+
+def test_an_undone_trial_frees_the_binder_it_used():
+    # checked against o, the application first synthesizes its function,
+    # which uses x and then fails on the unhinted \f. f; the retry checks
+    # the function against o -o o and must find x unused again, though x
+    # is bound outside the trial's positions
+    t = parse_term(r"\x. (let !u = x in \f. f) c", OUT)
+    A = parse_type("!o -o o")
+    ann = typecheck(t, ty=A, alphabet=OUT)
+    assert ann.type == A
+    # the retry's slots alone: x at 3 and f at 5, each bound by a lambda
+    assert ann.var_kind == [None, None, None, "lam", None, "lam", None]
+    assert ann.occ_binder == [None, None, None, -3, None, -1, None]

@@ -1,7 +1,7 @@
 """The program checker and TermInfo against the reference checker in
-reference_typecheck.py: the same annotation tables in the same insertion
-order, the same type, the same errors, and the same dispatch records, box
-depths, tier and height.  The checker numbers positions in preorder and
+reference_typecheck.py: the same annotation tables position by position,
+the same type, the same errors, and the same dispatch records, box depths,
+tier and height.  The checker numbers positions in preorder and
 the reference keys them by path, so every number is compared through
 `TermInfo.path`."""
 
@@ -20,8 +20,6 @@ from lamtrans.gls import load_gls, make_type_constant, split_state_relabeling
 from lamtrans.iam import TermInfo
 from lamtrans.transducer import compose, load_transducer
 from lamtrans.typecheck import O, Arrow, Bang, type_height, typecheck
-
-TABLES = ("types", "occ_binder", "lam_occ", "var_kind")
 
 
 def outcome(check, args, kwargs):
@@ -66,13 +64,14 @@ def assert_same(args, kwargs):
     def same(pos, v):
         return v
 
-    # the tables in their insertion order, the TermInfo lists in preorder
-    values = {"occ_binder": path,
-              "lam_occ": lambda v: None if v is None else path(v)}
-    for name in TABLES:
-        value = values.get(name, lambda v: v)
-        assert [(path(k), value(v)) for k, v in getattr(new, name).items()] \
-            == list(getattr(old, name).items()), name
+    # the tables and the TermInfo lists in preorder, one slot per position;
+    # the reference has an entry where a table's slot is not None
+    for name, value in [("types", same), ("occ_binder", at),
+                        ("var_kind", same)]:
+        table = getattr(new, name)
+        assert len(table) == len(paths), name
+        assert [(path(i), value(i, x)) for i, x in enumerate(table)
+                if x is not None] == sorted(getattr(old, name).items()), name
     assert new.theta_types == old.theta_types
     assert new.type == old.type
     for mine, theirs, value in [
@@ -81,7 +80,7 @@ def assert_same(args, kwargs):
         assert [(path(i), value(i, x)) for i, x in enumerate(mine)] == \
             sorted(theirs.items())
     assert info.tier == ref.classify_term(old)
-    assert info.height == max(map(type_height, new.types.values()))
+    assert info.height == max(map(type_height, new.types))
     return None
 
 
