@@ -118,9 +118,26 @@ def cmd_classify(args):
     return 0
 
 
+# the one machine that runs a spec of each kind but .lt, which runs on any
+OWN_MACHINE = {"gls": "normalize", "twt": "twt", "iptt": "iptt"}
+
+
+def spec_machine(kind, machine, lt_default):
+    """The machine that runs a spec of this kind: `machine` when given,
+    else lt_default for a .lt spec and its own machine for any other."""
+    own = OWN_MACHINE.get(kind)
+    if machine is None:
+        return own or lt_default
+    if own not in (None, machine):
+        raise LamtransError(f"{machine} cannot run a .{kind} spec, only "
+                            f"{own} can")
+    return machine
+
+
 def machine_for(kind, spec, machine):
     """A function from an input tree to the machine that runs the spec on
-    it; `machine` ("iam", "twt" or "iptt") picks it for a .lt spec only."""
+    it; `machine` ("iam", "twt" or "iptt") is one that runs the spec's
+    kind (spec_machine)."""
     if kind == "lt" and machine == "iam":
         from .iam import iam_machine
         return lambda tau: iam_machine(spec.program_ann(tau))
@@ -146,10 +163,11 @@ def backend(kind, spec, machine, fuel):
 def cmd_run(args):
     kind, spec = load_spec(args.spec)
     tau = read_tree(args.tree, spec.input)
+    machine = spec_machine(kind, args.machine, "normalize")
     if kind == "gls":
         print(spec.run(tau, args.fuel).to_str())
         return 0
-    return machine_result(backend(kind, spec, args.machine, args.fuel)(tau))
+    return machine_result(backend(kind, spec, machine, args.fuel)(tau))
 
 
 def cmd_normalize(args):
@@ -173,7 +191,7 @@ def cmd_trace(args):
     if kind == "gls":
         print("trace does not support .gls specs", file=sys.stderr)
         return 1
-    m = machine_for(kind, spec, args.machine)(tau)
+    m = machine_for(kind, spec, spec_machine(kind, args.machine, "iam"))(tau)
     for line in treegen.trace_lines(m, m.initial(), args.fuel):
         print(line)
     return 0
@@ -285,8 +303,9 @@ def main(argv=None):
     sp.set_defaults(fn=cmd_normalize)
 
     sp = sub.add_parser("run", help="evaluate a spec on a tree")
-    sp.add_argument("--machine", default="normalize",
-                    choices=["normalize", "iam", "twt", "iptt"])
+    sp.add_argument("--machine", choices=["normalize", "iam", "twt", "iptt"],
+                    help="default: normalize for a .lt spec, the one "
+                         "machine that runs any other")
     sp.add_argument("spec")
     sp.add_argument("tree")
     sp.set_defaults(fn=cmd_run)
@@ -299,8 +318,9 @@ def main(argv=None):
     sp.set_defaults(fn=cmd_compile)
 
     sp = sub.add_parser("trace", help="stream a run as JSON lines")
-    sp.add_argument("--machine", default="iam",
-                    choices=["iam", "twt", "iptt"])
+    sp.add_argument("--machine", choices=["iam", "twt", "iptt"],
+                    help="default: iam for a .lt spec, the one machine "
+                         "that runs any other")
     sp.add_argument("spec")
     sp.add_argument("tree")
     sp.set_defaults(fn=cmd_trace)

@@ -347,27 +347,30 @@ def rebuild(nodes, kids, node):
     return built[0]
 
 
+@dataclass(slots=True, eq=False)
 class Shared:
     """The parts of a term that a spec puts at many places by identity,
-    each relative to the term's root, so that a pass over a term that
-    holds it copies them instead of walking it again: `numbering`, its
+    each relative to the term's root, set once when the spec is loaded
+    (iam.share), so that a pass over a program that holds the term copies
+    them in instead of walking it again: `nodes` and `kids`, its
     number_term lists (but for the term itself, which its nodes list
-    would otherwise hold in a cycle), set the first time a term that holds
-    it is numbered, and `typings`, what typecheck found for it under each
-    (expected type, constant typing), one typecheck.Piece each.  None of
+    would otherwise hold in a cycle); `types` (its own type first),
+    `occ_binder`, `var_kind` and `theta_types`, what typecheck writes for
+    it from an empty environment with the constants of `alphabet`; and
+    `down`, `up` (but for its root's, which depends on where it sits) and
+    `depths`, its iam.TermInfo records, and `tier`, its tier.  None of
     them refers to the term, so it is freed with its spec."""
-    __slots__ = ("numbering", "typings")
-
-    def __init__(self):
-        self.numbering = None
-        self.typings = []
-
-
-def share(t):
-    """Mark t as shared: number_term and typecheck keep their results for
-    it, where they meet it outside every binder, on t itself, so they
-    last as long as t."""
-    object.__setattr__(t, "_shared", Shared())
+    nodes: list
+    kids: list
+    alphabet: object
+    types: list
+    occ_binder: list
+    var_kind: list
+    theta_types: list
+    down: list
+    up: list
+    depths: list
+    tier: int
 
 
 def number_term(term):
@@ -375,8 +378,8 @@ def number_term(term):
     node's first child comes right after it.  Returns the subterm at each
     number and its children as offsets from it (1 for the first child), so
     the lists of a subterm do not depend on where it sits.  A shared term
-    (share) is looked for only on the chain of applications from the
-    root, outside every binder, and its lists are copied in."""
+    is looked for only on the chain of applications from the root,
+    outside every binder, and its record's lists (Shared) are copied in."""
     nodes, kids = [], []
     spine = [(term, None)]  # (subterm, the node it is the second child of)
     while spine:
@@ -385,12 +388,12 @@ def number_term(term):
         if parent is not None:
             kids[parent] = (1, i - parent)
         shared = getattr(t, "_shared", None)
-        if shared is not None and shared.numbering is not None:
+        if shared is not None:
             nodes.append(t)
-            nodes += shared.numbering[0]
-            kids += shared.numbering[1]
+            nodes += shared.nodes
+            kids += shared.kids
             continue
-        if t.__class__ is App and shared is None:
+        if t.__class__ is App:
             nodes.append(t)
             kids.append(None)       # filled in when the argument comes
             spine.append((t.arg, i))
@@ -413,8 +416,6 @@ def number_term(term):
                 todo.append((t.body, None))
             else:
                 kids.append(())
-        if shared is not None:     # t itself left out: no cycle through t
-            shared.numbering = nodes[i + 1:], kids[i:]
     return nodes, kids
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import (App, Box, Const, Lam, LamtransError, Let, Var,
+from .core import (App, Box, Const, Lam, LamtransError, Let, Shared, Var,
                    term_to_str)
 from . import treegen
 from .treegen import FNode, Machine
@@ -124,11 +124,11 @@ class TermInfo:
     boxes whose contents are not of base type), and finds the term's
     restriction `tier` (typecheck.term_tier) and `height`, the largest
     type height at any position.  Where typecheck copied a shared term's
-    slices in (a typecheck.Piece) outside every box, its records and
-    depths are copied in too, by list slice, and its boxed types count by
-    their largest tier: the first TermInfo to meet the Piece builds them
-    and keeps them on it.  `path(pos)` is the position as a tuple of child
-    indices from the root, for text."""
+    slices in (core.Shared) outside every box, its records and depths are
+    copied in too, by list slice, and its tier counts for its positions;
+    inside a box its depths are not its own, and it is walked.
+    `path(pos)` is the position as a tuple of child indices from the
+    root, for text."""
 
     def __init__(self, ann):
         self.term = ann.term
@@ -143,24 +143,18 @@ class TermInfo:
         boxes = [0] * n     # all the boxes enclosing a position
         occurrences = []
         boxed = []      # (type, enclosing boxes) of the positions in a box
-        new = []        # (start, end, Piece, its boxed) of pieces walked
-        tier = 0        # the largest tier of the copied pieces' boxed types
+        tier = 0        # the largest tier of the copied shared terms
         walk = self._walk
         lo = 0
-        for start, piece in sorted(ann.pieces, key=itemgetter(0)):
+        for start, shared in sorted(ann.pieces, key=itemgetter(0)):
             walk(ann, boxes, occurrences, boxed, lo, start)
-            lo = start + len(piece.types)
+            lo = start + len(shared.types)
             if boxes[start]:    # its box depth and boxes are not its own
                 walk(ann, boxes, occurrences, boxed, start, lo)
-            elif piece.info is None:
-                first = len(boxed)
-                walk(ann, boxes, occurrences, boxed, start, lo)
-                new.append((start, lo, piece, boxed[first:]))
             else:
-                down[start:lo], up[start + 1:lo], depths[start:lo], \
-                    boxed_tier = piece.info
-                if boxed_tier > tier:
-                    tier = boxed_tier
+                down[start:lo], up[start + 1:lo], depths[start:lo] = \
+                    shared.down, shared.up, shared.depths
+                tier = max(tier, shared.tier)
         walk(ann, boxes, occurrences, boxed, lo, n)
         for pos in occurrences:
             kind = var_kind[pos]
@@ -176,9 +170,6 @@ class TermInfo:
                 down[pos] = (LET_VAR, (), (off + 1,
                                            self.bound_is_base(binder),
                                            depths[pos], depths[binder]))
-        for start, end, piece, more in new:
-            piece.info = (down[start:end], up[start + 1:end],
-                          depths[start:end], term_tier((), more, ()))
         # term_tier takes the largest tier over its parts, and the types of
         # a program are few objects each at many positions
         distinct = dict(zip(map(id, types), types)).values()
@@ -268,6 +259,22 @@ def placeholder(i):
     return Const(f"{PH}{i}")
 
 
+def share(t, pos, alphabet, ann, info):
+    """Set t's core.Shared record, unless it has one, from ann, a typing
+    of t applied to pos constants under `alphabet` (t sits at pos, after
+    the applications and before the constants), and from info, ann's
+    TermInfo.  Only t adds theta types there, and the types outside t are
+    parts of t's type, so ann's theta types and info's tier are t's own."""
+    if hasattr(t, "_shared"):
+        return
+    end = len(ann.nodes) - pos
+    object.__setattr__(t, "_shared", Shared(
+        ann.nodes[pos + 1:end], ann.kids[pos:end], alphabet,
+        ann.types[pos:end], ann.occ_binder[pos:end], ann.var_kind[pos:end],
+        ann.theta_types, info.down[pos:end], info.up[pos + 1:end],
+        info.depths[pos:end], info.tier))
+
+
 @dataclass(eq=False)
 class Block:
     """One typed local term: the out-term applied to one placeholder (kind
@@ -291,17 +298,24 @@ class LocalBlocks:
     """The blocks of a lambda-transducer: the out-term's `u` and each
     letter's `t[letter]`, iterated in that order, and the largest type
     height among them.  A placeholder has the memory type, so the
-    memory's tier and height count in every block."""
+    memory's tier and height count in every block.  Each block's typing
+    gives its out-term or rule its core.Shared record (share)."""
 
     def __init__(self, spec):
         consts = {f"{PH}{i}": spec.memory
                   for i in range(max([r for _, r in spec.input.letters],
                                      default=0) + 1)}
 
-        def block(kind, term, prefix, local, places):
-            """places: the (provenance, move, path) of each placeholder."""
-            info = TermInfo(typecheck(local, alphabet=spec.output,
-                                      consts=consts))
+        def block(kind, term, prefix, local, places, rule):
+            """places: the (provenance, move, path) of each placeholder;
+            rule: the out-term or the letter's rule, applied to them."""
+            ann = typecheck(local, alphabet=spec.output, consts=consts)
+            info = TermInfo(ann)
+            # instantiate puts the rule at every input node, and each
+            # program copies its record in; a constant types faster than
+            # it copies, so it gets none
+            if not isinstance(rule, Const):
+                share(rule, len(places), spec.output, ann, info)
             ph = {prov: info.number(path) for prov, _, path in places}
             return Block(kind, term, prefix, info, ph,
                          {ph[prov]: move for prov, move, _ in places},
@@ -312,7 +326,7 @@ class LocalBlocks:
 
         self.u = block("U", spec.norm_out, (0,),
                        App(spec.norm_out, placeholder(0)),
-                       [("self", "stay", (1,))])
+                       [("self", "stay", (1,))], spec.norm_out)
         self.t = {}
         for a, k in spec.input.letters:
             t = spec.norm_rules[a]
@@ -320,7 +334,7 @@ class LocalBlocks:
                 t = App(t, placeholder(i))
             self.t[a] = block("T", t, (), t, [
                 (("from-child", i), ("to-child", i), (0,) * (k - i) + (1,))
-                for i in range(1, k + 1)])
+                for i in range(1, k + 1)], spec.norm_rules[a])
         self.height = max(b.info.height for b in self)
 
     def __iter__(self):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .core import (App, Const, Lam, LamtransError, RankedAlphabet, SyntaxErr,
                    Var, decode_tree, instantiate, is_ident, number_term,
-                   parse_term, rebuild, share, term_to_str, with_children)
+                   parse_term, rebuild, term_to_str, with_children)
 from .iam import LocalBlocks
 from .reduction import normalize
 from .typecheck import (Arrow, O, TIER_NAMES, TypingError, fill_hints,
@@ -77,12 +77,6 @@ class LambdaTransducerSpec:
                                     self.output, f"{self.name}: out")
         self.blocks = LocalBlocks(self)
         self.tier = max(block.info.tier for block in self.blocks)
-        # instantiate puts these terms at every input node: each program
-        # numbers and types them once (core.share), but for a constant,
-        # which is typed faster than copied in
-        for t in (*self.norm_rules.values(), self.norm_out):
-            if not isinstance(t, Const):
-                share(t)
 
     def tier_name(self):
         return TIER_NAMES[self.tier]

@@ -227,27 +227,8 @@ class Annotated:
     var_kind: list = field(init=False, default_factory=list)
     # types of unrestricted vars
     theta_types: list = field(init=False, default_factory=list)
-    # (pos, Piece) of each shared term whose slots were copied in or kept
+    # (pos, core.Shared) of each shared term whose slots were copied in
     pieces: list = field(init=False, default_factory=list)
-
-
-@dataclass(eq=False)
-class Piece:
-    """What typecheck wrote for a shared term (core.share) typed from an
-    empty environment against the type `expected` (None: synthesized),
-    with the constants' types given by `consts`, its (alphabet, consts)
-    arguments: the slice of each table over the term's positions, which
-    holds no absolute position, the theta types it added, and the term's
-    type.  `info` holds iam.TermInfo's records for it, once a
-    TermInfo has built them."""
-    expected: object
-    consts: tuple
-    types: list
-    occ_binder: list
-    var_kind: list
-    theta_types: list
-    type: object
-    info: tuple = None
 
 
 def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
@@ -267,6 +248,10 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
     if alphabet is not None:
         for name, rank in alphabet.letters:
             ctypes.setdefault(name, const_type(rank))
+    # a shared term (core.Shared) is copied in only under the alphabet it
+    # was typed under, none of whose letters consts may retype
+    copies = (not consts or alphabet is None
+              or consts.keys().isdisjoint(alphabet.ranks))
 
     # environment: name -> ("lam"|"let"|"theta", Type, binder pos)
     env0 = {}
@@ -282,12 +267,15 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
     def typed(t, pos, env, A=None):
         """The type of t at pos: synthesized when A is None, else checked
         to be A."""
-        # from an empty environment a shared term writes the same slots,
-        # relative to its root, wherever it sits
-        if not env and t is not fresh:
+        # from an empty environment, synthesized or checked against its
+        # own type, a shared term writes its record's slots, relative to
+        # its root, wherever it sits
+        if not env and copies:
             shared = getattr(t, "_shared", None)
-            if shared is not None:
-                return shared_typed(t, pos, env, A, shared)
+            if shared is not None and shared.alphabet == alphabet and (
+                    A is None or A is shared.types[0]
+                    or A == shared.types[0]):
+                return _splice(ann, shared, pos)
         cls = t.__class__
         if cls is Const:
             B = types[pos] = lookup_const(t.name)
@@ -372,28 +360,6 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
                 f"{term_to_str(t)}")
         return A
 
-    fresh = None    # the shared term being typed for its Piece
-
-    def shared_typed(t, pos, env, A, shared):
-        """typed for a shared term (core.share) at pos from an empty
-        environment: its slots are copied in from its Piece for A and
-        these constants, or written by typed and kept as that Piece."""
-        nonlocal fresh
-        key = alphabet, consts or None
-        for piece in shared.typings:
-            if (piece.expected is A or piece.expected == A) \
-                    and piece.consts == key:
-                return _splice(ann, piece, pos)
-        mark = len(theta_types), len(pieces)
-        outer, fresh = fresh, t
-        try:
-            B = typed(t, pos, env, A)
-        finally:
-            fresh = outer
-        shared.typings.append(_keep(ann, pos, mark, A, (
-            alphabet, dict(consts) if consts else None), B))
-        return B
-
     def rollback(pos, mark):
         """Undo what a failed trial at pos wrote: it wrote only the slots
         of the positions pos covers, the used marks of the binders of its
@@ -430,29 +396,16 @@ def _end(kids, pos):
     return pos + 1
 
 
-def _keep(ann, pos, mark, expected, consts, B):
-    """The Piece of the shared term just typed at pos against `expected`
-    with the constants `consts`, to the type B, from its slots and the
-    theta types and pieces past `mark`, the sizes of those lists before;
-    it stands for the pieces in ann.pieces."""
-    end = _end(ann.kids, pos)
-    piece = Piece(expected, consts, ann.types[pos:end],
-                  ann.occ_binder[pos:end], ann.var_kind[pos:end],
-                  ann.theta_types[mark[0]:], B)
-    del ann.pieces[mark[1]:]
-    ann.pieces.append((pos, piece))
-    return piece
-
-
-def _splice(ann, piece, pos):
-    """Write a Piece's slots into ann at pos; its type."""
-    end = pos + len(piece.types)
-    ann.types[pos:end] = piece.types
-    ann.occ_binder[pos:end] = piece.occ_binder
-    ann.var_kind[pos:end] = piece.var_kind
-    ann.theta_types.extend(piece.theta_types)
-    ann.pieces.append((pos, piece))
-    return piece.type
+def _splice(ann, shared, pos):
+    """Write a shared term's slots (core.Shared) into ann at pos; its
+    type."""
+    end = pos + len(shared.types)
+    ann.types[pos:end] = shared.types
+    ann.occ_binder[pos:end] = shared.occ_binder
+    ann.var_kind[pos:end] = shared.var_kind
+    ann.theta_types.extend(shared.theta_types)
+    ann.pieces.append((pos, shared))
+    return shared.types[0]
 
 
 def _boxed(env):

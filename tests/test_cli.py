@@ -81,6 +81,36 @@ def test_tree_from_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "S(S(S(0)))"
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--machine", "iam", COUNT_TWT, "a(c,c)"],
+    ["run", "--machine", "twt", BIN2UNARY, "1(e)"],
+    ["run", "--machine", "iam", MIRROR, "a(c,c)"],
+    ["normalize", COUNT_TWT, "a(c,c)"],
+    ["trace", "--machine", "iptt", COUNT_TWT, "c"],
+], ids=["run-iam-twt", "run-twt-iptt", "run-iam-gls", "normalize-twt",
+        "trace-iptt-twt"])
+def test_a_machine_that_cannot_run_the_spec_is_refused(capsys, argv):
+    # only a .lt spec runs on more than one machine
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "cannot run a ." in err
+
+
+def test_each_kind_of_spec_runs_on_its_own_machine_by_default(capsys):
+    for argv, want in [(["run", COUNT_TWT, "a(c,c)"], "S(S(0))"),
+                       (["run", BIN2UNARY, "1(e)"], "S(0)"),
+                       (["run", MIRROR, "a(a(c,c),c)"], "a(c,a(c,c))")]:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out.strip() == want
+    for spec, tree in [(COUNT_TWT, "c"), (BIN2UNARY, "1(e)")]:
+        _, default, _ = run_cli(capsys, "trace", spec, tree)
+        machine = "twt" if spec == COUNT_TWT else "iptt"
+        _, named, _ = run_cli(capsys, "trace", "--machine", machine, spec,
+                              tree)
+        assert default == named != ""
+
+
 def test_trace_json_lines(capsys):
     code, out, _ = run_cli(capsys, "trace", COUNT, "a(b(c),c)")
     assert code == 0

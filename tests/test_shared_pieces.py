@@ -1,10 +1,14 @@
-"""A spec's rules and out-term are shared (core.share): each program
-numbers, types and tables them once per spec and copies their parts in at
-every input node.  Here a program built from the shared terms is checked
-against the same program built from unshared copies of them, which every
-pass walks position by position: the same Annotated tables, slot by slot,
-the same TermInfo, the same runs, and the same errors."""
+"""A spec's rules and out-term are shared: each gets one core.Shared
+record when its spec is loaded (iam.share), sliced from its block's
+typing, and each program copies its parts in at every input node rather
+than number, type and table it again.  Here a program built from the
+shared terms is checked against the same program built from unshared
+copies of them, which every pass walks position by position: the same
+Annotated tables, slot by slot, the same TermInfo, the same runs, and the
+same errors."""
 
+import copy
+import dataclasses
 import random
 
 import pytest
@@ -15,14 +19,49 @@ from lamtrans import corpus_path, treegen
 from lamtrans.cli import gen_tree
 from lamtrans.core import (App, Box, Const, Lam, Let, RankedAlphabet, Var,
                            children, instantiate, number_term, parse_tree,
-                           share, with_children)
-from lamtrans.iam import IamMachine, LocalBlocks, TermInfo, pick_variant
-from lamtrans.transducer import load_transducer, rule_type
+                           with_children)
+from lamtrans.gls import load_gls, make_type_constant, split_state_relabeling
+from lamtrans.iam import IamMachine, LocalBlocks, TermInfo, pick_variant, share
+from lamtrans.transducer import compose, load_transducer, rule_type
 from lamtrans.typecheck import (O, Arrow, Bang, TypingError, type_to_str,
                                 typecheck)
 
 LT = ["count.lt", "seq-nat.lt", "bin2bin.lt", "list-count.lt"]
 SIZES = {"bin2bin.lt": (1, 2, 3, 4)}     # its outputs grow doubly
+
+
+def loaded(name):
+    """A spec and a function from (rng, size) to one of its random inputs:
+    a corpus .lt file, seq-nat composed with list-count, whose rules hold
+    list-count's shared terms before they are normalized, or mirror.gls's
+    split transducer, on relabeled random trees."""
+    if name == "seq-nat;list-count":
+        spec = compose(load_transducer(corpus_path("seq-nat.lt")),
+                       load_transducer(corpus_path("list-count.lt")))
+    elif name == "mirror.gls+split":
+        mirror = load_gls(corpus_path("mirror.gls"))
+        relabel, spec = split_state_relabeling(make_type_constant(mirror))
+        return spec, lambda rng, size: relabel(gen_tree(rng, mirror.input,
+                                                        size))
+    else:
+        spec = load_transducer(corpus_path(name))
+    return spec, lambda rng, size: gen_tree(rng, spec.input, size)
+
+
+def shared_terms(spec):
+    """The spec's shared terms: its rules and out-term but the constants."""
+    return [t for t in (spec.norm_out, *spec.norm_rules.values())
+            if not isinstance(t, Const)]
+
+
+def share_alone(t, alphabet=None):
+    """Share t as a spec shares its rules, its record sliced from t typed
+    alone, if t types alone."""
+    try:
+        ann = typecheck(t, alphabet=alphabet)
+    except TypingError:
+        return
+    share(t, 0, alphabet, ann, TermInfo(ann))
 
 
 def unshared(t):
@@ -64,13 +103,14 @@ def outcome(*args, **kwargs):
     return got if isinstance(got, tuple) else tables(got)
 
 
-@pytest.mark.parametrize("name", LT)
+@pytest.mark.parametrize("name", LT + ["seq-nat;list-count",
+                                       "mirror.gls+split"])
 def test_programs_from_shared_rules_equal_unshared_ones(name):
-    spec = load_transducer(corpus_path(name))
+    spec, make_input = loaded(name)
     rng = random.Random(name)
     sizes = SIZES.get(name, (1, 2, 3, 5, 8, 13, 30))
-    for size in sizes * 2:      # the second round copies every piece in
-        tau = gen_tree(rng, spec.input, size)
+    for size in sizes * 2:      # each size on two random trees
+        tau = make_input(rng, size)
         ann = spec.program_ann(tau)
         plain = typecheck(unshared_program(spec, tau), ty=O,
                           alphabet=spec.output)
@@ -87,28 +127,81 @@ def test_programs_from_shared_rules_equal_unshared_ones(name):
         assert runs[0].tree == spec.eval_normalize(tau)
 
 
-def test_a_shared_rule_keeps_one_piece_per_typing():
-    spec = load_transducer(corpus_path("seq-nat.lt"))
-    tau = gen_tree(random.Random(1), spec.input, 6)
-    TermInfo(spec.program_ann(tau))
-    rule = spec.norm_rules["S"]
-    pieces = list(rule._shared.typings)
-    assert [piece.consts for piece in pieces] == [(spec.output, None)]
-    assert all(piece.info is not None for piece in pieces)
-    numbering = rule._shared.numbering
-    # another program copies them in again and keeps nothing new
-    spec.program_ann(gen_tree(random.Random(2), spec.input, 6))
-    assert rule._shared.typings == pieces
-    assert rule._shared.numbering is numbering
-    nodes, kids = number_term(rule)
-    assert (nodes[1:], kids) == numbering and nodes[0] is rule
+def test_a_shared_rule_has_one_record_set_at_load():
+    # sliced from the rule's block, the record holds what typecheck and
+    # TermInfo find for an unshared copy typed alone under the output
+    # alphabet, and number_term copies its lists in
+    for name in LT:
+        spec = load_transducer(corpus_path(name))
+        assert shared_terms(spec)
+        for t in (spec.norm_out, *spec.norm_rules.values()):
+            if isinstance(t, Const):
+                assert not hasattr(t, "_shared")
+                continue
+            record = t._shared
+            ann = typecheck(unshared(t), alphabet=spec.output)
+            info = TermInfo(ann)
+            assert record.alphabet is spec.output
+            assert (record.nodes, record.kids) == (ann.nodes[1:], ann.kids)
+            assert (record.types, record.occ_binder, record.var_kind,
+                    record.theta_types, record.types[0]) == \
+                (ann.types, ann.occ_binder, ann.var_kind, ann.theta_types,
+                 ann.type)
+            assert (record.down, record.up, record.depths, record.tier) == \
+                (info.down, info.up[1:], info.depths, info.tier)
+            nodes, kids = number_term(t)
+            assert nodes[0] is t and (nodes[1:], kids) == \
+                (record.nodes, record.kids)
+        # the spec's blocks, built again, keep the records
+        records = [t._shared for t in shared_terms(spec)]
+        LocalBlocks(spec)
+        assert [t._shared for t in shared_terms(spec)] == records
+
+
+def contents(record):
+    """A copy of each field of a core.Shared."""
+    return [copy.copy(getattr(record, f.name))
+            for f in dataclasses.fields(record)]
+
+
+@pytest.mark.parametrize("name", LT)
+def test_a_rule_is_walked_once_per_spec(name, monkeypatch):
+    # loading the spec walks each rule in its block; a program copies in
+    # every rule copy, none of which sits in a box, and TermInfo walks
+    # only the positions outside them
+    spec = load_transducer(corpus_path(name))
+    records = [(t, t._shared, contents(t._shared))
+               for t in shared_terms(spec)]
+    walked = []
+    walk = TermInfo._walk
+
+    def recording(self, ann, boxes, occurrences, boxed, lo, hi):
+        walked.extend(range(lo, hi))
+        return walk(self, ann, boxes, occurrences, boxed, lo, hi)
+
+    monkeypatch.setattr(TermInfo, "_walk", recording)
+    rng = random.Random(name)
+    for size in range(1, 41):
+        ann = spec.program_ann(gen_tree(rng, spec.input, size))
+        assert sorted(pos for pos, _ in ann.pieces) == \
+            [pos for pos, t in enumerate(ann.nodes) if hasattr(t, "_shared")]
+        assert all(record is ann.nodes[pos]._shared
+                   for pos, record in ann.pieces)
+        copied = {pos + i for pos, record in ann.pieces
+                  for i in range(len(record.types))}
+        walked.clear()
+        TermInfo(ann)
+        assert walked == [pos for pos in range(len(ann.nodes))
+                          if pos not in copied]
+    for t, record, fields in records:
+        assert t._shared is record and contents(record) == fields
 
 
 @pytest.mark.parametrize("name", LT)
 def test_a_shared_rule_types_under_placeholders_as_an_unshared_one(name):
     # the spec's blocks apply each rule to placeholder constants of the
-    # memory type: the rules are shared after the blocks are built, and
-    # a block built again from the shared rules is the same
+    # memory type: each rule's record is sliced from its block, and a
+    # block built again copies the record in and is the same
     spec = load_transducer(corpus_path(name))
     again = LocalBlocks(spec)
     for block, other in zip(spec.blocks, again):
@@ -131,9 +224,9 @@ def test_a_shared_rule_types_under_placeholders_as_an_unshared_one(name):
 
 @pytest.mark.parametrize("name", LT)
 def test_a_shared_rule_checked_against_a_wrong_type_fails_alike(name):
+    # a rule typed against another type than its own, or with its
+    # letters retyped or another alphabet's constants, is typed in place
     spec = load_transducer(corpus_path(name))
-    tau = gen_tree(random.Random(0), spec.input, 3)
-    spec.program_ann(tau)       # keeps the pieces of the rules
     others = [O, Arrow(O, Arrow(O, O)), rule_type(spec.memory, 3),
               Arrow(spec.memory, O)]
     seen = 0
@@ -145,19 +238,20 @@ def test_a_shared_rule_checked_against_a_wrong_type_fails_alike(name):
                 assert outcome(rule, ty=ty, alphabet=spec.output) == want, \
                     type_to_str(ty)
                 seen += isinstance(want, tuple)
-        # the constants of another alphabet
-        for _ in range(2):
-            assert outcome(rule, alphabet=spec.input) == \
-                outcome(unshared(rule), alphabet=spec.input)
+        # the constants of another alphabet, or its letters retyped
+        retyped = {name: O for name, _ in spec.output.letters}
+        for kwargs in [{"alphabet": spec.input},
+                       {"alphabet": spec.output, "consts": retyped}]:
+            assert outcome(rule, **kwargs) == \
+                outcome(unshared(rule), **kwargs)
     assert seen
 
 
 @pytest.mark.parametrize("program_first", [True, False])
 def test_a_shared_term_inside_a_box_is_walked(program_first):
     # from an empty environment a box's body is typed from one too, so a
-    # shared term there gets the Piece it gets in a program; its box depth
-    # is not its own, and TermInfo walks it rather than copying records in
-    # or keeping its records for programs
+    # shared term there is copied in as in a program; its box depth is not
+    # its own, and TermInfo walks it rather than copying its records in
     spec = load_transducer(corpus_path("bin2bin.lt"))
     tau = parse_tree("1(0(1(e)))", spec.input)
     rule = spec.norm_rules["1"]
@@ -185,9 +279,9 @@ def test_a_shared_term_inside_a_box_of_base_type_is_walked():
     out = RankedAlphabet.of({"c": 0})
     term = App(Lam("x", Let("y", Var("x"), Var("y")), Bang(O)),
                Box(Const("c")))
-    share(term)
+    share_alone(term, out)
     alone = TermInfo(typecheck(term, alphabet=out))
-    assert term._shared.typings[0].info is not None and alone.tier == 1
+    assert term._shared.tier == alone.tier == 1
     for _ in range(2):
         ann = typecheck(Box(term), alphabet=out)
         want = typecheck(Box(unshared(term)), alphabet=out)
@@ -198,42 +292,44 @@ def test_a_shared_term_inside_a_box_of_base_type_is_walked():
 
 def test_an_undone_trial_takes_its_pieces_along():
     # checked against o -o o, the application first synthesizes its
-    # shared function, whose argument then fails; the function is then
-    # checked against (o -o o) -o o -o o, a second Piece at its position
+    # shared function, copied in, whose argument then fails; the function
+    # is then checked against (o -o o) -o o -o o, not its own type, and
+    # typed in place
     ident = Lam("x", Var("x"), O)
-    share(ident)
+    share_alone(ident)
+    record = ident._shared
     term = App(ident, Lam("y", Var("y"), O))
     plain = unshared(term)
     A = Arrow(O, O)
+    assert typecheck(App(ident, Const("c")), consts={"c": O}).pieces == \
+        [(1, record)]
     for _ in range(2):
         ann, want = typecheck(term, ty=A), typecheck(plain, ty=A)
         assert tables(ann) == tables(want)
-        assert [(pos, piece.expected) for pos, piece in ann.pieces] == \
-            [(1, Arrow(A, A))]
+        assert ann.pieces == []
         assert facts(TermInfo(ann)) == facts(TermInfo(want))
-    assert [piece.expected for piece in ident._shared.typings] == \
-        [None, Arrow(A, A)]
+    assert ident._shared is record and record.types[0] == A
 
 
-def share_all(t):
-    """Share every subterm of t, open ones too."""
+def share_all(t, alphabet):
+    """Share every subterm of t that types alone under alphabet."""
     todo = [t]
     while todo:
         t = todo.pop()
-        share(t)
+        share_alone(t, alphabet)
         todo.extend(children(t))
 
 
 def test_random_terms_with_shared_subterms():
-    # a shared term is typed alone only from an empty environment, where
-    # an open one fails and keeps nothing; the pieces a typing copies in
-    # or keeps never overlap, even where a trial was undone
+    # a shared term is copied in only from an empty environment, and only
+    # where its own type or none is asked for; the pieces a typing copies
+    # in never overlap, even where a trial was undone
     rng = random.Random(20241019)
     shared = 0
     for _ in range(3_000):
         (term,), kwargs = random_case(rng)
         plain = unshared(term)
-        share_all(term)
+        share_all(term, kwargs["alphabet"])
         for _ in range(2):
             got, want = checked(term, **kwargs), checked(plain, **kwargs)
             if isinstance(want, tuple):
