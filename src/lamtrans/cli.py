@@ -75,6 +75,25 @@ def no_output(res):
     return f"no output within {res.steps} steps"
 
 
+# difftest prints a disagreeing output of at most this many nodes
+SHOWN_NODES = 10_000
+
+
+def shown(res):
+    """A difftest result as one line: a tree's text, or, for a tree of
+    more than SHOWN_NODES node occurrences (a shared subtree counts at
+    each of them, by a walk that stops there), a line that says so."""
+    if not isinstance(res, Tree):
+        return res
+    n, todo = 0, [res]
+    while todo:
+        n += 1
+        if n > SHOWN_NODES:
+            return f"a tree of more than {SHOWN_NODES} nodes, not shown"
+        todo.extend(todo.pop().children)
+    return res.to_str()
+
+
 def write_output(text, path):
     """Write text to the file at path, or to stdout when path is None."""
     if path:
@@ -270,8 +289,7 @@ def cmd_difftest(args):
                 status = 1
                 print(f"{path}: case {i} ({tau.to_str()}) disagrees:")
                 for n, r in results[:1] + bad:
-                    shown = r.to_str() if isinstance(r, Tree) else r
-                    print(f"  {n}: {shown}")
+                    print(f"  {n}: {shown(r)}")
             else:
                 agree += 1
         print(f"{path}: {agree}/{args.cases} agree "

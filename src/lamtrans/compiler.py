@@ -23,7 +23,7 @@ never drops a pebble."""
 
 from __future__ import annotations
 
-from .core import LamtransError, term_to_str
+from .core import LamtransError, marked
 from .iam import (LET, VARIANT_MAX_TIER, ClassificationTooHigh, Config,
                   IamMachine, StackEntry, mult_tape)
 from .typecheck import TIER_NAMES
@@ -33,23 +33,25 @@ from .walking import (ANY, IpttSpec, TwtSpec, image_leaves,
 
 # ---------------------------------------------------------------------------
 # Compiled states.  A state is a plain value: ("I",), the initial state;
-# (kind, direction, block, path, tape, flag), a token inside a block of kind
-# "U" or "T" at the path of its position in the block's term; ("Nabla",
-# tape), a head about to enter a node; ("Delta", tape), a head about to
-# leave a letter's node.
+# (kind, direction, block, number, tape, flag), a token inside a block of
+# kind "U" or "T" at the preorder number of its position in the block's
+# term; ("Nabla", tape), a head about to enter a node; ("Delta", tape), a
+# head about to leave a letter's node.
 
 INITIAL = ("I",)
 
 
 def state_name(state, with_flag):
     """A state's name; only a token state shows its box-depth flag, and
-    only when asked to."""
+    only when asked to.  A token state shows its block's term with its
+    position marked, sliced out of the block's one rendering (Block.text)."""
     if state == INITIAL:
         return "I"
     if len(state) == 2:
         return f'{state[0]}["{state[1]}"]'
-    kind, d, block, path, tape, flag = state
-    body = term_to_str(block.term, mark=path, direction=d)
+    kind, d, block, number, tape, flag = state
+    text, spans = block.text
+    body = marked(text, spans[number], d)
     return f'{kind}[{d},"{body}","{tape}"' + (f",{flag}]" if with_flag
                                               else "]")
 
@@ -140,9 +142,9 @@ class WalkingCompiler:
                     yield a, prov, True, block, cfg
                     yield a, prov, False, block, cfg
         else:
-            kind, d, block, path, tape, flag = state
-            cfg = Config(d, block.info.number(block.prefix + path),
-                         tuple(tape), sentinels(flag), flag)
+            kind, d, block, number, tape, flag = state
+            cfg = Config(d, block.start + number, tuple(tape),
+                         sentinels(flag), flag)
             if kind == "U":
                 for a, _ in letters:
                     yield a, "self", True, block, cfg
@@ -167,15 +169,16 @@ class WalkingCompiler:
                 return None
             return ("Delta", tape), "stay" if is_root else "to-parent"
         return (block.kind, cfg.direction, self.first[block],
-                block.info.path(cfg.pos)[len(block.prefix):], tape,
-                cfg.flag), "stay"
+                cfg.pos - block.start, tape, cfg.flag), "stay"
 
     def classify(self, block, res, is_root, log):
         """Turn a one-step result in a block, started with the given log,
-        into a transition image, or None when the key must stay
-        undefined."""
+        into a transition image of (state, move) leaves, or None when the
+        key must stay undefined.  A configuration is its own leaf."""
         if res is None:
             return None
+        if res.__class__ is Config:
+            return self._leaf(block, res, is_root, log)
         img = image_map_leaves(
             res, lambda cfg: self._leaf(block, cfg, is_root, log))
         return None if None in image_leaves(img) else img
@@ -230,9 +233,13 @@ class WalkingCompiler:
         """The walking machine: a TwtSpec for "apa", an IpttSpec for "ss".
         Both come from one table keyed by (letter, state, provenance,
         is-root, pebble), where a transition that does not look at the
-        visible pebble is stored once under the pebble ANY."""
+        visible pebble is stored once under the pebble ANY.  A state
+        entered under several keys steps each (block, local configuration)
+        once; the step's result is classified per key, since where a head
+        leaving a node goes depends on whether it is the root."""
         spec = self.spec
         table, names, seen, worklist = {}, {}, set(), []
+        steps = {}      # (block, local configuration) -> one step's result
 
         def named(state):
             """The state's name.  Each state is named once, and one whose
@@ -258,8 +265,10 @@ class WalkingCompiler:
                         table[a, q, prov, is_root, z] = \
                             image_map_leaves(img, leaf)
                     continue
-                img = self.classify(block, self.machines[block].step(cfg),
-                                    is_root, cfg.log)
+                res = steps.get((block, cfg), steps)
+                if res is steps:
+                    res = steps[block, cfg] = self.machines[block].step(cfg)
+                img = self.classify(block, res, is_root, cfg.log)
                 if img is not None:
                     table[a, q, prov, is_root, ANY] = \
                         image_map_leaves(img, leaf)

@@ -442,43 +442,78 @@ def fresh_name(base, avoid):
 # ---------------------------------------------------------------------------
 # Printing
 
+def render_term(t):
+    """The text of a term and, for each of its positions in preorder
+    (number_term's order), the [start, end) of the text that a mark there
+    wraps: the subterm's own text, inside the parentheses around it.  One
+    walk with an explicit stack, so a term of any depth renders."""
+    out, spans, n = [], [], 0
+    # a (subterm, level) to render, a string to write, or the number of a
+    # position whose text ends here; level: 0 = term (lam/let ok), 1 = app
+    # position, 2 = atom position
+    todo = [(t, 0)]
+    while todo:
+        item = todo.pop()
+        cls = item.__class__
+        if cls is str:
+            out.append(item)
+            n += len(item)
+            continue
+        if cls is int:
+            spans[item] = (spans[item], n)
+            continue
+        t, level = item
+        cls = t.__class__
+        if cls is Const or cls is Var:
+            spans.append((n, n + len(t.name)))
+            out.append(t.name)
+            n += len(t.name)
+            continue
+        if cls is Box:
+            head, rest = "!", [(t.body, 2)]
+        elif cls is Lam:
+            head, rest = "\\" + t.var + ". ", [(t.body, 0)]
+        elif cls is Let:
+            head = "let !" + t.var + " = "
+            rest = [(t.body, 0), " in ", (t.bound, 0)]
+        elif cls is App:
+            head, rest = "", [(t.arg, 2), " ", (t.fn, 1)]
+        else:
+            raise LamtransError(f"not a term: {t!r}")
+        if level > (1 if cls is App else 0) and cls is not Box:
+            out.append("(")
+            n += 1
+            todo.append(")")
+        todo.append(len(spans))
+        todo += rest
+        spans.append(n)
+        out.append(head)
+        n += len(head)
+    return "".join(out), spans
+
+
+def marked(text, span, direction):
+    """A rendered term's text with the span [start, end) of one position
+    wrapped in >...< (down) or <...> (up), by two slices."""
+    start, end = span
+    left, right = ("<", ">") if direction == "up" else (">", "<")
+    return text[:start] + left + text[start:end] + right + text[end:]
+
+
 def term_to_str(t, mark=None, direction=None):
-    """Render a term.  When mark (a position) is given, the subterm there is
-    wrapped in >...< (down) or <...> (up) according to direction."""
-
-    def deco(s, here):
-        if mark is not None and here == mark:
-            if direction == "up":
-                return "<" + s + ">"
-            return ">" + s + "<"
-        return s
-
-    def go(t, here, level):
-        # level: 0 = term (lam/let ok), 1 = app position, 2 = atom position
-        if isinstance(t, (Const, Var)):
-            return deco(t.name, here)
-        if isinstance(t, Box):
-            inner = go(t.body, here + (0,), 2)
-            return deco("!" + inner, here)
-        if isinstance(t, Lam):
-            s = "\\" + t.var + ". " + go(t.body, here + (0,), 0)
-            s = deco(s, here)
-            return "(" + s + ")" if level > 0 else s
-        if isinstance(t, Let):
-            s = ("let !" + t.var + " = " + go(t.bound, here + (0,), 0)
-                 + " in " + go(t.body, here + (1,), 0))
-            s = deco(s, here)
-            return "(" + s + ")" if level > 0 else s
-        if isinstance(t, App):
-            s = go(t.fn, here + (0,), 1) + " " + go(t.arg, here + (1,), 2)
-            s = deco(s, here)
-            return "(" + s + ")" if level > 1 else s
-        raise LamtransError(f"not a term: {t!r}")
-
-    try:
-        return go(t, (), 0)
-    finally:
-        go = None       # no cycle through go's closure
+    """Render a term (render_term).  When mark (a position, as a path of
+    child indices) is given, the subterm there is wrapped in >...< (down)
+    or <...> (up) according to direction; a path that names no position
+    marks nothing."""
+    text, spans = render_term(t)
+    if mark is None:
+        return text
+    kids, pos = number_term(t)[1], 0
+    for i in mark:
+        if not 0 <= i < len(kids[pos]):
+            return text
+        pos += kids[pos][i]
+    return marked(text, spans[pos], direction)
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ whose children are configurations."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 from .core import (App, Box, Const, Lam, LamtransError, Let, Shared, Var,
-                   term_to_str)
+                   marked, render_term)
 from . import treegen
 from .treegen import FNode, Machine
 from .typecheck import (TIER_NAMES, Arrow, Bang, O, navigate, term_tier,
@@ -279,19 +280,26 @@ def share(t, pos, alphabet, ann, info):
 class Block:
     """One typed local term: the out-term applied to one placeholder (kind
     "U"), or a letter's rule applied to one placeholder per child (kind
-    "T").  Its compiled states show `term`, the subterm at path `prefix`.
-    `ph` maps the provenance of coming back up from a placeholder's node
-    to the placeholder's position, `moves` maps that position to the head
-    move down onto the node, and `occ` maps the path of each occurrence of
-    a variable let-bound to a non-base term (the occurrences a pebble
-    names) to its position."""
+    "T").  Its compiled states show `term`, the subterm at position
+    `start`, whose positions are numbered from `start` on.  `ph` maps the
+    provenance of coming back up from a placeholder's node to the
+    placeholder's position, `moves` maps that position to the head move
+    down onto the node, and `occ` maps the path of each occurrence of a
+    variable let-bound to a non-base term (the occurrences a pebble names)
+    to its position."""
     kind: str
     term: object
-    prefix: tuple
+    start: int
     info: TermInfo
     ph: dict
     moves: dict
     occ: dict
+
+    @cached_property
+    def text(self):
+        """`term`'s text and the span of each of its positions
+        (core.render_term), rendered on first use."""
+        return render_term(self.term)
 
 
 class LocalBlocks:
@@ -306,7 +314,7 @@ class LocalBlocks:
                   for i in range(max([r for _, r in spec.input.letters],
                                      default=0) + 1)}
 
-        def block(kind, term, prefix, local, places, rule):
+        def block(kind, term, start, local, places, rule):
             """places: the (provenance, move, path) of each placeholder;
             rule: the out-term or the letter's rule, applied to them."""
             ann = typecheck(local, alphabet=spec.output, consts=consts)
@@ -317,14 +325,14 @@ class LocalBlocks:
             if not isinstance(rule, Const):
                 share(rule, len(places), spec.output, ann, info)
             ph = {prov: info.number(path) for prov, _, path in places}
-            return Block(kind, term, prefix, info, ph,
+            return Block(kind, term, start, info, ph,
                          {ph[prov]: move for prov, move, _ in places},
                          {info.path(pos): pos
                           for pos, var in enumerate(info.var_kind)
                           if var == "let" and not info.bound_is_base(
                               pos + info.occ_binder[pos])})
 
-        self.u = block("U", spec.norm_out, (0,),
+        self.u = block("U", spec.norm_out, 1,
                        App(spec.norm_out, placeholder(0)),
                        [("self", "stay", (1,))], spec.norm_out)
         self.t = {}
@@ -332,7 +340,7 @@ class LocalBlocks:
             t = spec.norm_rules[a]
             for i in range(1, k + 1):
                 t = App(t, placeholder(i))
-            self.t[a] = block("T", t, (), t, [
+            self.t[a] = block("T", t, 0, t, [
                 (("from-child", i), ("to-child", i), (0,) * (k - i) + (1,))
                 for i in range(1, k + 1)], spec.norm_rules[a])
         self.height = max(b.info.height for b in self)
@@ -499,10 +507,21 @@ class IamMachine(Machine):
 
     # -- rendering and invariants -----------------------------------------
 
+    @cached_property
+    def text(self):
+        """The program's text and the span of each of its positions
+        (core.render_term), rendered on first use."""
+        return render_term(self.info.term)
+
     def render(self, cfg):
+        """A configuration as a trace shows it: the program with its focus
+        marked (core.marked), then the tape, and the log and counter of
+        the variants that have them.  The program is rendered once, on
+        the first call, and each call marks the focus by slicing; a run
+        that is not traced renders nothing."""
         path = self.info.path
-        term = term_to_str(self.info.term, mark=path(cfg.pos),
-                           direction=cfg.direction)
+        text, spans = self.text
+        term = marked(text, spans[cfg.pos], cfg.direction)
         s = f'({term}, "{render_tape(cfg.tape, path)}"'
         if self.variant == "d1":
             s += f', "{render_tape(cfg.log, path)}"'

@@ -104,19 +104,8 @@ class WalkingSpec:
                                 f"from-parent: {key}")
             if z not in (None, ANY) and z not in self.colors:
                 raise SpecError(f"{self.name}: unknown color {z!r}")
-            todo = [img]
-            while todo:
-                t = todo.pop()
-                if t.__class__ is FNode:
-                    if len(t.children) != self.output.rank(t.label):
-                        raise SpecError(f"{self.name}: arity mismatch at "
-                                        f"{t.label!r}")
-                    todo.extend(t.children)
-                else:
-                    names[t[0]] = None
             plans.setdefault((a, is_root), {}).setdefault((q, p), {})[z] = \
-                image_map_leaves(img, lambda leaf: self._record(leaf, key,
-                                                                is_root))
+                self._plan(img, key, is_root, names)
         for by_state in plans.values():
             for key, by_pebble in by_state.items():
                 if by_pebble.keys() == {ANY}:
@@ -128,6 +117,43 @@ class WalkingSpec:
             if "".join(q.splitlines()) != q:
                 raise SpecError(f"{self.name}: state {q!r} holds a line "
                                 f"break, which ends a spec file's line")
+
+    def _plan(self, img, key, is_root, names):
+        """The plan of the image of transition `key`, made in one walk that
+        checks each node's arity, notes each leaf's state in `names` and
+        decodes each leaf (_record).  The walk takes children from right
+        to left, and an arity mismatch anywhere in the image is refused
+        before the leftmost leaf that cannot be decoded."""
+        if img.__class__ is not FNode:
+            names[img[0]] = None
+            return self._record(img, key, is_root)
+        rank, bad = self.output.rank, None
+        # (node, its children's plans so far, rightmost first); the first
+        # entry holds the image
+        stack = [(FNode(None, (img,)), [])]
+        while True:
+            t, done = stack[-1]
+            if len(done) < len(t.children):
+                c = t.children[-1 - len(done)]
+                if c.__class__ is FNode:
+                    if len(c.children) != rank(c.label):
+                        raise SpecError(f"{self.name}: arity mismatch at "
+                                        f"{c.label!r}")
+                    stack.append((c, []))
+                    continue
+                names[c[0]] = None
+                try:
+                    c = self._record(c, key, is_root)
+                except SpecError as e:
+                    bad = e
+                done.append(c)
+                continue
+            stack.pop()
+            if not stack:
+                if bad:
+                    raise bad
+                return done[0]
+            stack[-1][1].append(FNode(t.label, tuple(reversed(done))))
 
     def _record(self, leaf, key, is_root):
         """The record of a (state, move) leaf of the image of transition

@@ -1,13 +1,14 @@
 """Term helpers that only the tests use: alpha-equivalence, positions,
 size and free variables of a term, linearity of a typed term, random closed
-normal terms of purely affine types, the identity transducer and
-eta-reduction.  The code is kept as it was in `lamtrans.core`, `lamtrans.gls`, `lamtrans.transducer`
-and `lamtrans.reduction`; only its imports changed."""
+normal terms of purely affine types, the identity transducer,
+eta-reduction and the recursive term printer.  The code is kept as it was
+in `lamtrans.core`, `lamtrans.gls`, `lamtrans.transducer` and
+`lamtrans.reduction`; only its imports changed, and the printer's name."""
 
 from __future__ import annotations
 
-from lamtrans.core import (App, Box, Const, Lam, Let, Var, children,
-                           with_children)
+from lamtrans.core import (App, Box, Const, Lam, LamtransError, Let, Var,
+                           children, with_children)
 from lamtrans.gls import NoNullaryOutputLetter, arg_types
 from lamtrans.transducer import LambdaTransducerSpec
 from lamtrans.typecheck import Arrow, O
@@ -139,3 +140,42 @@ def eta_reduce(t):
             and t.var not in free_vars(t.body.fn)):
         return eta_reduce(t.body.fn)
     return t
+
+
+def term_to_str_by_recursion(t, mark=None, direction=None):
+    """Render a term.  When mark (a position) is given, the subterm there is
+    wrapped in >...< (down) or <...> (up) according to direction."""
+
+    def deco(s, here):
+        if mark is not None and here == mark:
+            if direction == "up":
+                return "<" + s + ">"
+            return ">" + s + "<"
+        return s
+
+    def go(t, here, level):
+        # level: 0 = term (lam/let ok), 1 = app position, 2 = atom position
+        if isinstance(t, (Const, Var)):
+            return deco(t.name, here)
+        if isinstance(t, Box):
+            inner = go(t.body, here + (0,), 2)
+            return deco("!" + inner, here)
+        if isinstance(t, Lam):
+            s = "\\" + t.var + ". " + go(t.body, here + (0,), 0)
+            s = deco(s, here)
+            return "(" + s + ")" if level > 0 else s
+        if isinstance(t, Let):
+            s = ("let !" + t.var + " = " + go(t.bound, here + (0,), 0)
+                 + " in " + go(t.body, here + (1,), 0))
+            s = deco(s, here)
+            return "(" + s + ")" if level > 0 else s
+        if isinstance(t, App):
+            s = go(t.fn, here + (0,), 1) + " " + go(t.arg, here + (1,), 2)
+            s = deco(s, here)
+            return "(" + s + ")" if level > 1 else s
+        raise LamtransError(f"not a term: {t!r}")
+
+    try:
+        return go(t, (), 0)
+    finally:
+        go = None       # no cycle through go's closure

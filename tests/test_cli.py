@@ -10,7 +10,7 @@ import pytest
 import lamtrans
 from lamtrans import cli, corpus_path
 from lamtrans.cli import NoNullaryLetter, gen_tree, main
-from lamtrans.core import RankedAlphabet, parse_tree
+from lamtrans.core import RankedAlphabet, Tree, parse_tree
 
 COUNT = corpus_path("count.lt")
 SEQNAT = corpus_path("seq-nat.lt")
@@ -229,6 +229,39 @@ def test_difftest_reports_failing_backends(capsys):
     assert "iam: no output within 5 steps" in out
     assert "0/3 agree" in out
     assert "Traceback" not in out + err
+
+
+def test_difftest_reports_an_output_too_large_to_print(capsys):
+    # case 21 is value 325: its normal form has 2^326 - 1 node occurrences
+    # in a DAG of 327 nodes, and difftest reports it without expanding it;
+    # the machines run out of the lowered fuel
+    code, out, err = run_cli(capsys, "--fuel", "100000", "difftest",
+                             "--seed", "3", "--cases", "22", "--size", "10",
+                             BIN2BIN)
+    assert code == 1
+    lines = out.splitlines()
+    i = lines.index(f"{BIN2BIN}: case 21 (1(0(1(0(0(0(1(0(1(e)))))))))) "
+                    "disagrees:")
+    assert lines[i + 1:i + 5] == [
+        "  normalize: a tree of more than 10000 nodes, not shown",
+        "  iam: no output within 100000 steps",
+        "  iptt: no output within 100000 steps",
+        f"{BIN2BIN}: 20/22 agree (normalize, iam, iptt)"]
+    assert "Traceback" not in out + err
+
+
+def test_difftest_shows_a_tree_of_up_to_ten_thousand_nodes():
+    chain = parse_tree("b(" * 9999 + "c" + ")" * 9999)
+    assert cli.shown(chain) == chain.to_str()
+    too_large = "a tree of more than 10000 nodes, not shown"
+    assert cli.shown(Tree("b", (chain,))) == too_large
+    # a shared subtree counts at each of its occurrences
+    t = Tree("c")
+    for _ in range(12):
+        t = Tree("a", (t, t))
+    assert cli.shown(t) == t.to_str()       # 2^13 - 1 = 8191 nodes
+    assert cli.shown(Tree("a", (t, t))) == too_large
+    assert cli.shown("error: stuck") == "error: stuck"
 
 
 def test_trace_of_an_output_deeper_than_the_recursion_limit(capsys):
