@@ -104,7 +104,8 @@ class Node:
     frozen dataclass of (label, children) gives, computed with an explicit
     stack, so trees of any depth work.  Both recurse into the children of
     the receiver's own class; any other child is compared and hashed as
-    it is."""
+    it is.  == compares a pair of nodes marked `reused` (see Tree) once,
+    and hash hashes each distinct node once."""
     __slots__ = ()
 
     def __eq__(self, other):
@@ -112,6 +113,7 @@ class Node:
         if other.__class__ is not cls:
             return NotImplemented
         todo = [(self, other)]
+        met = set()     # (id, id) of each pair of reused nodes met
         while todo:
             a, b = todo.pop()
             if a.label != b.label or len(a.children) != len(b.children):
@@ -120,6 +122,12 @@ class Node:
                 if x is y:
                     continue
                 if x.__class__ is cls and y.__class__ is cls:
+                    if x.reused and y.reused:
+                        # a pair met before is compared, or on todo
+                        pair = id(x), id(y)
+                        if pair in met:
+                            continue
+                        met.add(pair)
                     todo.append((x, y))
                 elif not x == y:
                     return False
@@ -146,20 +154,46 @@ class Node:
         return known[id(self)].h
 
 
-@dataclass(slots=True, eq=False)
+@dataclass(eq=False, init=False)
 class Tree(Node):
+    """A ranked tree; as an output, a DAG whose nodes may be held at
+    several places.  Its producers (`treegen.drive`'s memo, `decode_tree`)
+    set `reused` on a node with children when they put it at a second
+    place.  `to_str` then writes that node's text once, `size` counts its
+    subtree once and `==` compares a pair of reused nodes once, while each
+    still counts every occurrence.  `reused` is a slot set in `__init__`,
+    not a dataclass field, so ==, hash and repr see only the label and the
+    children, and a DAG without marks prints and counts as before."""
+    __slots__ = ("label", "children", "reused")
     label: str
-    children: tuple = ()
+    children: tuple
 
     # == and hash come from Node; size, to_str and validate also walk the
     # tree with an explicit stack.
 
+    def __init__(self, label, children=()):
+        self.label = label
+        self.children = children
+        self.reused = False
+
     def size(self):
+        """The number of node occurrences."""
         n = 0
+        sizes = {}      # id of a reused node -> its size
         todo = [self]
         while todo:
+            t = todo.pop()
+            if t.__class__ is not Tree:     # (id, n there): a reused node
+                sizes[t[0]] = n - t[1]      # and its subtree are counted
+                continue
+            if t.reused:
+                k = sizes.get(id(t))
+                if k is not None:
+                    n += k
+                    continue
+                todo.append((id(t), n))
             n += 1
-            todo.extend(todo.pop().children)
+            todo.extend(t.children)
         return n
 
     def to_str(self):
@@ -179,22 +213,49 @@ class Tree(Node):
 
 
 _COMMA, _CLOSE = object(), object()    # stand for "," and ")" on the stack
+_JOIN = object()    # below a reused node's pieces, over (its id, their start)
 
 
 def tree_to_str(t, node, leaf):
     """The text label(child,...) of a tree whose inner nodes are objects
-    of class `node` (with a label and a children tuple).  Any other object
-    in it is a leaf, written as leaf(it).  Works on trees of any depth."""
+    of class `node` (with a label, a children tuple and a `reused` mark).
+    Any other object in it is a leaf, written as leaf(it).  The text of a
+    node marked `reused` is joined once, where it first occurs, kept until
+    the call returns, and put in as one piece wherever the node occurs
+    again, so the nodes below it are walked once, not at each occurrence.
+    Works on trees of any depth."""
     out, todo = [], [t]
+    texts = None    # id of a reused node -> its text, once one is met
     while todo:
         t = todo.pop()
         if t.__class__ is not node:
-            out.append("," if t is _COMMA else ")" if t is _CLOSE else leaf(t))
+            if t is _COMMA:
+                out.append(",")
+            elif t is _CLOSE:
+                out.append(")")
+            elif t is _JOIN:
+                key, start = todo.pop()
+                text = "".join(out[start:])
+                del out[start:]
+                out.append(text)
+                texts[key] = text
+            else:
+                out.append(leaf(t))
             continue
         cs = t.children
         if not cs:
             out.append(t.label)
             continue
+        if t.reused:
+            if texts is None:
+                texts = {}
+            key = id(t)
+            text = texts.get(key)
+            if text is not None:
+                out.append(text)
+                continue
+            todo.append((key, len(out)))
+            todo.append(_JOIN)
         out.append(t.label + "(")
         todo.append(_CLOSE)
         if len(cs) == 1:        # a unary node: no commas to place
@@ -719,6 +780,7 @@ def decode_tree(t):
             i = id(t)
             tree = done.get(i)
             if tree is not None:
+                tree.reused = True
                 out.append(tree)
                 continue
             args = []

@@ -45,7 +45,9 @@ the fuel left: a stored FNode is pushed back as an item, and a stored
 Tree is closed as a leaf is, with nothing below it looked up again; one
 that does not fit is stepped for real.  So one hit can count a whole
 subtree's steps against the fuel, and `Output.tree` shares equal
-subtrees by identity.  A chain below another that starts the same way
+subtrees by identity.  A hit that returns a Tree with children marks it
+`reused` (see core.Tree), so its text is written once when the output is
+printed.  A chain below another that starts the same way
 would repeat it forever, so in a run that ends only a chain to the right
 can reuse one: the memo stores a chain only while some item is pending
 to its right, and a run whose frontier never branches hashes no
@@ -65,9 +67,11 @@ from .core import Node, Tree, tree_to_str
 @dataclass(slots=True, eq=False)
 class FNode(Node):
     """An output-alphabet node of a frontier; children may be FNodes or
-    machine configurations."""
+    machine configurations.  `reused` is a class constant: a frontier
+    is never marked as an output Tree is (see core.Tree)."""
     label: str
     children: tuple = ()
+    reused = False
 
 
 def frontier_to_str(f, render):
@@ -78,7 +82,8 @@ def frontier_to_str(f, render):
 class Output:
     """A run's output and its steps.  The tree may share equal subtrees
     by identity (see the module docstring), so it is a DAG; its ==, hash,
-    size and to_str count each occurrence of a node."""
+    size and to_str count each occurrence of a node.  A shared subtree is
+    marked reused, and to_str writes its text once and repeats it."""
     tree: Tree
     steps: int
 
@@ -208,6 +213,8 @@ def drive(machine, initial, fuel, watch):
             item = Tree(item.label)
             if chain:
                 memo[start] = item, n - n0
+        elif item.children:     # a stored subtree, now at a second place
+            item.reused = True
         # a leaf or a whole subtree from the memo: close it, and each node
         # whose last child it completes, storing the subtrees of chains
         while opened:
