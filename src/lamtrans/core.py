@@ -410,17 +410,18 @@ def rebuild(nodes, kids, node):
 
 @dataclass(slots=True, eq=False)
 class Shared:
-    """The parts of a term that a spec puts at many places by identity,
-    each relative to the term's root, set once when the spec is loaded
-    (iam.share), so that a pass over a program that holds the term copies
-    them in instead of walking it again: `nodes` and `kids`, its
-    number_term lists (but for the term itself, which its nodes list
-    would otherwise hold in a cycle); `types` (its own type first),
-    `occ_binder`, `var_kind` and `theta_types`, what typecheck writes for
-    it from an empty environment with the constants of `alphabet`; and
-    `down`, `up` (but for its root's, which depends on where it sits) and
-    `depths`, its iam.TermInfo records, and `tier`, its tier.  None of
-    them refers to the term, so it is freed with its spec."""
+    """The parts of a term, each relative to the term's root, that a pass
+    over a term holding it copies in instead of walking it again: `nodes`
+    and `kids`, its number_term lists (but for the term itself, which its
+    nodes list would otherwise hold in a cycle); `types` (its own type
+    first), `occ_binder`, `var_kind` and `theta_types`, what typecheck
+    writes for it from an empty environment with the constants of
+    `alphabet`; and `down`, `up` (but for its root's, which depends on
+    where it sits) and `depths`, its iam.TermInfo records, and its `tier`
+    and `height`.  None of them refers to the term.  A spec's rules and
+    out-term get theirs when the spec is loaded (iam.share), and so are
+    freed with it; a whole program gets its own when it is first numbered
+    (number_term), assembled from its spec's blocks."""
     nodes: list
     kids: list
     alphabet: object
@@ -432,6 +433,7 @@ class Shared:
     up: list
     depths: list
     tier: int
+    height: int
 
 
 def number_term(term):
@@ -440,7 +442,16 @@ def number_term(term):
     number and its children as offsets from it (1 for the first child), so
     the lists of a subterm do not depend on where it sits.  A shared term
     is looked for only on the chain of applications from the root,
-    outside every binder, and its record's lists (Shared) are copied in."""
+    outside every binder, and its record's lists (Shared) are copied in.
+    A program whose root its spec tagged `_program` (the spec's
+    iam.LocalBlocks and the input tree; transducer.program_term) gets its
+    record here, when first numbered, so a program that is only
+    normalized builds none."""
+    tag = getattr(term, "_program", None)
+    if tag is not None:
+        blocks, tau = tag
+        object.__setattr__(term, "_shared", blocks.program(term, tau))
+        object.__delattr__(term, "_program")
     nodes, kids = [], []
     spine = [(term, None)]  # (subterm, the node it is the second child of)
     while spine:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 
 from .core import (App, Box, Const, Lam, LamtransError, Let, Shared, Var,
@@ -126,10 +127,11 @@ class TermInfo:
     restriction `tier` (typecheck.term_tier) and `height`, the largest
     type height at any position.  Where typecheck copied a shared term's
     slices in (core.Shared) outside every box, its records and depths are
-    copied in too, by list slice, and its tier counts for its positions;
-    inside a box its depths are not its own, and it is walked.
-    `path(pos)` is the position as a tuple of child indices from the
-    root, for text."""
+    copied in too, by list slice, and its tier and height count for its
+    positions; inside a box its depths are not its own, and it is walked.
+    A program typed from its own record is one such piece, and nothing is
+    walked.  `path(pos)` is the position as a tuple of child indices from
+    the root, for text."""
 
     def __init__(self, ann):
         self.term = ann.term
@@ -144,18 +146,23 @@ class TermInfo:
         boxes = [0] * n     # all the boxes enclosing a position
         occurrences = []
         boxed = []      # (type, enclosing boxes) of the positions in a box
-        tier = 0        # the largest tier of the copied shared terms
+        tier = height = 0   # the largest of the copied shared terms
         walk = self._walk
+        walked = []     # the [lo, hi) of each run of positions walked
         lo = 0
         for start, shared in sorted(ann.pieces, key=itemgetter(0)):
+            walked.append((lo, start))
             walk(ann, boxes, occurrences, boxed, lo, start)
             lo = start + len(shared.types)
             if boxes[start]:    # its box depth and boxes are not its own
+                walked.append((start, lo))
                 walk(ann, boxes, occurrences, boxed, start, lo)
             else:
                 down[start:lo], up[start + 1:lo], depths[start:lo] = \
                     shared.down, shared.up, shared.depths
                 tier = max(tier, shared.tier)
+                height = max(height, shared.height)
+        walked.append((lo, n))
         walk(ann, boxes, occurrences, boxed, lo, n)
         for pos in occurrences:
             kind = var_kind[pos]
@@ -172,10 +179,15 @@ class TermInfo:
                                            self.bound_is_base(binder),
                                            depths[pos], depths[binder]))
         # term_tier takes the largest tier over its parts, and the types of
-        # a program are few objects each at many positions
-        distinct = dict(zip(map(id, types), types)).values()
-        thetas = dict(zip(map(id, ann.theta_types), ann.theta_types)).values()
-        self.height = max(map(type_height, distinct))
+        # a term are few objects each at many positions.  Its global part
+        # over all the theta types is the largest over any split of them,
+        # so they are counted together with the walked positions, and a
+        # term that is one piece has only the piece's, counted in its tier
+        ts = list(chain.from_iterable(types[lo:hi] for lo, hi in walked))
+        distinct = dict(zip(map(id, ts), ts)).values()
+        thetas = ann.theta_types if ts else ()
+        thetas = dict(zip(map(id, thetas), thetas)).values()
+        self.height = max(height, max(map(type_height, distinct), default=0))
         self.tier = max(tier, term_tier(distinct, boxed, thetas))
 
     def _walk(self, ann, boxes, occurrences, boxed, lo, hi):
@@ -265,7 +277,8 @@ def share(t, pos, alphabet, ann, info):
     of t applied to pos constants under `alphabet` (t sits at pos, after
     the applications and before the constants), and from info, ann's
     TermInfo.  Only t adds theta types there, and the types outside t are
-    parts of t's type, so ann's theta types and info's tier are t's own."""
+    parts of t's type, so ann's theta types and info's tier and height
+    are t's own."""
     if hasattr(t, "_shared"):
         return
     end = len(ann.nodes) - pos
@@ -273,7 +286,7 @@ def share(t, pos, alphabet, ann, info):
         ann.nodes[pos + 1:end], ann.kids[pos:end], alphabet,
         ann.types[pos:end], ann.occ_binder[pos:end], ann.var_kind[pos:end],
         ann.theta_types, info.down[pos:end], info.up[pos + 1:end],
-        info.depths[pos:end], info.tier))
+        info.depths[pos:end], info.tier, info.height))
 
 
 @dataclass(eq=False)
@@ -286,7 +299,12 @@ class Block:
     placeholder's position, `moves` maps that position to the head move
     down onto the node, and `occ` maps the path of each occurrence of a
     variable let-bound to a non-base term (the occurrences a pebble names)
-    to its position."""
+    to its position.  `head` holds the tables of its positions before the
+    placeholders, which come last: the applications to them and the rule
+    or out-term, as LocalBlocks.program copies them into a program.  They
+    are typecheck's nodes (from the rule or out-term on), kids, types,
+    occ_binder, var_kind and theta_types, and info's down, up and
+    depths."""
     kind: str
     term: object
     start: int
@@ -294,6 +312,7 @@ class Block:
     ph: dict
     moves: dict
     occ: dict
+    head: tuple
 
     @cached_property
     def text(self):
@@ -307,7 +326,8 @@ class LocalBlocks:
     letter's `t[letter]`, iterated in that order, and the largest type
     height among them.  A placeholder has the memory type, so the
     memory's tier and height count in every block.  Each block's typing
-    gives its out-term or rule its core.Shared record (share)."""
+    gives its out-term or rule its core.Shared record (share), and a
+    program its record (program)."""
 
     def __init__(self, spec):
         consts = {f"{PH}{i}": spec.memory
@@ -319,6 +339,8 @@ class LocalBlocks:
             rule: the out-term or the letter's rule, applied to them."""
             ann = typecheck(local, alphabet=spec.output, consts=consts)
             info = TermInfo(ann)
+            k = len(places)     # applications, then as many placeholders
+            end = len(ann.nodes) - k
             # instantiate puts the rule at every input node, and each
             # program copies its record in; a constant types faster than
             # it copies, so it gets none
@@ -330,7 +352,11 @@ class LocalBlocks:
                          {info.path(pos): pos
                           for pos, var in enumerate(info.var_kind)
                           if var == "let" and not info.bound_is_base(
-                              pos + info.occ_binder[pos])})
+                              pos + info.occ_binder[pos])},
+                         (ann.nodes[k:end], ann.kids[:end], ann.types[:end],
+                          ann.occ_binder[:end], ann.var_kind[:end],
+                          ann.theta_types, info.down[:end], info.up[:end],
+                          info.depths[:end]))
 
         self.u = block("U", spec.norm_out, 1,
                        App(spec.norm_out, placeholder(0)),
@@ -344,10 +370,59 @@ class LocalBlocks:
                 (("from-child", i), ("to-child", i), (0,) * (k - i) + (1,))
                 for i in range(1, k + 1)], spec.norm_rules[a])
         self.height = max(b.info.height for b in self)
+        self.output = spec.output
 
     def __iter__(self):
         yield self.u
         yield from self.t.values()
+
+    def program(self, term, tau):
+        """The core.Shared record of `term`, the program of the input tree
+        tau (transducer.program_term), assembled in one preorder pass over
+        tau instead of by walking the program.  The out-block's head
+        starts every table.  Each input node extends every table by its
+        letter block's head, at the offset where its expansion starts, and
+        patches what depends on that offset: the records of the
+        application whose argument it is (its `kids` and `down` and its
+        function child's `up`) and its own root's `up`.  The theta types
+        come in preorder, the order typecheck meets them, and the tier
+        and height are the largest of the blocks used."""
+        nodes, kids, types, occ_binder, var_kind, theta_types, down, up, \
+            depths = map(list, self.u.head)
+        blocks = self.t
+        used = {}
+        todo = [(tau, term.arg, 0)]     # input node, its term, its parent
+        while todo:
+            node, t, parent = todo.pop()
+            pos = len(kids)
+            off = pos - parent
+            kids[parent] = pair = (1, off)
+            down[parent] = (APP, pair, None)
+            up[parent + 1] = (APP, 0, -1, off - 1)
+            block = used[node.label] = blocks[node.label]
+            head = block.head
+            cs = node.children
+            k = len(cs)
+            for i in range(k):  # the application at pos + i takes child k-i
+                nodes.append(t)
+                todo.append((cs[k - 1 - i], t.arg, pos + i))
+                t = t.fn
+            nodes += head[0]
+            kids += head[1]
+            types += head[2]
+            occ_binder += head[3]
+            var_kind += head[4]
+            theta_types += head[5]
+            down += head[6]
+            up += head[7]
+            depths += head[8]
+            up[pos] = (APP, 1, -off, 1 - off)
+        infos = [self.u.info, *(block.info for block in used.values())]
+        del up[0]
+        return Shared(nodes, kids, self.output, types, occ_binder, var_kind,
+                      theta_types, down, up, depths,
+                      max(info.tier for info in infos),
+                      max(info.height for info in infos))
 
 
 class IamMachine(Machine):

@@ -84,8 +84,14 @@ class LambdaTransducerSpec:
     # -- running -----------------------------------------------------------
 
     def program_term(self, tau):
-        return App(self.norm_out, instantiate(tau, self.norm_rules,
+        """out applied to tau instantiated, tagged with what its record
+        (core.Shared) is assembled from when it is first numbered
+        (core.number_term): this spec's blocks and tau.  Neither refers
+        back to the program, and normalizing it builds no record."""
+        term = App(self.norm_out, instantiate(tau, self.norm_rules,
                                               self.input))
+        object.__setattr__(term, "_program", (self.blocks, tau))
+        return term
 
     def program_ann(self, tau):
         return typecheck(self.program_term(tau), ty=O, alphabet=self.output)

@@ -134,16 +134,26 @@ class Machine:
         return str(config)
 
 
-def _thaw(t):
-    """Copy the Tree `t` into FNodes."""
+def _thaw(t, copies):
+    """Copy the Tree `t` into FNodes.  A node marked `reused` is copied
+    once: `copies` maps the id of each one copied to its copy, so a
+    frontier over a DAG is a DAG of the same size."""
+    if t.reused and id(t) in copies:
+        return copies[id(t)]
     frames = [(t, [])]              # a node, and its children copied so far
     while True:
         t, done = frames[-1]
         if len(done) < len(t.children):
-            frames.append((t.children[len(done)], []))
+            c = t.children[len(done)]
+            if c.reused and id(c) in copies:
+                done.append(copies[id(c)])
+            else:
+                frames.append((c, []))
             continue
         frames.pop()
         built = FNode(t.label, tuple(done))
+        if t.reused:
+            copies[id(t)] = built
         if not frames:
             return built
         frames[-1][1].append(built)
@@ -151,11 +161,13 @@ def _thaw(t):
 
 def frontier(config, opened, pending):
     """The frontier of a paused or ended run, from its two stacks, with
-    `config` at the leftmost configuration leaf; and that leaf's position."""
+    `config` at the leftmost configuration leaf; and that leaf's position.
+    Each output subtree the run holds at several places is copied once."""
     pos, j = [], len(pending)
+    copies = {}     # id of a reused Tree -> its FNode copy
     for label, arity, done, _ in reversed(opened):
         rest = arity - len(done) - 1     # the children right of the path
-        config = FNode(label, (*map(_thaw, done), config,
+        config = FNode(label, (*[_thaw(t, copies) for t in done], config,
                                *reversed(pending[j - rest:j])))
         j -= rest
         pos.append(len(done))

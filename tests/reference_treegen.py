@@ -4,7 +4,9 @@ replaced.  Each step of `reference_trace` finds the leaf to fire with
 `frontier_configs` and rebuilds the path to it with `frontier_replace`.
 The code is kept as it was in `lamtrans.treegen`; only its imports
 changed.  `paused_run` is the memo-free run that `trace` and the checked
-token machine run take."""
+token machine run take.  `expanding_frontier` is `treegen.frontier` as it
+was before it copied each reused subtree once: it copies a subtree at
+every place it is held."""
 
 from __future__ import annotations
 
@@ -97,3 +99,31 @@ def reference_trace(machine, initial, fuel=10_000_000):
                    "fired": None}
             return
         frontier = frontier_replace(frontier, pos, res)
+
+
+def _expanded(t):
+    """Copy the Tree `t` into FNodes, node by node."""
+    frames = [(t, [])]              # a node, and its children copied so far
+    while True:
+        t, done = frames[-1]
+        if len(done) < len(t.children):
+            frames.append((t.children[len(done)], []))
+            continue
+        frames.pop()
+        built = FNode(t.label, tuple(done))
+        if not frames:
+            return built
+        frames[-1][1].append(built)
+
+
+def expanding_frontier(config, opened, pending):
+    """The frontier of a paused or ended run, from its two stacks, with
+    `config` at the leftmost configuration leaf; and that leaf's position."""
+    pos, j = [], len(pending)
+    for label, arity, done, _ in reversed(opened):
+        rest = arity - len(done) - 1     # the children right of the path
+        config = FNode(label, (*map(_expanded, done), config,
+                               *reversed(pending[j - rest:j])))
+        j -= rest
+        pos.append(len(done))
+    return config, tuple(reversed(pos))

@@ -8,9 +8,10 @@ import sys
 import pytest
 
 import lamtrans
-from lamtrans import cli, corpus_path
+from lamtrans import cli, corpus_path, iam
 from lamtrans.cli import NoNullaryLetter, gen_tree, main
 from lamtrans.core import RankedAlphabet, Tree, parse_tree
+from lamtrans.iam import InternalInvariantError
 
 COUNT = corpus_path("count.lt")
 SEQNAT = corpus_path("seq-nat.lt")
@@ -183,29 +184,42 @@ def test_run_normalize_on_deep_input(capsys):
     assert out.strip() == "S(" * 1000 + "0" + ")" * 1000
 
 
-def test_run_iam_on_too_deep_input_is_an_error(capsys):
-    # typecheck recurses on the program; past the recursion limit it
-    # reports the term's depth instead of a RecursionError traceback
-    chain = "b(" * 999 + "c" + ")" * 999
+@pytest.mark.parametrize("depth", [1000, 10_000])
+def test_run_iam_on_deep_input(capsys, depth):
+    # the program is typed from the record its spec's blocks assemble, so
+    # no pass on the way to the token machine recurses on it
+    chain = "b(" * (depth - 1) + "c" + ")" * (depth - 1)
     code, out, err = run_cli(capsys, "run", "--machine", "iam", COUNT, chain)
-    assert code == 1 and out == ""
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: term of depth ")
-    assert "too deeply to typecheck" in lines[0]
-    assert "Traceback" not in err
+    assert code == 0 and err == ""
+    assert out == "S(" * depth + "0" + ")" * depth + "\n"
+    assert run_cli(capsys, "run", "--machine", "normalize", COUNT, chain) == \
+        (0, out, "")
 
 
 def test_difftest_compares_deep_outputs(capsys, monkeypatch):
-    # one case, S^3000(0) deep: the walking machines' outputs are compared
-    # with the normal form's, and the iam backend fails cleanly
+    # one case, S^3000(0) deep: every backend's output is compared with the
+    # normal form's; then the token machine raises, and its error line is
+    # a disagreement
     tree = parse_tree("b(" * 2999 + "c" + ")" * 2999)
     monkeypatch.setattr(cli, "gen_tree", lambda rng, alphabet, size: tree)
+    code, out, err = run_cli(capsys, "difftest", "--cases", "1", COUNT)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[0] == f"{COUNT}: 1/1 agree (normalize, iam, twt, iptt)"
+    assert lines[1].startswith("total ")
+    assert "Traceback" not in out + err
+
+    def broken(ann):
+        raise InternalInvariantError("malformed stack")
+
+    monkeypatch.setattr(iam, "iam_machine", broken)
     code, out, err = run_cli(capsys, "difftest", "--cases", "1", COUNT)
     assert code == 1
     lines = out.splitlines()
     assert lines[0].startswith(f"{COUNT}: case 0 (b(b(")
     assert lines[1] == "  normalize: " + "S(" * 3000 + "0" + ")" * 3000
-    assert lines[2].startswith("  iam: error: term of depth ")
+    assert lines[2] == "  iam: error: malformed stack"
     assert lines[3] == f"{COUNT}: 0/1 agree (normalize, iam, twt, iptt)"
     assert lines[4].startswith("total ")
     assert "Traceback" not in out + err

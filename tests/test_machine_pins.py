@@ -132,16 +132,54 @@ def test_advance_calls_are_pinned(specs, name, backends, text, calls):
 
 
 def test_a_450_deep_chain_runs_checked_and_compiled(count):
-    # 450 nodes deep, below the depth at which typecheck refuses the
-    # program (core.TooDeep); the checked runs check on every step that the
-    # tape is no longer than the type height and (d1) that the log equals
-    # the box depth
+    # 450 nodes deep: a program of any depth is typed from its record
+    # (iam.LocalBlocks.program), and the checked runs pause before every
+    # step; they check on every step that the tape is no longer than the
+    # type height and (d1) that the log equals the box depth
     tau = parse_tree("b(" * 449 + "c" + ")" * 449, count.input)
     ann = count.program_ann(tau)
     runs = [run_iam(ann, variant, check=True) for variant in ("pa", "d1")]
     runs.append(run_walking(compile_to_twt(count), tau))
     assert {(res.tree.to_str(), res.steps) for res in runs} == \
         {(unary(450), runs[0].steps)}
+
+
+def nesting(entry, known):
+    """How deep a LogEntry or StackEntry nests entries, itself included;
+    `known` maps the id of each entry measured before to its nesting."""
+    todo = [entry]
+    while todo:
+        e = todo[-1]
+        inner = e.log if isinstance(e, LogEntry) else e.entries
+        missing = [x for x in inner if id(x) not in known]
+        if missing:
+            todo.extend(missing)
+            continue
+        todo.pop()
+        known[id(e)] = 1 + max((known[id(x)] for x in inner), default=0)
+    return known[id(entry)]
+
+
+@pytest.mark.parametrize("variant", ["d1", "ss"])
+def test_a_3000_digit_numeral_ends_cleanly(bin2bin, variant):
+    # the logged positions nest 3,000 entries deep, and an unpaused run
+    # hashes the configurations it memoizes: each entry keeps its hash, so
+    # no hash recurses past Python's recursion limit
+    digits = "10" * 1500
+    tau = parse_tree("(".join(digits) + "(e" + ")" * len(digits),
+                     bin2bin.input)
+    res = run_iam(bin2bin.program_ann(tau), variant, fuel=200_000)
+    assert isinstance(res, Diverged) and res.steps == 200_000
+    configs, todo = [], [res.frontier]
+    while todo:
+        f = todo.pop()
+        if isinstance(f, FNode):
+            todo.extend(f.children)
+        else:
+            configs.append(f)
+    known = {}
+    assert max(nesting(e, known) for cfg in configs
+               for e in cfg.tape + cfg.log if e not in ("p", "o")) == 3000
 
 
 def sha256(text):

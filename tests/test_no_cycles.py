@@ -44,6 +44,7 @@ CALLS = {
     "load_transducer": lambda s: load_transducer(corpus_path("bin2bin.lt")),
     "compile_to_iptt": lambda s: compile_to_iptt(s.bin2bin),
     "compile_to_twt": lambda s: compile_to_twt(s.count),
+    "program_term": program,    # tagged with its record's parts, not typed
     "normalize": lambda s: normalize(program(s)),
     "term_to_str": lambda s: term_to_str(program(s)),
     "gen_tree": lambda s: gen_tree(random.Random(1), s.bin2bin.input, 12),

@@ -1,11 +1,12 @@
 """A spec's rules and out-term are shared: each gets one core.Shared
 record when its spec is loaded (iam.share), sliced from its block's
-typing, and each program copies its parts in at every input node rather
-than number, type and table it again.  Here a program built from the
-shared terms is checked against the same program built from unshared
-copies of them, which every pass walks position by position: the same
-Annotated tables, slot by slot, the same TermInfo, the same runs, and the
-same errors."""
+typing.  A program gets a record of its own, assembled from its spec's
+blocks when it is first numbered (iam.LocalBlocks.program), and is typed
+and tabled by copying it in rather than walking it.  Here a program built
+from the shared terms is checked against the same program built from
+unshared copies of them, which every pass walks position by position: the
+same Annotated tables, slot by slot, the same TermInfo, the same runs, and
+the same errors."""
 
 import copy
 import dataclasses
@@ -13,16 +14,19 @@ import random
 
 import pytest
 
+from test_transducer import TIER_HEAD, TIER_SPECS
 from test_typecheck_reference import random_case
 
 from lamtrans import corpus_path, treegen
 from lamtrans.cli import gen_tree
 from lamtrans.core import (App, Box, Const, Lam, Let, RankedAlphabet, Var,
-                           children, instantiate, number_term, parse_tree,
-                           with_children)
+                           children, decode_tree, instantiate, number_term,
+                           parse_tree, with_children)
 from lamtrans.gls import load_gls, make_type_constant, split_state_relabeling
 from lamtrans.iam import IamMachine, LocalBlocks, TermInfo, pick_variant, share
-from lamtrans.transducer import compose, load_transducer, rule_type
+from lamtrans.reduction import normalize
+from lamtrans.transducer import (compose, load_transducer, parse_transducer,
+                                 rule_type)
 from lamtrans.typecheck import (O, Arrow, Bang, TypingError, type_to_str,
                                 typecheck)
 
@@ -127,6 +131,82 @@ def test_programs_from_shared_rules_equal_unshared_ones(name):
         assert runs[0].tree == spec.eval_normalize(tau)
 
 
+def preorder(t):
+    """The subterms of t in preorder, walked node by node."""
+    out, todo = [], [t]
+    while todo:
+        t = todo.pop()
+        out.append(t)
+        todo.extend(reversed(children(t)))
+    return out
+
+
+@pytest.mark.parametrize("name", LT + ["seq-nat;list-count",
+                                       "mirror.gls+split"])
+def test_a_program_record_holds_what_walking_the_program_finds(name):
+    # the record assembled from the blocks holds the program's own
+    # subterms, by identity, and the tables that typecheck and TermInfo
+    # find for the same program untagged, walked but for its rules,
+    # theta types in order; it is built once, when first numbered
+    spec, make_input = loaded(name)
+    rng = random.Random(name)
+    for size in SIZES.get(name, (1, 2, 3, 5, 8, 13, 30)) * 2:
+        tau = make_input(rng, size)
+        term = spec.program_term(tau)
+        assert term._program == (spec.blocks, tau)
+        nodes, kids = number_term(term)
+        record = term._shared
+        assert not hasattr(term, "_program")
+        assert number_term(term) == (nodes, kids) and term._shared is record
+        walked = preorder(term)
+        assert len(nodes) == len(walked)
+        assert all(a is b for a, b in zip(nodes, walked))
+        assert nodes[1:] == record.nodes and kids == record.kids
+        untagged = App(term.fn, term.arg)
+        ann = typecheck(untagged, ty=O, alphabet=spec.output)
+        info = TermInfo(ann)
+        assert ann.pieces and ann.pieces[0][0] == 1
+        assert record.alphabet is spec.output
+        assert (record.kids, record.types, record.occ_binder,
+                record.var_kind, record.theta_types) == \
+            (ann.kids, ann.types, ann.occ_binder, ann.var_kind,
+             ann.theta_types)
+        assert (record.down, record.up, record.depths, record.tier,
+                record.height) == \
+            (info.down, info.up[1:], info.depths, info.tier, info.height)
+
+
+@pytest.mark.parametrize("text, tier", [("c", 2), ("a(a(c))", 3)])
+def test_a_program_is_as_general_as_the_letters_it_holds(text, tier):
+    # a's block is of the general tier, the out-term's and c's are not
+    spec = parse_transducer(TIER_HEAD + TIER_SPECS["rule"], name="rule")
+    tau = parse_tree(text, spec.input)
+    info = TermInfo(spec.program_ann(tau))
+    want = TermInfo(typecheck(unshared_program(spec, tau), ty=O,
+                              alphabet=spec.output))
+    assert (info.tier, info.height) == (want.tier, want.height)
+    assert info.tier == tier
+
+
+@pytest.mark.parametrize("name", LT)
+def test_the_normalize_path_builds_no_record(name, monkeypatch):
+    spec = load_transducer(corpus_path(name))
+    rng = random.Random(name)
+    taus = [gen_tree(rng, spec.input, size)
+            for size in SIZES.get(name, (1, 2, 5, 13, 30))]
+
+    def refused(self, term, tau):
+        raise AssertionError("a program record was built")
+
+    monkeypatch.setattr(LocalBlocks, "program", refused)
+    for tau in taus:
+        term = spec.program_term(tau)
+        tree = decode_tree(normalize(term))
+        assert tree == spec.eval_normalize(tau)
+        assert not hasattr(term, "_shared")
+        assert term._program == (spec.blocks, tau)
+
+
 def test_a_shared_rule_has_one_record_set_at_load():
     # sliced from the rule's block, the record holds what typecheck and
     # TermInfo find for an unshared copy typed alone under the output
@@ -166,9 +246,9 @@ def contents(record):
 
 @pytest.mark.parametrize("name", LT)
 def test_a_rule_is_walked_once_per_spec(name, monkeypatch):
-    # loading the spec walks each rule in its block; a program copies in
-    # every rule copy, none of which sits in a box, and TermInfo walks
-    # only the positions outside them
+    # loading the spec walks each rule in its block; a program is typed
+    # from its own record, assembled from the blocks, so its one piece is
+    # its root's record, and TermInfo walks none of its positions
     spec = load_transducer(corpus_path(name))
     records = [(t, t._shared, contents(t._shared))
                for t in shared_terms(spec)]
@@ -183,16 +263,13 @@ def test_a_rule_is_walked_once_per_spec(name, monkeypatch):
     rng = random.Random(name)
     for size in range(1, 41):
         ann = spec.program_ann(gen_tree(rng, spec.input, size))
-        assert sorted(pos for pos, _ in ann.pieces) == \
-            [pos for pos, t in enumerate(ann.nodes) if hasattr(t, "_shared")]
-        assert all(record is ann.nodes[pos]._shared
-                   for pos, record in ann.pieces)
-        copied = {pos + i for pos, record in ann.pieces
-                  for i in range(len(record.types))}
+        record = ann.nodes[0]._shared
+        assert ann.pieces == [(0, record)]
+        assert len(record.types) == len(ann.nodes)
+        assert all(record is not r for _, r, _ in records)
         walked.clear()
         TermInfo(ann)
-        assert walked == [pos for pos in range(len(ann.nodes))
-                          if pos not in copied]
+        assert walked == []
     for t, record, fields in records:
         assert t._shared is record and contents(record) == fields
 

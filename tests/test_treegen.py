@@ -2,21 +2,25 @@ import itertools
 import json
 import os
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
-from lamtrans import corpus_path
+from lamtrans import corpus_path, treegen
 from lamtrans.cli import gen_tree, load_spec
 from lamtrans.compiler import TARGET_VARIANT, compile_to_iptt, compile_walking
 from lamtrans.core import Node, Tree, parse_tree
 from lamtrans.gls import make_type_constant, split_state_relabeling
-from lamtrans.iam import VARIANT_MAX_TIER, Config, IamMachine, TermInfo
+from lamtrans.iam import (VARIANT_MAX_TIER, Config, IamMachine, TermInfo,
+                          run_iam)
 from lamtrans.treegen import (Diverged, FNode, Machine, Output, Stuck,
                               frontier_to_str, run, trace, trace_lines)
 from lamtrans.walking import WalkingMachine
-from reference_treegen import (frontier_configs, frontier_get,
-                               frontier_replace, frontier_to_tree,
-                               paused_run, reference_trace)
+from reference_treegen import (expanding_frontier, frontier_configs,
+                               frontier_get, frontier_replace,
+                               frontier_to_tree, paused_run, reference_trace)
 
 CORPUS_DIR = os.path.dirname(corpus_path("count.lt"))
 
@@ -137,6 +141,56 @@ def test_run_diverged():
     res = run(Loop(), 1, fuel=10)
     assert isinstance(res, Diverged)
     assert res.steps == 10
+
+
+# bin2bin on this numeral outputs about 7.6e22 nodes, from a handful of
+# memo-served subtrees that the run holds at many places
+HUGE = "1(0(0(1(0(1(1(e)))))))"
+
+
+def distinct_fnodes(f):
+    """The number of distinct FNodes in a frontier, by identity."""
+    seen, todo = set(), [f]
+    while todo:
+        f = todo.pop()
+        if f.__class__ is FNode and id(f) not in seen:
+            seen.add(id(f))
+            todo.extend(f.children)
+    return len(seen)
+
+
+def test_a_diverged_frontier_copies_each_reused_subtree_once(bin2bin,
+                                                             monkeypatch):
+    ann = bin2bin.program_ann(parse_tree(HUGE, bin2bin.input))
+    got = run_iam(ann, "ss", 10**6)
+    monkeypatch.setattr(treegen, "frontier", expanding_frontier)
+    want = run_iam(ann, "ss", 10**6)
+    assert isinstance(got, Diverged) and got.steps == 10**6
+    assert got == want
+    assert distinct_fnodes(got.frontier) * 100 < distinct_fnodes(want.frontier)
+
+
+def test_a_diverged_frontier_at_a_huge_fuel_is_built_at_once():
+    # expanding each reused subtree, the frontier at this fuel takes more
+    # memory than the cap allows; sharing them, it takes a few milliseconds
+    script = (
+        "from lamtrans import corpus_path\n"
+        "from lamtrans.core import parse_tree\n"
+        "from lamtrans.iam import run_iam\n"
+        "from lamtrans.transducer import load_transducer\n"
+        "spec = load_transducer(corpus_path('bin2bin.lt'))\n"
+        f"tau = parse_tree({HUGE!r}, spec.input)\n"
+        "res = run_iam(spec.program_ann(tau), 'ss', 10**9)\n"
+        "print(type(res).__name__, res.steps)\n")
+    cap = 128 * 2**20
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    proc = subprocess.run([sys.executable, "-c", script], preexec_fn=capped,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"Diverged {10**9}\n"
 
 
 def test_frontier_to_tree_requires_no_configs():
