@@ -298,12 +298,20 @@ def cmd_difftest(args):
     return status
 
 
+def count(text):
+    """A count given on the command line: an integer, at least 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+    return n
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(
         prog="lamtrans",
         description="lambda-transducers, token machines, and tree-walking "
                     "compilation")
-    p.add_argument("--fuel", type=int, default=10_000_000,
+    p.add_argument("--fuel", type=count, default=10_000_000,
                    help="maximum number of machine/rewrite steps")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -346,8 +354,8 @@ def main(argv=None):
     sp = sub.add_parser("difftest", help="run all applicable backends on "
                                          "random inputs")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--cases", type=int, default=100)
-    sp.add_argument("--size", type=int, default=12,
+    sp.add_argument("--cases", type=count, default=100)
+    sp.add_argument("--size", type=count, default=12,
                     help="maximum input tree size")
     sp.add_argument("spec", nargs="+")
     sp.set_defaults(fn=cmd_difftest)

@@ -410,18 +410,17 @@ def rebuild(nodes, kids, node):
 
 @dataclass(slots=True, eq=False)
 class Shared:
-    """The parts of a term, each relative to the term's root, that a pass
-    over a term holding it copies in instead of walking it again: `nodes`
-    and `kids`, its number_term lists (but for the term itself, which its
-    nodes list would otherwise hold in a cycle); `types` (its own type
-    first), `occ_binder`, `var_kind` and `theta_types`, what typecheck
-    writes for it from an empty environment with the constants of
-    `alphabet`; and `down`, `up` (but for its root's, which depends on
-    where it sits) and `depths`, its iam.TermInfo records, and its `tier`
-    and `height`.  None of them refers to the term.  A spec's rules and
-    out-term get theirs when the spec is loaded (iam.share), and so are
-    freed with it; a whole program gets its own when it is first numbered
-    (number_term), assembled from its spec's blocks."""
+    """A program's typing and token-machine tables, each a list indexed by
+    position (number_term), that typecheck and iam.TermInfo take as they
+    are instead of walking the program: `nodes` and `kids`, its
+    number_term lists (but for the root, which its nodes list would
+    otherwise hold in a cycle); `types` (its own type first),
+    `occ_binder`, `var_kind` and `theta_types`, what typecheck writes for
+    it from an empty environment with the constants of `alphabet`; and
+    `down`, `up` and `depths`, its iam.TermInfo records, and its `tier`
+    and `height`.  None of them refers to the program's root.  A program
+    gets its record when first numbered (number_term), assembled from its
+    spec's blocks (iam.LocalBlocks.program)."""
     nodes: list
     kids: list
     alphabet: object
@@ -440,54 +439,37 @@ def number_term(term):
     """The positions of a term as preorder numbers: the root is 0 and a
     node's first child comes right after it.  Returns the subterm at each
     number and its children as offsets from it (1 for the first child), so
-    the lists of a subterm do not depend on where it sits.  A shared term
-    is looked for only on the chain of applications from the root,
-    outside every binder, and its record's lists (Shared) are copied in.
-    A program whose root its spec tagged `_program` (the spec's
-    iam.LocalBlocks and the input tree; transducer.program_term) gets its
-    record here, when first numbered, so a program that is only
-    normalized builds none."""
+    the lists of a subterm do not depend on where it sits.  A program
+    whose root its spec tagged `_program` (the spec's iam.LocalBlocks and
+    the input tree; transducer.program_term) gets its record (Shared)
+    here, when first numbered, so a program that is only normalized
+    builds none; a term with a record is numbered by it."""
     tag = getattr(term, "_program", None)
     if tag is not None:
         blocks, tau = tag
         object.__setattr__(term, "_shared", blocks.program(term, tau))
         object.__delattr__(term, "_program")
+    record = getattr(term, "_shared", None)
+    if record is not None:
+        return [term, *record.nodes], record.kids
     nodes, kids = [], []
-    spine = [(term, None)]  # (subterm, the node it is the second child of)
-    while spine:
-        t, parent = spine.pop()
+    todo = [(term, None)]   # (subterm, the node it is the second child of)
+    while todo:
+        t, parent = todo.pop()
         i = len(nodes)
+        nodes.append(t)
         if parent is not None:
             kids[parent] = (1, i - parent)
-        shared = getattr(t, "_shared", None)
-        if shared is not None:
-            nodes.append(t)
-            nodes += shared.nodes
-            kids += shared.kids
-            continue
-        if t.__class__ is App:
-            nodes.append(t)
-            kids.append(None)       # filled in when the argument comes
-            spine.append((t.arg, i))
-            spine.append((t.fn, None))
-            continue
-        todo = [(t, None)]
-        while todo:
-            t, parent = todo.pop()
-            j = len(nodes)
-            nodes.append(t)
-            if parent is not None:
-                kids[parent] = (1, j - parent)
-            cls = t.__class__
-            if cls is App or cls is Let:
-                kids.append(None)   # filled in when the second child comes
-                todo.append((t.arg if cls is App else t.body, j))
-                todo.append((t.fn if cls is App else t.bound, None))
-            elif cls is Lam or cls is Box:
-                kids.append((1,))
-                todo.append((t.body, None))
-            else:
-                kids.append(())
+        cls = t.__class__
+        if cls is App or cls is Let:
+            kids.append(None)   # filled in when the second child comes
+            todo.append((t.arg if cls is App else t.body, i))
+            todo.append((t.fn if cls is App else t.bound, None))
+        elif cls is Lam or cls is Box:
+            kids.append((1,))
+            todo.append((t.body, None))
+        else:
+            kids.append(())
     return nodes, kids
 
 

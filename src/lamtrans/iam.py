@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
 
 from .core import (App, Box, Const, Lam, LamtransError, Let, Shared, Var,
                    marked, render_term)
@@ -125,45 +123,30 @@ class TermInfo:
     `depths[pos]`, the box depth of each position (the number of enclosing
     boxes whose contents are not of base type), and finds the term's
     restriction `tier` (typecheck.term_tier) and `height`, the largest
-    type height at any position.  Where typecheck copied a shared term's
-    slices in (core.Shared) outside every box, its records and depths are
-    copied in too, by list slice, and its tier and height count for its
-    positions; inside a box its depths are not its own, and it is walked.
-    A program typed from its own record is one such piece, and nothing is
-    walked.  `path(pos)` is the position as a tuple of child indices from
-    the root, for text."""
+    type height at any position.  A program typed the way its record
+    (core.Shared) was (typecheck.Annotated.record) takes all of these from
+    the record as they are, and nothing is walked.  `path(pos)` is the position as a tuple of child
+    indices from the root, for text."""
 
     def __init__(self, ann):
         self.term = ann.term
-        n = len(ann.nodes)
         self.types = types = ann.types
         self.occ_binder = occ_binder = ann.occ_binder
         self.var_kind = var_kind = ann.var_kind
+        record = ann.record
+        if record is not None:
+            self.down, self.up, self.depths = \
+                record.down, record.up, record.depths
+            self.tier, self.height = record.tier, record.height
+            return
+        n = len(ann.nodes)
         self.depths = depths = [0] * n
         self.down = down = [None] * n
-        self.up = up = [None] * n
+        self.up = [None] * n
         kids = ann.kids
-        boxes = [0] * n     # all the boxes enclosing a position
         occurrences = []
         boxed = []      # (type, enclosing boxes) of the positions in a box
-        tier = height = 0   # the largest of the copied shared terms
-        walk = self._walk
-        walked = []     # the [lo, hi) of each run of positions walked
-        lo = 0
-        for start, shared in sorted(ann.pieces, key=itemgetter(0)):
-            walked.append((lo, start))
-            walk(ann, boxes, occurrences, boxed, lo, start)
-            lo = start + len(shared.types)
-            if boxes[start]:    # its box depth and boxes are not its own
-                walked.append((start, lo))
-                walk(ann, boxes, occurrences, boxed, start, lo)
-            else:
-                down[start:lo], up[start + 1:lo], depths[start:lo] = \
-                    shared.down, shared.up, shared.depths
-                tier = max(tier, shared.tier)
-                height = max(height, shared.height)
-        walked.append((lo, n))
-        walk(ann, boxes, occurrences, boxed, lo, n)
+        self._walk(ann, occurrences, boxed)
         for pos in occurrences:
             kind = var_kind[pos]
             if kind == "theta":
@@ -178,26 +161,22 @@ class TermInfo:
                 down[pos] = (LET_VAR, (), (off + 1,
                                            self.bound_is_base(binder),
                                            depths[pos], depths[binder]))
-        # term_tier takes the largest tier over its parts, and the types of
-        # a term are few objects each at many positions.  Its global part
-        # over all the theta types is the largest over any split of them,
-        # so they are counted together with the walked positions, and a
-        # term that is one piece has only the piece's, counted in its tier
-        ts = list(chain.from_iterable(types[lo:hi] for lo, hi in walked))
-        distinct = dict(zip(map(id, ts), ts)).values()
-        thetas = ann.theta_types if ts else ()
+        # the types of a term are few objects each at many positions
+        distinct = dict(zip(map(id, types), types)).values()
+        thetas = ann.theta_types
         thetas = dict(zip(map(id, thetas), thetas)).values()
-        self.height = max(height, max(map(type_height, distinct), default=0))
-        self.tier = max(tier, term_tier(distinct, boxed, thetas))
+        self.height = max(map(type_height, distinct), default=0)
+        self.tier = term_tier(distinct, boxed, thetas)
 
-    def _walk(self, ann, boxes, occurrences, boxed, lo, hi):
-        """Build the records of positions lo to hi, but for the LAM and
+    def _walk(self, ann, occurrences, boxed):
+        """Build the records of every position, but for the LAM and
         variable records that __init__ finishes once every occurrence is
         known.  A parent comes before its children, so it hands them its
         box depth and its count of enclosing boxes."""
         nodes, kids = ann.nodes, ann.kids
         types, depths, down, up = self.types, self.depths, self.down, self.up
-        for pos in range(lo, hi):
+        boxes = [0] * len(nodes)    # all the boxes enclosing a position
+        for pos in range(len(nodes)):
             t = nodes[pos]
             depth, b = depths[pos], boxes[pos]
             if b:
@@ -272,23 +251,6 @@ def placeholder(i):
     return Const(f"{PH}{i}")
 
 
-def share(t, pos, alphabet, ann, info):
-    """Set t's core.Shared record, unless it has one, from ann, a typing
-    of t applied to pos constants under `alphabet` (t sits at pos, after
-    the applications and before the constants), and from info, ann's
-    TermInfo.  Only t adds theta types there, and the types outside t are
-    parts of t's type, so ann's theta types and info's tier and height
-    are t's own."""
-    if hasattr(t, "_shared"):
-        return
-    end = len(ann.nodes) - pos
-    object.__setattr__(t, "_shared", Shared(
-        ann.nodes[pos + 1:end], ann.kids[pos:end], alphabet,
-        ann.types[pos:end], ann.occ_binder[pos:end], ann.var_kind[pos:end],
-        ann.theta_types, info.down[pos:end], info.up[pos + 1:end],
-        info.depths[pos:end], info.tier, info.height))
-
-
 @dataclass(eq=False)
 class Block:
     """One typed local term: the out-term applied to one placeholder (kind
@@ -301,10 +263,10 @@ class Block:
     variable let-bound to a non-base term (the occurrences a pebble names)
     to its position.  `head` holds the tables of its positions before the
     placeholders, which come last: the applications to them and the rule
-    or out-term, as LocalBlocks.program copies them into a program.  They
-    are typecheck's nodes (from the rule or out-term on), kids, types,
-    occ_binder, var_kind and theta_types, and info's down, up and
-    depths."""
+    or out-term, which LocalBlocks.program appends to a program's record
+    (core.Shared) once per input node.  They are typecheck's nodes (from
+    the rule or out-term on), kids, types, occ_binder, var_kind and
+    theta_types, and info's down, up and depths."""
     kind: str
     term: object
     start: int
@@ -325,27 +287,21 @@ class LocalBlocks:
     """The blocks of a lambda-transducer: the out-term's `u` and each
     letter's `t[letter]`, iterated in that order, and the largest type
     height among them.  A placeholder has the memory type, so the
-    memory's tier and height count in every block.  Each block's typing
-    gives its out-term or rule its core.Shared record (share), and a
-    program its record (program)."""
+    memory's tier and height count in every block.  A program's record
+    (core.Shared) is assembled from the blocks' heads (program)."""
 
     def __init__(self, spec):
         consts = {f"{PH}{i}": spec.memory
                   for i in range(max([r for _, r in spec.input.letters],
                                      default=0) + 1)}
 
-        def block(kind, term, start, local, places, rule):
-            """places: the (provenance, move, path) of each placeholder;
-            rule: the out-term or the letter's rule, applied to them."""
+        def block(kind, term, start, local, places):
+            """places: the (provenance, move, path) of each placeholder,
+            to which `local` applies the out-term or the letter's rule."""
             ann = typecheck(local, alphabet=spec.output, consts=consts)
             info = TermInfo(ann)
             k = len(places)     # applications, then as many placeholders
             end = len(ann.nodes) - k
-            # instantiate puts the rule at every input node, and each
-            # program copies its record in; a constant types faster than
-            # it copies, so it gets none
-            if not isinstance(rule, Const):
-                share(rule, len(places), spec.output, ann, info)
             ph = {prov: info.number(path) for prov, _, path in places}
             return Block(kind, term, start, info, ph,
                          {ph[prov]: move for prov, move, _ in places},
@@ -360,7 +316,7 @@ class LocalBlocks:
 
         self.u = block("U", spec.norm_out, 1,
                        App(spec.norm_out, placeholder(0)),
-                       [("self", "stay", (1,))], spec.norm_out)
+                       [("self", "stay", (1,))])
         self.t = {}
         for a, k in spec.input.letters:
             t = spec.norm_rules[a]
@@ -368,7 +324,7 @@ class LocalBlocks:
                 t = App(t, placeholder(i))
             self.t[a] = block("T", t, 0, t, [
                 (("from-child", i), ("to-child", i), (0,) * (k - i) + (1,))
-                for i in range(1, k + 1)], spec.norm_rules[a])
+                for i in range(1, k + 1)])
         self.height = max(b.info.height for b in self)
         self.output = spec.output
 
@@ -379,14 +335,16 @@ class LocalBlocks:
     def program(self, term, tau):
         """The core.Shared record of `term`, the program of the input tree
         tau (transducer.program_term), assembled in one preorder pass over
-        tau instead of by walking the program.  The out-block's head
-        starts every table.  Each input node extends every table by its
-        letter block's head, at the offset where its expansion starts, and
-        patches what depends on that offset: the records of the
-        application whose argument it is (its `kids` and `down` and its
-        function child's `up`) and its own root's `up`.  The theta types
-        come in preorder, the order typecheck meets them, and the tier
-        and height are the largest of the blocks used."""
+        tau instead of by walking the program: the tables that typecheck
+        and TermInfo then take as they are.  The out-block's head starts
+        every table, the program's root first, with no `up`.  Each input
+        node extends every table by its letter block's head, at the offset
+        where its expansion starts, and patches what depends on that
+        offset: the records of the application whose argument it is (its
+        `kids` and `down` and its function child's `up`) and its own
+        root's `up`.  The theta types come in preorder, the order
+        typecheck meets them, and the tier and height are the largest of
+        the blocks used."""
         nodes, kids, types, occ_binder, var_kind, theta_types, down, up, \
             depths = map(list, self.u.head)
         blocks = self.t
@@ -418,7 +376,6 @@ class LocalBlocks:
             depths += head[8]
             up[pos] = (APP, 1, -off, 1 - off)
         infos = [self.u.info, *(block.info for block in used.values())]
-        del up[0]
         return Shared(nodes, kids, self.output, types, occ_binder, var_kind,
                       theta_types, down, up, depths,
                       max(info.tier for info in infos),

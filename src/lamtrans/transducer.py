@@ -87,7 +87,10 @@ class LambdaTransducerSpec:
         """out applied to tau instantiated, tagged with what its record
         (core.Shared) is assembled from when it is first numbered
         (core.number_term): this spec's blocks and tau.  Neither refers
-        back to the program, and normalizing it builds no record."""
+        back to the program, and normalizing it builds no record.  The
+        program is the only term with a record, which typecheck and
+        iam.TermInfo take its tables from; the rules it holds, the same
+        objects at every input node, carry none."""
         term = App(self.norm_out, instantiate(tau, self.norm_rules,
                                               self.input))
         object.__setattr__(term, "_program", (self.blocks, tau))

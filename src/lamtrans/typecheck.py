@@ -213,7 +213,8 @@ class Annotated:
     """A typed term together with per-position information gathered by the
     checker.  A position is its preorder number (core.number_term), and
     every table is a list with one slot per position, None where it has
-    no entry."""
+    no entry.  A program typed the way its record (core.Shared) was has
+    that `record`, and its tables are the record's own lists."""
     term: object
     type: object
     # pos -> the subterm there, and its children as offsets from pos
@@ -227,31 +228,40 @@ class Annotated:
     var_kind: list = field(init=False, default_factory=list)
     # types of unrestricted vars
     theta_types: list = field(init=False, default_factory=list)
-    # (pos, core.Shared) of each shared term whose slots were copied in
-    pieces: list = field(init=False, default_factory=list)
+    # the core.Shared record the tables are, or None where they were walked
+    record: object = field(init=False, default=None)
 
 
 def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
     """Check (or synthesize, when ty is None) the type of a closed-ish
     term.  Constants draw their types from the output alphabet (rank-k
     letter : o -o ... -o o) or from an explicit consts map.  theta maps
-    free unrestricted variable names to types."""
+    free unrestricted variable names to types.  A program, the one term
+    with a record (core.Shared), typed the way its record was (from an
+    empty environment, with the constants of the record's alphabet, none
+    of them retyped, against its own type or none) is not walked: it gets
+    the record's own lists as its tables."""
     ann = Annotated(term, None)
     ann.nodes, ann.kids = number_term(term)
+    record = getattr(term, "_shared", None)
+    if (record is not None and not theta and record.alphabet == alphabet
+            and (not consts or consts.keys().isdisjoint(alphabet.ranks))
+            and (ty is None or ty == record.types[0])):
+        ann.record, ann.type = record, record.types[0]
+        ann.types, ann.occ_binder, ann.var_kind, ann.theta_types = \
+            record.types, record.occ_binder, record.var_kind, \
+            record.theta_types
+        return ann
     kids, n = ann.kids, len(ann.kids)
     types = ann.types = [None] * n
     occ_binder = ann.occ_binder = [None] * n
     var_kind = ann.var_kind = [None] * n
-    theta_types, pieces = ann.theta_types, ann.pieces
+    theta_types = ann.theta_types
     used = [False] * n      # Lam pos -> whether an occurrence was typed
     ctypes = dict(consts or {})
     if alphabet is not None:
         for name, rank in alphabet.letters:
             ctypes.setdefault(name, const_type(rank))
-    # a shared term (core.Shared) is copied in only under the alphabet it
-    # was typed under, none of whose letters consts may retype
-    copies = (not consts or alphabet is None
-              or consts.keys().isdisjoint(alphabet.ranks))
 
     # environment: name -> ("lam"|"let"|"theta", Type, binder pos)
     env0 = {}
@@ -267,15 +277,6 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
     def typed(t, pos, env, A=None):
         """The type of t at pos: synthesized when A is None, else checked
         to be A."""
-        # from an empty environment, synthesized or checked against its
-        # own type, a shared term writes its record's slots, relative to
-        # its root, wherever it sits
-        if not env and copies:
-            shared = getattr(t, "_shared", None)
-            if shared is not None and shared.alphabet == alphabet and (
-                    A is None or A is shared.types[0]
-                    or A == shared.types[0]):
-                return _splice(ann, shared, pos)
         cls = t.__class__
         if cls is Const:
             B = types[pos] = lookup_const(t.name)
@@ -307,7 +308,7 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
                 # prefer synthesizing the function; fall back to
                 # synthesizing the argument when the function is an
                 # unannotated redex
-                mark = len(theta_types), len(pieces)
+                mark = len(theta_types)
                 try:
                     B = typed(t, pos, env)
                 except TypingError:
@@ -364,16 +365,14 @@ def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
         """Undo what a failed trial at pos wrote: it wrote only the slots
         of the positions pos covers, the used marks of the binders of its
         lam occurrences, some of them outside those positions, and the
-        theta types and pieces past `mark`, the sizes of those lists
-        before it."""
+        theta types past `mark`, the size of that list before it."""
         end = _end(kids, pos)
         for occ in range(pos, end):
             if var_kind[occ] == "lam":
                 used[occ + occ_binder[occ]] = False
         types[pos:end] = occ_binder[pos:end] = var_kind[pos:end] = \
             [None] * (end - pos)
-        del theta_types[mark[0]:]
-        del pieces[mark[1]:]
+        del theta_types[mark:]
 
     # typed recurses on the term; past Python's recursion limit the term
     # is reported as too deep (core.TooDeep)
@@ -394,18 +393,6 @@ def _end(kids, pos):
     while kids[pos]:
         pos += kids[pos][-1]
     return pos + 1
-
-
-def _splice(ann, shared, pos):
-    """Write a shared term's slots (core.Shared) into ann at pos; its
-    type."""
-    end = pos + len(shared.types)
-    ann.types[pos:end] = shared.types
-    ann.occ_binder[pos:end] = shared.occ_binder
-    ann.var_kind[pos:end] = shared.var_kind
-    ann.theta_types.extend(shared.theta_types)
-    ann.pieces.append((pos, shared))
-    return shared.types[0]
 
 
 def _boxed(env):

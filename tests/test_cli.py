@@ -354,6 +354,31 @@ def test_usage_error_is_exit_2(capsys):
     assert e.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["--fuel", "-1", "run", "--machine", "iam", COUNT, "c"],
+    ["--fuel", "-1", "run", COUNT, "c"],
+    ["difftest", "--cases", "-3", COUNT],
+    ["difftest", "--size", "-3", COUNT],
+    ["difftest", "--cases", "two", COUNT],
+])
+def test_a_negative_or_malformed_count_is_a_usage_error(capsys, argv):
+    option = next(a for a in argv if a.startswith("--") and a != "--machine")
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert f"error: argument {option}: " in capsys.readouterr().err
+
+
+def test_a_zero_count_is_taken(capsys):
+    assert run_cli(capsys, "--fuel", "0", "run", COUNT, "c") == \
+        (1, "", "error: no normal form within 0 steps\n")
+    code, out, _ = run_cli(capsys, "difftest", "--size", "0", "--cases",
+                           "2", COUNT)
+    assert code == 0 and "2/2 agree" in out
+    code, out, _ = run_cli(capsys, "difftest", "--cases", "0", COUNT)
+    assert code == 0 and "0/0 agree" in out
+
+
 def test_missing_file_is_exit_1(capsys):
     code, _, err = run_cli(capsys, "run", "no-such-file.lt", "c")
     assert code == 1
