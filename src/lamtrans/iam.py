@@ -404,7 +404,11 @@ class IamMachine(Machine):
         A Config is built only for the children of an output node and where
         the loop stops; `step` is this loop run for one step.  A record
         names positions as offsets from its own, and a first child is the
-        next position."""
+        next position.  A let-bound variable of base type (every one on
+        apa) enters its bound term with the tape it came with and the log
+        of the binder, whichever occurrence it is: the loop stops at the
+        configuration that step reaches and returns it as a shared point
+        (treegen.Machine.advance)."""
         info_down, info_up, v = self.info.down, self.info.up, self.variant
         down = cfg.direction == "down"
         pos, tape, log, flag = cfg.pos, cfg.tape, cfg.log, cfg.flag
@@ -442,16 +446,18 @@ class IamMachine(Machine):
                     if v == "pa":
                         raise InternalInvariantError("let rules in the plain "
                                                      "machine")
-                    if v == "apa":
-                        pos += bound
-                    elif base:
+                    if v == "apa" or base:
                         if v == "ss" and flag != bn:
                             raise InternalInvariantError("nesting counter "
                                                          "out of sync")
                         # forget the log entries for the boxes being exited
+                        # (apa has none); every occurrence of the variable
+                        # enters the bound term here, so runs meet here
                         pos, log = pos + bound, log[bn - bm:]
                         if v == "ss":
                             flag = bm
+                        cfg = Config("down", pos, tape, log, flag)
+                        return cfg, cfg, n + 1
                     elif bm != 0:
                         raise InternalInvariantError("non-base let binder "
                                                      "under a box")

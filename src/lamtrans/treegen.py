@@ -12,9 +12,13 @@ A machine needs only `step`.  It may also define `advance(cfg, budget)`,
 which takes up to `budget` steps from `cfg` and stops at the first step
 that returns an FNode, at a configuration it is stuck on, or when the
 budget is used up; it returns (the FNode or None, the configuration it
-stopped at, the steps taken).  The base class builds each from the other,
-so a machine that chains steps in local variables states its rules once,
-in `advance`, and gets `step` as a one-step `advance`.
+stopped at, the steps taken).  `advance` may also stop at a shared point:
+a configuration that two different configurations can step to, which it
+returns where the FNode would be (and as the configuration it stopped
+at).  The base class builds each from the other, so a machine that chains
+steps in local variables states its rules once, in `advance`, and gets
+`step` as a one-step `advance`; a step that reaches a shared point
+returns the point, as any step returns the configuration it reaches.
 
 `drive` is the one run loop.  It always fires the leftmost configuration
 leaf, steps only through `advance`, and builds each output node once, as
@@ -47,7 +51,11 @@ that does not fit is stepped for real.  So one hit can count a whole
 subtree's steps against the fuel, and `Output.tree` shares equal
 subtrees by identity.  A hit that returns a Tree with children marks it
 `reused` (see core.Tree), so its text is written once when the output is
-printed.  A chain below another that starts the same way
+printed.  A chain that ends at a shared point is not stored: the point
+starts a new chain, which the memo looks up and stores like any other, so
+a stored point serves every later run that reaches it.  Nothing is
+opened for the point, so a run that cycles through shared points keeps
+its stacks flat.  A chain below another that starts the same way
 would repeat it forever, so in a run that ends only a chain to the right
 can reuse one: the memo stores a chain only while some item is pending
 to its right, and a run whose frontier never branches hashes no
@@ -107,7 +115,8 @@ class Machine:
 
     def step(self, config):
         """Return an FNode/configuration, or None when stuck.  A machine
-        that defines only advance() steps by a one-step advance."""
+        that defines only advance() steps by a one-step advance, and a
+        step to a shared point returns the point."""
         if type(self).advance is Machine.advance:
             raise NotImplementedError
         res, config, n = self.advance(config, 1)
@@ -117,7 +126,12 @@ class Machine:
         """Step from `config` until a step returns an FNode, the machine is
         stuck, or `budget` steps are taken.  Returns (the FNode or None, the
         configuration it stopped at, steps taken): with None, the machine
-        is stuck there when fewer than `budget` steps were taken."""
+        is stuck there when fewer than `budget` steps were taken.  A
+        machine's own advance may also stop at a shared point, a
+        configuration that two different configurations step to, and
+        returns it in place of the FNode: (point, point, steps taken).
+        `drive` then starts a new chain at the point.  This one, built
+        from step(), never does."""
         step = self.step
         n = 0
         while n < budget:
@@ -177,13 +191,14 @@ def frontier(config, opened, pending):
 def drive(machine, initial, fuel, watch):
     """The run loop, as a generator that returns the run's Output, Stuck
     or Diverged.  Fires the leftmost configuration leaf, for at most `fuel`
-    successful steps, each taken by `advance`.  Without `watch`, it never
-    pauses, hands each configuration all the fuel left and reuses the
-    chains and subtrees in its memo (see the module docstring).  With it,
-    it pauses before each step with (config, n, opened, pending): the
-    configuration about to be stepped, the steps taken so far and the
-    run's two stacks, from which `frontier` rebuilds the frontier; it then
-    takes that one step with a budget of 1."""
+    successful steps, each taken by `advance`; a shared point that
+    `advance` returns goes back on `pending` as the leftmost leaf.
+    Without `watch`, it never pauses, hands each configuration all the
+    fuel left and reuses the chains and subtrees in its memo (see the
+    module docstring).  With it, it pauses before each step with (config,
+    n, opened, pending): the configuration about to be stepped, the steps
+    taken so far and the run's two stacks, from which `frontier` rebuilds
+    the frontier; it then takes that one step with a budget of 1."""
     advance = machine.advance
     pending = [initial]     # configurations and FNodes, the leftmost on top
     opened = []     # (label, arity, children built, chain) of open nodes
@@ -212,6 +227,9 @@ def drive(machine, initial, fuel, watch):
                     if n < fuel:
                         return Stuck(*frontier(item, opened, pending), n)
                     return Diverged(frontier(item, opened, pending)[0], n)
+                if res.__class__ is not FNode:      # a shared point
+                    pending.append(res)
+                    continue
                 if pending and not watch:
                     memo[start] = res, n - n0
                     chain = start, n0

@@ -58,6 +58,14 @@ STAY, TO_PARENT, TO_CHILD, PUT, REMOVE = range(5)
 # ---------------------------------------------------------------------------
 # Specs
 
+class SharedRecord(tuple):
+    """A plan record whose (state, move) leaf occurs more than once in its
+    (letter, is-root) map: two configurations can step to the configuration
+    that its move reaches, so the machine stops there (a shared point, see
+    treegen)."""
+    __slots__ = ()
+
+
 class WalkingSpec:
     """The validation, plans and writer of both spec classes, over
     transitions(): (key, is_root, pebble, image) for each transition, where
@@ -75,7 +83,16 @@ class WalkingSpec:
     to a dict from the pebble (a color, None, or ANY) to the plan of the
     image: the image with each (state, move) leaf decoded to its (state,
     move kind, argument) record (see `_record`).  A dict whose only pebble
-    is ANY -- every one in a TWT -- is replaced by its plan."""
+    is ANY -- every one in a TWT -- is replaced by its plan.
+
+    A plan that is one record whose leaf occurs more than once across
+    the images of its (letter, is-root) map -- a duplicated leaf, as
+    `inverse` finds them -- is marked: it is a SharedRecord.  Two
+    configurations can step to the configuration its move reaches, so
+    the machine stops there and the run's memo starts a chain there (a
+    shared point, see treegen).  The marks are made in the walk that plans
+    the images, and are in no file format.  A reversible spec has no
+    duplicated leaf, so none of its plans is marked."""
 
     def __post_init__(self):
         for i, c in enumerate(self.colors):
@@ -92,8 +109,8 @@ class WalkingSpec:
         if self.initial not in self.states:
             raise SpecError(f"{self.name}: initial state {self.initial!r} "
                             f"is not among the states")
-        self.plans = plans = {}
         names = dict.fromkeys(self.states)  # every state named, in order
+        maps = {}   # (letter, is-root) -> (its plans, the records met in it)
         for key, is_root, z, img in self.transitions():
             a, q, p = key[:3]
             names[q] = None
@@ -104,11 +121,17 @@ class WalkingSpec:
                                 f"from-parent: {key}")
             if z not in (None, ANY) and z not in self.colors:
                 raise SpecError(f"{self.name}: unknown color {z!r}")
-            plans.setdefault((a, is_root), {}).setdefault((q, p), {})[z] = \
-                self._plan(img, key, is_root, names)
+            got = maps.get((a, is_root))
+            if got is None:
+                got = maps[a, is_root] = {}, {}
+            by_state, seen = got
+            by_pebble = by_state.setdefault((q, p), {})
+            by_pebble[z] = self._plan(img, key, is_root, names, seen,
+                                      by_pebble)
+        self.plans = plans = {key: got[0] for key, got in maps.items()}
         for by_state in plans.values():
             for key, by_pebble in by_state.items():
-                if by_pebble.keys() == {ANY}:
+                if len(by_pebble) == 1 and ANY in by_pebble:
                     by_state[key] = by_pebble[ANY]
         for q in names:
             if "#" in q:
@@ -118,15 +141,29 @@ class WalkingSpec:
                 raise SpecError(f"{self.name}: state {q!r} holds a line "
                                 f"break, which ends a spec file's line")
 
-    def _plan(self, img, key, is_root, names):
+    def _plan(self, img, key, is_root, names, seen, by_pebble):
         """The plan of the image of transition `key`, made in one walk that
         checks each node's arity, notes each leaf's state in `names` and
         decodes each leaf (_record).  The walk takes children from right
         to left, and an arity mismatch anywhere in the image is refused
-        before the leftmost leaf that cannot be decoded."""
+        before the leftmost leaf that cannot be decoded.
+
+        The same walk marks the duplicated leaves of the transition's map.
+        `seen` holds each record met so far in the map: with the pebble
+        dict (`plans[letter, is-root][state, provenance]`) that holds it as
+        a plan of its own, while that plan is unmarked, else None.  A record
+        met again is duplicated: that plan becomes a SharedRecord, as does
+        this one if the image is the leaf alone, to go in `by_pebble`.  A
+        leaf inside a bigger image stays unmarked, since the machine starts
+        a chain at each such leaf anyway."""
         if img.__class__ is not FNode:
             names[img[0]] = None
-            return self._record(img, key, is_root)
+            record = self._record(img, key, is_root)
+            if record not in seen:
+                seen[record] = by_pebble
+                return record
+            self._mark(seen, record)
+            return SharedRecord(record)
         rank, bad = self.output.rank, None
         # (node, its children's plans so far, rightmost first); the first
         # entry holds the image
@@ -146,6 +183,11 @@ class WalkingSpec:
                     c = self._record(c, key, is_root)
                 except SpecError as e:
                     bad = e
+                else:
+                    if c in seen:
+                        self._mark(seen, c)
+                    else:
+                        seen[c] = None
                 done.append(c)
                 continue
             stack.pop()
@@ -154,6 +196,17 @@ class WalkingSpec:
                     raise bad
                 return done[0]
             stack[-1][1].append(FNode(t.label, tuple(reversed(done))))
+
+    @staticmethod
+    def _mark(seen, record):
+        """Mark the plans that are `record` alone, met before in the map
+        that `seen` belongs to, if they are unmarked."""
+        by_pebble = seen[record]
+        if by_pebble is not None:
+            for z, plan in by_pebble.items():
+                if plan.__class__ is tuple and plan == record:
+                    by_pebble[z] = SharedRecord(record)
+            seen[record] = None
 
     def _record(self, leaf, key, is_root):
         """The record of a (state, move) leaf of the image of transition
@@ -191,13 +244,14 @@ class WalkingSpec:
     def stays(self):
         """The chains of stays, built on first use: for each (letter,
         is-root), a map from a state q entered at "self" to (the state that
-        ends the chain of STAY tuple plans from (q, "self"), the chain's
-        length k >= 1).  A chain stops before a plan that is a dict by
-        visible pebble, an image, a record of another move or a missing
-        key, so where it ends depends on neither the node nor the pebbles.
-        A chain that comes back to a state it has passed never ends, and is
-        left out: its stays are taken one at a time until the fuel runs
-        out."""
+        ends the chain of unmarked STAY record plans from (q, "self"), the
+        chain's length k >= 1).  A chain stops before a plan that is a dict
+        by visible pebble, an image, a record of another move, a marked
+        record (SharedRecord) or a missing key, so where it ends depends on
+        neither the node nor the pebbles, and a jump along it never passes
+        a shared point.  A chain that comes back to a state it has passed
+        never ends, and is left out: its stays are taken one at a time
+        until the fuel runs out."""
         out = {}
         for key, by_state in self.plans.items():
             chains = out[key] = {}
@@ -205,7 +259,7 @@ class WalkingSpec:
                 if p != "self":
                     continue
                 seen = {start}
-                while plan.__class__ is tuple and plan[1] == STAY:
+                while plan.__class__ is tuple and plan[1] == STAY:  # unmarked
                     q = plan[0]
                     if q in seen:       # a cycle of stays
                         break
@@ -406,59 +460,89 @@ class WalkingMachine(Machine):
         return tuple(reversed(out))
 
     def advance(self, cfg, budget):
-        """treegen.Machine.advance; `step` is its one-step run."""
-        i = cfg.node
-        if i.__class__ is not int or not 0 <= i < len(self.nodes):
-            raise SpecError(f"no node {i!r} in the input")
-        return self._walk(None, cfg.state, cfg.prov, cfg.pebbles, i, budget)
-
-    def _walk(self, record, state, prov, pebbles, i, budget):
-        """The machine's rules, as one loop over the fields of the current
-        configuration, at node i, held in local variables.  It first makes
-        the move of the plan record `record`, if one is given, and then
-        takes up to `budget` steps as `advance` does.  With budget 0 it only
-        makes the move, and hands out the configuration that reaches.  A
-        STAY record's chain of stays (see WalkingSpec.stays) is taken in
-        one jump, counted as its k steps, when the budget has room for all
-        of them; otherwise its stays are taken one at a time."""
+        """treegen.Machine.advance, as one loop over the fields of the
+        current configuration, at node i, held in local variables; `step`
+        is its one-step run.  Wherever a state is entered at "self" (in
+        `cfg`, or by a stay, put or remove), its chain of stays (see
+        WalkingSpec.stays) is taken in one jump, counted as its k steps,
+        when the budget has room for all of them; otherwise its stays are
+        taken one at a time.  The move of a SharedRecord reaches a
+        configuration that another configuration can step to as well:
+        the loop stops there and returns it as a shared point."""
+        state, prov, i, pebbles = cfg.state, cfg.prov, cfg.node, cfg.pebbles
         nodes = self.nodes
+        if i.__class__ is not int or not 0 <= i < len(nodes):
+            raise SpecError(f"no node {i!r} in the input")
         entry = nodes[i]
         n = 0
-        while True:
-            if record is not None:
-                q, kind, arg = record
-                if kind == STAY:
-                    state, prov = q, "self"
-                    jump = entry[5].get(q)
-                    if jump is not None and n + jump[1] <= budget:
-                        state, n = jump[0], n + jump[1]
-                elif kind == TO_CHILD:
-                    state, prov, i = q, "from-parent", entry[2] + arg
-                elif kind == TO_PARENT:
-                    if entry[1] is None:
-                        raise SpecError("to-parent at the root")
-                    state, prov, i = q, entry[3], entry[1]
-                elif kind == PUT:
-                    state, prov, pebbles = q, "self", ((arg, i),) + pebbles
-                elif pebbles and pebbles[0][1] == i:     # REMOVE
-                    state, prov, pebbles = q, "self", pebbles[1:]
-                else:
-                    raise SpecError("remove with no visible pebble")
-                entry = nodes[i]
-            if n == budget:
-                return None, WalkConfig(state, prov, i, pebbles), n
+        if prov == "self":
+            jump = entry[5].get(state)
+            if jump is not None and jump[1] <= budget:
+                state, n = jump
+        while n < budget:
             plan = entry[0].get((state, prov))
             if plan.__class__ is dict:      # an IPTT's: by the visible pebble
                 z = pebbles[0][0] if pebbles and pebbles[0][1] == i else None
                 plan = plan.get(z, plan.get(ANY))
             if plan is None:
-                return None, WalkConfig(state, prov, i, pebbles), n
+                break
             n += 1
-            if plan.__class__ is not tuple:
-                img = image_map_leaves(plan, lambda r: self._walk(
-                    r, None, None, pebbles, i, 0)[1])
-                return img, WalkConfig(state, prov, i, pebbles), n
-            record = plan
+            cls = plan.__class__
+            if cls is FNode:
+                return self._image(plan, i, pebbles), \
+                    WalkConfig(state, prov, i, pebbles), n
+            q, kind, arg = plan
+            if kind == TO_CHILD:
+                state, prov, i = q, "from-parent", entry[2] + arg
+                entry = nodes[i]
+            elif kind == TO_PARENT:
+                if entry[1] is None:
+                    raise SpecError("to-parent at the root")
+                state, prov, i = q, entry[3], entry[1]
+                entry = nodes[i]
+            else:
+                if kind == STAY:
+                    state = q
+                elif kind == PUT:
+                    state, pebbles = q, ((arg, i),) + pebbles
+                elif pebbles and pebbles[0][1] == i:     # REMOVE
+                    state, pebbles = q, pebbles[1:]
+                else:
+                    raise SpecError("remove with no visible pebble")
+                prov = "self"
+                if cls is tuple:
+                    jump = entry[5].get(q)
+                    if jump is not None and n + jump[1] <= budget:
+                        state, n = jump[0], n + jump[1]
+                    continue
+            if cls is not tuple:
+                cfg = WalkConfig(state, prov, i, pebbles)
+                return cfg, cfg, n
+        return None, WalkConfig(state, prov, i, pebbles), n
+
+    def _image(self, plan, i, pebbles):
+        """The image plan `plan` with each leaf record replaced by the
+        configuration that its move reaches from node i: the moves of
+        `advance`, without a jump, as each leaf starts a chain of its
+        own."""
+        entry = self.nodes[i]
+
+        def leaf(record):
+            q, kind, arg = record
+            if kind == STAY:
+                return WalkConfig(q, "self", i, pebbles)
+            if kind == TO_CHILD:
+                return WalkConfig(q, "from-parent", entry[2] + arg, pebbles)
+            if kind == TO_PARENT:
+                if entry[1] is None:
+                    raise SpecError("to-parent at the root")
+                return WalkConfig(q, entry[3], entry[1], pebbles)
+            if kind == PUT:
+                return WalkConfig(q, "self", i, ((arg, i),) + pebbles)
+            if pebbles and pebbles[0][1] == i:     # REMOVE
+                return WalkConfig(q, "self", i, pebbles[1:])
+            raise SpecError("remove with no visible pebble")
+        return image_map_leaves(plan, leaf)
 
     def render(self, cfg):
         out = f"{cfg.state} {prov_to_str(cfg.prov)} @{self._path_text(cfg.node)}"

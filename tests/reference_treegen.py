@@ -6,12 +6,73 @@ The code is kept as it was in `lamtrans.treegen`; only its imports
 changed.  `paused_run` is the memo-free run that `trace` and the checked
 token machine run take.  `expanding_frontier` is `treegen.frontier` as it
 was before it copied each reused subtree once: it copies a subtree at
-every place it is held."""
+every place it is held.  `through_run` is `treegen.run` as it was before
+`advance` could stop at a shared point: its chains step straight through
+every point, so its memo sees chain starts only."""
 
 from __future__ import annotations
 
 from lamtrans.core import LamtransError, Tree
-from lamtrans.treegen import FNode, drive, frontier_to_str
+from lamtrans.treegen import (FNode, Diverged, Output, Stuck, drive, frontier,
+                              frontier_to_str)
+
+
+def through_run(machine, initial, fuel=10_000_000):
+    """Run from `initial` as `treegen.run` did before shared points: a
+    chain that `advance` stops at a shared point goes on from the point,
+    within the same chain, so the point is neither looked up in the memo
+    nor stored.  The loop is the unpaused half of the old `drive`."""
+    advance = machine.advance
+    pending = [initial]
+    opened = []
+    n = 0
+    memo = {}
+    while True:
+        item = pending.pop()
+        chain = None
+        if item.__class__ is not FNode:
+            start, n0 = item, n
+            hit = memo.get(start) if memo else None
+            if hit is not None and n + hit[1] <= fuel:
+                item, n = hit[0], n + hit[1]
+            else:
+                res, k, budget = None, 0, 0
+                while res is None and k == budget and n < fuel:
+                    budget = fuel - n
+                    res, item, k = advance(item, budget)
+                    n += k
+                    if res is not None and res.__class__ is not FNode:
+                        res, k = None, budget   # a shared point: go on
+                if res is None:
+                    if n < fuel:
+                        return Stuck(*frontier(item, opened, pending), n)
+                    return Diverged(frontier(item, opened, pending)[0], n)
+                if pending:
+                    memo[start] = res, n - n0
+                    chain = start, n0
+                item = res
+        if item.__class__ is FNode:
+            cs = item.children
+            if cs:
+                opened.append((item.label, len(cs), [], chain))
+                pending.extend(reversed(cs))
+                continue
+            item = Tree(item.label)
+            if chain:
+                memo[start] = item, n - n0
+        elif item.children:
+            item.reused = True
+        while opened:
+            label, arity, done, chain = opened[-1]
+            done.append(item)
+            if len(done) < arity:
+                break
+            opened.pop()
+            item = Tree(label, tuple(done))
+            if chain:
+                memo[chain[0]] = item, n - chain[1]
+        else:
+            return Output(item, n)
 
 
 def paused_run(machine, initial, fuel=10_000_000):

@@ -194,8 +194,9 @@ delta e s self = (t, stay)
 delta e t self = (u, stay)
 delta e u self = (t, stay)
 """)
-    # s leads into the cycle t, u: no chain of these is taken in a jump
-    assert spec.stays["e", False] == {}
+    # s leads into the cycle t, u; both s and u stay into t, so that stay
+    # is shared and no chain passes it: only t's stay to u is a jump
+    assert spec.stays["e", False] == {"t": ("u", 1)}
     for fuel, res in enumerate(walk_at_fuels(spec, "b(e)", range(40))):
         assert isinstance(res, Diverged) and res.steps == fuel
 
