@@ -131,6 +131,29 @@ def test_every_small_input_runs_shared_and_unchanged(name, most, shares):
         assert (shared < through) == shares, backend
 
 
+def test_a_wide_output_run_steps_each_configuration_once(bin2bin):
+    # the bench's wide-output jobs: the real steps of each run are the
+    # distinct configurations that the run paused before every step steps
+    real = {}
+    for value in (5, 6, 7):
+        tau = parse_tree(numeral(value), bin2bin.input)
+        for backend, make in machines(bin2bin)(tau):
+            if backend not in ("d1", "ss", "iptt"):
+                continue
+            m = Counted(make())
+            run(m, m.machine.initial())
+            paused = drive(make(), m.machine.initial(), 10**9, True)
+            configs = set()
+            try:
+                while True:
+                    configs.add(next(paused)[0])
+            except StopIteration:
+                pass
+            assert m.steps == len(configs), (backend, value)
+            real[backend] = real.get(backend, 0) + m.steps
+    assert real == {"d1": 1164, "ss": 1164, "iptt": 1164}
+
+
 def stepped(make, fuels):
     """The results of a run that steps one step at a time at each fuel in
     `fuels`, from one run paused before each step, as `trace` runs it: at
