@@ -1,7 +1,7 @@
 """Shared points: the token and walking machines stop where two runs can
 meet, and `treegen.run` starts a chain there, which its memo looks up and
 stores.  The runs must be the same runs as before, only shared: every
-output and step count equals that of `through_run`, the driver that steps
+output and step count equals that of `through_run`, the run loop that steps
 straight through each point (tests/reference_treegen.py), and no run steps
 more for real.  A fuel-bounded run ends where a step-at-a-time run ends.
 The marks of a walking spec are exactly its duplicated leaves."""
