@@ -7,5 +7,6 @@ __version__ = "0.1.0"
 
 
 def corpus_path(name):
-    """Filesystem path of a bundled corpus file, e.g. corpus_path("count.lt")."""
+    """Filesystem path of a bundled corpus file, e.g.
+    corpus_path("count.lt")."""
     return str(files(__name__) / "corpus" / name)

@@ -408,50 +408,11 @@ def rebuild(nodes, kids, node):
     return built[0]
 
 
-@dataclass(slots=True, eq=False)
-class Shared:
-    """A program's typing and token-machine tables, each a list indexed by
-    position (number_term), that typecheck and iam.TermInfo take as they
-    are instead of walking the program: `nodes` and `kids`, its
-    number_term lists (but for the root, which its nodes list would
-    otherwise hold in a cycle); `types` (its own type first),
-    `occ_binder`, `var_kind` and `theta_types`, what typecheck writes for
-    it from an empty environment with the constants of `alphabet`; and
-    `down`, `up` and `depths`, its iam.TermInfo records, and its `tier`
-    and `height`.  None of them refers to the program's root.  A program
-    gets its record when first numbered (number_term), assembled from its
-    spec's blocks (iam.LocalBlocks.program)."""
-    nodes: list
-    kids: list
-    alphabet: object
-    types: list
-    occ_binder: list
-    var_kind: list
-    theta_types: list
-    down: list
-    up: list
-    depths: list
-    tier: int
-    height: int
-
-
 def number_term(term):
     """The positions of a term as preorder numbers: the root is 0 and a
     node's first child comes right after it.  Returns the subterm at each
     number and its children as offsets from it (1 for the first child), so
-    the lists of a subterm do not depend on where it sits.  A program
-    whose root its spec tagged `_program` (the spec's iam.LocalBlocks and
-    the input tree; transducer.program_term) gets its record (Shared)
-    here, when first numbered, so a program that is only normalized
-    builds none; a term with a record is numbered by it."""
-    tag = getattr(term, "_program", None)
-    if tag is not None:
-        blocks, tau = tag
-        object.__setattr__(term, "_shared", blocks.program(term, tau))
-        object.__delattr__(term, "_program")
-    record = getattr(term, "_shared", None)
-    if record is not None:
-        return [term, *record.nodes], record.kids
+    the lists of a subterm do not depend on where it sits."""
     nodes, kids = [], []
     todo = [(term, None)]   # (subterm, the node it is the second child of)
     while todo:
@@ -554,20 +515,9 @@ def marked(text, span, direction):
     return text[:start] + left + text[start:end] + right + text[end:]
 
 
-def term_to_str(t, mark=None, direction=None):
-    """Render a term (render_term).  When mark (a position, as a path of
-    child indices) is given, the subterm there is wrapped in >...< (down)
-    or <...> (up) according to direction; a path that names no position
-    marks nothing."""
-    text, spans = render_term(t)
-    if mark is None:
-        return text
-    kids, pos = number_term(t)[1], 0
-    for i in mark:
-        if not 0 <= i < len(kids[pos]):
-            return text
-        pos += kids[pos][i]
-    return marked(text, spans[pos], direction)
+def term_to_str(t):
+    """The text of a term (render_term)."""
+    return render_term(t)[0]
 
 
 # ---------------------------------------------------------------------------

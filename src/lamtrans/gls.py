@@ -24,17 +24,18 @@ class NoNullaryOutputLetter(LamtransError):
 class GlsSpec:
     input: RankedAlphabet
     output: RankedAlphabet
-    state_types: dict                 # state name -> purely affine Type
+    state_types: dict   # state name -> purely affine Type
     init: str
-    rules: dict                       # (state, letter) -> (Term, [child states])
-    out: object                       # Term : A_init -o o
+    rules: dict         # (state, letter) -> (Term, [child states])
+    out: object         # Term : A_init -o o
     name: str = "gls"
     norm_rules: dict = field(init=False, default_factory=dict)
     norm_out: object = field(init=False, default=None)
 
     def __post_init__(self):
         if self.init not in self.state_types:
-            raise SpecError(f"{self.name}: unknown initial state {self.init!r}")
+            raise SpecError(
+                f"{self.name}: unknown initial state {self.init!r}")
         for q, A in self.state_types.items():
             if classify_type(A) != 0:
                 raise SpecError(

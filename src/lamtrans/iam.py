@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .core import (App, Box, Const, Lam, LamtransError, Let, Shared, Var,
-                   marked, render_term)
+from .core import (App, Box, Const, Lam, LamtransError, Let, Var, marked,
+                   render_term)
 from . import treegen
 from .treegen import FNode, Machine
-from .typecheck import (TIER_NAMES, Arrow, Bang, O, navigate, term_tier,
-                        type_height, typecheck)
+from .typecheck import (TIER_NAMES, Annotated, Arrow, Bang, O, navigate,
+                        term_tier, type_height, typecheck)
 
 
 class ClassificationTooHigh(LamtransError):
@@ -123,21 +123,19 @@ class TermInfo:
     `depths[pos]`, the box depth of each position (the number of enclosing
     boxes whose contents are not of base type), and finds the term's
     restriction `tier` (typecheck.term_tier) and `height`, the largest
-    type height at any position.  A program typed the way its record
-    (core.Shared) was (typecheck.Annotated.record) takes all of these from
-    the record as they are, and nothing is walked.  `path(pos)` is the position as a tuple of child
-    indices from the root, for text."""
+    type height at any position.  A program assembled from its spec's
+    blocks (LocalBlocks.program) brings all of these as its
+    typecheck.Annotated.record, and nothing is walked.  `path(pos)` is
+    the position as a tuple of child indices from the root, for text."""
 
     def __init__(self, ann):
         self.term = ann.term
         self.types = types = ann.types
         self.occ_binder = occ_binder = ann.occ_binder
         self.var_kind = var_kind = ann.var_kind
-        record = ann.record
-        if record is not None:
-            self.down, self.up, self.depths = \
-                record.down, record.up, record.depths
-            self.tier, self.height = record.tier, record.height
+        if ann.record is not None:
+            self.down, self.up, self.depths, self.tier, self.height = \
+                ann.record
             return
         n = len(ann.nodes)
         self.depths = depths = [0] * n
@@ -263,10 +261,10 @@ class Block:
     variable let-bound to a non-base term (the occurrences a pebble names)
     to its position.  `head` holds the tables of its positions before the
     placeholders, which come last: the applications to them and the rule
-    or out-term, which LocalBlocks.program appends to a program's record
-    (core.Shared) once per input node.  They are typecheck's nodes (from
-    the rule or out-term on), kids, types, occ_binder, var_kind and
-    theta_types, and info's down, up and depths."""
+    or out-term, which LocalBlocks.program appends to a program's tables
+    once per input node.  They are typecheck's nodes (from the rule or
+    out-term on), kids, types, occ_binder, var_kind and theta_types, and
+    info's down, up and depths."""
     kind: str
     term: object
     start: int
@@ -287,8 +285,8 @@ class LocalBlocks:
     """The blocks of a lambda-transducer: the out-term's `u` and each
     letter's `t[letter]`, iterated in that order, and the largest type
     height among them.  A placeholder has the memory type, so the
-    memory's tier and height count in every block.  A program's record
-    (core.Shared) is assembled from the blocks' heads (program)."""
+    memory's tier and height count in every block.  A program's tables
+    are assembled from the blocks' heads (program)."""
 
     def __init__(self, spec):
         consts = {f"{PH}{i}": spec.memory
@@ -333,20 +331,22 @@ class LocalBlocks:
         yield from self.t.values()
 
     def program(self, term, tau):
-        """The core.Shared record of `term`, the program of the input tree
-        tau (transducer.program_term), assembled in one preorder pass over
-        tau instead of by walking the program: the tables that typecheck
-        and TermInfo then take as they are.  The out-block's head starts
-        every table, the program's root first, with no `up`.  Each input
-        node extends every table by its letter block's head, at the offset
-        where its expansion starts, and patches what depends on that
-        offset: the records of the application whose argument it is (its
-        `kids` and `down` and its function child's `up`) and its own
-        root's `up`.  The theta types come in preorder, the order
+        """The typecheck.Annotated of `term`, the program of the input
+        tree tau (transducer.program_term), typed against o under the
+        output alphabet: typecheck's tables and, as its `record`, the
+        TermInfo facts (down, up, depths, tier, height), assembled in one
+        preorder pass over tau instead of by walking the program.  The
+        program's root starts every table, then the out-block's head.
+        Each input node extends every table by its letter block's head,
+        at the offset where its expansion starts, and patches what depends
+        on that offset: the records of the application whose argument it
+        is (its `kids` and `down` and its function child's `up`) and its
+        own root's `up`.  The theta types come in preorder, the order
         typecheck meets them, and the tier and height are the largest of
         the blocks used."""
         nodes, kids, types, occ_binder, var_kind, theta_types, down, up, \
             depths = map(list, self.u.head)
+        nodes.insert(0, term)
         blocks = self.t
         used = {}
         todo = [(tau, term.arg, 0)]     # input node, its term, its parent
@@ -376,10 +376,13 @@ class LocalBlocks:
             depths += head[8]
             up[pos] = (APP, 1, -off, 1 - off)
         infos = [self.u.info, *(block.info for block in used.values())]
-        return Shared(nodes, kids, self.output, types, occ_binder, var_kind,
-                      theta_types, down, up, depths,
-                      max(info.tier for info in infos),
+        ann = Annotated(term, types[0])
+        ann.nodes, ann.kids, ann.types, ann.occ_binder, ann.var_kind, \
+            ann.theta_types = nodes, kids, types, occ_binder, var_kind, \
+            theta_types
+        ann.record = (down, up, depths, max(info.tier for info in infos),
                       max(info.height for info in infos))
+        return ann
 
 
 class IamMachine(Machine):

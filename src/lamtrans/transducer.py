@@ -84,13 +84,11 @@ class LambdaTransducerSpec:
     # -- running -----------------------------------------------------------
 
     def program_term(self, tau):
-        """out applied to tau instantiated, tagged with what its record
-        (core.Shared) is assembled from when it is first numbered
-        (core.number_term): this spec's blocks and tau.  Neither refers
-        back to the program, and normalizing it builds no record.  The
-        program is the only term with a record, which typecheck and
-        iam.TermInfo take its tables from; the rules it holds, the same
-        objects at every input node, carry none."""
+        """out applied to tau instantiated, its root tagged `_program`
+        with this spec's blocks and tau, from which typecheck assembles
+        the program's tables (iam.LocalBlocks.program) each time it is
+        typed against o under the output alphabet.  Nothing else is kept
+        on the program, and normalizing it assembles nothing."""
         term = App(self.norm_out, instantiate(tau, self.norm_rules,
                                               self.input))
         object.__setattr__(term, "_program", (self.blocks, tau))

@@ -213,8 +213,9 @@ class Annotated:
     """A typed term together with per-position information gathered by the
     checker.  A position is its preorder number (core.number_term), and
     every table is a list with one slot per position, None where it has
-    no entry.  A program typed the way its record (core.Shared) was has
-    that `record`, and its tables are the record's own lists."""
+    no entry.  A program assembled from its spec's blocks
+    (iam.LocalBlocks.program) also has its iam.TermInfo facts as
+    `record`: (down, up, depths, tier, height)."""
     term: object
     type: object
     # pos -> the subterm there, and its children as offsets from pos
@@ -228,30 +229,27 @@ class Annotated:
     var_kind: list = field(init=False, default_factory=list)
     # types of unrestricted vars
     theta_types: list = field(init=False, default_factory=list)
-    # the core.Shared record the tables are, or None where they were walked
-    record: object = field(init=False, default=None)
+    # a program's TermInfo facts, assembled with its tables; None if walked
+    record: tuple = field(init=False, default=None)
 
 
 def typecheck(term, ty=None, alphabet=None, theta=None, consts=None):
     """Check (or synthesize, when ty is None) the type of a closed-ish
     term.  Constants draw their types from the output alphabet (rank-k
     letter : o -o ... -o o) or from an explicit consts map.  theta maps
-    free unrestricted variable names to types.  A program, the one term
-    with a record (core.Shared), typed the way its record was (from an
-    empty environment, with the constants of the record's alphabet, none
-    of them retyped, against its own type or none) is not walked: it gets
-    the record's own lists as its tables."""
+    free unrestricted variable names to types.  A program whose root its
+    spec tagged `_program` (its iam.LocalBlocks and the input tree;
+    transducer.program_term), typed from an empty environment with the
+    constants of the spec's output alphabet, none of them retyped, against
+    o or no type, is not walked: its tables are assembled from the blocks
+    (iam.LocalBlocks.program)."""
+    tag = getattr(term, "_program", None)     # (spec.blocks, tau)
+    if (tag is not None and not theta and tag[0].output == alphabet
+            and (not consts or consts.keys().isdisjoint(alphabet.ranks))
+            and (ty is None or ty == O)):
+        return tag[0].program(term, tag[1])
     ann = Annotated(term, None)
     ann.nodes, ann.kids = number_term(term)
-    record = getattr(term, "_shared", None)
-    if (record is not None and not theta and record.alphabet == alphabet
-            and (not consts or consts.keys().isdisjoint(alphabet.ranks))
-            and (ty is None or ty == record.types[0])):
-        ann.record, ann.type = record, record.types[0]
-        ann.types, ann.occ_binder, ann.var_kind, ann.theta_types = \
-            record.types, record.occ_binder, record.var_kind, \
-            record.theta_types
-        return ann
     kids, n = ann.kids, len(ann.kids)
     types = ann.types = [None] * n
     occ_binder = ann.occ_binder = [None] * n

@@ -545,7 +545,8 @@ class WalkingMachine(Machine):
         return image_map_leaves(plan, leaf)
 
     def render(self, cfg):
-        out = f"{cfg.state} {prov_to_str(cfg.prov)} @{self._path_text(cfg.node)}"
+        out = (f"{cfg.state} {prov_to_str(cfg.prov)} "
+               f"@{self._path_text(cfg.node)}")
         if not self.spec.pebbles:
             return out
         peb = " ".join(f"{c}@{self._path_text(i)}" for c, i in cfg.pebbles)

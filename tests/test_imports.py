@@ -1,7 +1,8 @@
 """Every module-level import in the package is used in its module, or is
-marked `# noqa: F401` as a deliberate re-export; and every public
-top-level function or class of the package is read by the package or the
-bench harness, or is kept on purpose."""
+marked `# noqa: F401` as a deliberate re-export; every public top-level
+function or class of the package is read by the package or the bench
+harness, or is kept on purpose; and no line of the package is longer than
+79 characters."""
 
 import ast
 from pathlib import Path
@@ -56,6 +57,17 @@ def test_the_checker_finds_an_unused_import():
                          ids=lambda path: path.name)
 def test_no_unused_module_level_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+LONGEST = 79
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_no_line_is_too_long(path):
+    lines = path.read_text().splitlines()
+    assert [(i, len(line)) for i, line in enumerate(lines, 1)
+            if len(line) > LONGEST] == []
 
 
 def unread_public_names(package, others=()):

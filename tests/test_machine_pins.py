@@ -139,7 +139,7 @@ def test_advance_calls_are_pinned(specs, name, text, calls):
 
 
 def test_a_450_deep_chain_runs_checked_and_compiled(count):
-    # 450 nodes deep: a program of any depth is typed from its record
+    # 450 nodes deep: a program of any depth has its tables assembled
     # (iam.LocalBlocks.program), and the checked runs pause before every
     # step; they check on every step that the tape is no longer than the
     # type height and (d1) that the log equals the box depth

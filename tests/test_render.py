@@ -26,21 +26,27 @@ from reference_terms import (positions, sample_normal_term,
 LT_SPECS = ["count.lt", "seq-nat.lt", "bin2bin.lt", "list-count.lt"]
 
 
+def at(kids, path):
+    """The position (number_term) that a path of child indices names."""
+    pos = 0
+    for i in path:
+        pos += kids[pos][i]
+    return pos
+
+
 def assert_renders_alike(t):
     """render_term and term_to_str give the recursive printer's text,
-    unmarked and marked at each position (in preorder) both ways."""
+    unmarked and marked at each position (in preorder) both ways, the
+    position found from its path too."""
     text, spans = render_term(t)
     assert text == term_to_str(t) == term_to_str_by_recursion(t)
-    paths = positions(t)
+    paths, kids = positions(t), number_term(t)[1]
     assert len(spans) == len(paths)
     for path, span in zip(paths, spans):
         for d in ("down", "up"):
             want = term_to_str_by_recursion(t, path, d)
             assert marked(text, span, d) == want
-            assert term_to_str(t, path, d) == want
-    # a path that names no position marks nothing
-    for path in [(len(children(t)),), (0,) * len(paths), (-1,)]:
-        assert term_to_str(t, path, "down") == text
+            assert marked(text, spans[at(kids, path)], d) == want
 
 
 def corpus_terms():
@@ -107,8 +113,9 @@ def test_a_term_ten_thousand_deep_renders():
     text, spans = render_term(t)
     assert text == "S (" * (n - 1) + "S 0" + ")" * (n - 1)
     assert marked(text, spans[-1], "up") == text[:-n] + "<0>" + ")" * (n - 1)
-    assert term_to_str(t, (1,) * n, "up") == marked(text, spans[-1], "up")
-    assert term_to_str(t, (1,) * (n - 1), "down") == \
+    kids = number_term(t)[1]
+    assert at(kids, (1,) * n) == len(spans) - 1
+    assert marked(text, spans[at(kids, (1,) * (n - 1))], "down") == \
         text[:3 * (n - 1)] + ">S 0<" + ")" * (n - 1)
     t = Var("x")
     for i in range(n):

@@ -1,9 +1,9 @@
-"""A program is the one term with a record (core.Shared): assembled from
-its spec's blocks when it is first numbered (iam.LocalBlocks.program), it
-holds the program's typing and token-machine tables, which typecheck and
-TermInfo take as they are rather than walking the program.  Here a
-program built from the spec's rules is checked against the same program
-built from unshared copies of them, which every pass walks position by
+"""A program (transducer.program_term) typed against o under its spec's
+output alphabet is not walked: typecheck assembles its tables from the
+spec's blocks (iam.LocalBlocks.program), with its TermInfo facts as the
+Annotated's `record`, which TermInfo takes as they are.  Here a program
+built from the spec's rules is checked against the same program built
+from unshared copies of them, which every pass walks position by
 position: the same Annotated tables, slot by slot, the same TermInfo, the
 same runs, and the same errors."""
 
@@ -73,6 +73,18 @@ def facts(info):
             info.height)
 
 
+def extra(t):
+    """What a term holds beyond its fields."""
+    names = {f.name for f in dataclasses.fields(t)}
+    return {k: v for k, v in vars(t).items() if k not in names}
+
+
+def record(info):
+    """The TermInfo facts that an assembled program brings as its
+    Annotated.record."""
+    return (info.down, info.up, info.depths, info.tier, info.height)
+
+
 def checked(*args, **kwargs):
     """typecheck's Annotated, or its error as (class, message)."""
     try:
@@ -118,36 +130,31 @@ def preorder(t):
 @pytest.mark.parametrize("name", LT + ["seq-nat;list-count",
                                        "mirror.gls+split"])
 def test_a_program_record_holds_what_walking_the_program_finds(name):
-    # the record assembled from the blocks holds the program's own
-    # subterms, by identity, and the tables that typecheck and TermInfo
-    # find for the same program untagged, walked position by position,
-    # theta types in order; it is built once, when first numbered
+    # the tables assembled from the blocks hold the program's own
+    # subterms, by identity, in number_term's order, and the tables that
+    # typecheck and TermInfo find for the same program untagged, walked
+    # position by position, theta types in order; typing the program
+    # leaves nothing on it but its tag
     spec, make_input = loaded(name)
     rng = random.Random(name)
     for size in SIZES.get(name, (1, 2, 3, 5, 8, 13, 30)) * 2:
         tau = make_input(rng, size)
         term = spec.program_term(tau)
-        assert term._program == (spec.blocks, tau)
+        tag = {"_program": (spec.blocks, tau)}
+        assert extra(term) == tag
+        ann = typecheck(term, ty=O, alphabet=spec.output)
+        assert extra(term) == tag
         nodes, kids = number_term(term)
-        record = term._shared
-        assert not hasattr(term, "_program")
-        assert number_term(term) == (nodes, kids) and term._shared is record
         walked = preorder(term)
-        assert len(nodes) == len(walked)
-        assert all(a is b for a, b in zip(nodes, walked))
-        assert nodes[1:] == record.nodes and kids == record.kids
+        assert len(ann.nodes) == len(nodes) == len(walked)
+        assert all(a is b is c for a, b, c in zip(ann.nodes, nodes, walked))
+        assert ann.kids == kids
         untagged = App(term.fn, term.arg)
-        ann = typecheck(untagged, ty=O, alphabet=spec.output)
-        info = TermInfo(ann)
-        assert ann.record is None
-        assert record.alphabet is spec.output
-        assert (record.kids, record.types, record.occ_binder,
-                record.var_kind, record.theta_types) == \
-            (ann.kids, ann.types, ann.occ_binder, ann.var_kind,
-             ann.theta_types)
-        assert (record.down, record.up, record.depths, record.tier,
-                record.height) == \
-            (info.down, info.up, info.depths, info.tier, info.height)
+        plain = typecheck(untagged, ty=O, alphabet=spec.output)
+        assert plain.record is None
+        assert tables(ann)[:5] == tables(plain)[:5]   # all but nodes, kids
+        assert ann.kids == plain.kids
+        assert ann.record == record(TermInfo(plain))
 
 
 @pytest.mark.parametrize("text, tier", [("c", 2), ("a(a(c))", 3)])
@@ -177,26 +184,24 @@ def test_the_normalize_path_builds_no_record(name, monkeypatch):
         term = spec.program_term(tau)
         tree = decode_tree(normalize(term))
         assert tree == spec.eval_normalize(tau)
-        assert not hasattr(term, "_shared")
-        assert term._program == (spec.blocks, tau)
+        assert extra(term) == {"_program": (spec.blocks, tau)}
 
 
-def contents(record):
-    """A copy of each field of a core.Shared."""
-    return [copy.copy(getattr(record, f.name))
-            for f in dataclasses.fields(record)]
+def contents(ann):
+    """A copy of each table of an assembled program and of its record."""
+    return [copy.copy(table) for table in (*tables(ann), *ann.record)]
 
 
 @pytest.mark.parametrize("name", LT)
 def test_a_rule_is_walked_once_per_spec(name, monkeypatch):
-    # loading the spec walks each rule in its block, and no rule gets a
-    # record; a program is tabled once, when its record is assembled:
-    # typecheck's lists are the record's, TermInfo shares its records and
-    # walks no position, and a program typed twice runs the same from
-    # either typing, with its record unchanged
+    # loading the spec walks each rule in its block, and no rule carries
+    # anything; each typing of a program assembles its own tables, and
+    # TermInfo takes its records from them and walks no position: a
+    # program typed twice gets equal tables, runs the same from either
+    # typing, and no run changes them
     spec = load_transducer(corpus_path(name))
-    assert not any(hasattr(t, "_shared")
-                   for t in (spec.norm_out, *spec.norm_rules.values()))
+    assert not any(extra(t) for t in (spec.norm_out,
+                                      *spec.norm_rules.values()))
     walked = []
     walk = TermInfo._walk
 
@@ -208,25 +213,22 @@ def test_a_rule_is_walked_once_per_spec(name, monkeypatch):
     rng = random.Random(name)
     for size in SIZES.get(name, (1, 2, 3, 5, 8, 13, 30)):
         first = spec.program_ann(gen_tree(rng, spec.input, size))
-        record = first.record
-        fields = contents(record)
         second = typecheck(first.term, ty=O, alphabet=spec.output)
+        assert second.kids is not first.kids
+        fields = contents(first)
+        assert contents(second) == fields
         runs = []
         for ann in (first, second):
-            assert ann.record is record and ann.kids is record.kids
-            assert all(a is b for a, b in zip(
-                (ann.types, ann.occ_binder, ann.var_kind, ann.theta_types),
-                (record.types, record.occ_binder, record.var_kind,
-                 record.theta_types)))
             info = TermInfo(ann)
             assert all(a is b for a, b in zip(
-                (info.down, info.up, info.depths),
-                (record.down, record.up, record.depths)))
+                (info.types, info.occ_binder, info.var_kind, info.down,
+                 info.up, info.depths),
+                (ann.types, ann.occ_binder, ann.var_kind, *ann.record)))
             machine = IamMachine(info, pick_variant(info.tier))
             runs.append(treegen.run(machine, machine.initial(), 10_000_000))
+            assert contents(ann) == fields
         assert walked == []
         assert isinstance(runs[0], treegen.Output) and runs[0] == runs[1]
-        assert contents(record) == fields
 
 
 @pytest.mark.parametrize("name", LT)
@@ -255,10 +257,10 @@ def test_a_shared_rule_types_under_placeholders_as_an_unshared_one(name):
 
 @pytest.mark.parametrize("name", LT)
 def test_a_shared_rule_checked_against_a_wrong_type_fails_alike(name):
-    # a program typed as its record was typed has the record's tables; one
-    # typed with theta, under another alphabet, with a letter retyped or
-    # against another type than o is walked, and has the unshared
-    # program's tables or its error
+    # a program typed against o or no type under the output alphabet has
+    # its tables assembled; one typed with theta, under another alphabet,
+    # with a letter retyped or against another type than o is walked; each
+    # has the unshared program's tables or its error
     spec = load_transducer(corpus_path(name))
     out = spec.output
     taken = [{"alphabet": out}, {"ty": O, "alphabet": out, "theta": {}},
@@ -283,7 +285,8 @@ def test_a_shared_rule_checked_against_a_wrong_type_fails_alike(name):
                     seen += 1
                     continue
                 assert tables(got) == tables(want), kwargs
-                assert (got.record is term._shared) == (kwargs in taken)
+                assert (got.record is not None) == (kwargs in taken)
+        assert extra(term) == {"_program": (spec.blocks, tau)}
     assert seen
 
 
