@@ -85,14 +85,15 @@ class WalkingSpec:
     move kind, argument) record (see `_record`).  A dict whose only pebble
     is ANY -- every one in a TWT -- is replaced by its plan.
 
-    A plan that is one record whose leaf occurs more than once across
-    the images of its (letter, is-root) map -- a duplicated leaf, as
-    `inverse` finds them -- is marked: it is a SharedRecord.  Two
-    configurations can step to the configuration its move reaches, so
+    The records are counted, then marked.  The walk that plans the images
+    counts each record of a (letter, is-root) map, bare or in an image;
+    then each plan that is one record counted more than once -- a
+    duplicated leaf, as `inverse` finds them -- becomes a SharedRecord.
+    Two configurations can step to the configuration its move reaches, so
     the machine stops there and the run's memo starts a chain there (a
-    shared point, see treegen).  The marks are made in the walk that plans
-    the images, and are in no file format.  A reversible spec has no
-    duplicated leaf, so none of its plans is marked."""
+    shared point, see treegen).  A leaf of a bigger image is not marked:
+    a chain starts at each one anyway.  The marks are in no file format,
+    and a reversible spec, having no duplicated leaf, has none."""
 
     def __post_init__(self):
         for i, c in enumerate(self.colors):
@@ -110,7 +111,7 @@ class WalkingSpec:
             raise SpecError(f"{self.name}: initial state {self.initial!r} "
                             f"is not among the states")
         names = dict.fromkeys(self.states)  # every state named, in order
-        maps = {}   # (letter, is-root) -> (its plans, the records met in it)
+        maps = {}   # (letter, is-root) -> (its plans, its records' counts)
         for key, is_root, z, img in self.transitions():
             a, q, p = key[:3]
             names[q] = None
@@ -124,12 +125,16 @@ class WalkingSpec:
             got = maps.get((a, is_root))
             if got is None:
                 got = maps[a, is_root] = {}, {}
-            by_state, seen = got
-            by_pebble = by_state.setdefault((q, p), {})
-            by_pebble[z] = self._plan(img, key, is_root, names, seen,
-                                      by_pebble)
-        self.plans = plans = {key: got[0] for key, got in maps.items()}
-        for by_state in plans.values():
+            by_state, counts = got
+            by_state.setdefault((q, p), {})[z] = self._plan(
+                img, key, is_root, names, counts)
+        self.plans = {m: by_state for m, (by_state, _) in maps.items()}
+        for by_state, counts in maps.values():
+            if max(counts.values(), default=0) > 1:     # else no marks
+                for by_pebble in by_state.values():
+                    for z, plan in by_pebble.items():
+                        if plan.__class__ is tuple and counts[plan] > 1:
+                            by_pebble[z] = SharedRecord(plan)
             for key, by_pebble in by_state.items():
                 if len(by_pebble) == 1 and ANY in by_pebble:
                     by_state[key] = by_pebble[ANY]
@@ -141,29 +146,21 @@ class WalkingSpec:
                 raise SpecError(f"{self.name}: state {q!r} holds a line "
                                 f"break, which ends a spec file's line")
 
-    def _plan(self, img, key, is_root, names, seen, by_pebble):
+    def _plan(self, img, key, is_root, names, counts):
         """The plan of the image of transition `key`, made in one walk that
         checks each node's arity, notes each leaf's state in `names` and
         decodes each leaf (_record).  The walk takes children from right
         to left, and an arity mismatch anywhere in the image is refused
         before the leftmost leaf that cannot be decoded.
 
-        The same walk marks the duplicated leaves of the transition's map.
-        `seen` holds each record met so far in the map: with the pebble
-        dict (`plans[letter, is-root][state, provenance]`) that holds it as
-        a plan of its own, while that plan is unmarked, else None.  A record
-        met again is duplicated: that plan becomes a SharedRecord, as does
-        this one if the image is the leaf alone, to go in `by_pebble`.  A
-        leaf inside a bigger image stays unmarked, since the machine starts
-        a chain at each such leaf anyway."""
+        The same walk counts each record it decodes in `counts`, the
+        record counts of the transition's map, from which the map's plans
+        are marked once they are all made."""
         if img.__class__ is not FNode:
             names[img[0]] = None
             record = self._record(img, key, is_root)
-            if record not in seen:
-                seen[record] = by_pebble
-                return record
-            self._mark(seen, record)
-            return SharedRecord(record)
+            counts[record] = counts.get(record, 0) + 1
+            return record
         rank, bad = self.output.rank, None
         # (node, its children's plans so far, rightmost first); the first
         # entry holds the image
@@ -184,10 +181,7 @@ class WalkingSpec:
                 except SpecError as e:
                     bad = e
                 else:
-                    if c in seen:
-                        self._mark(seen, c)
-                    else:
-                        seen[c] = None
+                    counts[c] = counts.get(c, 0) + 1
                 done.append(c)
                 continue
             stack.pop()
@@ -196,17 +190,6 @@ class WalkingSpec:
                     raise bad
                 return done[0]
             stack[-1][1].append(FNode(t.label, tuple(reversed(done))))
-
-    @staticmethod
-    def _mark(seen, record):
-        """Mark the plans that are `record` alone, met before in the map
-        that `seen` belongs to, if they are unmarked."""
-        by_pebble = seen[record]
-        if by_pebble is not None:
-            for z, plan in by_pebble.items():
-                if plan.__class__ is tuple and plan == record:
-                    by_pebble[z] = SharedRecord(record)
-            seen[record] = None
 
     def _record(self, leaf, key, is_root):
         """The record of a (state, move) leaf of the image of transition
@@ -496,8 +479,6 @@ class WalkingMachine(Machine):
                 state, prov, i = q, "from-parent", entry[2] + arg
                 entry = nodes[i]
             elif kind == TO_PARENT:
-                if entry[1] is None:
-                    raise SpecError("to-parent at the root")
                 state, prov, i = q, entry[3], entry[1]
                 entry = nodes[i]
             else:
@@ -534,8 +515,6 @@ class WalkingMachine(Machine):
             if kind == TO_CHILD:
                 return WalkConfig(q, "from-parent", entry[2] + arg, pebbles)
             if kind == TO_PARENT:
-                if entry[1] is None:
-                    raise SpecError("to-parent at the root")
                 return WalkConfig(q, entry[3], entry[1], pebbles)
             if kind == PUT:
                 return WalkConfig(q, "self", i, ((arg, i),) + pebbles)

@@ -9,6 +9,7 @@ The marks of a walking spec are exactly its duplicated leaves."""
 import random
 import time
 import tracemalloc
+from dataclasses import fields, replace
 
 import pytest
 
@@ -20,8 +21,9 @@ from lamtrans.iam import VARIANT_MAX_TIER, IamMachine, TermInfo
 from lamtrans.transducer import SpecError, load_transducer
 from lamtrans.treegen import (Diverged, Machine, Output, drive, frontier,
                               run)
-from lamtrans.walking import (SharedRecord, WalkConfig, WalkingMachine,
-                              check_reversible, image_leaves, parse_twt)
+from lamtrans.walking import (TO_PARENT, SharedRecord, WalkConfig,
+                              WalkingMachine, check_reversible, image_leaves,
+                              parse_twt)
 
 from conftest import numeral, unary
 from reference_treegen import through_run
@@ -310,6 +312,15 @@ def marks_and_plain(spec):
     return out
 
 
+def reversed_spec(spec):
+    """The spec built again from its transition dicts, each in reversed
+    insertion order."""
+    tables = {f.name: getattr(spec, f.name) for f in fields(spec)
+              if f.name.startswith("delta")}
+    return replace(spec, **{name: dict(reversed(table.items()))
+                            for name, table in tables.items()})
+
+
 def test_the_marked_records_are_exactly_the_duplicated_leaves(
         count, seqnat, bin2bin, listcount, count_twt, seqnat_twt, bin2unary):
     specs = [compile_to_twt(count), compile_to_iptt(count),
@@ -326,13 +337,26 @@ def test_the_marked_records_are_exactly_the_duplicated_leaves(
     some = 0
     for spec in specs:
         dups = duplicated(spec)
-        for m, (marked, plain) in marks_and_plain(spec).items():
+        marks = marks_and_plain(spec)
+        for m, (marked, plain) in marks.items():
             assert marked <= dups.get(m, set())
             assert not plain & dups.get(m, set())
             some += len(marked)
         # a reversible spec has no duplicated leaf, and so no mark
         if check_reversible(spec)[0]:
-            assert not any(marks_and_plain(spec)[m][0] for m in spec.plans)
+            assert not any(marks[m][0] for m in spec.plans)
+        # the marks do not depend on the order of the transitions
+        again = reversed_spec(spec)
+        assert marks_and_plain(again) == marks
+        assert again.stays == spec.stays
+        # no root map moves to-parent, so the machine never looks for the
+        # root's parent
+        for (_, is_root), by_state in spec.plans.items():
+            assert not is_root or all(
+                r[1] != TO_PARENT for plan in by_state.values()
+                for p in (plan.values() if isinstance(plan, dict)
+                          else [plan])
+                for r in image_leaves(p))
     assert some
     for spec in specs[:2]:      # count's TWT and IPTT
         assert check_reversible(spec)[0]

@@ -284,6 +284,39 @@ def test_unknown_and_out_of_range_moves_are_refused_at_load(move, message):
         assert str(e.value) == message
 
 
+def one_state_twt(image):
+    return TwtSpec(RankedAlphabet.of({"b": 1, "e": 0}),
+                   RankedAlphabet.of({"0": 0, "p": 2}), ["q"], "q", {},
+                   {("b", "q", "self"): image})
+
+
+@pytest.mark.parametrize("make", [one_state_twt, one_state_iptt],
+                         ids=["twt", "iptt"])
+def test_an_image_is_refused_for_its_first_fault(make):
+    # an arity mismatch anywhere in an image is refused ahead of any leaf
+    # that cannot be decoded, whichever side of it that leaf is on; of two
+    # such leaves, the leftmost one is named
+    ok = ("q", "stay")
+    name = make(ok).name
+    hop, hop1 = ("q", "hop"), ("q", ("hop", 1))
+    short = FNode("p", (ok,))      # p has rank 2
+    for image in [FNode("p", (hop, short)), FNode("p", (short, hop)),
+                  FNode("p", (FNode("p", (hop, hop1)), short)),
+                  FNode("p", (short, FNode("p", (hop, hop1)))),
+                  FNode("p", (hop, FNode("p", (ok, short))))]:
+        with pytest.raises(SpecError) as e:
+            make(image)
+        assert str(e.value) == f"{name}: arity mismatch at 'p'"
+    for image, first in [
+            (FNode("p", (hop, hop1)), "'hop'"),
+            (FNode("p", (hop1, hop)), "('hop', 1)"),
+            (FNode("p", (FNode("p", (ok, hop1)), hop)), "('hop', 1)"),
+            (FNode("p", (ok, FNode("p", (hop, hop1)))), "'hop'")]:
+        with pytest.raises(SpecError) as e:
+            make(image)
+        assert str(e.value) == f"{name}: unknown move {first}"
+
+
 def test_root_image_to_parent_is_rejected_when_built(bin2unary, listcount):
     for image in [("q", "to-parent"),
                   FNode("p", (("q", "stay"), ("q", "to-parent")))]:
